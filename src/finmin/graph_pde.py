@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -258,6 +257,8 @@ def mean_curvature_type_bound(frame: TiltedFrame, b: float, config: SamplerConfi
     n_threads = _thread_count()
     if n_threads == 1:
         return chunk_max(ts)
+    from concurrent.futures import ThreadPoolExecutor
+
     chunks = np.array_split(ts, n_threads * 4)
     with ThreadPoolExecutor(max_workers=n_threads) as pool:
         partial = list(pool.map(chunk_max, chunks))

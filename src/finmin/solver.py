@@ -13,15 +13,16 @@ b; the solver therefore reproduces the planarity rigidity at desk scale.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .dual import Dual
 from .errors import DomainError, NonConvergenceError, StagnationError
 from .graph_pde import _residual_terms
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "GridProblem",
@@ -148,6 +149,10 @@ _OFFSETS = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 0), (0, 1), (1, -1), (1, 0)
 
 
 def _jacobian(problem: GridProblem, f: np.ndarray) -> sp.csr_matrix:
+    # scipy is imported here and in solve_minimal_graph, not at module
+    # load, so commands that never solve do not pay for its import.
+    import scipy.sparse as sp
+
     nx, ny = problem.nx, problem.ny
     hx, hy = problem.hx, problem.hy
     d_f1, d_f2, d_h11, d_h12, d_h22 = _point_partials(problem, f)
@@ -228,6 +233,8 @@ def solve_minimal_graph(
     """
     if tol <= 0.0:
         raise DomainError("tol must be positive")
+    import scipy.sparse.linalg as spla
+
     f = _initial_field(problem, initial_guess)
     r = assemble_residual(problem, f)
     res = float(np.max(np.abs(r)))

@@ -180,7 +180,8 @@ def kl_polys(b2) -> KLPolys:
     k_vals = []
     for p in k_nodes:
         lam, mu = _lambda_mu_b2(p / 2, p / 2, b2)
-        assert lam == mu
+        if lam != mu:
+            raise ArithmeticError(f"lambda != mu on the diagonal q = 0 at p={p}, b^2={b2}")
         k_vals.append(lam)
     k = _lagrange(k_nodes, k_vals)
 
@@ -195,8 +196,10 @@ def kl_polys(b2) -> KLPolys:
     for r, s in ((Fraction(3), Fraction(1, 2)), (Fraction(1, 3), Fraction(5))):
         lam, mu = _lambda_mu_b2(r, s, b2)
         p, q = r + s, r - s
-        assert lam == polys.k_at(p) - polys.l_at(p) * q
-        assert mu == polys.k_at(p) + polys.l_at(p) * q
+        if lam != polys.k_at(p) - polys.l_at(p) * q:
+            raise ArithmeticError(f"lambda != K - L q at r={r}, s={s}, b^2={b2}")
+        if mu != polys.k_at(p) + polys.l_at(p) * q:
+            raise ArithmeticError(f"mu != K + L q at r={r}, s={s}, b^2={b2}")
     return polys
 
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .errors import DomainError, QuadratureConvergenceError, UnsupportedBranchError
 from .metric import MetricParams, _phi
@@ -78,7 +77,10 @@ class VolumeFactorRequest:
 
 @lru_cache(maxsize=64)
 def _nodes_weights(n_nodes: int):
-    # Gauss-Legendre on [-1, 1] mapped onto [0, pi].
+    # Gauss-Legendre on [-1, 1] mapped onto [0, pi]. scipy is imported on
+    # first use, not at module load, so only `volume` pays for it.
+    from scipy.special import roots_legendre
+
     x, w = roots_legendre(n_nodes)
     return (x + 1.0) * (math.pi / 2.0), w * (math.pi / 2.0)
 

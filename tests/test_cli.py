@@ -36,6 +36,16 @@ def test_volume_record(capsys):
     assert entry["euclidean_degeneration"] is False
 
 
+def test_volume_pinned_nodes_and_value(capsys):
+    # Bit-exact pin: any change to the Gauss-Legendre node source moves the
+    # last digits of the quadrature value.
+    code, rec = run_json(capsys, ["volume", "--b", "0.3", "--n", "2", "--no-timestamp"])
+    assert code == 0
+    entry = rec["results"][0]
+    assert entry["quadrature"] == 0.9569377990430614
+    assert entry["nodes"] == 128
+
+
 def test_volume_sweep_and_degeneration_flag(capsys):
     code, rec = run_json(capsys, ["volume", "--b", "0,0.2,0.4", "--no-timestamp"])
     assert code == 0
@@ -255,3 +265,46 @@ def test_byte_identical_determinism():
     a2 = run_proc(argv2)
     b2 = run_proc(argv2)
     assert a2.stdout == b2.stdout
+
+
+# ---------------------------------------------------------------------------
+# imports
+
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+import finmin, finmin.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+loaded = {"import": scipy_modules()}
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = finmin.cli.main([*argv, "--no-timestamp"])
+    loaded[argv[0]] = (code, scipy_modules())
+print(json.dumps(loaded))
+"""
+
+
+def test_scipy_loaded_only_by_solve_and_volume():
+    # A fresh interpreter: this process already has scipy loaded.
+    pointwise = [
+        ["residual-graph", "--b", "0.3", "--point", "f1=0.2,f2=-0.1,h11=0.5,h12=0,h22=0.3"],
+        ["residual-translation", "--b", "0.3", "--point", "fp=1,fpp=0.5,gp=2,gpp=-0.25"],
+        ["check-translation", "--b2", "0,1/100", "--p", "0,1"],
+        ["check-derivatives", "--b", "0.2", "--samples", "2", "--seed", "1"],
+        ["ellipticity", "--b", "0.3", "--samples", "50", "--tmax", "0", "--seed", "1"],
+        ["volume", "--b", "0.3", "--n", "2"],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, json.dumps(pointwise)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert loaded["import"] == []
+    for argv in pointwise[:-1]:
+        assert loaded[argv[0]] == [0, []], argv
+    code, modules = loaded["volume"]
+    assert code == 0 and "scipy.special" in modules

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -179,6 +180,33 @@ def test_kl_domain():
         kl_polys(Fraction(1, 4))
     with pytest.raises(DomainError):
         kl_polys(Fraction(-1, 100))
+
+
+@pytest.mark.parametrize(
+    "at, perturb, message",
+    [
+        ((Fraction(1), Fraction(1)), (0, 1), "on the diagonal"),
+        ((Fraction(3), Fraction(1, 2)), (1, 0), "lambda != K - L q"),
+        ((Fraction(3), Fraction(1, 2)), (0, 1), "mu != K + L q"),
+    ],
+    ids=["diagonal", "lambda-split", "mu-split"],
+)
+def test_kl_identity_checks_raise(monkeypatch, at, perturb, message):
+    # The identities kl_polys relies on are checked explicitly, so they
+    # still fire under python -O; break one at a time to see each raise.
+    import finmin.translation as translation
+
+    exact = translation._lambda_mu_b2
+
+    def broken(r, s, b2):
+        lam, mu = exact(r, s, b2)
+        if (r, s) == at:
+            return lam + perturb[0], mu + perturb[1]
+        return lam, mu
+
+    monkeypatch.setattr(translation, "_lambda_mu_b2", broken)
+    with pytest.raises(ArithmeticError, match=re.escape(message)):
+        kl_polys(Fraction(1, 100))
 
 
 # ---------------------------------------------------------------------------
