@@ -36,6 +36,7 @@ from .graph_pde import (
     GraphPoint,
     SamplerConfig,
     TiltedFrame,
+    _s_divisor_r,
     graph_residual,
     mean_curvature_type_bound,
     random_rotations,
@@ -110,6 +111,13 @@ class RunConfig:
             family = self.family
         for b in self.b_values:
             MetricParams(b, family)  # raises DomainError outside the range
+        if self.command in ("check-derivatives", "ellipticity"):
+            if self.samples < 1:
+                raise DomainError(f"--samples {self.samples} must be >= 1")
+            if self.seed < 0:
+                raise DomainError(f"--seed {self.seed} must be >= 0")
+        if self.command == "ellipticity":
+            SamplerConfig(t_max=self.tmax)  # raises DomainError on a bad horizon
 
 
 def _jsonable(value):
@@ -327,12 +335,9 @@ def _cmd_ellipticity(config: RunConfig):
         frames = random_rotations(rng, n)
         xi = rng.normal(size=(n, 2))
         k = frames[:, 2, :]
-        b2 = b * b
         w2 = 1.0 + f[:, 0] ** 2 + f[:, 1] ** 2
         w = k[:, 2] - k[:, 0] * f[:, 0] - k[:, 1] * f[:, 1]
-        s = (2.0 + b2) * w2 - b2 * w * w
-        divisor = s * (s - 2.0 * b2 * w * w)
-        rb = 2.0 * b2 * (s + 4.0 * b2 * w * w) / divisor
+        _, divisor, rb = _s_divisor_r(w2, w, b * b)
         u = k[:, :2] + (w / w2)[:, None] * f
         xi2 = np.einsum("ij,ij->i", xi, xi)
         hform = xi2 - np.einsum("ij,ij->i", f, xi) ** 2 / w2

@@ -24,12 +24,26 @@ a = (delta - f f^T/W^2) + R * W^2 * u u^T with
 an elliptic form bounded below by |xi|^2 / W^2 and above by (1 + C) times
 the classical minimal-surface form, where C is estimated by the bound
 sampler in this module.
+
+For a unit probe direction xi the excess a(xi) / h(xi) - 1 over the
+classical form h = (delta - f f^T/W^2) : xi xi is R * W^2 (u . xi)^2 / h.
+The bound sampler maximizes it over the gradient magnitude t = |f|, the
+angle gamma between (k1, k2) and xi, and the angle theta between f and
+xi. With delta = gamma - theta, w and R depend on (t, delta) only, and
+the quotient is the Rayleigh quotient (a . e)^2 / (e^T diag(1, W^2) e) of
+e = (cos theta, sin theta) and a = (W^2 |k12| cos delta + w t,
+-W^2 |k12| sin delta). Its supremum over theta is a^T diag(1, W^2)^-1 a,
+
+    R * ((W^2 |k12| cos delta + w t)^2 + W^2 |k12|^2 sin^2 delta),
+
+so only t and delta are sampled. The t^2 terms of the first entry cancel:
+W^2 |k12| cos delta + w t = |k12| cos delta + k3 t, the form the sampler
+evaluates, so large gradients lose no precision to cancellation.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,6 +135,13 @@ class PdeCoefficients:
         )
 
 
+def _s_divisor_r(w2, w, b2):
+    """S, the positive divisor S*(S - 2 b^2 w^2) and R; scalars or arrays."""
+    s = (2.0 + b2) * w2 - b2 * w * w
+    divisor = s * (s - 2.0 * b2 * w * w)
+    return s, divisor, 2.0 * b2 * (s + 4.0 * b2 * w * w) / divisor
+
+
 def _residual_terms(f1, f2, h11, h12, h22, k1, k2, k3, b):
     # Arithmetic only: works elementwise on numpy arrays and on Duals.
     w2 = 1.0 + f1 * f1 + f2 * f2
@@ -172,9 +193,7 @@ def ellipticity_coefficients(gp: GraphPoint, frame: TiltedFrame, b: float) -> Pd
     f1, f2 = gp.f1, gp.f2
     w2 = gp.w2
     w = k3 - k1 * f1 - k2 * f2
-    b2 = b * b
-    s = (2.0 + b2) * w2 - b2 * w * w
-    rb = 2.0 * b2 * (s + 4.0 * b2 * w * w) / (s * (s - 2.0 * b2 * w * w))
+    s, _, rb = _s_divisor_r(w2, w, b * b)
     u1 = k1 + w * f1 / w2
     u2 = k2 + w * f2 / w2
     return PdeCoefficients(
@@ -190,11 +209,25 @@ def ellipticity_coefficients(gp: GraphPoint, frame: TiltedFrame, b: float) -> Pd
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Grids used to estimate the mean-curvature-type constant."""
+    """Grids used to estimate the mean-curvature-type constant.
+
+    t_max = 0 samples the zero gradient only; otherwise the gradient
+    magnitudes are zero plus t_nodes log-spaced values from 1e-3 to t_max.
+    angle_nodes is the number of equispaced angles delta on the circle.
+    """
 
     t_max: float = 1e3
     t_nodes: int = 512
     angle_nodes: int = 256
+
+    def __post_init__(self):
+        # The log grid starts at 1e-3; beyond t ~ 7e76 the divisor
+        # S*(S - 2 b^2 w^2) < 5 t^4 may overflow a double. The comparisons
+        # also reject nan.
+        if not (self.t_max == 0.0 or 1e-3 <= self.t_max <= 1e75):
+            raise DomainError(f"t_max={self.t_max} must be 0 or in [1e-3, 1e75]")
+        if self.t_nodes < 1 or self.angle_nodes < 1:
+            raise DomainError("t_nodes and angle_nodes must be >= 1")
 
     def t_grid(self) -> np.ndarray:
         if self.t_max == 0.0:
@@ -203,40 +236,17 @@ class SamplerConfig:
         return np.concatenate(([0.0], ts))
 
 
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("FM_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _bound_value(k12_norm, k3, t_abs, gamma, theta, b):
-    """Quotient R * (W^2 |k12| cos(gamma) + w |t| cos(theta))^2 / (1 + |t|^2 sin^2(theta)).
-
-    gamma is the angle between (k1, k2) and the probe direction, theta the
-    angle between the gradient t and the probe direction. Vectorized over
-    any broadcastable combination of arguments.
-    """
-    b2 = b * b
-    w2 = 1.0 + t_abs * t_abs
-    w = k3 - k12_norm * t_abs * np.cos(gamma - theta)
-    s = (2.0 + b2) * w2 - b2 * w * w
-    rb = 2.0 * b2 * (s + 4.0 * b2 * w * w) / (s * (s - 2.0 * b2 * w * w))
-    num = (w2 * k12_norm * np.cos(gamma) + w * t_abs * np.cos(theta)) ** 2
-    den = 1.0 + (t_abs * np.sin(theta)) ** 2
-    return rb * num / den
-
-
 def mean_curvature_type_bound(frame: TiltedFrame, b: float, config: SamplerConfig | None = None) -> float:
     """Sample maximum of the ellipticity excess quotient; a lower estimate
     of the mean-curvature-type constant for this frame and b.
 
-    Dense grids over gradient magnitude (log-spaced plus zero) and the two
-    angles; the angle grids contain the parallel and antiparallel
-    directions exactly. An estimate, not a proof: the quotient is bounded
-    by degree counting, and growing the horizon tenfold moves the value by
-    well under a percent. Honors FM_THREADS for chunked evaluation with a
-    deterministic max reduction.
+    The quotient is maximized over the gradient angle theta in closed form
+    (the Rayleigh-quotient identity in the module docstring); what is
+    sampled is the gradient magnitude t (log-spaced plus zero) and the
+    angle delta = gamma - theta on an equispaced grid that contains the
+    parallel and antiparallel directions exactly. An estimate, not a
+    proof: the quotient is bounded by degree counting, and growing the
+    horizon tenfold moves the value by well under a percent.
     """
     b = float(b)
     if not (0.0 <= b < 0.5):
@@ -244,28 +254,17 @@ def mean_curvature_type_bound(frame: TiltedFrame, b: float, config: SamplerConfi
     config = config or SamplerConfig()
     k1, k2, k3 = frame.k
     k12 = math.hypot(k1, k2)
-    gamma = np.linspace(0.0, 2.0 * math.pi, config.angle_nodes, endpoint=False)[:, None]
-    theta = np.linspace(0.0, 2.0 * math.pi, config.angle_nodes, endpoint=False)[None, :]
-    ts = config.t_grid()
-
-    def chunk_max(chunk):
-        best = 0.0
-        for t in chunk:
-            best = max(best, float(np.max(_bound_value(k12, k3, t, gamma, theta, b))))
-        return best
-
-    n_threads = _thread_count()
-    if n_threads == 1:
-        return chunk_max(ts)
-    from concurrent.futures import ThreadPoolExecutor
-
-    chunks = np.array_split(ts, n_threads * 4)
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        partial = list(pool.map(chunk_max, chunks))
-    best = 0.0
-    for v in partial:  # fixed order: bit-stable for any thread count
-        best = max(best, v)
-    return best
+    t = config.t_grid()[:, None]
+    # The quotient is even in delta, so the grid's half circle [0, pi]
+    # holds every value it takes.
+    n = config.angle_nodes
+    delta = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)[: n // 2 + 1]
+    k12_cos = k12 * np.cos(delta)
+    w2 = 1.0 + t * t
+    w = k3 - k12_cos * t
+    _, _, rb = _s_divisor_r(w2, w, b * b)
+    lead = k12_cos + k3 * t
+    return float(np.max(rb * (lead * lead + w2 * (k12 * np.sin(delta)) ** 2)))
 
 
 def immersion_jets(gp: GraphPoint, frame: TiltedFrame | None = None):

@@ -159,6 +159,37 @@ def test_ellipticity_command(capsys):
         assert entry["min_divisor"] > 0.0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ellipticity", "--samples", "0"],
+        ["ellipticity", "--tmax", "-1"],
+        ["ellipticity", "--tmax", "nan"],
+        ["ellipticity", "--tmax", "inf"],
+        ["ellipticity", "--tmax", "1e-4"],
+        ["ellipticity", "--tmax", "1e76"],
+        ["ellipticity", "--seed", "-1"],
+        ["check-derivatives", "--samples", "0"],
+        ["check-derivatives", "--seed", "-1"],
+    ],
+    ids=[
+        "ellipticity-samples-0",
+        "tmax-negative",
+        "tmax-nan",
+        "tmax-inf",
+        "tmax-below-1e-3",
+        "tmax-above-1e75",
+        "ellipticity-seed-negative",
+        "check-derivatives-samples-0",
+        "check-derivatives-seed-negative",
+    ],
+)
+def test_bad_sampler_input_exits_2(capsys, argv):
+    assert main([*argv, "--no-timestamp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
 # ---------------------------------------------------------------------------
 # solve + grid files
 
