@@ -266,6 +266,18 @@ def test_solve_non_convergence_exit(capsys):
     assert "Newton" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag",
+    [["--tol", "nan"], ["--tol", "inf"], ["--max-iter", "-1"]],
+    ids=["tol-nan", "tol-inf", "max-iter-negative"],
+)
+def test_solve_bad_stopping_rule_exits_2(capsys, flag):
+    argv = ["solve", "--b", "0.3", "--boundary", "scherk", "--nx", "15", "--ny", "15", *flag, "--no-timestamp"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
 def test_solve_unknown_boundary(capsys):
     assert main(["solve", "--boundary", "wavy", "--no-timestamp"]) == 2
 

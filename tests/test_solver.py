@@ -7,6 +7,11 @@ from conftest import scherk
 from finmin.errors import DomainError, NonConvergenceError
 from finmin.solver import (
     GridProblem,
+    _dissection_order,
+    _initial_field,
+    _jacobian,
+    _JacobianPattern,
+    _newton_step,
     assemble_residual,
     planarity_deviation,
     solve_minimal_graph,
@@ -177,6 +182,57 @@ def test_bad_tol():
     problem = GridProblem(UNIT_SQUARE, 15, 15, 0.0, lambda x, y: 0.0)
     with pytest.raises(DomainError):
         solve_minimal_graph(problem, tol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# Jacobian and sparse solve
+
+
+def natural_jacobian(problem, f):
+    """Assembled Jacobian mapped back to natural numbering i*ny + j."""
+    pattern = _JacobianPattern.build(problem.nx, problem.ny)
+    position = np.empty_like(pattern.order)
+    position[pattern.order] = np.arange(pattern.order.size)
+    return _jacobian(problem, f, pattern)[position][:, position]
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (9, 12), (12, 9), (17, 8), (63, 63)])
+def test_dissection_order_is_a_permutation(shape):
+    nx, ny = shape
+    order = _dissection_order(nx, ny)
+    assert np.array_equal(np.sort(order), np.arange(nx * ny))
+
+
+@pytest.mark.parametrize("b", [0.0, 0.3, 0.45])
+def test_jacobian_matches_central_differences(b):
+    problem = GridProblem(UNIT_SQUARE, 9, 12, b, scherk)
+    bump = lambda x, y: 0.1 * math.sin(2 * x + y) * math.cos(x - y)
+    f = full_field(problem, lambda x, y: scherk(x, y) + bump(x, y))
+    jac = natural_jacobian(problem, f).toarray()
+    eps = 1e-5
+    for k in range(problem.nx * problem.ny):
+        i, j = divmod(k, problem.ny)
+        f_plus, f_minus = f.copy(), f.copy()
+        f_plus[i + 1, j + 1] += eps
+        f_minus[i + 1, j + 1] -= eps
+        diff = assemble_residual(problem, f_plus) - assemble_residual(problem, f_minus)
+        column = diff.ravel() / (2 * eps)
+        atol = 1e-9 * np.max(np.abs(column))
+        np.testing.assert_allclose(jac[:, k], column, rtol=1e-6, atol=atol)
+
+
+def test_dissection_beats_colamd_and_keeps_the_newton_step():
+    import scipy.sparse.linalg as spla
+
+    problem = GridProblem(UNIT_SQUARE, 63, 63, 0.3, scherk)
+    f = _initial_field(problem, "boundary-blend")
+    r = assemble_residual(problem, f)
+    step, lu = _newton_step(problem, f, r, _JacobianPattern.build(63, 63))
+    jac = natural_jacobian(problem, f)
+    colamd = spla.splu(jac.tocsc())
+    assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
+    reference = spla.spsolve(jac.tocsr(), -r.ravel()).reshape(r.shape)
+    assert np.max(np.abs(step - reference)) <= 1e-12 * np.max(np.abs(reference))
 
 
 # ---------------------------------------------------------------------------
