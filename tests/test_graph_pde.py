@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from conftest import rand_rotation, scherk_gradient, scherk_hessian
 
+from finmin.dual import Dual
 from finmin.errors import DomainError
 from finmin.graph_pde import (
     GraphPoint,
@@ -16,6 +17,7 @@ from finmin.graph_pde import (
     tilted_graph_residual,
 )
 from finmin.jet import mean_curvature_bracket
+from finmin.solver import GridProblem, _point_partials, _stencil_point, assemble_residual
 
 
 def rand_gp(rng, span=2.0):
@@ -111,6 +113,42 @@ def test_vertical_plane_frame_is_finite():
     assert br * det_m == pytest.approx(
         2.0 * gp.w2 * tilted_graph_residual(gp, frame, 0.3) * det_m, rel=1e-9
     )
+
+
+def _reference_residual(f1, f2, h11, h12, h22, k1, k2, k3, b):
+    # The coefficient form written out in the operation order the residual
+    # kernel has always used; floats, arrays and Duals all pass through.
+    w2 = 1.0 + f1 * f1 + f2 * f2
+    w = k3 - k1 * f1 - k2 * f2
+    b2 = b * b
+    s = (2.0 + b2) * w2 - b2 * w * w
+    hform = (h11 + h22) - (f1 * f1 * h11 + 2.0 * f1 * f2 * h12 + f2 * f2 * h22) / w2
+    u1 = k1 + w * f1 / w2
+    u2 = k2 + w * f2 / w2
+    uform = u1 * u1 * h11 + 2.0 * u1 * u2 * h12 + u2 * u2 * h22
+    return s * (s - 2.0 * b2 * w * w) * hform + 2.0 * b2 * (s + 4.0 * b2 * w * w) * w2 * uform
+
+
+def test_pointwise_residuals_bitwise_equal_reference():
+    rng = np.random.default_rng(35)
+    for i in range(300):
+        gp = rand_gp(rng, span=3.0)
+        frame = TiltedFrame.identity() if i % 5 == 0 else TiltedFrame(rand_rotation(rng))
+        b = rng.uniform(0.0, 0.5)
+        args = (gp.f1, gp.f2, gp.h11, gp.h12, gp.h22)
+        assert tilted_graph_residual(gp, frame, b) == _reference_residual(*args, *frame.k, b)
+        assert graph_residual(gp, b) == _reference_residual(*args, 0.0, 0.0, 1.0, b)
+
+
+@pytest.mark.parametrize("b", [0.0, 0.3, 0.45])
+def test_grid_residual_and_partials_bitwise_equal_reference(b):
+    problem = GridProblem((-1.0, 1.0, -0.5, 0.5), 11, 9, b, lambda x, y: 0.0)
+    f = np.random.default_rng(36).uniform(-1.0, 1.0, (13, 11))
+    vals = _stencil_point(problem, f)
+    assert np.array_equal(assemble_residual(problem, f), _reference_residual(*vals, 0.0, 0.0, 1.0, b))
+    for i, got in enumerate(_point_partials(problem, f)):
+        args = [Dual(v, np.ones_like(v)) if k == i else v for k, v in enumerate(vals)]
+        assert np.array_equal(got, _reference_residual(*args, 0.0, 0.0, 1.0, b).du)
 
 
 # ---------------------------------------------------------------------------
