@@ -9,64 +9,4 @@ finite-difference Newton solver (:mod:`finmin.solver`). The CLI lives in
 :mod:`finmin.cli`.
 """
 
-from .errors import (
-    DegenerateJetError,
-    DegenerateTransversalError,
-    DomainError,
-    NonConvergenceError,
-    PoleError,
-    QuadratureConvergenceError,
-    SolverError,
-    StagnationError,
-    UnsupportedBranchError,
-)
-from .graph_pde import (
-    GraphPoint,
-    PdeCoefficients,
-    SamplerConfig,
-    TiltedFrame,
-    ellipticity_coefficients,
-    graph_residual,
-    immersion_jets,
-    mean_curvature_type_bound,
-    tilted_graph_residual,
-)
-from .jet import (
-    AreaJetScalars,
-    ImmersionJet1,
-    ImmersionJet2,
-    area_integrand,
-    area_integrand_grad,
-    area_integrand_hess,
-    area_scalars,
-    e_scalar,
-    gram,
-    mean_curvature_bracket,
-    mean_curvature_residual,
-)
-from .metric import MetricParams, PhiFamily, fundamental_tensor, minkowski_norm, phi_eval
-from .solver import (
-    GridProblem,
-    GridSolution,
-    assemble_residual,
-    planarity_deviation,
-    solve_minimal_graph,
-)
-from .translation import (
-    CompatibilityReport,
-    KLPolys,
-    TranslationPoint,
-    compatibility_check,
-    kl_polys,
-    kl_ratio_derivative,
-    lambda_mu,
-    translation_residual,
-)
-from .volume import (
-    QuadraturePolicy,
-    VolumeFactorRequest,
-    bh_factor_closed_matsumoto,
-    bh_factor_quadrature,
-)
-
 __version__ = "0.1.0"

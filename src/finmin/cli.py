@@ -36,7 +36,7 @@ from .graph_pde import (
     GraphPoint,
     SamplerConfig,
     TiltedFrame,
-    _s_divisor_r,
+    ellipticity_quotients,
     graph_residual,
     mean_curvature_type_bound,
     random_rotations,
@@ -60,7 +60,7 @@ from .translation import (
     lambda_mu,
     translation_residual,
 )
-from .volume import QuadraturePolicy, VolumeFactorRequest, _quadrature_factor, bh_factor_closed_matsumoto
+from .volume import QuadraturePolicy, VolumeFactorRequest, bh_factor_closed_matsumoto, bh_factor_quadrature
 
 __all__ = ["RunConfig", "run", "main", "console_main", "write_grid_csv", "read_grid_csv"]
 
@@ -118,6 +118,12 @@ class RunConfig:
                 raise DomainError(f"--seed {self.seed} must be >= 0")
         if self.command == "ellipticity":
             SamplerConfig(t_max=self.tmax)  # raises DomainError on a bad horizon
+        # A nan or infinite tolerance would switch its check off; comparisons
+        # against nan are false, so the test also rejects nan.
+        for name in ("tol", "rtol_dual", "rtol_central"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise DomainError(f"--{name.replace('_', '-')} {value} must be positive and finite")
 
 
 def _jsonable(value):
@@ -189,7 +195,7 @@ def _cmd_volume(config: RunConfig):
     for b in config.b_values:
         params = MetricParams(b, config.family)
         req = VolumeFactorRequest(params, n=config.n, quadrature=QuadraturePolicy())
-        value, nodes = _quadrature_factor(req)
+        value, nodes = bh_factor_quadrature(req)
         entry = {
             "b": b,
             "euclidean_degeneration": params.euclidean_degeneration,
@@ -334,15 +340,8 @@ def _cmd_ellipticity(config: RunConfig):
         f = rng.uniform(-3.0, 3.0, size=(n, 2))
         frames = random_rotations(rng, n)
         xi = rng.normal(size=(n, 2))
-        k = frames[:, 2, :]
-        w2 = 1.0 + f[:, 0] ** 2 + f[:, 1] ** 2
-        w = k[:, 2] - k[:, 0] * f[:, 0] - k[:, 1] * f[:, 1]
-        _, divisor, rb = _s_divisor_r(w2, w, b * b)
-        u = k[:, :2] + (w / w2)[:, None] * f
-        xi2 = np.einsum("ij,ij->i", xi, xi)
-        hform = xi2 - np.einsum("ij,ij->i", f, xi) ** 2 / w2
-        aform = hform + rb * w2 * np.einsum("ij,ij->i", u, xi) ** 2
-        min_ratio = float(np.min(aform * w2 / xi2))
+        ratio, divisor = ellipticity_quotients(f, frames[:, 2, :], xi, b)
+        min_ratio = float(np.min(ratio))
         min_divisor = float(np.min(divisor))
         frame = TiltedFrame(random_rotations(rng, 1)[0])
         c_est = mean_curvature_type_bound(frame, b, SamplerConfig(t_max=config.tmax))

@@ -5,20 +5,12 @@ class DomainError(ValueError):
     """Input lies outside the mathematically admissible domain."""
 
 
-class UnsupportedBranchError(DomainError):
-    """Requested a volume-form branch this toolkit does not implement."""
-
-
 class DegenerateJetError(DomainError):
     """Immersion jet fails the rank-two / positive-determinant requirement."""
 
 
 class DegenerateTransversalError(DomainError):
     """Transversal vector lies in the tangent plane of the jet."""
-
-
-class PoleError(ZeroDivisionError):
-    """Exact rational evaluation hit a pole of a rational function."""
 
 
 class QuadratureConvergenceError(RuntimeError):

@@ -23,7 +23,9 @@ a = (delta - f f^T/W^2) + R * W^2 * u u^T with
 
 an elliptic form bounded below by |xi|^2 / W^2 and above by (1 + C) times
 the classical minimal-surface form, where C is estimated by the bound
-sampler in this module.
+sampler in this module. The divisor and the numerator of R are written
+once (_divisor_excess); the residual, ellipticity_quotients (the CLI's
+vectorized check of the lower bound) and the sampler all use them.
 
 For a unit probe direction xi the excess a(xi) / h(xi) - 1 over the
 classical form h = (delta - f f^T/W^2) : xi xi is R * W^2 (u . xi)^2 / h.
@@ -54,11 +56,10 @@ from .jet import ImmersionJet1, ImmersionJet2
 __all__ = [
     "GraphPoint",
     "TiltedFrame",
-    "PdeCoefficients",
     "SamplerConfig",
     "graph_residual",
     "tilted_graph_residual",
-    "ellipticity_coefficients",
+    "ellipticity_quotients",
     "mean_curvature_type_bound",
     "immersion_jets",
     "random_rotations",
@@ -117,42 +118,23 @@ class TiltedFrame:
         return self.m[2, :]
 
 
-@dataclass(frozen=True)
-class PdeCoefficients:
-    """Normalized second-order coefficients and their auxiliary scalars."""
-
-    a11: float
-    a12: float
-    a22: float
-    W2: float
-    w: float
-    Sb: float
-    Rb: float
-
-    def quadratic_form(self, xi1: float, xi2: float) -> float:
-        return (
-            self.a11 * xi1 * xi1 + 2.0 * self.a12 * xi1 * xi2 + self.a22 * xi2 * xi2
-        )
-
-
-def _s_divisor_r(w2, w, b2):
-    """S, the positive divisor S*(S - 2 b^2 w^2) and R; scalars or arrays."""
+def _divisor_excess(w2, w, b2):
+    """(S*(S - 2 b^2 w^2), 2 b^2 (S + 4 b^2 w^2)): the positive divisor and
+    the numerator of R. Arithmetic only: floats, arrays and Duals pass."""
     s = (2.0 + b2) * w2 - b2 * w * w
-    divisor = s * (s - 2.0 * b2 * w * w)
-    return s, divisor, 2.0 * b2 * (s + 4.0 * b2 * w * w) / divisor
+    return s * (s - 2.0 * b2 * w * w), 2.0 * b2 * (s + 4.0 * b2 * w * w)
 
 
 def _residual_terms(f1, f2, h11, h12, h22, k1, k2, k3, b):
     # Arithmetic only: works elementwise on numpy arrays and on Duals.
     w2 = 1.0 + f1 * f1 + f2 * f2
     w = k3 - k1 * f1 - k2 * f2
-    b2 = b * b
-    s = (2.0 + b2) * w2 - b2 * w * w
+    divisor, excess = _divisor_excess(w2, w, b * b)
     hform = (h11 + h22) - (f1 * f1 * h11 + 2.0 * f1 * f2 * h12 + f2 * f2 * h22) / w2
     u1 = k1 + w * f1 / w2
     u2 = k2 + w * f2 / w2
     uform = u1 * u1 * h11 + 2.0 * u1 * u2 * h12 + u2 * u2 * h22
-    return s * (s - 2.0 * b2 * w * w) * hform + 2.0 * b2 * (s + 4.0 * b2 * w * w) * w2 * uform
+    return divisor * hform + excess * w2 * uform
 
 
 def graph_residual(gp: GraphPoint, b: float) -> float:
@@ -180,31 +162,31 @@ def tilted_graph_residual(gp: GraphPoint, frame: TiltedFrame, b: float) -> float
     )
 
 
-def ellipticity_coefficients(gp: GraphPoint, frame: TiltedFrame, b: float) -> PdeCoefficients:
-    """Residual coefficients divided by the positive factor S*(S - 2 b^2 w^2).
-
-    The divisor is strictly positive for all b in [0, 1) because
-    w^2 <= W^2, so no admissibility beyond b < 1/2 is needed.
-    """
+def _check_b(b) -> float:
     b = float(b)
     if not (0.0 <= b < 0.5):
         raise DomainError(f"b={b} outside [0, 0.5)")
-    k1, k2, k3 = frame.k
-    f1, f2 = gp.f1, gp.f2
-    w2 = gp.w2
-    w = k3 - k1 * f1 - k2 * f2
-    s, _, rb = _s_divisor_r(w2, w, b * b)
-    u1 = k1 + w * f1 / w2
-    u2 = k2 + w * f2 / w2
-    return PdeCoefficients(
-        a11=1.0 - f1 * f1 / w2 + rb * w2 * u1 * u1,
-        a12=-f1 * f2 / w2 + rb * w2 * u1 * u2,
-        a22=1.0 - f2 * f2 / w2 + rb * w2 * u2 * u2,
-        W2=w2,
-        w=w,
-        Sb=s,
-        Rb=rb,
-    )
+    return b
+
+
+def ellipticity_quotients(f, k, xi, b: float):
+    """(W^2 a(xi) / |xi|^2, S*(S - 2 b^2 w^2)) for n samples.
+
+    f: gradients (n, 2); k: last frame rows (n, 3); xi: probe directions
+    (n, 2). The first quotient is >= 1 (the lower bound |xi|^2 / W^2 of
+    the normalized form a) and the divisor is > 0; both hold for every
+    b in [0, 1) because w^2 <= W^2.
+    """
+    b = _check_b(b)
+    w2 = 1.0 + f[:, 0] ** 2 + f[:, 1] ** 2
+    w = k[:, 2] - k[:, 0] * f[:, 0] - k[:, 1] * f[:, 1]
+    divisor, excess = _divisor_excess(w2, w, b * b)
+    rb = excess / divisor
+    u = k[:, :2] + (w / w2)[:, None] * f
+    xi2 = np.einsum("ij,ij->i", xi, xi)
+    hform = xi2 - np.einsum("ij,ij->i", f, xi) ** 2 / w2
+    aform = hform + rb * w2 * np.einsum("ij,ij->i", u, xi) ** 2
+    return aform * w2 / xi2, divisor
 
 
 @dataclass(frozen=True)
@@ -248,9 +230,7 @@ def mean_curvature_type_bound(frame: TiltedFrame, b: float, config: SamplerConfi
     proof: the quotient is bounded by degree counting, and growing the
     horizon tenfold moves the value by well under a percent.
     """
-    b = float(b)
-    if not (0.0 <= b < 0.5):
-        raise DomainError(f"b={b} outside [0, 0.5)")
+    b = _check_b(b)
     config = config or SamplerConfig()
     k1, k2, k3 = frame.k
     k12 = math.hypot(k1, k2)
@@ -262,7 +242,8 @@ def mean_curvature_type_bound(frame: TiltedFrame, b: float, config: SamplerConfi
     k12_cos = k12 * np.cos(delta)
     w2 = 1.0 + t * t
     w = k3 - k12_cos * t
-    _, _, rb = _s_divisor_r(w2, w, b * b)
+    divisor, excess = _divisor_excess(w2, w, b * b)
+    rb = excess / divisor
     lead = k12_cos + k3 * t
     return float(np.max(rb * (lead * lead + w2 * (k12 * np.sin(delta)) ** 2)))
 

@@ -32,10 +32,8 @@ from .errors import DegenerateJetError, DegenerateTransversalError, DomainError
 __all__ = [
     "ImmersionJet1",
     "ImmersionJet2",
-    "AreaJetScalars",
     "gram",
     "e_scalar",
-    "area_scalars",
     "area_integrand",
     "area_integrand_grad",
     "area_integrand_hess",
@@ -126,21 +124,6 @@ class ImmersionJet2:
         return cls(np.einsum("i,eh->ieh", m[:, 2], hess))
 
 
-@dataclass(frozen=True)
-class AreaJetScalars:
-    """Pointwise scalars of the area density at one jet."""
-
-    gram: np.ndarray  # A = z^T z, symmetric positive definite
-    area: float  # C = sqrt(det A) > 0
-    anisotropy: float  # E >= 0
-    integrand: float  # 2*area**3 / (2*area**2 + anisotropy)
-
-    @property
-    def anisotropy_ratio(self) -> float:
-        """E / C**2, the dimensionless intermediate of the density formula."""
-        return self.anisotropy / self.area**2
-
-
 def gram(j: ImmersionJet1) -> np.ndarray:
     """Gram matrix A = z^T z of the jet columns (2x2, exactly symmetric)."""
     z = j.z
@@ -186,22 +169,19 @@ def e_scalar(j: ImmersionJet1, b: float) -> float:
     return float(b * b * (d @ d))
 
 
+def _area_parts(j: ImmersionJet1, b: float):
+    """(det A, adj A, C, E, 2*C**2 + E) at a jet that passes the guard."""
+    a = gram(j)
+    det = _require_nondegenerate(a)
+    c = math.sqrt(det)
+    e = e_scalar(j, b)
+    return det, _adj2(a), c, e, 2.0 * det + e
+
+
 def area_integrand(j: ImmersionJet1, b: float) -> float:
     """Area density F = 2*C**3/(2*C**2 + E); equals C when b = 0."""
-    a = gram(j)
-    det = _require_nondegenerate(a)
-    c = math.sqrt(det)
-    e = e_scalar(j, b)
-    return 2.0 * det * c / (2.0 * det + e)
-
-
-def area_scalars(j: ImmersionJet1, b: float) -> AreaJetScalars:
-    """Bundle (A, C, E, F) for one jet."""
-    a = gram(j)
-    det = _require_nondegenerate(a)
-    c = math.sqrt(det)
-    e = e_scalar(j, b)
-    return AreaJetScalars(gram=a, area=c, anisotropy=e, integrand=2.0 * det * c / (2.0 * det + e))
+    det, _, c, _, den = _area_parts(j, b)
+    return 2.0 * det * c / den
 
 
 def _grad_det(z, adj):
@@ -250,12 +230,7 @@ def area_integrand_grad(j: ImmersionJet1, b: float) -> np.ndarray:
     finite-difference oracles in the test suite.
     """
     z = j.z
-    a = gram(j)
-    det = _require_nondegenerate(a)
-    adj = _adj2(a)
-    c = math.sqrt(det)
-    e = e_scalar(j, b)
-    den = 2.0 * det + e
+    det, adj, c, e, den = _area_parts(j, b)
     dc = (z @ adj) / c
     de = _grad_e(z, b)
     return ((4.0 * det * det + 6.0 * det * e) * dc - 2.0 * det * c * de) / den**2
@@ -269,12 +244,7 @@ def area_integrand_hess(j: ImmersionJet1, b: float) -> np.ndarray:
     differentiation of the gradient produces.
     """
     z = j.z
-    a = gram(j)
-    det = _require_nondegenerate(a)
-    adj = _adj2(a)
-    c = math.sqrt(det)
-    e = e_scalar(j, b)
-    den = 2.0 * det + e
+    det, adj, c, e, den = _area_parts(j, b)
 
     dc = (z @ adj) / c
     de = _grad_e(z, b)
@@ -383,12 +353,7 @@ def mean_curvature_bracket(j1: ImmersionJet1, j2: ImmersionJet2, b: float, v=Non
     """
     v = _checked_transversal(j1, v)
     z = j1.z
-    a = gram(j1)
-    det = _require_nondegenerate(a)
-    adj = _adj2(a)
-    c = math.sqrt(det)
-    e = e_scalar(j1, b)
-    den = 2.0 * det + e
+    det, adj, c, e, den = _area_parts(j1, b)
 
     dc = (z @ adj) / c
     de = _grad_e(z, b)

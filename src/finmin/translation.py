@@ -22,11 +22,12 @@ is exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import DomainError, PoleError
+from .errors import DomainError
 
 __all__ = [
     "TranslationPoint",
@@ -48,6 +49,11 @@ class TranslationPoint:
     fpp: float
     gp: float
     gpp: float
+
+    def __post_init__(self):
+        for name in ("fp", "fpp", "gp", "gpp"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite")
 
     @property
     def r(self):
@@ -204,16 +210,16 @@ def kl_polys(b2) -> KLPolys:
 
 
 def kl_ratio_derivative(b2, p) -> Fraction:
-    """Exact (K/L)'(p) = (K'L - KL')/L^2 at a rational p.
+    """Exact (K/L)'(p) = (K'L - KL')/L^2 at a rational p >= 0.
 
-    L has positive coefficients on the admissible domain, so the pole
-    guard cannot fire for p >= 0; it is kept for fidelity.
+    p = f'^2 + g'^2 is never negative. For p >= 0 and b^2 < 1/4 every
+    coefficient of L is positive, so L(p) > 0 and the quotient is defined.
     """
-    polys = kl_polys(b2)
     p = Fraction(p)
+    if p < 0:
+        raise DomainError(f"p={p} must be >= 0 (p = f'^2 + g'^2)")
+    polys = kl_polys(b2)
     lp = polys.l_at(p)
-    if lp == 0:
-        raise PoleError(f"L({p}) = 0")
     kd = _eval(_deriv(list(polys.k_coeffs)), p)
     ld = _eval(_deriv(list(polys.l_coeffs)), p)
     return (kd * lp - polys.k_at(p) * ld) / (lp * lp)

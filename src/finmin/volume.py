@@ -9,6 +9,7 @@ module computes f(b) two ways: by Gauss-Legendre quadrature of the ratio
 
 with node doubling until the ratio stabilizes, and by the exact closed
 form 2/(2 + b**2) available for the slope family in dimension n = 2.
+The volume form is Busemann-Hausdorff; no other branch is implemented.
 """
 
 from __future__ import annotations
@@ -19,19 +20,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, QuadratureConvergenceError, UnsupportedBranchError
+from .errors import DomainError, QuadratureConvergenceError
 from .metric import MetricParams, _phi
 
 __all__ = [
-    "BUSEMANN_HAUSDORFF",
     "QuadraturePolicy",
     "VolumeFactorRequest",
     "bh_factor_quadrature",
     "bh_factor_closed_matsumoto",
 ]
-
-BUSEMANN_HAUSDORFF = "busemann-hausdorff"
-
 
 def _is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
@@ -63,16 +60,10 @@ class VolumeFactorRequest:
     params: MetricParams
     n: int = 2
     quadrature: QuadraturePolicy = field(default_factory=QuadraturePolicy)
-    volume_form: str = BUSEMANN_HAUSDORFF
 
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 2:
             raise DomainError(f"dimension n={self.n} must be an integer >= 2")
-        if self.volume_form != BUSEMANN_HAUSDORFF:
-            raise UnsupportedBranchError(
-                f"volume form {self.volume_form!r} is not supported; "
-                f"only {BUSEMANN_HAUSDORFF!r} is implemented"
-            )
 
 
 @lru_cache(maxsize=64)
@@ -94,19 +85,14 @@ def _ratio_estimate(params: MetricParams, n: int, n_nodes: int) -> float:
     return num / den
 
 
-def bh_factor_quadrature(req: VolumeFactorRequest) -> float:
-    """Volume factor by node-doubling quadrature of the defining ratio.
+def bh_factor_quadrature(req: VolumeFactorRequest):
+    """(value, nodes_used): the volume factor by node-doubling quadrature of
+    the defining ratio, and the node count at which it converged.
 
     Convergence is judged on the ratio itself (shared nodes cancel smooth
     error in both integrals). Raises QuadratureConvergenceError, carrying
     the last two estimates, if doubling is exhausted.
     """
-    value, _ = _quadrature_factor(req)
-    return value
-
-
-def _quadrature_factor(req: VolumeFactorRequest):
-    """(value, nodes_used) backing bh_factor_quadrature."""
     pol = req.quadrature
     n_nodes = pol.initial_nodes
     prev = est = _ratio_estimate(req.params, req.n, n_nodes)

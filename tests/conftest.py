@@ -4,16 +4,9 @@ import math
 
 import numpy as np
 
-from finmin.jet import ImmersionJet1, ImmersionJet2
-
-
-def rand_jet(rng, min_det=0.25, span=1.5):
-    """Random nondegenerate first-order jet (resampled until det A is safe)."""
-    while True:
-        z = rng.uniform(-span, span, size=(3, 2))
-        a = z.T @ z
-        if a[0, 0] * a[1, 1] - a[0, 1] ** 2 >= min_det:
-            return ImmersionJet1(z)
+from finmin.cli import _matrix_rel_err as max_rel_err  # noqa: F401  (re-exported)
+from finmin.cli import _random_jet as rand_jet  # noqa: F401  (re-exported)
+from finmin.jet import ImmersionJet2
 
 
 def rand_jet2(rng, span=1.5):
@@ -26,7 +19,12 @@ def rand_jet2(rng, span=1.5):
 
 
 def rand_rotation(rng):
-    """Uniform random rotation matrix (det +1) from a quaternion draw."""
+    """Uniform random rotation matrix (det +1) from a quaternion draw.
+
+    Not graph_pde.random_rotations(rng, 1)[0]: that sums the quaternion's
+    norm in a different order, so about 12% of seeds (seed 32 of
+    test_bound_pinned_values among them) give a matrix one last bit apart.
+    """
     q = rng.normal(size=4)
     q /= np.linalg.norm(q)
     a, b, c, d = q
@@ -62,10 +60,3 @@ def scherk_gradient(x, y):
 
 def scherk_hessian(x, y):
     return -1.0 / math.cos(x) ** 2, 0.0, 1.0 / math.cos(y) ** 2
-
-
-def max_rel_err(x, y):
-    """Matrix-level relative max error of x against reference y."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return float(np.max(np.abs(x - y)) / max(np.max(np.abs(y)), 1e-300))

@@ -9,12 +9,13 @@ import time
 from fractions import Fraction
 
 import numpy as np
-from conftest import rand_jet, rand_rotation, scherk
+from conftest import max_rel_err, rand_jet, rand_rotation, scherk
 
 from finmin.graph_pde import (
     GraphPoint,
     SamplerConfig,
     TiltedFrame,
+    ellipticity_quotients,
     graph_residual,
     immersion_jets,
     mean_curvature_type_bound,
@@ -48,22 +49,16 @@ def _report(name, ok, detail):
     assert ok, f"{name}: {detail}"
 
 
-def _rel(x, y):
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return float(np.max(np.abs(x - y)) / max(np.max(np.abs(y)), 1e-300))
-
-
 def test_criterion_1_volume_form():
     t0 = time.perf_counter()
     worst = 0.0
     for b in np.arange(0.0, 0.451, 0.05):
         req = VolumeFactorRequest(MetricParams(float(b)))
-        worst = max(worst, abs(bh_factor_quadrature(req) - bh_factor_closed_matsumoto(float(b))))
+        worst = max(worst, abs(bh_factor_quadrature(req)[0] - bh_factor_closed_matsumoto(float(b))))
     worst_randers = 0.0
     for b in (0.2, 0.5, 0.8):
         req = VolumeFactorRequest(MetricParams(b, PhiFamily.RANDERS))
-        worst_randers = max(worst_randers, abs(bh_factor_quadrature(req) - (1.0 - b * b) ** 1.5))
+        worst_randers = max(worst_randers, abs(bh_factor_quadrature(req)[0] - (1.0 - b * b) ** 1.5))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-10 and worst_randers <= 1e-10 and elapsed < 1.0
     _report(
@@ -84,13 +79,13 @@ def test_criterion_2_derivative_fidelity():
             h = area_integrand_hess(j, b)
             worst_dual = max(
                 worst_dual,
-                _rel(g, area_integrand_grad_dual(j, b)),
-                _rel(h, area_integrand_hess_dual(j, b)),
+                max_rel_err(g, area_integrand_grad_dual(j, b)),
+                max_rel_err(h, area_integrand_hess_dual(j, b)),
             )
             worst_central = max(
                 worst_central,
-                _rel(g, area_integrand_grad_central(j, b)),
-                _rel(h, area_integrand_hess_central(j, b)),
+                max_rel_err(g, area_integrand_grad_central(j, b)),
+                max_rel_err(h, area_integrand_hess_central(j, b)),
             )
     elapsed = time.perf_counter() - t0
     ok = worst_dual <= 1e-9 and worst_central <= 1e-6 and elapsed < 5.0
@@ -138,27 +133,39 @@ def test_criterion_4_ellipticity():
     )
     b = rng.uniform(0.0, 0.5, n)
     xi = rng.normal(size=(n, 2))
-    w2 = 1.0 + f[:, 0] ** 2 + f[:, 1] ** 2
-    w = k[:, 2] - k[:, 0] * f[:, 0] - k[:, 1] * f[:, 1]
-    b2 = b * b
-    s = (2.0 + b2) * w2 - b2 * w * w
-    divisor = s * (s - 2.0 * b2 * w * w)
-    rb = 2.0 * b2 * (s + 4.0 * b2 * w * w) / divisor
-    u = k[:, :2] + (w / w2)[:, None] * f
-    xi2 = np.einsum("ij,ij->i", xi, xi)
-    hform = xi2 - np.einsum("ij,ij->i", f, xi) ** 2 / w2
-    aform = hform + rb * w2 * np.einsum("ij,ij->i", u, xi) ** 2
-    strict = np.all(aform * w2 > xi2 * (1.0 - 1e-12)) and np.all(divisor > 0.0)
+
+    def reference(b):
+        # The quotients written out independently of the library kernel;
+        # b may be one value or one per sample.
+        w2 = 1.0 + f[:, 0] ** 2 + f[:, 1] ** 2
+        w = k[:, 2] - k[:, 0] * f[:, 0] - k[:, 1] * f[:, 1]
+        b2 = b * b
+        s = (2.0 + b2) * w2 - b2 * w * w
+        divisor = s * (s - 2.0 * b2 * w * w)
+        rb = 2.0 * b2 * (s + 4.0 * b2 * w * w) / divisor
+        u = k[:, :2] + (w / w2)[:, None] * f
+        xi2 = np.einsum("ij,ij->i", xi, xi)
+        hform = xi2 - np.einsum("ij,ij->i", f, xi) ** 2 / w2
+        aform = hform + rb * w2 * np.einsum("ij,ij->i", u, xi) ** 2
+        return aform * w2 / xi2, divisor
+
+    ratio, divisor = reference(b)
+    strict = np.all(ratio > 1.0 - 1e-12) and np.all(divisor > 0.0)
+    # the kernel the CLI calls reproduces the written-out form bit for bit
+    kernel_equal = all(
+        all(np.array_equal(got, want) for got, want in zip(ellipticity_quotients(f, k, xi, bs), reference(bs)))
+        for bs in (0.0, 0.15, 0.3, 0.45, 0.4999)
+    )
 
     frame = TiltedFrame(rand_rotation(np.random.default_rng(5)))
     c1 = mean_curvature_type_bound(frame, 0.3, SamplerConfig(t_max=1e3))
     c10 = mean_curvature_type_bound(frame, 0.3, SamplerConfig(t_max=1e4))
     stable = math.isfinite(c1) and abs(c10 - c1) <= 0.01 * c1
-    ok = bool(strict and stable)
+    ok = bool(strict and stable and kernel_equal)
     _report(
         "4 ellipticity",
         ok,
-        f"lower bound strict on {n} samples, bound estimate {c1:.4f} -> {c10:.4f} "
+        f"lower bound strict on {n} samples, kernel bitwise equal: {kernel_equal}, bound estimate {c1:.4f} -> {c10:.4f} "
         f"({abs(c10 - c1) / c1 * 100.0:.3f}% at 10x horizon)",
     )
 

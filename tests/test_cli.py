@@ -171,6 +171,16 @@ def test_ellipticity_command(capsys):
         ["ellipticity", "--seed", "-1"],
         ["check-derivatives", "--samples", "0"],
         ["check-derivatives", "--seed", "-1"],
+        ["volume", "--b", "0.3", "--tol", "nan"],
+        ["volume", "--b", "0.3", "--tol", "inf"],
+        ["volume", "--b", "0.3", "--tol", "0"],
+        ["check-derivatives", "--samples", "2", "--rtol-dual", "nan"],
+        ["check-derivatives", "--samples", "2", "--rtol-dual=-1e-9"],
+        ["check-derivatives", "--samples", "2", "--rtol-central", "inf"],
+        ["check-derivatives", "--samples", "2", "--rtol-central", "nan"],
+        ["check-translation", "--b2", "0", "--p", "-1"],
+        ["residual-translation", "--point", "fp=nan,fpp=0.5,gp=2,gpp=-0.25"],
+        ["residual-translation", "--point", "fp=1,fpp=0.5,gp=inf,gpp=-0.25"],
     ],
     ids=[
         "ellipticity-samples-0",
@@ -182,6 +192,16 @@ def test_ellipticity_command(capsys):
         "ellipticity-seed-negative",
         "check-derivatives-samples-0",
         "check-derivatives-seed-negative",
+        "volume-tol-nan",
+        "volume-tol-inf",
+        "volume-tol-0",
+        "rtol-dual-nan",
+        "rtol-dual-negative",
+        "rtol-central-inf",
+        "rtol-central-nan",
+        "check-translation-p-negative",
+        "residual-translation-point-nan",
+        "residual-translation-point-inf",
     ],
 )
 def test_bad_sampler_input_exits_2(capsys, argv):

@@ -10,7 +10,7 @@ from finmin.graph_pde import (
     GraphPoint,
     SamplerConfig,
     TiltedFrame,
-    ellipticity_coefficients,
+    ellipticity_quotients,
     graph_residual,
     immersion_jets,
     mean_curvature_type_bound,
@@ -155,45 +155,52 @@ def test_grid_residual_and_partials_bitwise_equal_reference(b):
 # ellipticity
 
 
+def _quotients(gps, frames, xi, b):
+    f = np.array([[gp.f1, gp.f2] for gp in gps])
+    k = np.array([frame.k for frame in frames])
+    return ellipticity_quotients(f, k, np.asarray(xi, dtype=float), b)
+
+
 def test_coefficients_b0_are_classical():
+    # At b = 0 the excess vanishes: W^2 a(xi) / |xi|^2 is the classical
+    # W^2 h(xi) / |xi|^2 and the divisor is S^2 = 4 W^4.
     rng = np.random.default_rng(25)
     frame = TiltedFrame(rand_rotation(rng))
-    for _ in range(50):
-        gp = rand_gp(rng)
-        co = ellipticity_coefficients(gp, frame, 0.0)
-        w2 = gp.w2
-        assert co.Rb == 0.0
-        assert co.a11 == pytest.approx(1.0 - gp.f1**2 / w2, rel=1e-14)
-        assert co.a12 == pytest.approx(-gp.f1 * gp.f2 / w2, rel=1e-14, abs=1e-16)
-        assert co.a22 == pytest.approx(1.0 - gp.f2**2 / w2, rel=1e-14)
+    gps = [rand_gp(rng) for _ in range(50)]
+    xi = rng.normal(size=(50, 2))
+    ratio, divisor = _quotients(gps, [frame] * 50, xi, 0.0)
+    for gp, x, r, d in zip(gps, xi, ratio, divisor):
+        h = x @ x - (gp.f1 * x[0] + gp.f2 * x[1]) ** 2 / gp.w2
+        assert r == pytest.approx(gp.w2 * h / (x @ x), rel=1e-14)
+        assert d == pytest.approx(4.0 * gp.w2**2, rel=1e-14)
 
 
 def test_coefficients_flat_point_identity_frame():
+    # u vanishes, so a is exactly the identity: the quotient is 1 in every
+    # probe direction.
     gp = GraphPoint(f1=0.0, f2=0.0, h11=0.0, h12=0.0, h22=0.0)
+    xi = np.column_stack([np.cos(np.arange(16)), np.sin(np.arange(16))]) * 3.0
     for b in (0.1, 0.3, 0.49):
-        co = ellipticity_coefficients(gp, TiltedFrame.identity(), b)
-        # u vanishes, so a is exactly the identity; eigenvalues >= 1.
-        assert (co.a11, co.a12, co.a22) == (1.0, 0.0, 1.0)
-        assert co.W2 == 1.0 and co.w == 1.0
-        assert co.Rb > 0.0
+        ratio, divisor = _quotients([gp] * 16, [TiltedFrame.identity()] * 16, xi, b)
+        assert np.all(ratio == 1.0)
+        assert np.all(divisor > 0.0)
 
 
 def test_coefficients_reject_large_b():
     gp = GraphPoint(f1=0.0, f2=0.0, h11=0.0, h12=0.0, h22=0.0)
-    with pytest.raises(DomainError):
-        ellipticity_coefficients(gp, TiltedFrame.identity(), 0.5)
+    for b in (0.5, -0.1, math.nan):
+        with pytest.raises(DomainError):
+            _quotients([gp], [TiltedFrame.identity()], [[1.0, 0.0]], b)
 
 
 def test_quadratic_form_lower_bound():
+    # W^2 a(xi) >= |xi|^2, that is a >= |xi|^2 / W^2.
     rng = np.random.default_rng(26)
-    for _ in range(2000):
-        gp = rand_gp(rng, span=3.0)
-        frame = TiltedFrame(rand_rotation(rng))
-        b = rng.uniform(0.0, 0.5)
-        co = ellipticity_coefficients(gp, frame, b)
-        xi = rng.normal(size=2)
-        quad = co.quadratic_form(xi[0], xi[1])
-        assert quad * co.W2 > (xi @ xi) * (1.0 - 1e-12)
+    for _ in range(20):
+        gps = [rand_gp(rng, span=3.0) for _ in range(100)]
+        frames = [TiltedFrame(rand_rotation(rng)) for _ in range(100)]
+        ratio, _ = _quotients(gps, frames, rng.normal(size=(100, 2)), rng.uniform(0.0, 0.5))
+        assert np.all(ratio > 1.0 - 1e-12)
 
 
 def test_divisor_positivity():
@@ -210,14 +217,16 @@ def test_divisor_positivity():
 
 
 def test_smallest_eigenvalue_bound():
+    # The smallest eigenvalue of a is >= 1 / W^2: the minimum of the
+    # quotient over a dense sweep of probe angles stays >= 1.
     rng = np.random.default_rng(28)
+    angles = np.linspace(0.0, math.pi, 720, endpoint=False)
+    xi = np.column_stack([np.cos(angles), np.sin(angles)])
     for _ in range(300):
         gp = rand_gp(rng)
         frame = TiltedFrame(rand_rotation(rng))
-        b = rng.uniform(0.0, 0.5)
-        co = ellipticity_coefficients(gp, frame, b)
-        a = np.array([[co.a11, co.a12], [co.a12, co.a22]])
-        assert np.min(np.linalg.eigvalsh(a)) >= 1.0 / co.W2 - 1e-12
+        ratio, _ = _quotients([gp] * 720, [frame] * 720, xi, rng.uniform(0.0, 0.5))
+        assert np.min(ratio) >= 1.0 - 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -256,24 +265,19 @@ def test_bound_sandwich_on_sampler_grid():
     gamma0 = math.atan2(k2, k1)
     gammas = np.linspace(0.0, 2 * math.pi, config.angle_nodes, endpoint=False)
     thetas = np.linspace(0.0, 2 * math.pi, config.angle_nodes, endpoint=False)
-    worst = 0.0
-    for t_abs in config.t_grid():
-        for gamma in gammas:
-            xi_ang = gamma0 - gamma
-            xi = np.array([math.cos(xi_ang), math.sin(xi_ang)])
-            for theta in thetas:
-                t_ang = xi_ang + theta
-                f1 = t_abs * math.cos(t_ang)
-                f2 = t_abs * math.sin(t_ang)
-                gp = GraphPoint(f1=f1, f2=f2, h11=0.0, h12=0.0, h22=0.0)
-                co = ellipticity_coefficients(gp, frame, b)
-                aform = co.quadratic_form(xi[0], xi[1])
-                hform = (
-                    xi @ xi
-                    - (gp.f1 * xi[0] + gp.f2 * xi[1]) ** 2 / co.W2
-                )
-                assert aform >= hform * (1.0 - 1e-12)
-                worst = max(worst, aform / hform - 1.0)
+    # every (t, gamma, theta) triple at once; xi is a unit vector, so
+    # a(xi) is the quotient divided by W^2
+    t_abs, gamma, theta = np.meshgrid(config.t_grid(), gammas, thetas, indexing="ij")
+    xi_ang = (gamma0 - gamma).ravel()
+    t_ang = xi_ang + theta.ravel()
+    f = t_abs.ravel()[:, None] * np.column_stack([np.cos(t_ang), np.sin(t_ang)])
+    xi = np.column_stack([np.cos(xi_ang), np.sin(xi_ang)])
+    w2 = 1.0 + f[:, 0] ** 2 + f[:, 1] ** 2
+    ratio, _ = ellipticity_quotients(f, np.tile(frame.k, (len(f), 1)), xi, b)
+    aform = ratio / w2
+    hform = np.einsum("ij,ij->i", xi, xi) - np.einsum("ij,ij->i", f, xi) ** 2 / w2
+    assert np.all(aform >= hform * (1.0 - 1e-12))
+    worst = float(np.max(aform / hform - 1.0))
     assert worst <= c_est * (1.0 + 1e-9) + 1e-15
 
 

@@ -13,7 +13,6 @@ from conftest import (
 
 from finmin.errors import DegenerateJetError, DegenerateTransversalError, DomainError
 from finmin.jet import (
-    AreaJetScalars,
     ImmersionJet1,
     ImmersionJet2,
     area_integrand,
@@ -23,7 +22,6 @@ from finmin.jet import (
     area_integrand_hess,
     area_integrand_hess_central,
     area_integrand_hess_dual,
-    area_scalars,
     default_transversal,
     e_scalar,
     gram,
@@ -102,14 +100,14 @@ def test_e_scalar_matches_inverse_gram_identity():
         assert e_scalar(j, b) == pytest.approx(other, rel=1e-12, abs=1e-14)
 
 
-def test_area_scalars_bundle():
+def test_graph_jet_area_and_anisotropy():
     j = ImmersionJet1.graph(1.0, 0.0)
-    sc = area_scalars(j, 0.3)
-    assert isinstance(sc, AreaJetScalars)
-    assert sc.area == pytest.approx(math.sqrt(2.0))
-    assert sc.anisotropy == pytest.approx(0.09)
-    assert sc.integrand == pytest.approx(2.0 * sc.area**3 / (2.0 * sc.area**2 + sc.anisotropy))
-    assert sc.anisotropy_ratio == pytest.approx(0.045)
+    area = math.sqrt(np.linalg.det(gram(j)))
+    anisotropy = e_scalar(j, 0.3)
+    assert area == pytest.approx(math.sqrt(2.0))
+    assert anisotropy == pytest.approx(0.09)
+    assert area_integrand(j, 0.3) == pytest.approx(2.0 * area**3 / (2.0 * area**2 + anisotropy))
+    assert anisotropy / area**2 == pytest.approx(0.045)
 
 
 # ---------------------------------------------------------------------------

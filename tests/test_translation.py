@@ -86,6 +86,14 @@ def test_plane_residual_zero():
         assert translation_residual(tp, b) == 0.0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_translation_point_rejects_non_finite(bad):
+    for name in ("fp", "fpp", "gp", "gpp"):
+        fields = {"fp": 1.0, "fpp": 0.5, "gp": 2.0, "gpp": -0.25, name: bad}
+        with pytest.raises(DomainError, match=f"{name} must be finite"):
+            TranslationPoint(**fields)
+
+
 def test_scherk_translation_residual():
     x, y = 0.3, 0.4
     tp = TranslationPoint(
@@ -231,6 +239,19 @@ def test_ratio_derivative_example_values():
     v = kl_ratio_derivative(Fraction(1, 100), 0)
     assert v != 1
     assert abs(float(v) - 1.0) < 0.2
+
+
+def test_ratio_derivative_rejects_negative_p():
+    # p = f'^2 + g'^2 >= 0; at b = 0, L = 2(p + 1)^2 vanishes at p = -1.
+    for b2 in (0, Fraction(1, 100)):
+        with pytest.raises(DomainError, match="must be >= 0"):
+            kl_ratio_derivative(b2, -1)
+
+
+@pytest.mark.parametrize("b2", [Fraction(0), Fraction(1, 100), Fraction(9, 100), Fraction(249, 1000)])
+def test_l_coefficients_positive(b2):
+    # so L(p) > 0 for every admissible p >= 0 and (K/L)' has no pole there
+    assert all(c > 0 for c in kl_polys(b2).l_coeffs)
 
 
 def test_ratio_derivative_is_exact_fraction():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from finmin.errors import DomainError, QuadratureConvergenceError, UnsupportedBranchError
+from finmin.errors import DomainError, QuadratureConvergenceError
 from finmin.metric import MetricParams, PhiFamily
 from finmin.volume import (
     QuadraturePolicy,
@@ -36,12 +36,12 @@ def test_closed_form_domain(b):
 
 
 def test_quadrature_euclidean_limit():
-    assert bh_factor_quadrature(_req(0.0)) == pytest.approx(1.0, abs=1e-13)
+    assert bh_factor_quadrature(_req(0.0))[0] == pytest.approx(1.0, abs=1e-13)
 
 
 def test_quadrature_matches_closed_form_on_grid():
     for b in np.arange(0.0, 0.46, 0.05):
-        q = bh_factor_quadrature(_req(float(b)))
+        q = bh_factor_quadrature(_req(float(b)))[0]
         assert abs(q - bh_factor_closed_matsumoto(float(b))) <= 1e-10
 
 
@@ -49,12 +49,12 @@ def test_quadrature_randers():
     # Independent oracle: the n=2 denominator integral has the closed
     # value pi/(1-b^2)^(3/2), so the factor is (1-b^2)^(3/2).
     for b in (0.2, 0.5, 0.8):
-        q = bh_factor_quadrature(_req(b, family=PhiFamily.RANDERS))
+        q = bh_factor_quadrature(_req(b, family=PhiFamily.RANDERS))[0]
         assert abs(q - (1.0 - b * b) ** 1.5) <= 1e-10
 
 
 def test_randers_example_value():
-    q = bh_factor_quadrature(_req(0.5, family=PhiFamily.RANDERS))
+    q = bh_factor_quadrature(_req(0.5, family=PhiFamily.RANDERS))[0]
     assert q == pytest.approx(0.6495190528383290, abs=1e-10)
 
 
@@ -66,17 +66,12 @@ def test_closed_form_strictly_decreasing():
 
 def test_n3_converges_in_unit_interval():
     # No closed form asserted; golden recorded from the quadrature oracle.
-    v = bh_factor_quadrature(_req(0.3, n=3))
+    v = bh_factor_quadrature(_req(0.3, n=3))[0]
     assert 0.0 < v <= 1.0
     assert v == pytest.approx(0.9174311926605506, abs=1e-12)
     for b in (0.0, 0.2, 0.45):
-        v = bh_factor_quadrature(_req(b, n=3))
+        v = bh_factor_quadrature(_req(b, n=3))[0]
         assert 0.0 < v <= 1.0
-
-
-def test_holmes_thompson_branch_rejected():
-    with pytest.raises(UnsupportedBranchError, match="not supported"):
-        VolumeFactorRequest(MetricParams(0.2), volume_form="holmes-thompson")
 
 
 def test_request_validation():
