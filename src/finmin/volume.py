@@ -30,6 +30,7 @@ __all__ = [
     "bh_factor_closed_matsumoto",
 ]
 
+
 def _is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 

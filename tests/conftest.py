@@ -22,8 +22,8 @@ def rand_rotation(rng):
     """Uniform random rotation matrix (det +1) from a quaternion draw.
 
     Not graph_pde.random_rotations(rng, 1)[0]: that sums the quaternion's
-    norm in a different order, so about 12% of seeds (seed 32 of
-    test_bound_pinned_values among them) give a matrix one last bit apart.
+    norm in a different order, so about one seed in eight (seed 32 of
+    test_bound_pinned_values among them) gives a matrix a last bit apart.
     """
     q = rng.normal(size=4)
     q /= np.linalg.norm(q)
