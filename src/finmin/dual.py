@@ -6,6 +6,13 @@ nesting two levels gives hyper-dual numbers whose inner-inner channel
 carries one exact mixed second derivative. Only the operations the norm
 and area formulas need are implemented: field arithmetic, nonnegative
 integer powers, and square roots.
+
+The four derivative oracles take points x of shape (n, *S): the
+coordinate axis first, then any sample shape S (S = () is one point).
+``fun`` receives a list of n components, each of shape S, and must be
+built from elementwise arithmetic, so one pass covers every sample.
+Gradients come back as (n, *S) and Hessians as (n, n, *S); each sample's
+values are bit-for-bit those of a call on that sample alone.
 """
 
 from __future__ import annotations
@@ -97,59 +104,66 @@ def sqrt(x):
 
 
 def gradient(fun, x):
-    """Exact gradient of ``fun: R^n -> R`` at x, one dual pass per coordinate."""
-    x = [float(v) for v in x]
-    n = len(x)
-    g = np.empty(n)
+    """Exact gradient of ``fun: R^n -> R`` at every sample of x, shape (n, *S).
+
+    One dual pass per coordinate, each over all samples at once.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.shape[0]
+    g = np.empty(x.shape)
     for i in range(n):
-        args = [Dual(v, 1.0) if k == i else v for k, v in enumerate(x)]
+        args = [Dual(x[k], 1.0) if k == i else x[k] for k in range(n)]
         g[i] = fun(args).du
     return g
 
 
 def hessian(fun, x):
-    """Exact Hessian of ``fun: R^n -> R`` at x via nested (hyper-dual) passes."""
-    x = [float(v) for v in x]
-    n = len(x)
-    h = np.empty((n, n))
+    """Exact Hessian of ``fun: R^n -> R`` at every sample of x, shape (n, n, *S).
+
+    One nested (hyper-dual) pass per ordered pair (i, j). The passes for
+    (i, j) and (j, i) round differently, so neither is copied from the other.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.shape[0]
+    h = np.empty((n,) + x.shape)
     for i in range(n):
         for j in range(n):
             args = [
-                Dual(Dual(v, 1.0 if k == i else 0.0), Dual(1.0 if k == j else 0.0, 0.0))
-                for k, v in enumerate(x)
+                Dual(Dual(x[k], 1.0 if k == i else 0.0), Dual(1.0 if k == j else 0.0, 0.0))
+                for k in range(n)
             ]
             h[i, j] = fun(args).du.du
     return h
 
 
+def _unit_steps(x, step):
+    """Rows e[i] = step * (unit vector i), shaped to broadcast against x."""
+    n = x.shape[0]
+    return (np.eye(n) * step).reshape((n, n) + (1,) * (x.ndim - 1))
+
+
 def central_gradient(fun, x, step):
-    """Second-order central-difference gradient with a fixed step."""
+    """Second-order central-difference gradient with a fixed step, shape (n, *S)."""
     x = np.asarray(x, dtype=float)
-    n = x.size
-    g = np.empty(n)
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = step
+    g = np.empty(x.shape)
+    for i, e in enumerate(_unit_steps(x, step)):
         g[i] = (fun(x + e) - fun(x - e)) / (2.0 * step)
     return g
 
 
 def central_hessian(fun, x, step):
-    """Nested central-difference Hessian (4-point mixed stencil)."""
+    """Nested central-difference Hessian (4-point mixed stencil), shape (n, n, *S)."""
     x = np.asarray(x, dtype=float)
-    n = x.size
-    h = np.empty((n, n))
+    n = x.shape[0]
+    h = np.empty((n,) + x.shape)
     f0 = fun(x)
+    e = _unit_steps(x, step)
     for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = step
         for j in range(n):
             if i == j:
-                h[i, i] = (fun(x + ei) - 2.0 * f0 + fun(x - ei)) / step**2
+                h[i, i] = (fun(x + e[i]) - 2.0 * f0 + fun(x - e[i])) / step**2
                 continue
-            ej = np.zeros(n)
-            ej[j] = step
             h[i, j] = (
-                fun(x + ei + ej) - fun(x + ei - ej) - fun(x - ei + ej) + fun(x - ei - ej)
+                fun(x + e[i] + e[j]) - fun(x + e[i] - e[j]) - fun(x - e[i] + e[j]) + fun(x - e[i] - e[j])
             ) / (4.0 * step**2)
     return h

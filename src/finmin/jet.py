@@ -17,6 +17,10 @@ F, dual-number and finite-difference oracles for both, the contraction
 whose vanishing characterizes minimal immersions, and its
 cleared-denominator bracket (the polynomial form the PDE modules reduce
 to explicit coefficients).
+
+The closed forms take one jet. The oracles take one jet or a stack of
+jet matrices z of shape (3, 2, *S), and differentiate every sample in
+one array pass (the (n, *S) convention of the dual module).
 """
 
 from __future__ import annotations
@@ -289,24 +293,34 @@ def _flat_area_fun(b):
     return fun
 
 
-def area_integrand_grad_dual(j: ImmersionJet1, b: float) -> np.ndarray:
-    """Gradient of F by forward dual-number differentiation (oracle)."""
-    return dual.gradient(_flat_area_fun(b), j.z.ravel()).reshape(3, 2)
+def _flat_jets(j):
+    """Flat jet vectors, shape (6, *S), of one jet or of stacked z arrays (3, 2, *S)."""
+    z = j.z if isinstance(j, ImmersionJet1) else np.asarray(j, dtype=float)
+    if z.shape[:2] != (3, 2):
+        raise DomainError(f"jets must have shape (3, 2, *S), got {z.shape}")
+    return z.reshape((6,) + z.shape[2:])
 
 
-def area_integrand_hess_dual(j: ImmersionJet1, b: float) -> np.ndarray:
-    """Hessian of F by nested dual-number differentiation (oracle), 6x6."""
-    return dual.hessian(_flat_area_fun(b), j.z.ravel())
+def area_integrand_grad_dual(j, b: float) -> np.ndarray:
+    """Gradient of F by forward dual-number differentiation (oracle), (3, 2, *S)."""
+    x = _flat_jets(j)
+    return dual.gradient(_flat_area_fun(b), x).reshape((3, 2) + x.shape[1:])
 
 
-def area_integrand_grad_central(j: ImmersionJet1, b: float, step: float = 1e-6) -> np.ndarray:
-    """Gradient of F by central differences (secondary oracle)."""
-    return dual.central_gradient(_flat_area_fun(b), j.z.ravel(), step).reshape(3, 2)
+def area_integrand_hess_dual(j, b: float) -> np.ndarray:
+    """Hessian of F by nested dual-number differentiation (oracle), (6, 6, *S)."""
+    return dual.hessian(_flat_area_fun(b), _flat_jets(j))
 
 
-def area_integrand_hess_central(j: ImmersionJet1, b: float, step: float = 2.5e-4) -> np.ndarray:
-    """Hessian of F by nested central differences (secondary oracle), 6x6."""
-    return dual.central_hessian(_flat_area_fun(b), j.z.ravel(), step)
+def area_integrand_grad_central(j, b: float, step: float = 1e-6) -> np.ndarray:
+    """Gradient of F by central differences (secondary oracle), (3, 2, *S)."""
+    x = _flat_jets(j)
+    return dual.central_gradient(_flat_area_fun(b), x, step).reshape((3, 2) + x.shape[1:])
+
+
+def area_integrand_hess_central(j, b: float, step: float = 2.5e-4) -> np.ndarray:
+    """Hessian of F by nested central differences (secondary oracle), (6, 6, *S)."""
+    return dual.central_hessian(_flat_area_fun(b), _flat_jets(j), step)
 
 
 def default_transversal(j: ImmersionJet1) -> np.ndarray:

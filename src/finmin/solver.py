@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
-from .dual import Dual
+from . import dual
 from .errors import DomainError, NonConvergenceError, StagnationError
 from .graph_pde import _residual_terms
 
@@ -142,17 +142,16 @@ def assemble_residual(problem: GridProblem, f: np.ndarray) -> np.ndarray:
 
 
 def _point_partials(problem: GridProblem, f: np.ndarray):
-    """d(residual)/d(f1, f2, h11, h12, h22) at every interior node.
+    """d(residual)/d(f1, f2, h11, h12, h22) at every interior node, shape (5, nx, ny).
 
-    One dual pass per variable; the dual components are whole arrays, so
-    this is five vectorized evaluations of the residual formula.
+    dual.gradient over the stacked stencil values: five dual passes, each
+    a vectorized evaluation of the residual formula at all nodes.
     """
-    vals = _stencil_point(problem, f)
-    partials = []
-    for i in range(5):
-        args = [Dual(v, np.ones_like(v)) if k == i else v for k, v in enumerate(vals)]
-        partials.append(_residual_terms(*args, 0.0, 0.0, 1.0, problem.b).du)
-    return partials
+
+    def residual(v):
+        return _residual_terms(*v, 0.0, 0.0, 1.0, problem.b)
+
+    return dual.gradient(residual, np.stack(_stencil_point(problem, f)))
 
 
 _OFFSETS = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 0), (0, 1), (1, -1), (1, 0), (1, 1)]

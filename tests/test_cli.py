@@ -330,6 +330,79 @@ def test_byte_identical_determinism():
     assert a2.stdout == b2.stdout
 
 
+# Values printed by the per-sample implementation the batched oracles replaced;
+# exact equality pins the batched pass to its bits.
+_PINNED_CHECK_DERIVATIVES = {
+    200: {
+        0.0: (1.7235181039083605e-15, 7.803695108211591e-10, 3.4564209115568948e-15, 2.9091555478257494e-07),
+        0.2: (1.5637234318703642e-15, 8.283213938909327e-10, 4.6054290343026436e-15, 2.7984516435263235e-07),
+        0.4: (2.0735681856885567e-15, 9.150139311327711e-10, 6.237105647651032e-15, 2.955412425572539e-07),
+    },
+    1: {
+        0.0: (2.9208379865118863e-16, 1.869383044630855e-10, 1.4347860746720915e-15, 1.4521216239672015e-08),
+        0.2: (2.936975569237664e-16, 1.2211562608574984e-10, 9.065825187109835e-16, 1.3092593595821288e-08),
+        0.4: (2.9864951911566993e-16, 3.0344153726407864e-10, 1.6058766906064445e-15, 1.8223149216380094e-08),
+    },
+}
+
+
+@pytest.mark.parametrize("samples", [200, 1])
+def test_check_derivatives_pinned_values(capsys, samples):
+    code, rec = run_json(
+        capsys,
+        ["check-derivatives", "--b", "0,0.2,0.4", "--samples", str(samples), "--seed", "123", "--no-timestamp"],
+    )
+    assert code == 0
+    pinned = _PINNED_CHECK_DERIVATIVES[samples]
+    assert [r["b"] for r in rec["results"]] == list(pinned)
+    for r in rec["results"]:
+        errs = r["max_rel_errors"]
+        got = (errs["grad_dual"], errs["grad_central"], errs["hess_dual"], errs["hess_central"])
+        assert got == pinned[r["b"]]
+
+
+def _reject_constant(name):
+    raise AssertionError(f"non-JSON constant {name} in the record")
+
+
+@pytest.mark.parametrize("target", ["area_integrand_hess_dual", "area_integrand_grad"])
+def test_check_derivatives_nonfinite_error_fails(capsys, monkeypatch, target):
+    import finmin.cli as cli
+
+    real = getattr(cli, target)
+    calls = []
+
+    def poisoned(*args, **kwargs):
+        out = np.array(real(*args, **kwargs), dtype=float)
+        calls.append(None)
+        if target == "area_integrand_grad":
+            if len(calls) == 2:  # the second jet at the first b
+                out[0, 0] = np.nan
+        else:
+            out[0, 0, 1] = np.nan  # one entry of the second sample
+        return out
+
+    monkeypatch.setattr(cli, target, poisoned)
+    code = main(["check-derivatives", "--b", "0.2,0.4", "--samples", "3", "--seed", "1", "--no-timestamp"])
+    rec = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert code == 4
+    first, second = rec["results"]
+    assert first["pass"] is False
+    if target == "area_integrand_grad":
+        assert first["max_rel_errors"]["grad_dual"] is None
+        assert first["max_rel_errors"]["grad_central"] is None
+        assert second["pass"] is True
+        assert "grad_dual relative error is nan at b=0.2" in rec["failure"]
+        assert "b=0.4" not in rec["failure"]
+    else:
+        assert first["max_rel_errors"]["hess_dual"] is None
+        assert second["pass"] is False
+        assert rec["failure"] == (
+            "hess_dual relative error is nan at b=0.2; hess_dual relative error is nan at b=0.4"
+        )
+    assert isinstance(first["max_rel_errors"]["hess_central"], float)
+
+
 # ---------------------------------------------------------------------------
 # imports
 
