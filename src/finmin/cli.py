@@ -27,40 +27,14 @@ from fractions import Fraction
 
 import numpy as np
 
+# Each command imports the finmin modules it runs inside its handler, so a
+# command loads only what it uses (only `solve` reaches scipy).
 from .errors import (
     DomainError,
     QuadratureConvergenceError,
     SolverError,
 )
-from .graph_pde import (
-    GraphPoint,
-    SamplerConfig,
-    TiltedFrame,
-    ellipticity_quotients,
-    graph_residual,
-    mean_curvature_type_bound,
-    random_rotations,
-)
-from .jet import (
-    ImmersionJet1,
-    area_integrand_grad,
-    area_integrand_grad_central,
-    area_integrand_grad_dual,
-    area_integrand_hess,
-    area_integrand_hess_central,
-    area_integrand_hess_dual,
-)
 from .metric import MetricParams, PhiFamily
-from .solver import GridProblem, planarity_deviation, solve_minimal_graph
-from .translation import (
-    TranslationPoint,
-    compatibility_check,
-    kl_polys,
-    kl_ratio_derivative,
-    lambda_mu,
-    translation_residual,
-)
-from .volume import QuadraturePolicy, VolumeFactorRequest, bh_factor_closed_matsumoto, bh_factor_quadrature
 
 __all__ = ["RunConfig", "run", "main", "console_main", "write_grid_csv", "read_grid_csv"]
 
@@ -117,6 +91,8 @@ class RunConfig:
             if self.seed < 0:
                 raise DomainError(f"--seed {self.seed} must be >= 0")
         if self.command == "ellipticity":
+            from .graph_pde import SamplerConfig
+
             SamplerConfig(t_max=self.tmax)  # raises DomainError on a bad horizon
         # A nan or infinite tolerance would switch its check off; comparisons
         # against nan are false, so the test also rejects nan.
@@ -190,6 +166,13 @@ def read_grid_csv(path):
 
 
 def _cmd_volume(config: RunConfig):
+    from .volume import (
+        QuadraturePolicy,
+        VolumeFactorRequest,
+        bh_factor_closed_matsumoto,
+        bh_factor_quadrature,
+    )
+
     results = []
     worst = 0.0
     for b in config.b_values:
@@ -217,6 +200,8 @@ def _cmd_volume(config: RunConfig):
 
 
 def _cmd_residual_graph(config: RunConfig):
+    from .graph_pde import GraphPoint, graph_residual
+
     gp = GraphPoint(**config.point)
     results = [
         {
@@ -230,6 +215,8 @@ def _cmd_residual_graph(config: RunConfig):
 
 
 def _cmd_residual_translation(config: RunConfig):
+    from .translation import TranslationPoint, lambda_mu, translation_residual
+
     tp = TranslationPoint(**config.point)
     results = []
     for b in config.b_values:
@@ -254,6 +241,8 @@ def _matrix_rel_err(x, y):
 
 
 def _random_jet(rng, min_det=0.25):
+    from .jet import ImmersionJet1
+
     while True:
         z = rng.uniform(-1.5, 1.5, size=(3, 2))
         a = z.T @ z
@@ -262,6 +251,15 @@ def _random_jet(rng, min_det=0.25):
 
 
 def _cmd_check_derivatives(config: RunConfig):
+    from .jet import (
+        area_integrand_grad,
+        area_integrand_grad_central,
+        area_integrand_grad_dual,
+        area_integrand_hess,
+        area_integrand_hess_central,
+        area_integrand_hess_dual,
+    )
+
     rng = np.random.default_rng(config.seed)
     jets = [_random_jet(rng) for _ in range(config.samples)]
     z = np.stack([j.z for j in jets], axis=-1)
@@ -302,6 +300,8 @@ def _cmd_check_derivatives(config: RunConfig):
 
 
 def _cmd_check_translation(config: RunConfig):
+    from .translation import compatibility_check, kl_polys, kl_ratio_derivative
+
     b2_values = config.b2_values or [Fraction(0)]
     p_values = config.p_values or [Fraction(0), Fraction(1), Fraction(2), Fraction(5)]
     results = []
@@ -341,6 +341,14 @@ def _cmd_check_translation(config: RunConfig):
 
 
 def _cmd_ellipticity(config: RunConfig):
+    from .graph_pde import (
+        SamplerConfig,
+        TiltedFrame,
+        ellipticity_quotients,
+        mean_curvature_type_bound,
+        random_rotations,
+    )
+
     rng = np.random.default_rng(config.seed)
     results = []
     ok_all = True
@@ -391,6 +399,8 @@ def _boundary_callable(spec: str, domain):
 
 
 def _cmd_solve(config: RunConfig):
+    from .solver import GridProblem, planarity_deviation, solve_minimal_graph
+
     if len(config.b_values) != 1:
         raise DomainError("solve takes exactly one b value")
     b = config.b_values[0]

@@ -10,6 +10,15 @@ module computes f(b) two ways: by Gauss-Legendre quadrature of the ratio
 with node doubling until the ratio stabilizes, and by the exact closed
 form 2/(2 + b**2) available for the slope family in dimension n = 2.
 The volume form is Busemann-Hausdorff; no other branch is implemented.
+
+The Gauss-Legendre rule is computed here with numpy alone: Newton's method
+on P_n, evaluated by the three-term recurrence for all positive roots at
+once, from the guesses cos(pi*(k - 1/4)/(n + 1/2)); weights
+2/((1 - x**2) * P_n'(x)**2); the negative half by symmetry. This is the
+recurrence-based Newton rule that Hale & Townsend, SIAM J. Sci. Comput.
+35(2) (2013), compare with Golub-Welsch. It takes O(n) memory, where the
+dense companion matrix of numpy.polynomial.legendre.leggauss takes
+O(n**2), and O(n**2) time.
 """
 
 from __future__ import annotations
@@ -29,6 +38,12 @@ __all__ = [
     "bh_factor_quadrature",
     "bh_factor_closed_matsumoto",
 ]
+
+
+# Newton stops once no root moves by more than a few ulp of 1; from the
+# guesses below it takes four steps at every policy size (64 to 16384).
+_NEWTON_STEP_TOL = 4.0 * np.finfo(float).eps
+_NEWTON_MAX_STEPS = 8
 
 
 def _is_pow2(n: int) -> bool:
@@ -67,13 +82,39 @@ class VolumeFactorRequest:
             raise DomainError(f"dimension n={self.n} must be an integer >= 2")
 
 
+def _legendre(n: int, x):
+    """(P_n(x), P_n'(x)) by the three-term recurrence, for |x| < 1."""
+    p0, p1 = np.ones_like(x), x
+    for k in range(1, n):
+        p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+    return p1, n * (p0 - x * p1) / ((1.0 - x) * (1.0 + x))
+
+
+def _gauss_legendre(n_nodes: int):
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1], n_nodes even.
+
+    The roots of P_n come in pairs +-x: Newton runs on the n/2 positive
+    roots at once and the rule is mirrored.
+    """
+    k = np.arange(1, n_nodes // 2 + 1)
+    x = np.cos(math.pi * (k - 0.25) / (n_nodes + 0.5))
+    for _ in range(_NEWTON_MAX_STEPS):
+        p, dp = _legendre(n_nodes, x)
+        dx = p / dp
+        x = x - dx
+        if np.max(np.abs(dx)) <= _NEWTON_STEP_TOL:
+            break
+    else:
+        raise ArithmeticError(f"Legendre root Newton iteration stalled at {n_nodes} nodes")
+    _, dp = _legendre(n_nodes, x)
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+    return np.concatenate([-x, x[::-1]]), np.concatenate([w, w[::-1]])
+
+
 @lru_cache(maxsize=64)
 def _nodes_weights(n_nodes: int):
-    # Gauss-Legendre on [-1, 1] mapped onto [0, pi]. scipy is imported on
-    # first use, not at module load, so only `volume` pays for it.
-    from scipy.special import roots_legendre
-
-    x, w = roots_legendre(n_nodes)
+    # Gauss-Legendre on [-1, 1] mapped onto [0, pi].
+    x, w = _gauss_legendre(n_nodes)
     return (x + 1.0) * (math.pi / 2.0), w * (math.pi / 2.0)
 
 
@@ -81,9 +122,12 @@ def _ratio_estimate(params: MetricParams, n: int, n_nodes: int) -> float:
     t, w = _nodes_weights(n_nodes)
     sin_pow = np.sin(t) ** (n - 2) if n > 2 else np.ones_like(t)
     phi = _phi(params.family, params.b * np.cos(t))
-    num = float(w @ sin_pow)
-    den = float(w @ (sin_pow / phi**n))
-    return num / den
+    # At large n, phi**n overflows (those terms add 0) or underflows to 0 where
+    # sin_pow has too (0/0); the caller rejects a non-finite ratio, so no warnings.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        num = w @ sin_pow
+        den = w @ (sin_pow / phi**n)
+        return float(num / den)
 
 
 def bh_factor_quadrature(req: VolumeFactorRequest):
@@ -92,19 +136,27 @@ def bh_factor_quadrature(req: VolumeFactorRequest):
 
     Convergence is judged on the ratio itself (shared nodes cancel smooth
     error in both integrals). Raises QuadratureConvergenceError, carrying
-    the last two estimates, if doubling is exhausted.
+    the last two estimates, at the first non-finite estimate or when
+    doubling is exhausted; the message names the node counts.
     """
     pol = req.quadrature
     n_nodes = pol.initial_nodes
     prev = est = _ratio_estimate(req.params, req.n, n_nodes)
-    while n_nodes < pol.max_nodes:
+    while math.isfinite(est) and n_nodes < pol.max_nodes:
         n_nodes *= 2
         prev, est = est, _ratio_estimate(req.params, req.n, n_nodes)
         if abs(est - prev) <= pol.rtol * max(1.0, abs(est)):
             return est, n_nodes
+    if not math.isfinite(est):
+        raise QuadratureConvergenceError(
+            f"quadrature ratio is {est} at b={req.params.b}, n={req.n} with "
+            f"{n_nodes} nodes (the integrands over- or underflow)",
+            (prev, est),
+        )
     raise QuadratureConvergenceError(
-        f"quadrature ratio did not converge below rtol={pol.rtol} "
-        f"within {pol.max_nodes} nodes",
+        f"quadrature ratio did not converge below rtol={pol.rtol} within "
+        f"{pol.max_nodes} nodes: {prev!r} at {max(n_nodes // 2, pol.initial_nodes)} "
+        f"nodes, {est!r} at {n_nodes} nodes",
         (prev, est),
     )
 

@@ -72,21 +72,22 @@ def test_criterion_2_derivative_fidelity():
     t0 = time.perf_counter()
     rng = np.random.default_rng(123)
     jets = [rand_jet(rng) for _ in range(200)]
+    z = np.stack([j.z for j in jets], axis=-1)
     worst_dual = worst_central = 0.0
-    for j in jets:
-        for b in (0.0, 0.2, 0.4):
-            g = area_integrand_grad(j, b)
-            h = area_integrand_hess(j, b)
-            worst_dual = max(
-                worst_dual,
-                max_rel_err(g, area_integrand_grad_dual(j, b)),
-                max_rel_err(h, area_integrand_hess_dual(j, b)),
-            )
-            worst_central = max(
-                worst_central,
-                max_rel_err(g, area_integrand_grad_central(j, b)),
-                max_rel_err(h, area_integrand_hess_central(j, b)),
-            )
+    for b in (0.0, 0.2, 0.4):
+        # closed forms per jet (the code under test), each oracle in one pass
+        g = np.stack([area_integrand_grad(j, b) for j in jets], axis=-1)
+        h = np.stack([area_integrand_hess(j, b) for j in jets], axis=-1)
+        worst_dual = max(
+            worst_dual,
+            max_rel_err(g, area_integrand_grad_dual(z, b)).max(),
+            max_rel_err(h, area_integrand_hess_dual(z, b)).max(),
+        )
+        worst_central = max(
+            worst_central,
+            max_rel_err(g, area_integrand_grad_central(z, b)).max(),
+            max_rel_err(h, area_integrand_hess_central(z, b)).max(),
+        )
     elapsed = time.perf_counter() - t0
     ok = worst_dual <= 1e-9 and worst_central <= 1e-6 and elapsed < 5.0
     _report(

@@ -38,12 +38,21 @@ def test_volume_record(capsys):
 
 def test_volume_pinned_nodes_and_value(capsys):
     # Bit-exact pin: any change to the Gauss-Legendre node source moves the
-    # last digits of the quadrature value.
+    # last digits of the quadrature value (here 1.1e-16 from 2/2.09).
     code, rec = run_json(capsys, ["volume", "--b", "0.3", "--n", "2", "--no-timestamp"])
     assert code == 0
     entry = rec["results"][0]
-    assert entry["quadrature"] == 0.9569377990430614
+    assert entry["quadrature"] == 0.9569377990430622
     assert entry["nodes"] == 128
+
+
+def test_volume_nonfinite_estimate_exits_3_at_once():
+    proc = run_proc(["volume", "--b", "0.3", "--n", "100000", "--no-timestamp"])
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "RuntimeWarning" not in proc.stderr
+    assert proc.stderr.startswith("error: quadrature ratio is nan at b=0.3, n=100000 with 64 nodes")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_volume_sweep_and_degeneration_flag(capsys):
@@ -367,9 +376,9 @@ def _reject_constant(name):
 
 @pytest.mark.parametrize("target", ["area_integrand_hess_dual", "area_integrand_grad"])
 def test_check_derivatives_nonfinite_error_fails(capsys, monkeypatch, target):
-    import finmin.cli as cli
+    import finmin.jet as jet
 
-    real = getattr(cli, target)
+    real = getattr(jet, target)
     calls = []
 
     def poisoned(*args, **kwargs):
@@ -382,7 +391,7 @@ def test_check_derivatives_nonfinite_error_fails(capsys, monkeypatch, target):
             out[0, 0, 1] = np.nan  # one entry of the second sample
         return out
 
-    monkeypatch.setattr(cli, target, poisoned)
+    monkeypatch.setattr(jet, target, poisoned)
     code = main(["check-derivatives", "--b", "0.2,0.4", "--samples", "3", "--seed", "1", "--no-timestamp"])
     rec = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
     assert code == 4
@@ -406,41 +415,61 @@ def test_check_derivatives_nonfinite_error_fails(capsys, monkeypatch, target):
 # ---------------------------------------------------------------------------
 # imports
 
-_SCIPY_PROBE = """
+_IMPORT_PROBE = """
 import contextlib, io, json, sys
 import finmin, finmin.cli
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] in ("finmin", "scipy"))
 
-loaded = {"import": scipy_modules()}
+out = {"import": loaded()}
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = finmin.cli.main([*argv, "--no-timestamp"])
-    loaded[argv[0]] = (code, scipy_modules())
-print(json.dumps(loaded))
+    out[argv[0]] = (code, loaded())
+print(json.dumps(out))
 """
 
 
-def test_scipy_loaded_only_by_solve_and_volume():
-    # A fresh interpreter: this process already has scipy loaded.
-    pointwise = [
-        ["residual-graph", "--b", "0.3", "--point", "f1=0.2,f2=-0.1,h11=0.5,h12=0,h22=0.3"],
-        ["residual-translation", "--b", "0.3", "--point", "fp=1,fpp=0.5,gp=2,gpp=-0.25"],
-        ["check-translation", "--b2", "0,1/100", "--p", "0,1"],
-        ["check-derivatives", "--b", "0.2", "--samples", "2", "--seed", "1"],
-        ["ellipticity", "--b", "0.3", "--samples", "50", "--tmax", "0", "--seed", "1"],
-        ["volume", "--b", "0.3", "--n", "2"],
-    ]
+def _loaded_after_each(commands):
+    """Run commands in order in one fresh interpreter (this process already
+    has everything loaded); the finmin and scipy modules loaded so far after
+    each, by command name."""
     proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE, json.dumps(pointwise)],
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(commands)],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout)
-    assert loaded["import"] == []
-    for argv in pointwise[:-1]:
-        assert loaded[argv[0]] == [0, []], argv
-    code, modules = loaded["volume"]
-    assert code == 0 and "scipy.special" in modules
+    return json.loads(proc.stdout)
+
+
+def test_commands_load_only_their_modules():
+    def scipy_or_solver(modules):
+        return [m for m in modules if m.split(".")[0] == "scipy" or m == "finmin.solver"]
+
+    first_commands = [
+        ["residual-translation", "--b", "0.3", "--point", "fp=1,fpp=0.5,gp=2,gpp=-0.25"],
+        ["check-translation", "--b2", "0,1/100", "--p", "0,1"],
+        ["residual-graph", "--b", "0.3", "--point", "f1=0.2,f2=-0.1,h11=0.5,h12=0,h22=0.3"],
+        ["check-derivatives", "--b", "0.2", "--samples", "2", "--seed", "1"],
+        ["ellipticity", "--b", "0.3", "--samples", "50", "--tmax", "0", "--seed", "1"],
+    ]
+    first = _loaded_after_each(first_commands)
+    second = _loaded_after_each(
+        [
+            ["volume", "--b", "0.3", "--n", "2"],
+            ["solve", "--b", "0.3", "--boundary", "scherk", "--nx", "8", "--ny", "8"],
+        ]
+    )
+    base = ["finmin", "finmin.cli", "finmin.dual", "finmin.errors", "finmin.metric"]
+    assert first["import"] == second["import"] == base
+    for argv in first_commands:
+        code, modules = first[argv[0]]
+        assert code == 0 and scipy_or_solver(modules) == [], argv
+    code, modules = first["check-translation"]
+    assert modules == sorted(base + ["finmin.translation"])
+    code, modules = second["volume"]
+    assert code == 0 and modules == sorted(base + ["finmin.volume"])
+    code, modules = second["solve"]
+    assert code == 0 and "finmin.solver" in modules and "scipy.sparse.linalg" in modules

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,9 @@ from finmin.metric import MetricParams, PhiFamily
 from finmin.volume import (
     QuadraturePolicy,
     VolumeFactorRequest,
+    _gauss_legendre,
+    _nodes_weights,
+    _ratio_estimate,
     bh_factor_closed_matsumoto,
     bh_factor_quadrature,
 )
@@ -88,9 +94,90 @@ def test_request_validation():
 
 
 def test_non_convergence_carries_estimates():
-    policy = QuadraturePolicy(initial_nodes=64, max_nodes=128, rtol=1e-17)
+    # Randers b = 0.999 needs 256 nodes; capped at 128 the doubling runs out.
+    params = MetricParams(0.999, PhiFamily.RANDERS)
+    policy = QuadraturePolicy(initial_nodes=64, max_nodes=128)
     with pytest.raises(QuadratureConvergenceError) as err:
-        bh_factor_quadrature(_req(0.3, quadrature=policy))
+        bh_factor_quadrature(_req(0.999, family=PhiFamily.RANDERS, quadrature=policy))
     prev, last = err.value.estimates
-    assert prev == pytest.approx(last, rel=1e-10)  # both already accurate
-    assert last == pytest.approx(bh_factor_closed_matsumoto(0.3), abs=1e-10)
+    assert (prev, last) == (_ratio_estimate(params, 2, 64), _ratio_estimate(params, 2, 128))
+    assert abs(last - prev) > policy.rtol
+    assert prev == pytest.approx(last, rel=1e-7)  # both already close
+    assert last == pytest.approx(_randers_exact(0.999), abs=1e-10)
+    assert "at 64 nodes" in str(err.value) and "at 128 nodes" in str(err.value)
+    assert bh_factor_quadrature(_req(0.999, family=PhiFamily.RANDERS))[1] == 256
+
+
+def test_nonfinite_estimate_fails_at_first_node_count():
+    # sin(t)**(n-2) and, where phi < 1, phi**n underflow to 0: 0/0 at 64 nodes.
+    with pytest.raises(QuadratureConvergenceError) as err:
+        bh_factor_quadrature(_req(0.3, n=100_000))
+    assert "b=0.3, n=100000 with 64 nodes" in str(err.value)
+    assert math.isnan(err.value.estimates[1])
+
+
+def test_large_n_overflow_still_returns_finite_value():
+    # phi**n overflows to inf on part of the nodes; those terms add 0.
+    value, _ = bh_factor_quadrature(_req(0.45, n=2000))
+    assert math.isfinite(value) and 0.0 < value < 1e-70
+
+
+# ---------------------------------------------------------------------------
+# the Gauss-Legendre rule against independent oracles
+
+
+def _randers_exact(b):
+    # (1 - b^2)^(3/2) with 1 - b^2 formed exactly: a few ulp, no cancellation.
+    s = float(1 - Fraction(b) ** 2)
+    return s * math.sqrt(s)
+
+
+@pytest.mark.parametrize("n_nodes", [64, 128, 256, 512, 1024])
+def test_nodes_match_scipy(n_nodes):
+    special = pytest.importorskip("scipy.special")
+    x, _ = _gauss_legendre(n_nodes)
+    ref, _ = special.roots_legendre(n_nodes)
+    assert np.max(np.abs(x - ref)) <= np.finfo(float).eps
+
+
+@pytest.mark.parametrize("n_nodes", [64, 128])
+def test_rule_matches_mpmath(n_nodes):
+    mp = pytest.importorskip("mpmath")
+    x, w = _gauss_legendre(n_nodes)
+    with mp.workdps(30):
+
+        def dp(r):
+            return n_nodes * (mp.legendre(n_nodes - 1, r) - r * mp.legendre(n_nodes, r)) / (1 - r * r)
+
+        for k in range(1, n_nodes // 2 + 1):
+            r = mp.cos(mp.pi * (k - mp.mpf(1) / 4) / (n_nodes + mp.mpf(1) / 2))
+            for _ in range(6):
+                r -= mp.legendre(n_nodes, r) / dp(r)
+            ref_w = 2 / ((1 - r * r) * dp(r) ** 2)
+            # k-th largest root sits at index n - k of the ascending rule
+            assert abs(x[n_nodes - k] - r) <= np.finfo(float).eps
+            assert abs((w[n_nodes - k] - ref_w) / ref_w) <= 1e-12
+
+
+@pytest.mark.parametrize("n_nodes", [64, 128, 256, 512, 1024, 2048, 4096])
+def test_rule_symmetry_and_weight_sum(n_nodes):
+    x, w = _gauss_legendre(n_nodes)
+    assert np.all(np.diff(x) > 0.0) and -1.0 < x[0] and x[-1] < 1.0
+    np.testing.assert_array_equal(x, -x[::-1])
+    np.testing.assert_array_equal(w, w[::-1])
+    _, w_pi = _nodes_weights(n_nodes)
+    assert abs(w_pi.sum() - math.pi) <= 4 * np.spacing(math.pi)
+
+
+@pytest.mark.parametrize("b", [0.0, 0.15, 0.3, 0.45, 0.49])
+def test_matsumoto_quadrature_to_rounding(b):
+    exact2 = float(Fraction(2) / (2 + Fraction(b) ** 2))
+    exact3 = float(1 / (1 + Fraction(b) ** 2))
+    assert bh_factor_quadrature(_req(b))[0] == pytest.approx(exact2, rel=1e-14, abs=0)
+    assert bh_factor_quadrature(_req(b, n=3))[0] == pytest.approx(exact3, rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("b", [0.2, 0.5, 0.8, 0.95, 0.999])
+def test_randers_quadrature_to_rounding(b):
+    q = bh_factor_quadrature(_req(b, family=PhiFamily.RANDERS))[0]
+    assert q == pytest.approx(_randers_exact(b), rel=1e-14, abs=0)
