@@ -25,10 +25,10 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
 
-import numpy as np
-
-# Each command imports the finmin modules it runs inside its handler, so a
-# command loads only what it uses (only `solve` reaches scipy).
+# Each command imports what it runs inside its handler, so a command loads
+# only what it uses: numpy only where it computes on arrays (not
+# residual-graph, residual-translation or check-translation), scipy only in
+# `solve`.
 from .errors import (
     DomainError,
     QuadratureConvergenceError,
@@ -105,7 +105,9 @@ class RunConfig:
 def _jsonable(value):
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, (np.floating, np.integer)):
+    # A value can only be a numpy scalar if some command has loaded numpy.
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(value, (np.floating, np.integer, np.bool_)):
         return value.item()
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
@@ -128,6 +130,8 @@ def _emit(config: RunConfig, record: dict):
 
 def write_grid_csv(path, xs, ys, f):
     """Write a nodal field with its coordinates; lossless float round trip."""
+    import numpy as np
+
     f = np.asarray(f)
     with open(path, "w") as fh:
         fh.write(f"# {GRID_FORMAT_VERSION}\n")
@@ -139,6 +143,8 @@ def write_grid_csv(path, xs, ys, f):
 
 def read_grid_csv(path):
     """Read a grid file back into (xs, ys, f); values compare bit-equal."""
+    import numpy as np
+
     with open(path) as fh:
         header = fh.readline().strip()
         if header != f"# {GRID_FORMAT_VERSION}":
@@ -235,6 +241,8 @@ def _cmd_residual_translation(config: RunConfig):
 
 def _matrix_rel_err(x, y):
     """max|x - y| / max|y| over each matrix, axes (0, 1); trailing axes are samples."""
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     return np.max(np.abs(x - y), axis=(0, 1)) / np.maximum(np.max(np.abs(y), axis=(0, 1)), 1e-300)
@@ -251,6 +259,8 @@ def _random_jet(rng, min_det=0.25):
 
 
 def _cmd_check_derivatives(config: RunConfig):
+    import numpy as np
+
     from .jet import (
         area_integrand_grad,
         area_integrand_grad_central,
@@ -341,6 +351,8 @@ def _cmd_check_translation(config: RunConfig):
 
 
 def _cmd_ellipticity(config: RunConfig):
+    import numpy as np
+
     from .graph_pde import (
         SamplerConfig,
         TiltedFrame,

@@ -41,6 +41,9 @@ e = (cos theta, sin theta) and a = (W^2 |k12| cos delta + w t,
 so only t and delta are sampled. The t^2 terms of the first entry cancel:
 W^2 |k12| cos delta + w t = |k12| cos delta + k3 t, the form the sampler
 evaluates, so large gradients lose no precision to cancellation.
+
+graph_residual computes on Python floats, so the module loads numpy (and
+the jet module) only inside the functions that work on arrays.
 """
 
 from __future__ import annotations
@@ -48,10 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError
-from .jet import ImmersionJet1, ImmersionJet2
 
 __all__ = [
     "GraphPoint",
@@ -100,6 +100,8 @@ class TiltedFrame:
     m: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         m = np.array(self.m, dtype=float)
         if m.shape != (3, 3):
             raise DomainError(f"frame must be 3x3, got shape {m.shape}")
@@ -110,6 +112,8 @@ class TiltedFrame:
 
     @classmethod
     def identity(cls) -> "TiltedFrame":
+        import numpy as np
+
         return cls(np.eye(3))
 
     @property
@@ -177,6 +181,8 @@ def ellipticity_quotients(f, k, xi, b: float):
     the normalized form a) and the divisor is > 0; both hold for every
     b in [0, 1) because w^2 <= W^2.
     """
+    import numpy as np
+
     b = _check_b(b)
     w2 = 1.0 + f[:, 0] ** 2 + f[:, 1] ** 2
     w = k[:, 2] - k[:, 0] * f[:, 0] - k[:, 1] * f[:, 1]
@@ -212,6 +218,8 @@ class SamplerConfig:
             raise DomainError("t_nodes and angle_nodes must be >= 1")
 
     def t_grid(self) -> np.ndarray:
+        import numpy as np
+
         if self.t_max == 0.0:
             return np.array([0.0])
         ts = np.logspace(-3.0, math.log10(self.t_max), self.t_nodes)
@@ -230,6 +238,8 @@ def mean_curvature_type_bound(frame: TiltedFrame, b: float, config: SamplerConfi
     proof: the quotient is bounded by degree counting, and growing the
     horizon tenfold moves the value by well under a percent.
     """
+    import numpy as np
+
     b = _check_b(b)
     config = config or SamplerConfig()
     k1, k2, k3 = frame.k
@@ -250,6 +260,8 @@ def mean_curvature_type_bound(frame: TiltedFrame, b: float, config: SamplerConfi
 
 def immersion_jets(gp: GraphPoint, frame: TiltedFrame | None = None):
     """First and second order jets of the (possibly tilted) graph point."""
+    from .jet import ImmersionJet1, ImmersionJet2
+
     if frame is None:
         return (
             ImmersionJet1.graph(gp.f1, gp.f2),
@@ -267,6 +279,8 @@ def random_rotations(rng: np.random.Generator, n: int) -> np.ndarray:
     Quaternion construction: deterministic given the generator state,
     which keeps seeded CLI output byte-stable.
     """
+    import numpy as np
+
     q = rng.normal(size=(n, 4))
     q /= np.linalg.norm(q, axis=1, keepdims=True)
     a, b, c, d = q[:, 0], q[:, 1], q[:, 2], q[:, 3]

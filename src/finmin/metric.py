@@ -5,6 +5,10 @@ Three profile families are supported: the slope profile ``1/(1-s)``
 (Matsumoto), the linear profile ``1+s`` (Randers), and the constant
 profile (Euclidean). The full norm is ``F(y) = alpha * phi(beta/alpha)``,
 which for the slope family is ``alpha**2 / (alpha - beta)``.
+
+The families, parameters and profile are plain Python; numpy and the dual
+numbers load only with the norm and the fundamental tensor, so commands
+that need neither start without them.
 """
 
 from __future__ import annotations
@@ -13,9 +17,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
-from . import dual
 from .errors import DomainError
 
 __all__ = [
@@ -103,6 +104,8 @@ def phi_eval(family: PhiFamily, s: float) -> float:
 
 def _half_sq_norm(params, y0, y1, y2):
     # F^2/2 written with generic arithmetic so Duals pass through.
+    from . import dual
+
     alpha = dual.sqrt(y0 * y0 + y1 * y1 + y2 * y2)
     f = alpha * _phi(params.family, params.b * y2 / alpha)
     return 0.5 * f * f
@@ -115,6 +118,8 @@ def minkowski_norm(params: MetricParams, y) -> float:
     admissible parameters the profile argument automatically stays in the
     family's interval because |y3| <= |y|.
     """
+    import numpy as np
+
     y = np.asarray(y, dtype=float)
     if y.shape != (3,):
         raise DomainError("y must be a 3-vector")
@@ -132,6 +137,10 @@ def fundamental_tensor(params: MetricParams, y, method: str = "dual", step=None)
     1e-5 * max(1, |y|) unless one is supplied, and serves as the
     cross-check. Positive definite for admissible parameters.
     """
+    import numpy as np
+
+    from . import dual
+
     y = np.asarray(y, dtype=float)
     if y.shape != (3,):
         raise DomainError("y must be a 3-vector")

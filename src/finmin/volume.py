@@ -135,9 +135,11 @@ def bh_factor_quadrature(req: VolumeFactorRequest):
     the defining ratio, and the node count at which it converged.
 
     Convergence is judged on the ratio itself (shared nodes cancel smooth
-    error in both integrals). Raises QuadratureConvergenceError, carrying
-    the last two estimates, at the first non-finite estimate or when
-    doubling is exhausted; the message names the node counts.
+    error in both integrals) and relative to its size, so factors far below
+    1 get as many digits as factors near 1. Raises
+    QuadratureConvergenceError, carrying the last two estimates, at the
+    first non-finite estimate or when doubling is exhausted; the message
+    names the node counts.
     """
     pol = req.quadrature
     n_nodes = pol.initial_nodes
@@ -145,7 +147,7 @@ def bh_factor_quadrature(req: VolumeFactorRequest):
     while math.isfinite(est) and n_nodes < pol.max_nodes:
         n_nodes *= 2
         prev, est = est, _ratio_estimate(req.params, req.n, n_nodes)
-        if abs(est - prev) <= pol.rtol * max(1.0, abs(est)):
+        if abs(est - prev) <= pol.rtol * abs(est):
             return est, n_nodes
     if not math.isfinite(est):
         raise QuadratureConvergenceError(

@@ -420,7 +420,7 @@ import contextlib, io, json, sys
 import finmin, finmin.cli
 
 def loaded():
-    return sorted(m for m in sys.modules if m.split(".")[0] in ("finmin", "scipy"))
+    return sorted(m for m in sys.modules if m.split(".")[0] in ("finmin", "scipy") or m == "numpy")
 
 out = {"import": loaded()}
 for argv in json.loads(sys.argv[1]):
@@ -433,8 +433,8 @@ print(json.dumps(out))
 
 def _loaded_after_each(commands):
     """Run commands in order in one fresh interpreter (this process already
-    has everything loaded); the finmin and scipy modules loaded so far after
-    each, by command name."""
+    has everything loaded); the finmin and scipy modules, and numpy, loaded
+    so far after each, by command name."""
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, json.dumps(commands)],
         capture_output=True,
@@ -462,14 +462,64 @@ def test_commands_load_only_their_modules():
             ["solve", "--b", "0.3", "--boundary", "scherk", "--nx", "8", "--ny", "8"],
         ]
     )
-    base = ["finmin", "finmin.cli", "finmin.dual", "finmin.errors", "finmin.metric"]
+    base = ["finmin", "finmin.cli", "finmin.errors", "finmin.metric"]
     assert first["import"] == second["import"] == base
     for argv in first_commands:
         code, modules = first[argv[0]]
         assert code == 0 and scipy_or_solver(modules) == [], argv
-    code, modules = first["check-translation"]
-    assert modules == sorted(base + ["finmin.translation"])
+    # The three scalar commands, each in a fresh interpreter, add only their
+    # own module: no numpy, no jet, no dual.
+    for argv, own in [
+        (first_commands[0], "finmin.translation"),
+        (first_commands[1], "finmin.translation"),
+        (first_commands[2], "finmin.graph_pde"),
+    ]:
+        code, modules = _loaded_after_each([argv])[argv[0]]
+        assert code == 0 and modules == sorted(base + [own]), argv
     code, modules = second["volume"]
-    assert code == 0 and modules == sorted(base + ["finmin.volume"])
+    assert code == 0 and modules == sorted(base + ["finmin.volume", "numpy"])
     code, modules = second["solve"]
     assert code == 0 and "finmin.solver" in modules and "scipy.sparse.linalg" in modules
+
+
+_NO_NUMPY_PROBE = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None  # any `import numpy` now raises ImportError
+from finmin.cli import main
+
+outs = []
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    outs.append([code, buf.getvalue()])
+print(json.dumps(outs))
+"""
+
+_SCALAR_COMMANDS = [
+    ["residual-graph", "--b", "0,0.2,0.45", "--point", "f1=0.7,f2=-1.3,h11=0.5,h12=0.25,h22=-2"],
+    ["residual-translation", "--b", "0,0.3", "--point", "fp=1,fpp=0.5,gp=2,gpp=-0.25"],
+    ["check-translation", "--b2", "0,1/100,9/100", "--p", "0,1/2,1,2,5"],
+]
+
+
+def test_scalar_commands_byte_identical_without_numpy(capsys):
+    commands = [[*argv, "--no-timestamp"] for argv in _SCALAR_COMMANDS]
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY_PROBE, json.dumps(commands)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for argv, (code, out) in zip(commands, json.loads(proc.stdout)):
+        assert main(argv) == code == 0, argv
+        assert capsys.readouterr().out == out, argv
+
+
+def test_jsonable_turns_numpy_scalars_into_python():
+    from finmin.cli import _jsonable
+
+    out = _jsonable({"x": np.float64(0.1), "n": [np.int64(3)], "ok": (np.bool_(True),)})
+    assert out == {"x": 0.1, "n": [3], "ok": [True]}
+    assert type(out["x"]) is float and type(out["n"][0]) is int and type(out["ok"][0]) is bool
+    assert json.dumps(out) == '{"x": 0.1, "n": [3], "ok": [true]}'

@@ -181,3 +181,21 @@ def test_matsumoto_quadrature_to_rounding(b):
 def test_randers_quadrature_to_rounding(b):
     q = bh_factor_quadrature(_req(b, family=PhiFamily.RANDERS))[0]
     assert q == pytest.approx(_randers_exact(b), rel=1e-14, abs=0)
+
+
+def test_tiny_factor_converges_relative_to_its_size():
+    # The stop test is relative: a factor of order 1e-71 doubles on to 1024
+    # nodes, where an absolute test would stop at 128 nodes 1.5e-4 off.
+    mp = pytest.importorskip("mpmath")
+    n, b = 2000, 0.45
+    with mp.workdps(40):
+        # The integrals of sin(t)**(n-2) * cos(t)**k over [0, pi] are Beta
+        # values for even k and vanish for odd k; expand (1 - b cos t)**n.
+        half = (mp.mpf(n) - 1) / 2
+        den = mp.fsum(
+            mp.binomial(n, k) * mp.mpf(b) ** k * mp.beta(mp.mpf(k + 1) / 2, half) for k in range(0, n + 1, 2)
+        )
+        exact = mp.beta(mp.mpf(1) / 2, half) / den
+    value, nodes = bh_factor_quadrature(_req(b, n=n))
+    assert nodes == 1024
+    assert abs(value - exact) <= 1e-12 * exact
