@@ -27,8 +27,8 @@ from fractions import Fraction
 
 # Each command imports what it runs inside its handler, so a command loads
 # only what it uses: numpy only where it computes on arrays (not
-# residual-graph, residual-translation or check-translation), scipy only in
-# `solve`.
+# residual-graph, residual-translation or check-translation), and of scipy
+# only the compiled SuperLU module, only in `solve`.
 from .errors import (
     DomainError,
     QuadratureConvergenceError,
@@ -132,13 +132,13 @@ def write_grid_csv(path, xs, ys, f):
     """Write a nodal field with its coordinates; lossless float round trip."""
     import numpy as np
 
-    f = np.asarray(f)
+    xs = [repr(float(x)) for x in xs]
+    ys = [repr(float(y)) for y in ys]
     with open(path, "w") as fh:
         fh.write(f"# {GRID_FORMAT_VERSION}\n")
         fh.write("x,y,f\n")
-        for ix, x in enumerate(xs):
-            for iy, y in enumerate(ys):
-                fh.write(f"{float(x)!r},{float(y)!r},{float(f[ix, iy])!r}\n")
+        for x, row in zip(xs, np.asarray(f, dtype=float).tolist()):
+            fh.writelines(f"{x},{y},{v!r}\n" for y, v in zip(ys, row))
 
 
 def read_grid_csv(path):
@@ -398,6 +398,8 @@ def _boundary_callable(spec: str, domain):
             c0, cx, cy = (float(v) for v in spec.split(":", 1)[1].split(","))
         except ValueError as exc:
             raise DomainError(f"bad affine boundary spec {spec!r}") from exc
+        if not all(map(math.isfinite, (c0, cx, cy))):
+            raise DomainError(f"affine boundary coefficients in {spec!r} must be finite")
         return lambda x, y: c0 + cx * x + cy * y
     if spec == "scherk":
         x0, x1, y0, y1 = domain

@@ -17,22 +17,31 @@ which at N = 255 holds the L + U fill to 5.2 M entries where COLAMD on
 the naturally numbered matrix reaches 9.1 M. The CSC index arrays are
 built once per solve; each Newton step only gathers the new stencil
 weights into them.
+
+The factorization is SuperLU (Demmel, Eisenstat, Gilbert, Li & Liu, SIAM
+J. Matrix Anal. Appl. 20, 1999) through scipy's compiled extension
+`scipy.sparse.linalg._dsolve._superlu`, loaded by itself: the solver calls
+its `gstrf` with the arguments `splu(A, permc_spec="NATURAL")` would pass,
+so the factors are the same, and a solve imports no other scipy module
+(importing `scipy.sparse.linalg` costs about 350 ms, most of it a numpy
+compatibility layer the solver does not use).
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import dual
-from .errors import DomainError, NonConvergenceError, StagnationError
+from .errors import DomainError, NonConvergenceError, SolverError, StagnationError
 from .graph_pde import _residual_terms
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 __all__ = [
     "GridProblem",
@@ -63,11 +72,17 @@ class GridProblem:
 
     def __post_init__(self):
         x0, x1, y0, y1 = (float(v) for v in self.domain)
+        if not all(map(math.isfinite, (x0, x1, y0, y1))):
+            raise DomainError(f"domain bounds {(x0, x1, y0, y1)} must be finite")
         if not (x0 < x1 and y0 < y1):
             raise DomainError("domain must satisfy x0 < x1 and y0 < y1")
         object.__setattr__(self, "domain", (x0, x1, y0, y1))
         if self.nx < 8 or self.ny < 8:
             raise DomainError("nx and ny must be at least 8 interior nodes")
+        # The stencils divide by hx**2, hy**2 and 4*hx*hy.
+        h = max(self.hx, self.hy)
+        if not math.isfinite(4.0 * h * h):
+            raise DomainError(f"grid spacing {h} is too large: its square overflows")
         if not (0.0 <= float(self.b) < 0.5):
             raise DomainError(f"b={self.b} outside [0, 0.5)")
         object.__setattr__(self, "b", float(self.b))
@@ -194,7 +209,8 @@ class _JacobianPattern(NamedTuple):
 
     Unknown k of the linear system is interior node order[k] (natural
     index); the CSC data are the stacked (9, nx*ny) stencil weights
-    gathered at `gather`.
+    gathered at `gather`. Row indices are sorted within each column and
+    unique, and `indices`/`indptr` are C ints, as SuperLU takes them.
     """
 
     order: np.ndarray
@@ -221,15 +237,11 @@ class _JacobianPattern(NamedTuple):
         by_column = np.argsort(cols * n + rows)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
-        return cls(order, gather[by_column], rows[by_column], indptr)
+        return cls(order, gather[by_column], rows[by_column].astype(np.intc), indptr.astype(np.intc))
 
 
-def _jacobian(problem: GridProblem, f: np.ndarray, pattern: _JacobianPattern) -> sp.csc_matrix:
-    # scipy is imported here and in _newton_step, not at module load, so
-    # commands that never solve do not pay for its import.
-    import scipy.sparse as sp
-
-    nx, ny = problem.nx, problem.ny
+def _jacobian(problem: GridProblem, f: np.ndarray, pattern: _JacobianPattern) -> np.ndarray:
+    """CSC data of the Jacobian: its entries in the order of pattern.indices."""
     hx, hy = problem.hx, problem.hy
     d_f1, d_f2, d_h11, d_h12, d_h22 = _point_partials(problem, f)
 
@@ -250,21 +262,68 @@ def _jacobian(problem: GridProblem, f: np.ndarray, pattern: _JacobianPattern) ->
         return w
 
     weights = np.stack([stencil_weight(a, c) for a, c in _OFFSETS])
-    return sp.csc_matrix(
-        (weights.ravel()[pattern.gather], pattern.indices, pattern.indptr),
-        shape=(nx * ny, nx * ny),
-    )
+    return weights.ravel()[pattern.gather]
+
+
+_SUPERLU = "scipy.sparse.linalg._dsolve._superlu"
+
+
+def _superlu():
+    """scipy's compiled SuperLU module, loaded without running scipy's package code.
+
+    find_spec("scipy") locates scipy without executing its __init__. The
+    extension is loaded from its file under its real dotted name and
+    registered in sys.modules, which then serves as the cache: a later
+    `import scipy.sparse.linalg` binds this same module, and a module that
+    `scipy.sparse.linalg` has already loaded is used as it is.
+    """
+    module = sys.modules.get(_SUPERLU)
+    if module is not None:
+        return module
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        raise ImportError("solve needs scipy, which cannot be imported")
+    folder = os.path.join(spec.submodule_search_locations[0], "sparse", "linalg", "_dsolve")
+    paths = [os.path.join(folder, "_superlu" + s) for s in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((p for p in paths if os.path.isfile(p)), None)
+    if path is None:
+        from importlib.metadata import version
+
+        raise ImportError(f"scipy {version('scipy')} has no compiled _superlu module in {folder}")
+    spec = importlib.util.spec_from_file_location(_SUPERLU, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[_SUPERLU] = module
+    return module
+
+
+def _csc_array(*args, **kwargs):
+    # SuperLU builds its L and U properties with this; the solver never
+    # reads them, so scipy.sparse is imported only when something else does.
+    import scipy.sparse
+
+    return scipy.sparse.csc_array(*args, **kwargs)
 
 
 def _newton_step(problem: GridProblem, f: np.ndarray, r: np.ndarray, pattern: _JacobianPattern):
     """Newton direction at the interior nodes, shape (nx, ny), and the SuperLU factors.
 
     The ordering is the pattern's dissection numbering, so SuperLU is told
-    not to reorder columns.
+    not to reorder columns: these are the options splu(permc_spec="NATURAL")
+    passes to the same routine.
     """
-    import scipy.sparse.linalg as spla
-
-    lu = spla.splu(_jacobian(problem, f, pattern), permc_spec="NATURAL")
+    data = _jacobian(problem, f, pattern)
+    options = dict(ColPerm="NATURAL", SymmetricMode=True, DiagPivotThresh=None, PanelSize=None, Relax=None)
+    lu = _superlu().gstrf(
+        r.size,
+        data.size,
+        data,
+        pattern.indices,
+        pattern.indptr,
+        csc_construct_func=_csc_array,
+        ilu=False,
+        options=options,
+    )
     step = np.empty(r.size)
     step[pattern.order] = lu.solve(-r.ravel()[pattern.order])
     return step.reshape(r.shape), lu
@@ -312,7 +371,9 @@ def solve_minimal_graph(
     weights and factored in nested-dissection order. Line search: Armijo
     backtracking with factor 1/2 down to step 2**-20, after which
     StagnationError is raised; exceeding max_iter raises
-    NonConvergenceError. Both errors carry the residual history.
+    NonConvergenceError, and an initial residual that is not finite (nan
+    or infinite, from non-finite or overflowing data) raises SolverError.
+    All three carry the residual history.
     DomainError unless 0 < tol < inf and max_iter >= 0.
     """
     if not 0.0 < tol < math.inf:
@@ -323,6 +384,10 @@ def solve_minimal_graph(
     r = assemble_residual(problem, f)
     res = float(np.max(np.abs(r)))
     history = [res]
+    # `res > tol` is false for nan. Later residuals are finite: the line
+    # search accepts a step only below a finite bound.
+    if not math.isfinite(res):
+        raise SolverError(f"initial residual max-norm is {res}", history)
     if res > tol:
         pattern = _JacobianPattern.build(problem.nx, problem.ny)
     iterations = 0

@@ -307,6 +307,62 @@ def test_solve_bad_stopping_rule_exits_2(capsys, flag):
     assert captured.out == "" and captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--boundary", "affine:nan,0,0"],
+        ["--boundary", "affine:inf,0,0"],
+        ["--boundary", "affine:0,-inf,1"],
+        ["--domain=0,inf,0,1"],
+        ["--domain=0,1,nan,1"],
+        ["--domain=0,1e300,0,1e300"],
+    ],
+    ids=["affine-c0-nan", "affine-c0-inf", "affine-cx-minus-inf", "domain-inf", "domain-nan", "domain-spacing-overflows"],
+)
+def test_solve_nonfinite_input_exits_2(capsys, flags):
+    argv = ["solve", "--b", "0.3", "--nx", "15", "--ny", "15", *flags, "--no-timestamp"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--boundary", "affine:1e200,1e200,0"], ["--domain=0,1e-300,0,1e-300", "--boundary", "scherk"]],
+    ids=["affine-overflows", "spacing-squared-underflows"],
+)
+def test_solve_nonfinite_residual_exits_3(capsys, flags):
+    argv = ["solve", "--b", "0.3", "--nx", "15", "--ny", "15", *flags, "--no-timestamp"]
+    with np.errstate(all="ignore"):
+        assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: initial residual max-norm is nan\n"
+
+
+def test_write_grid_csv_matches_the_per_node_writer(tmp_path):
+    from finmin.cli import GRID_FORMAT_VERSION, write_grid_csv
+
+    # The per-node writer that the row writer replaced, kept as the reference.
+    def per_node(path, xs, ys, f):
+        with open(path, "w") as fh:
+            fh.write(f"# {GRID_FORMAT_VERSION}\n")
+            fh.write("x,y,f\n")
+            for ix, x in enumerate(xs):
+                for iy, y in enumerate(ys):
+                    fh.write(f"{float(x)!r},{float(y)!r},{float(f[ix, iy])!r}\n")
+
+    rng = np.random.default_rng(3)
+    xs = np.linspace(-1.0, 1.0, 13)
+    ys = np.concatenate([[-0.0, 1e-300], rng.normal(size=7)])
+    f = rng.normal(size=(13, 9)) * 10.0 ** rng.integers(-20, 20, size=(13, 9))
+    f[0, :3] = [-0.0, 1e-300, -5e-324]
+    f[5, 4] = 1e300
+    write_grid_csv(tmp_path / "new.csv", xs, ys, f)
+    per_node(tmp_path / "old.csv", xs, ys, f)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
 def test_solve_unknown_boundary(capsys):
     assert main(["solve", "--boundary", "wavy", "--no-timestamp"]) == 2
 
@@ -478,8 +534,55 @@ def test_commands_load_only_their_modules():
         assert code == 0 and modules == sorted(base + [own]), argv
     code, modules = second["volume"]
     assert code == 0 and modules == sorted(base + ["finmin.volume", "numpy"])
+    # solve reaches SuperLU through its compiled module alone: no other scipy module.
     code, modules = second["solve"]
-    assert code == 0 and "finmin.solver" in modules and "scipy.sparse.linalg" in modules
+    solve_adds = ["finmin.dual", "finmin.graph_pde", "finmin.solver", "scipy.sparse.linalg._dsolve._superlu"]
+    assert code == 0 and modules == sorted(base + ["finmin.volume", "numpy"] + solve_adds)
+
+
+_SUPERLU_PROBE = """
+import contextlib, io, json, sys
+
+if sys.argv[1] == "scipy-first":
+    import scipy.sparse.linalg
+from finmin.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["solve", "--b", "0.3", "--boundary", "scherk", "--nx", "8", "--ny", "8", "--no-timestamp"])
+scipy_modules = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+import numpy as np
+import scipy.sparse
+import scipy.sparse.linalg
+from finmin.solver import _superlu
+
+loaded = _superlu()
+lu = scipy.sparse.linalg.splu(scipy.sparse.csc_array(np.array([[2.0, 1.0], [1.0, 3.0]])))
+print(json.dumps({
+    "code": code,
+    "scipy": scipy_modules,
+    "same": loaded is sys.modules["scipy.sparse.linalg._dsolve._superlu"]
+    and loaded is scipy.sparse.linalg._dsolve.linsolve._superlu
+    and scipy.sparse.linalg.SuperLU is loaded.SuperLU,
+    "x": lu.solve(np.array([3.0, 4.0])).tolist(),
+}))
+"""
+
+
+@pytest.mark.parametrize("order", ["solve-first", "scipy-first"])
+def test_solve_and_scipy_share_one_superlu_module(order):
+    # Whichever loads it first, there is one SuperLU module, and scipy's own
+    # splu still works. A solve alone loads no other scipy module. (When the
+    # solve comes first, `_dsolve` has no `_superlu` attribute: scipy binds
+    # it with `from . import _superlu`, which reads sys.modules.)
+    proc = subprocess.run([sys.executable, "-c", _SUPERLU_PROBE, order], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["code"] == 0
+    if order == "solve-first":
+        assert out["scipy"] == ["scipy.sparse.linalg._dsolve._superlu"]
+    assert out["same"] is True
+    assert np.allclose(out["x"], [1.0, 1.0], rtol=0, atol=1e-15)
 
 
 _NO_NUMPY_PROBE = """

@@ -1,17 +1,21 @@
+import importlib.machinery
 import math
+import sys
 
 import numpy as np
 import pytest
 from conftest import scherk
 
-from finmin.errors import DomainError, NonConvergenceError
+from finmin.errors import DomainError, NonConvergenceError, SolverError
 from finmin.solver import (
+    _SUPERLU,
     GridProblem,
     _dissection_order,
     _initial_field,
     _jacobian,
     _JacobianPattern,
     _newton_step,
+    _superlu,
     assemble_residual,
     planarity_deviation,
     solve_minimal_graph,
@@ -101,8 +105,43 @@ def test_problem_validation():
         GridProblem((1.0, -1.0, -1.0, 1.0), 15, 15, 0.2, affine_boundary(0, 0, 0))
 
 
+@pytest.mark.parametrize(
+    "domain",
+    [
+        (0.0, math.inf, 0.0, 1.0),
+        (-math.inf, 0.0, 0.0, 1.0),
+        (0.0, 1.0, 0.0, math.nan),
+        (0.0, 1e300, 0.0, 1e300),
+        (-1e308, 1e308, 0.0, 1.0),
+    ],
+    ids=["x1-inf", "x0-minus-inf", "y1-nan", "spacing-squared-overflows", "width-overflows"],
+)
+def test_problem_rejects_nonfinite_domain_and_overflowing_spacing(domain):
+    with pytest.raises(DomainError):
+        GridProblem(domain, 15, 15, 0.3, affine_boundary(0, 0, 0))
+
+
 # ---------------------------------------------------------------------------
 # solve
+
+
+@pytest.mark.parametrize(
+    "domain, boundary",
+    [
+        (UNIT_SQUARE, lambda x, y: math.nan),
+        (UNIT_SQUARE, lambda x, y: math.inf),
+        (UNIT_SQUARE, affine_boundary(1e200, 1e200, 0.0)),
+        ((0.0, 1e-300, 0.0, 1e-300), scherk),
+    ],
+    ids=["nan-data", "inf-data", "overflowing-data", "spacing-squared-underflows"],
+)
+def test_nonfinite_residual_is_a_solver_error(domain, boundary):
+    # `res > tol` is false for nan, so the loop alone would report it as converged.
+    problem = GridProblem(domain, 15, 15, 0.3, boundary)
+    with np.errstate(all="ignore"), pytest.raises(SolverError, match=r"^initial residual max-norm is (nan|inf)$") as err:
+        solve_minimal_graph(problem)
+    assert len(err.value.residual_history) == 1
+    assert not math.isfinite(err.value.residual_history[0])
 
 
 @pytest.mark.parametrize("b", [0.0, 0.2, 0.4])
@@ -188,12 +227,20 @@ def test_bad_tol():
 # Jacobian and sparse solve
 
 
+def jacobian_matrix(problem, f, pattern):
+    """The Jacobian in dissection numbering as a scipy CSC matrix."""
+    import scipy.sparse as sp
+
+    n = pattern.order.size
+    return sp.csc_matrix((_jacobian(problem, f, pattern), pattern.indices, pattern.indptr), shape=(n, n))
+
+
 def natural_jacobian(problem, f):
     """Assembled Jacobian mapped back to natural numbering i*ny + j."""
     pattern = _JacobianPattern.build(problem.nx, problem.ny)
     position = np.empty_like(pattern.order)
     position[pattern.order] = np.arange(pattern.order.size)
-    return _jacobian(problem, f, pattern)[position][:, position]
+    return jacobian_matrix(problem, f, pattern)[position][:, position]
 
 
 @pytest.mark.parametrize("shape", [(8, 8), (9, 12), (12, 9), (17, 8), (63, 63)])
@@ -233,6 +280,33 @@ def test_dissection_beats_colamd_and_keeps_the_newton_step():
     assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
     reference = spla.spsolve(jac.tocsr(), -r.ravel()).reshape(r.shape)
     assert np.max(np.abs(step - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize("b", [0.0, 0.3, 0.45])
+def test_newton_step_equals_splu_bit_for_bit(b):
+    # The solver calls SuperLU's gstrf itself; splu with the same ordering
+    # must give the same step to the last bit, so a scipy upgrade that
+    # changes either path fails here.
+    import scipy.sparse.linalg as spla
+
+    problem = GridProblem(UNIT_SQUARE, 63, 63, b, scherk)
+    f = _initial_field(problem, "boundary-blend")
+    r = assemble_residual(problem, f)
+    pattern = _JacobianPattern.build(63, 63)
+    assert pattern.indices.dtype == pattern.indptr.dtype == np.intc
+    step, lu = _newton_step(problem, f, r, pattern)
+    reference = spla.splu(jacobian_matrix(problem, f, pattern), permc_spec="NATURAL")
+    expected = np.empty(r.size)
+    expected[pattern.order] = reference.solve(-r.ravel()[pattern.order])
+    assert step.ravel().tobytes() == expected.tobytes()
+    assert lu.L.nnz == reference.L.nnz and lu.U.nnz == reference.U.nnz
+
+
+def test_missing_superlu_extension_names_the_scipy_version(monkeypatch):
+    monkeypatch.delitem(sys.modules, _SUPERLU, raising=False)
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
+    with pytest.raises(ImportError, match=r"scipy \d+\.\d+.* has no compiled _superlu module"):
+        _superlu()
 
 
 # ---------------------------------------------------------------------------
