@@ -1,7 +1,7 @@
 """Minimal-surface toolkit for the three-dimensional slope-metric space.
 
-Norms and fundamental tensors (:mod:`finmin.metric`), volume factors
-(:mod:`finmin.volume`), jet-level area geometry and minimality residuals
+Profile families and admissible parameters (:mod:`finmin.metric`), volume
+factors (:mod:`finmin.volume`), the area integrand and its derivatives
 (:mod:`finmin.jet`), the graph and tilted-graph equations with their
 ellipticity analysis (:mod:`finmin.graph_pde`), the exact-rational
 translation-surface rigidity machinery (:mod:`finmin.translation`), and a

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -340,7 +341,6 @@ def _cmd_check_translation(config: RunConfig):
                 "separability_zero": report.separability_zero,
                 "companion_zero": report.companion_zero,
                 "admits_nonplanar": report.admits_nonplanar,
-                "ratio_formula_matches": report.ratio_formula_matches,
             }
         )
     if pattern_ok:
@@ -412,11 +412,28 @@ def _boundary_callable(spec: str, domain):
     raise DomainError(f"unknown boundary spec {spec!r}")
 
 
+def _check_writable(path):
+    """DomainError unless a file can be created or replaced at path."""
+    folder = os.path.dirname(path) or os.curdir
+    if os.path.isdir(path):
+        problem = "it is a directory"
+    elif not os.path.isdir(folder):
+        problem = f"there is no directory {folder!r}"
+    elif not os.access(folder, os.W_OK):
+        problem = f"directory {folder!r} is not writable"
+    else:
+        return
+    raise DomainError(f"--out {path!r} cannot be written: {problem}")
+
+
 def _cmd_solve(config: RunConfig):
     from .solver import GridProblem, planarity_deviation, solve_minimal_graph
 
     if len(config.b_values) != 1:
         raise DomainError("solve takes exactly one b value")
+    if config.out:
+        # checked before the solve, which may take seconds
+        _check_writable(config.out)
     b = config.b_values[0]
     problem = GridProblem(
         domain=config.domain,
@@ -439,7 +456,10 @@ def _cmd_solve(config: RunConfig):
         "out": config.out,
     }
     if config.out:
-        write_grid_csv(config.out, problem.xs(), problem.ys(), sol.f)
+        try:
+            write_grid_csv(config.out, problem.xs(), problem.ys(), sol.f)
+        except OSError as exc:
+            raise DomainError(f"--out {config.out!r} cannot be written: {exc.strerror}") from exc
     return record, 0
 
 
@@ -471,7 +491,12 @@ def _parse_floats(text):
 
 
 def _parse_fractions(text):
-    return [Fraction(v) for v in text.split(",")]
+    # argparse turns a ValueError into a usage error (exit 2); Fraction
+    # raises ZeroDivisionError on a zero denominator such as "1/0".
+    try:
+        return [Fraction(v) for v in text.split(",")]
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {text!r}") from exc
 
 
 def _parse_point(text, keys):

@@ -3,9 +3,10 @@
 A :class:`Dual` holds a value and a single derivative channel. Components
 may be floats, numpy arrays (elementwise), or further ``Dual`` instances;
 nesting two levels gives hyper-dual numbers whose inner-inner channel
-carries one exact mixed second derivative. Only the operations the norm
-and area formulas need are implemented: field arithmetic, nonnegative
-integer powers, and square roots.
+carries one exact mixed second derivative. Only the operations the area
+integrand and the graph residual need are implemented: addition,
+subtraction, multiplication, division by a Dual or a constant, and
+square roots.
 
 The four derivative oracles take points x of shape (n, *S): the
 coordinate axis first, then any sample shape S (S = () is one point).
@@ -43,9 +44,6 @@ class Dual:
         self.re = re
         self.du = du
 
-    def __repr__(self):
-        return f"Dual({self.re!r}, {self.du!r})"
-
     def __add__(self, other):
         if isinstance(other, Dual):
             return Dual(self.re + other.re, self.du + other.du)
@@ -53,16 +51,14 @@ class Dual:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return Dual(-self.re, -self.du)
-
     def __sub__(self, other):
         if isinstance(other, Dual):
             return Dual(self.re - other.re, self.du - other.du)
         return Dual(self.re - other, self.du)
 
     def __rsub__(self, other):
-        return Dual(other - self.re, -self.du)
+        # -1.0 * du is exact negation and also serves a nested Dual du
+        return Dual(other - self.re, -1.0 * self.du)
 
     def __mul__(self, other):
         if isinstance(other, Dual):
@@ -76,23 +72,6 @@ class Dual:
             q = self.re / other.re
             return Dual(q, (self.du - q * other.du) / other.re)
         return Dual(self.re / other, self.du / other)
-
-    def __rtruediv__(self, other):
-        q = other / self.re
-        return Dual(q, -(q / self.re) * self.du)
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise TypeError("Dual supports nonnegative integer exponents only")
-        out = 1.0
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
 
 
 def sqrt(x):

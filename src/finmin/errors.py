@@ -9,10 +9,6 @@ class DegenerateJetError(DomainError):
     """Immersion jet fails the rank-two / positive-determinant requirement."""
 
 
-class DegenerateTransversalError(DomainError):
-    """Transversal vector lies in the tangent plane of the jet."""
-
-
 class QuadratureConvergenceError(RuntimeError):
     """Node doubling exhausted without meeting the convergence target."""
 

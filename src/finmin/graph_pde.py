@@ -11,10 +11,12 @@ minimality is equivalent to the vanishing of
     S*(S - 2 b^2 w^2) * (delta - f f^T / W^2) : H
       + 2 b^2 (S + 4 b^2 w^2) * W^2 * u^T H u,    u = k_12 + w * f / W^2.
 
-This is the coefficient form validated against the jet module's generic
-bracket (ratio exactly 2*W^2); the test suite asserts the equivalence on
-random samples. The horizontal case is the frame k = (0, 0, 1), where S
-reduces to T = 2*W^2 + b^2*(W^2 - 1) and u to f / W^2.
+This is S^3 / (2W) times the Euler-Lagrange operator of the graph's area
+integrand L = 2W^3 / S (S = 2W^2 + E, E = b^2 (W^2 - w^2));
+tests/test_symbolic_chain.py proves the identity exactly, from the
+metric alpha^2/(alpha - beta) on. The horizontal case is the frame
+k = (0, 0, 1), where S reduces to T = 2*W^2 + b^2*(W^2 - 1) and u to
+f / W^2.
 
 Dividing by the always-positive S*(S - 2 b^2 w^2) yields coefficients
 a = (delta - f f^T/W^2) + R * W^2 * u u^T with
@@ -42,8 +44,8 @@ so only t and delta are sampled. The t^2 terms of the first entry cancel:
 W^2 |k12| cos delta + w t = |k12| cos delta + k3 t, the form the sampler
 evaluates, so large gradients lose no precision to cancellation.
 
-graph_residual computes on Python floats, so the module loads numpy (and
-the jet module) only inside the functions that work on arrays.
+graph_residual computes on Python floats, so the module loads numpy only
+inside the functions that work on arrays.
 """
 
 from __future__ import annotations
@@ -58,10 +60,8 @@ __all__ = [
     "TiltedFrame",
     "SamplerConfig",
     "graph_residual",
-    "tilted_graph_residual",
     "ellipticity_quotients",
     "mean_curvature_type_bound",
-    "immersion_jets",
     "random_rotations",
 ]
 
@@ -82,11 +82,6 @@ class GraphPoint:
             if not math.isfinite(v):
                 raise DomainError(f"{name} must be finite")
             object.__setattr__(self, name, v)
-
-    @property
-    def w2(self) -> float:
-        """W^2 = 1 + |grad f|^2 >= 1."""
-        return 1.0 + self.f1 * self.f1 + self.f2 * self.f2
 
 
 @dataclass(frozen=True)
@@ -110,12 +105,6 @@ class TiltedFrame:
         m.setflags(write=False)
         object.__setattr__(self, "m", m)
 
-    @classmethod
-    def identity(cls) -> "TiltedFrame":
-        import numpy as np
-
-        return cls(np.eye(3))
-
     @property
     def k(self) -> np.ndarray:
         """Last row of the frame; sum(k_i^2) = 1."""
@@ -130,7 +119,9 @@ def _divisor_excess(w2, w, b2):
 
 
 def _residual_terms(f1, f2, h11, h12, h22, k1, k2, k3, b):
-    # Arithmetic only: works elementwise on numpy arrays and on Duals.
+    # The graph equation over the plane with frame row k (the module
+    # docstring); the solver and graph_residual take k = (0, 0, 1).
+    # Arithmetic only: numpy arrays, Duals and sympy symbols pass through.
     w2 = 1.0 + f1 * f1 + f2 * f2
     w = k3 - k1 * f1 - k2 * f2
     divisor, excess = _divisor_excess(w2, w, b * b)
@@ -149,20 +140,6 @@ def graph_residual(gp: GraphPoint, b: float) -> float:
     """
     return float(
         _residual_terms(gp.f1, gp.f2, gp.h11, gp.h12, gp.h22, 0.0, 0.0, 1.0, b)
-    )
-
-
-def tilted_graph_residual(gp: GraphPoint, frame: TiltedFrame, b: float) -> float:
-    """Minimal-graph residual over the plane of an arbitrary orthogonal frame.
-
-    With the identity frame this equals graph_residual exactly (same code
-    path). Equals the jet bracket divided by 2*W^2 for right-handed
-    frames; for det(m) = -1 the sign of the jet-side transversal flips
-    but the zero set is unchanged.
-    """
-    k1, k2, k3 = frame.k
-    return float(
-        _residual_terms(gp.f1, gp.f2, gp.h11, gp.h12, gp.h22, k1, k2, k3, b)
     )
 
 
@@ -256,21 +233,6 @@ def mean_curvature_type_bound(frame: TiltedFrame, b: float, config: SamplerConfi
     rb = excess / divisor
     lead = k12_cos + k3 * t
     return float(np.max(rb * (lead * lead + w2 * (k12 * np.sin(delta)) ** 2)))
-
-
-def immersion_jets(gp: GraphPoint, frame: TiltedFrame | None = None):
-    """First and second order jets of the (possibly tilted) graph point."""
-    from .jet import ImmersionJet1, ImmersionJet2
-
-    if frame is None:
-        return (
-            ImmersionJet1.graph(gp.f1, gp.f2),
-            ImmersionJet2.graph(gp.h11, gp.h12, gp.h22),
-        )
-    return (
-        ImmersionJet1.tilted(gp.f1, gp.f2, frame.m),
-        ImmersionJet2.tilted(gp.h11, gp.h12, gp.h22, frame.m),
-    )
 
 
 def random_rotations(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -1,8 +1,7 @@
 """Jet-level geometry of immersed surfaces in the slope-metric 3-space.
 
 Everything is built from a first-order jet z, the 3x2 matrix of ambient
-partials of an immersion, and, where curvature enters, a symmetric
-second-order jet. The induced area density is
+partials of an immersion. The induced area density is
 
     F(z) = 2*C**3 / (2*C**2 + E),   C = sqrt(det A),   A = z^T z,
 
@@ -12,11 +11,12 @@ where the anisotropy scalar
       = b**2 * det(A) * (A^-1 quadratic form on the third ambient row)
 
 measures how the tangent plane leans against the distinguished third
-axis. The module provides closed-form first and second z-derivatives of
-F, dual-number and finite-difference oracles for both, the contraction
-whose vanishing characterizes minimal immersions, and its
-cleared-denominator bracket (the polynomial form the PDE modules reduce
-to explicit coefficients).
+axis. F is C times the Busemann-Hausdorff density 2/(2 + b**2 |a|**2) of
+the norm's indicatrix in the tangent plane, a the tangential part of the
+third axis; tests/test_symbolic_chain.py derives it from the metric
+alpha**2/(alpha - beta). The module provides closed-form first and second
+z-derivatives of F and dual-number and finite-difference oracles for
+both, which check-derivatives compares.
 
 The closed forms take one jet. The oracles take one jet or a stack of
 jet matrices z of shape (3, 2, *S), and differentiate every sample in
@@ -31,23 +31,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dual
-from .errors import DegenerateJetError, DegenerateTransversalError, DomainError
+from .errors import DegenerateJetError, DomainError
 
 __all__ = [
     "ImmersionJet1",
-    "ImmersionJet2",
     "gram",
     "e_scalar",
-    "area_integrand",
     "area_integrand_grad",
     "area_integrand_hess",
     "area_integrand_grad_dual",
     "area_integrand_hess_dual",
     "area_integrand_grad_central",
     "area_integrand_hess_central",
-    "default_transversal",
-    "mean_curvature_residual",
-    "mean_curvature_bracket",
 ]
 
 # 2x2 Levi-Civita array and the third ambient basis vector.
@@ -77,55 +72,6 @@ class ImmersionJet1:
             raise DomainError("jet entries must be finite")
         z.setflags(write=False)
         object.__setattr__(self, "z", z)
-
-    @classmethod
-    def graph(cls, f1: float, f2: float) -> "ImmersionJet1":
-        """Jet of the graph (x1, x2) -> (x1, x2, f) with gradient (f1, f2)."""
-        return cls(np.array([[1.0, 0.0], [0.0, 1.0], [f1, f2]]))
-
-    @classmethod
-    def tilted(cls, f1: float, f2: float, frame_matrix) -> "ImmersionJet1":
-        """Jet of a graph over the plane spanned by the frame's first two columns.
-
-        The immersion is x1*m[:,0] + x2*m[:,1] + f*m[:,2], so the tangent
-        columns are z[:, e] = m[:, e] + f_e * m[:, 2].
-        """
-        m = np.asarray(frame_matrix, dtype=float)
-        return cls(m[:, :2] + np.outer(m[:, 2], [f1, f2]))
-
-
-@dataclass(frozen=True)
-class ImmersionJet2:
-    """Second-order jet: second[i, e, h] = d2(phi^i)/d(x^e)d(x^h), symmetric in (e, h)."""
-
-    second: np.ndarray
-
-    def __post_init__(self):
-        s = np.array(self.second, dtype=float)
-        if s.shape != (3, 2, 2):
-            raise DomainError(f"second-order jet must be 3x2x2, got shape {s.shape}")
-        if not np.all(np.isfinite(s)):
-            raise DomainError("second-order jet entries must be finite")
-        if not np.array_equal(s[:, 0, 1], s[:, 1, 0]):
-            raise DomainError("second-order jet must be exactly symmetric in (e, h)")
-        s.setflags(write=False)
-        object.__setattr__(self, "second", s)
-
-    @classmethod
-    def zero(cls) -> "ImmersionJet2":
-        return cls(np.zeros((3, 2, 2)))
-
-    @classmethod
-    def graph(cls, h11: float, h12: float, h22: float) -> "ImmersionJet2":
-        s = np.zeros((3, 2, 2))
-        s[2] = [[h11, h12], [h12, h22]]
-        return cls(s)
-
-    @classmethod
-    def tilted(cls, h11: float, h12: float, h22: float, frame_matrix) -> "ImmersionJet2":
-        m = np.asarray(frame_matrix, dtype=float)
-        hess = np.array([[h11, h12], [h12, h22]])
-        return cls(np.einsum("i,eh->ieh", m[:, 2], hess))
 
 
 def gram(j: ImmersionJet1) -> np.ndarray:
@@ -180,12 +126,6 @@ def _area_parts(j: ImmersionJet1, b: float):
     c = math.sqrt(det)
     e = e_scalar(j, b)
     return det, _adj2(a), c, e, 2.0 * det + e
-
-
-def area_integrand(j: ImmersionJet1, b: float) -> float:
-    """Area density F = 2*C**3/(2*C**2 + E); equals C when b = 0."""
-    det, _, c, _, den = _area_parts(j, b)
-    return 2.0 * det * c / den
 
 
 def _grad_det(z, adj):
@@ -321,66 +261,3 @@ def area_integrand_grad_central(j, b: float, step: float = 1e-6) -> np.ndarray:
 def area_integrand_hess_central(j, b: float, step: float = 2.5e-4) -> np.ndarray:
     """Hessian of F by nested central differences (secondary oracle), (6, 6, *S)."""
     return dual.central_hessian(_flat_area_fun(b), _flat_jets(j), step)
-
-
-def default_transversal(j: ImmersionJet1) -> np.ndarray:
-    """Euclidean cross product of the jet columns."""
-    z = j.z
-    return np.cross(z[:, 0], z[:, 1])
-
-
-def _checked_transversal(j, v):
-    if v is None:
-        v = default_transversal(j)
-    else:
-        v = np.asarray(v, dtype=float)
-        if v.shape != (3,):
-            raise DomainError("transversal v must be a 3-vector")
-    n = default_transversal(j)
-    scale = float(np.linalg.norm(n) * np.linalg.norm(v))
-    if abs(float(n @ v)) <= 1e-12 * max(scale, 1e-300):
-        raise DegenerateTransversalError(
-            "transversal vector lies in the tangent plane of the jet"
-        )
-    return v
-
-
-def mean_curvature_residual(j1: ImmersionJet1, j2: ImmersionJet2, b: float, v=None) -> float:
-    """Contraction d2F/dz2 : second-order jet against the transversal v.
-
-    v defaults to the cross product of the jet columns; a tangential v is
-    rejected. The immersion is minimal at this jet exactly when the value
-    vanishes, and the value is linear in both j2 and v.
-    """
-    v = _checked_transversal(j1, v)
-    h = area_integrand_hess(j1, b).reshape(3, 2, 3, 2)
-    return float(np.einsum("iejh,jeh,i->", h, j2.second, v))
-
-
-def mean_curvature_bracket(j1: ImmersionJet1, j2: ImmersionJet2, b: float, v=None) -> float:
-    """Cleared-denominator form of the minimality contraction.
-
-    Equals (2*C**2 + E)**3 / C times mean_curvature_residual, hence has
-    the same zero set with a strictly positive, finite ratio. Assembled
-    from its own polynomial coefficients rather than by rescaling the
-    residual, so the two routes check each other.
-    """
-    v = _checked_transversal(j1, v)
-    z = j1.z
-    det, adj, c, e, den = _area_parts(j1, b)
-
-    dc = (z @ adj) / c
-    de = _grad_e(z, b)
-    hc2 = _hess_det(z, adj)  # Hessian of C**2 = det A
-    he = _hess_e(z, b)
-
-    t = (
-        (2.0 * det + 3.0 * e) * den * hc2
-        - 2.0 * det * den * he
-        - 2.0 * (4.0 * det * det + 12.0 * det * e - 3.0 * e * e)
-        * np.einsum("ie,jh->iejh", dc, dc)
-        + c * (4.0 * det - 6.0 * e)
-        * (np.einsum("ie,jh->iejh", dc, de) + np.einsum("ie,jh->iejh", de, dc))
-        + 4.0 * det * np.einsum("ie,jh->iejh", de, de)
-    )
-    return float(np.einsum("iejh,jeh,i->", t, j2.second, v))

@@ -156,6 +156,18 @@ def assemble_residual(problem: GridProblem, f: np.ndarray) -> np.ndarray:
     return _residual_terms(f1, f2, h11, h12, h22, 0.0, 0.0, 1.0, problem.b)
 
 
+def _residual_and_norm(problem: GridProblem, f: np.ndarray):
+    """The residual and its max-norm.
+
+    Overflowing data or a spacing whose square underflows make the norm nan
+    or infinite, which the Newton loop checks for itself, so numpy's
+    warnings about it are silenced.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        r = assemble_residual(problem, f)
+        return r, float(np.max(np.abs(r)))
+
+
 def _point_partials(problem: GridProblem, f: np.ndarray):
     """d(residual)/d(f1, f2, h11, h12, h22) at every interior node, shape (5, nx, ny).
 
@@ -381,8 +393,7 @@ def solve_minimal_graph(
     if max_iter < 0:
         raise DomainError(f"max_iter={max_iter} must be >= 0")
     f = _initial_field(problem, initial_guess)
-    r = assemble_residual(problem, f)
-    res = float(np.max(np.abs(r)))
+    r, res = _residual_and_norm(problem, f)
     history = [res]
     # `res > tol` is false for nan. Later residuals are finite: the line
     # search accepts a step only below a finite bound.
@@ -404,8 +415,7 @@ def solve_minimal_graph(
         while True:
             f_try = f.copy()
             f_try[1:-1, 1:-1] += lam * delta
-            r_try = assemble_residual(problem, f_try)
-            res_try = float(np.max(np.abs(r_try)))
+            r_try, res_try = _residual_and_norm(problem, f_try)
             if res_try <= tol or res_try <= (1.0 - _ARMIJO_SLOPE * lam) * res:
                 break
             lam *= 0.5

@@ -7,10 +7,11 @@ ODE pair lambda * f'' + mu * g'' = 0 with polynomial coefficients
     P1 = 2 + (2 + b^2) p,  P2 = 2(1 - b^2) + (2 + b^2) p,
     X  = 2 b^2 (2 + 4 b^2 + (2 + b^2) p),  p = r + s.
 
-These expressions were obtained by expanding the jet-module bracket under
-the translation substitutions; the test suite re-derives them against
-that oracle. In the variables p = r + s, q = r - s the pair splits as
-lambda = K(p) - L(p) q, mu = K(p) + L(p) q with deg K = 3, deg L = 2.
+At h12 = 0 the graph equation of the graph_pde module has h11 and h22
+coefficients lambda/W^2 and mu/W^2 (W^2 = 1 + p), which
+tests/test_symbolic_chain.py checks exactly. In the variables p = r + s,
+q = r - s the pair splits as lambda = K(p) - L(p) q, mu = K(p) + L(p) q
+with deg K = 3, deg L = 2.
 Whether K/L has derivative of absolute value one decides the existence of
 nonplanar minimal translation surfaces: exactly at b = 0 one finds
 K = (p + 2) L, so (K/L)' == 1, and for every b > 0 the separability
@@ -62,14 +63,6 @@ class TranslationPoint:
     @property
     def s(self):
         return self.gp * self.gp
-
-    @property
-    def p(self):
-        return self.r + self.s
-
-    @property
-    def q(self):
-        return self.r - self.s
 
 
 def _lambda_mu_b2(r, s, b2):
@@ -232,19 +225,6 @@ def _lowest_nonzero(coeffs) -> Optional[tuple]:
     return None
 
 
-def _reference_ratio_closed_form(b2: Fraction, p: Fraction) -> Fraction:
-    # Circulating closed-form candidate for K/L; reported against the
-    # exact ratio, never relied on.
-    g = b2
-    den = (2 + g) ** 2
-    t = (4 - 16 * g) + p * (8 - 12 * g + 4 * g * g) + p * p * den
-    return (
-        p
-        + Fraction(8 + 32 * g - 10 * g * g, 1) / den
-        + (4 * g * g / t) * ((132 - 60 * g + 9 * g * g) * p / den + 2 * (66 - 21 * g) / den)
-    )
-
-
 @dataclass(frozen=True)
 class CompatibilityReport:
     """Exact-arithmetic report on the separability of the translation ODE.
@@ -252,8 +232,6 @@ class CompatibilityReport:
     separability/companion are the two polynomial identities whose joint
     vanishing is necessary for a nonplanar solution; each nonzero
     expression is summarized by its lowest-degree surviving coefficient.
-    ratio_formula_matches records whether the circulating closed-form
-    candidate for K/L reproduces the exact ratio at probe points.
     """
 
     b2: Fraction
@@ -261,7 +239,6 @@ class CompatibilityReport:
     companion_zero: bool
     separability_lowest: Optional[tuple]
     companion_lowest: Optional[tuple]
-    ratio_formula_matches: bool
 
     @property
     def admits_nonplanar(self) -> bool:
@@ -296,17 +273,10 @@ def compatibility_check(b2) -> CompatibilityReport:
         ),
     )
 
-    probes = [Fraction(0), Fraction(1), Fraction(2), Fraction(7, 3)]
-    matches = all(
-        polys.k_at(p) == polys.l_at(p) * _reference_ratio_closed_form(polys.b2, p)
-        for p in probes
-    )
-
     return CompatibilityReport(
         b2=polys.b2,
         separability_zero=not separability,
         companion_zero=not companion,
         separability_lowest=_lowest_nonzero(separability),
         companion_lowest=_lowest_nonzero(companion),
-        ratio_formula_matches=matches,
     )

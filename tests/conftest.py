@@ -6,16 +6,30 @@ import numpy as np
 
 from finmin.cli import _matrix_rel_err as max_rel_err  # noqa: F401  (re-exported)
 from finmin.cli import _random_jet as rand_jet  # noqa: F401  (re-exported)
-from finmin.jet import ImmersionJet2
+from finmin.jet import ImmersionJet1, area_integrand_hess
 
 
-def rand_jet2(rng, span=1.5):
-    """Random symmetric second-order jet."""
-    s = np.zeros((3, 2, 2))
-    for i in range(3):
-        h11, h12, h22 = rng.uniform(-span, span, 3)
-        s[i] = [[h11, h12], [h12, h22]]
-    return ImmersionJet2(s)
+def graph_euler_lagrange(f, hess, m, b):
+    """Euler-Lagrange operator sum_eh d2L/df_e df_h H_eh of a graph, from the
+    closed-form Hessian of the area integrand.
+
+    The graph over the plane of the orthogonal frame m has the jet
+    z = m[:, :2] + m[:, 2] f^T, so L(f) = F(z) and the second f-derivatives
+    are the Hessian of F contracted twice with the graph direction m[:, 2].
+    """
+    k = m[:, 2]
+    h = area_integrand_hess(ImmersionJet1(m[:, :2] + np.outer(k, f)), b).reshape(3, 2, 3, 2)
+    return float(np.einsum("i,iejh,j,eh->", k, h, k, np.asarray(hess, dtype=float)))
+
+
+def cleared_euler_lagrange(f, hess, m, b):
+    """S^3 / (2 W) times graph_euler_lagrange: the graph residual kernel at
+    frame row k = m[2] (tests/test_symbolic_chain.py proves it exactly),
+    with S = (2 + b^2) W^2 - b^2 w^2 and w = k3 - k1 f1 - k2 f2."""
+    w2 = 1.0 + f[0] * f[0] + f[1] * f[1]
+    w = m[2, 2] - m[2, 0] * f[0] - m[2, 1] * f[1]
+    s = (2.0 + b * b) * w2 - b * b * w * w
+    return s**3 / (2.0 * math.sqrt(w2)) * graph_euler_lagrange(f, hess, m, b)
 
 
 def rand_rotation(rng):

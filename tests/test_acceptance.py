@@ -9,28 +9,25 @@ import time
 from fractions import Fraction
 
 import numpy as np
-from conftest import max_rel_err, rand_jet, rand_rotation, scherk
+from conftest import cleared_euler_lagrange, max_rel_err, rand_jet, rand_rotation, scherk
 
 from finmin.graph_pde import (
     GraphPoint,
     SamplerConfig,
     TiltedFrame,
+    _residual_terms,
     ellipticity_quotients,
     graph_residual,
-    immersion_jets,
     mean_curvature_type_bound,
-    tilted_graph_residual,
 )
 from finmin.jet import (
-    ImmersionJet1,
-    area_integrand,
+    _flat_area_fun,
     area_integrand_grad,
     area_integrand_grad_central,
     area_integrand_grad_dual,
     area_integrand_hess,
     area_integrand_hess_central,
     area_integrand_hess_dual,
-    mean_curvature_bracket,
 )
 from finmin.metric import MetricParams, PhiFamily
 from finmin.solver import GridProblem, planarity_deviation, solve_minimal_graph
@@ -98,26 +95,28 @@ def test_criterion_2_derivative_fidelity():
 
 
 def test_criterion_3_pde_residual_equivalence():
+    # The kernel against the Euler-Lagrange operator of the graph built from
+    # the closed-form Hessian of F: residual = S^3 / (2 W) * operator.
+    # tests/test_symbolic_chain.py proves the identity exactly.
     rng = np.random.default_rng(321)
     worst = 0.0
     min_ratio = math.inf
     for i in range(500):
-        gp = GraphPoint(*rng.uniform(-2.0, 2.0, 5))
-        frame = TiltedFrame.identity() if i % 5 == 0 else TiltedFrame(rand_rotation(rng))
+        f1, f2, h11, h12, h22 = rng.uniform(-2.0, 2.0, 5)
+        m = np.eye(3) if i % 5 == 0 else rand_rotation(rng)
         b = rng.uniform(0.0, 0.5)
-        j1, j2 = immersion_jets(gp, frame)
-        bracket = mean_curvature_bracket(j1, j2, b)
-        res = tilted_graph_residual(gp, frame, b)
-        if frame.k[2] == 1.0 and frame.k[0] == 0.0 and frame.k[1] == 0.0:
-            assert tilted_graph_residual(gp, frame, b) == graph_residual(gp, b)
-        worst = max(worst, abs(bracket - 2.0 * gp.w2 * res) / max(abs(bracket), 1e-12))
+        cleared = cleared_euler_lagrange([f1, f2], [[h11, h12], [h12, h22]], m, b)
+        res = _residual_terms(f1, f2, h11, h12, h22, *m[2], b)
+        if i % 5 == 0:
+            assert res == graph_residual(GraphPoint(f1, f2, h11, h12, h22), b)
+        worst = max(worst, abs(cleared - res) / max(abs(cleared), 1e-12))
         if res != 0.0:
-            min_ratio = min(min_ratio, bracket / res)
+            min_ratio = min(min_ratio, cleared / res)
     ok = worst <= 1e-9 and min_ratio > 0.0
     _report(
         "3 PDE/residual equivalence",
         ok,
-        f"max rel dev = {worst:.2e}, min bracket/residual = {min_ratio:.3f}; "
+        f"max rel dev = {worst:.2e}, min cleared operator/residual = {min_ratio:.3f}; "
         "adopted form: T = 2W^2 + b^2(W^2-1), gradient-part coefficient 2 b^2 (T + 4 b^2)",
     )
 
@@ -244,10 +243,11 @@ def test_criterion_8_invariance_suite():
     for _ in range(1000):
         j = rand_jet(rng)
         b = rng.uniform(0.0, 0.5)
-        f0 = area_integrand(j, b)
+        area = _flat_area_fun(b)
+        f0 = area(j.z.ravel())
 
         lam = rng.uniform(0.1, 4.0)
-        dev = abs(area_integrand(ImmersionJet1(lam * j.z), b) - lam * lam * f0) / (lam * lam * f0)
+        dev = abs(area((lam * j.z).ravel()) - lam * lam * f0) / (lam * lam * f0)
         worst["scaling"] = max(worst["scaling"], dev)
         failures += dev > 1e-12
 
@@ -255,7 +255,7 @@ def test_criterion_8_invariance_suite():
         rot = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
         z = j.z.copy()
         z[:2, :] = rot @ z[:2, :]
-        dev = abs(area_integrand(ImmersionJet1(z), b) - f0) / f0
+        dev = abs(area(z.ravel()) - f0) / f0
         worst["rotation"] = max(worst["rotation"], dev)
         failures += dev > 1e-12
 
@@ -264,7 +264,7 @@ def test_criterion_8_invariance_suite():
             dets = float(np.linalg.det(smat))
             if dets > 0.1:
                 break
-        dev = abs(area_integrand(ImmersionJet1(j.z @ smat), b) - dets * f0) / (dets * f0)
+        dev = abs(area((j.z @ smat).ravel()) - dets * f0) / (dets * f0)
         worst["reparam"] = max(worst["reparam"], dev)
         failures += dev > 1e-11
 

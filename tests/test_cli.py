@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -146,6 +147,15 @@ def test_check_translation_report(capsys):
     assert code == 0
     assert rec["message"] == "(K/L)_p = 1 at all nodes; rigidity criterion satisfied only at b=0"
     first = rec["results"][0]
+    assert set(first) == {
+        "b2",
+        "k_coeffs",
+        "l_coeffs",
+        "ratio_derivative",
+        "separability_zero",
+        "companion_zero",
+        "admits_nonplanar",
+    }
     assert first["b2"] == "0/1"
     assert all(node["value"] == "1" or node["value"] == "1/1" for node in first["ratio_derivative"])
     assert first["admits_nonplanar"] is True
@@ -154,6 +164,15 @@ def test_check_translation_report(capsys):
     # serialized exact rationals match the library values
     v = kl_ratio_derivative("1/100", 0)
     assert second["ratio_derivative"][0]["value"] == f"{v.numerator}/{v.denominator}"
+
+
+@pytest.mark.parametrize("flag", ["--b2", "--p"])
+def test_check_translation_zero_denominator_exits_2(capsys, flag):
+    assert main(["check-translation", flag, "0,1/0", "--no-timestamp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument {flag}: invalid" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_ellipticity_command(capsys):
@@ -338,6 +357,48 @@ def test_solve_nonfinite_residual_exits_3(capsys, flags):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: initial residual max-norm is nan\n"
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--boundary", "affine:1e200,1e200,0"],
+        ["--boundary", "affine:1e150,1e150,0"],
+        ["--boundary", "affine:0,1e154,0"],
+        ["--boundary", "affine:1e300,0,0"],
+        ["--domain=0,1e-300,0,1e-300", "--boundary", "scherk"],
+    ],
+    ids=["affine-1e200", "affine-1e150", "affine-slope-1e154", "affine-1e300", "spacing-squared-underflows"],
+)
+def test_solve_nonfinite_residual_prints_only_the_error_line(capsys, flags):
+    argv = ["solve", "--b", "0.3", "--nx", "15", "--ny", "15", *flags, "--no-timestamp"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 3
+    assert [str(w.message) for w in caught] == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: initial residual max-norm is nan\n"
+
+
+def test_solve_unwritable_out_exits_2_before_solving(tmp_path, capsys, monkeypatch):
+    import finmin.solver
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved although --out cannot be written")
+
+    monkeypatch.setattr(finmin.solver, "solve_minimal_graph", no_solve)
+    for out, reason in [
+        (tmp_path / "missing_dir" / "g.csv", "there is no directory"),
+        (tmp_path, "it is a directory"),
+    ]:
+        argv = ["solve", "--b", "0.3", "--nx", "15", "--ny", "15", "--out", str(out), "--no-timestamp"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: --out {str(out)!r} cannot be written: {reason}")
+        assert captured.err.count("\n") == 1
+    assert not (tmp_path / "missing_dir").exists()
 
 
 def test_write_grid_csv_matches_the_per_node_writer(tmp_path):

@@ -16,7 +16,6 @@ from finmin.jet import (
     area_integrand_hess_central,
     area_integrand_hess_dual,
 )
-from finmin.metric import MetricParams, PhiFamily, _half_sq_norm, fundamental_tensor
 
 ORACLES = [
     ("gradient", lambda fun, x: dual.gradient(fun, x)),
@@ -62,18 +61,3 @@ def test_jet_oracle_wrappers_accept_one_jet_or_a_stack():
         assert stacked.shape == shape + (4,)
         for k, j in enumerate(jets):
             assert np.array_equal(stacked[..., k], wrapper(j, 0.2))
-
-
-@pytest.mark.parametrize("family", [PhiFamily.MATSUMOTO, PhiFamily.RANDERS])
-def test_fundamental_tensor_equals_batched_hessians(family):
-    params = MetricParams(0.3, family)
-    ys = np.array([[1.0, 0.0, 0.0], [0.3, -0.2, 0.9], [0.0, 0.0, -1.0], [-0.7, 0.4, 0.1]]).T
-
-    def fun(v):
-        return _half_sq_norm(params, v[0], v[1], v[2])
-
-    exact = dual.hessian(fun, ys)
-    central = dual.central_hessian(fun, ys, 1e-5)
-    for k in range(ys.shape[1]):
-        assert np.array_equal(exact[..., k], fundamental_tensor(params, ys[:, k]))
-        assert np.array_equal(central[..., k], fundamental_tensor(params, ys[:, k], "central", step=1e-5))

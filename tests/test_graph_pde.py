@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import rand_rotation, scherk_gradient, scherk_hessian
+from conftest import cleared_euler_lagrange, rand_rotation, scherk_gradient, scherk_hessian
 
 from finmin.dual import Dual
 from finmin.errors import DomainError
@@ -10,20 +10,26 @@ from finmin.graph_pde import (
     GraphPoint,
     SamplerConfig,
     TiltedFrame,
+    _residual_terms,
     ellipticity_quotients,
     graph_residual,
-    immersion_jets,
     mean_curvature_type_bound,
-    tilted_graph_residual,
+    random_rotations,
 )
-from finmin.jet import mean_curvature_bracket
 from finmin.solver import GridProblem, _point_partials, _stencil_point, assemble_residual
+
+
+IDENTITY = TiltedFrame(np.eye(3))
 
 
 def rand_gp(rng, span=2.0):
     f1, f2 = rng.uniform(-span, span, 2)
     h11, h12, h22 = rng.uniform(-span, span, 3)
     return GraphPoint(f1=f1, f2=f2, h11=h11, h12=h12, h22=h22)
+
+
+def fields(gp):
+    return gp.f1, gp.f2, gp.h11, gp.h12, gp.h22
 
 
 # ---------------------------------------------------------------------------
@@ -59,23 +65,26 @@ def test_b0_reduction_is_classical_operator():
             + (1 + gp.f1**2) * gp.h22
         )
         r = graph_residual(gp, 0.0)
-        assert r == pytest.approx(4.0 * gp.w2 * classical, rel=1e-12, abs=1e-12)
+        w2 = 1.0 + gp.f1 * gp.f1 + gp.f2 * gp.f2
+        assert r == pytest.approx(4.0 * w2 * classical, rel=1e-12, abs=1e-12)
 
 
 def test_identity_frame_reduces_exactly():
+    # graph_residual is the kernel at k = (0, 0, 1); flipping the graph
+    # direction to k = (0, 0, -1) changes no bit.
     rng = np.random.default_rng(22)
-    frame = TiltedFrame.identity()
+    flipped = TiltedFrame(np.diag([1.0, -1.0, -1.0]))
     for _ in range(200):
         gp = rand_gp(rng)
         b = rng.uniform(0.0, 0.5)
-        assert tilted_graph_residual(gp, frame, b) == graph_residual(gp, b)
+        assert _residual_terms(*fields(gp), *IDENTITY.k, b) == graph_residual(gp, b)
+        assert _residual_terms(*fields(gp), *flipped.k, b) == graph_residual(gp, b)
 
 
 def test_frame_validation():
     with pytest.raises(DomainError, match="orthogonal"):
         TiltedFrame(np.array([[1.0, 0.1, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
-    frame = TiltedFrame.identity()
-    np.testing.assert_array_equal(frame.k, [0.0, 0.0, 1.0])
+    np.testing.assert_array_equal(IDENTITY.k, [0.0, 0.0, 1.0])
 
 
 def test_frame_unit_k():
@@ -85,18 +94,22 @@ def test_frame_unit_k():
         assert np.sum(frame.k**2) == pytest.approx(1.0, rel=1e-12)
 
 
+def _cleared(gp, frame, b):
+    hess = [[gp.h11, gp.h12], [gp.h12, gp.h22]]
+    return cleared_euler_lagrange([gp.f1, gp.f2], hess, frame.m, b)
+
+
 def test_residual_matches_jet_bracket():
-    # The coefficient form equals the generic bracket divided by 2 W^2 for
-    # right-handed frames: simultaneous zeros, positive ratio.
+    # The kernel equals the Euler-Lagrange operator built from the jet
+    # module's closed-form Hessian, cleared by the positive S^3 / (2 W):
+    # simultaneous zeros, positive ratio.
     rng = np.random.default_rng(24)
     for i in range(500):
         gp = rand_gp(rng)
-        frame = TiltedFrame.identity() if i % 5 == 0 else TiltedFrame(rand_rotation(rng))
+        frame = IDENTITY if i % 5 == 0 else TiltedFrame(rand_rotation(rng))
         b = rng.uniform(0.0, 0.5)
-        j1, j2 = immersion_jets(gp, frame)
-        br = mean_curvature_bracket(j1, j2, b)
-        res = tilted_graph_residual(gp, frame, b)
-        assert br == pytest.approx(2.0 * gp.w2 * res, rel=1e-9, abs=1e-9)
+        res = _residual_terms(*fields(gp), *frame.k, b)
+        assert _cleared(gp, frame, b) == pytest.approx(res, rel=1e-9, abs=1e-9)
 
 
 def test_vertical_plane_frame_is_finite():
@@ -105,14 +118,9 @@ def test_vertical_plane_frame_is_finite():
     assert frame.k[2] == 0.0
     gp = GraphPoint(f1=0.7, f2=-0.3, h11=1.0, h12=0.2, h22=-0.5)
     for b in (0.0, 0.3, 0.49):
-        r = tilted_graph_residual(gp, frame, b)
+        r = _residual_terms(*fields(gp), *frame.k, b)
         assert math.isfinite(r)
-    j1, j2 = immersion_jets(gp, frame)
-    br = mean_curvature_bracket(j1, j2, 0.3)
-    det_m = np.linalg.det(frame.m)
-    assert br * det_m == pytest.approx(
-        2.0 * gp.w2 * tilted_graph_residual(gp, frame, 0.3) * det_m, rel=1e-9
-    )
+        assert _cleared(gp, frame, b) == pytest.approx(r, rel=1e-9)
 
 
 def _reference_residual(f1, f2, h11, h12, h22, k1, k2, k3, b):
@@ -133,10 +141,10 @@ def test_pointwise_residuals_bitwise_equal_reference():
     rng = np.random.default_rng(35)
     for i in range(300):
         gp = rand_gp(rng, span=3.0)
-        frame = TiltedFrame.identity() if i % 5 == 0 else TiltedFrame(rand_rotation(rng))
+        frame = IDENTITY if i % 5 == 0 else TiltedFrame(rand_rotation(rng))
         b = rng.uniform(0.0, 0.5)
-        args = (gp.f1, gp.f2, gp.h11, gp.h12, gp.h22)
-        assert tilted_graph_residual(gp, frame, b) == _reference_residual(*args, *frame.k, b)
+        args = fields(gp)
+        assert _residual_terms(*args, *frame.k, b) == _reference_residual(*args, *frame.k, b)
         assert graph_residual(gp, b) == _reference_residual(*args, 0.0, 0.0, 1.0, b)
 
 
@@ -170,9 +178,10 @@ def test_coefficients_b0_are_classical():
     xi = rng.normal(size=(50, 2))
     ratio, divisor = _quotients(gps, [frame] * 50, xi, 0.0)
     for gp, x, r, d in zip(gps, xi, ratio, divisor):
-        h = x @ x - (gp.f1 * x[0] + gp.f2 * x[1]) ** 2 / gp.w2
-        assert r == pytest.approx(gp.w2 * h / (x @ x), rel=1e-14)
-        assert d == pytest.approx(4.0 * gp.w2**2, rel=1e-14)
+        w2 = 1.0 + gp.f1 * gp.f1 + gp.f2 * gp.f2
+        h = x @ x - (gp.f1 * x[0] + gp.f2 * x[1]) ** 2 / w2
+        assert r == pytest.approx(w2 * h / (x @ x), rel=1e-14)
+        assert d == pytest.approx(4.0 * w2**2, rel=1e-14)
 
 
 def test_coefficients_flat_point_identity_frame():
@@ -181,7 +190,7 @@ def test_coefficients_flat_point_identity_frame():
     gp = GraphPoint(f1=0.0, f2=0.0, h11=0.0, h12=0.0, h22=0.0)
     xi = np.column_stack([np.cos(np.arange(16)), np.sin(np.arange(16))]) * 3.0
     for b in (0.1, 0.3, 0.49):
-        ratio, divisor = _quotients([gp] * 16, [TiltedFrame.identity()] * 16, xi, b)
+        ratio, divisor = _quotients([gp] * 16, [IDENTITY] * 16, xi, b)
         assert np.all(ratio == 1.0)
         assert np.all(divisor > 0.0)
 
@@ -190,7 +199,7 @@ def test_coefficients_reject_large_b():
     gp = GraphPoint(f1=0.0, f2=0.0, h11=0.0, h12=0.0, h22=0.0)
     for b in (0.5, -0.1, math.nan):
         with pytest.raises(DomainError):
-            _quotients([gp], [TiltedFrame.identity()], [[1.0, 0.0]], b)
+            _quotients([gp], [IDENTITY], [[1.0, 0.0]], b)
 
 
 def test_quadratic_form_lower_bound():
@@ -201,6 +210,22 @@ def test_quadratic_form_lower_bound():
         frames = [TiltedFrame(rand_rotation(rng)) for _ in range(100)]
         ratio, _ = _quotients(gps, frames, rng.normal(size=(100, 2)), rng.uniform(0.0, 0.5))
         assert np.all(ratio > 1.0 - 1e-12)
+
+
+def test_sampler_form_is_the_residual_kernel():
+    # The quotient ellipticity_quotients and the bound sampler work with is
+    # the kernel itself at H = xi xi^T: ratio * divisor * |xi|^2 / W^2.
+    rng = np.random.default_rng(37)
+    n = 2000
+    f = rng.uniform(-3.0, 3.0, (n, 2))
+    k = random_rotations(rng, n)[:, 2, :]
+    xi = rng.normal(size=(n, 2))
+    for b in (0.0, 0.2, 0.45):
+        ratio, divisor = ellipticity_quotients(f, k, xi, b)
+        w2 = 1.0 + f[:, 0] ** 2 + f[:, 1] ** 2
+        x1, x2 = xi[:, 0], xi[:, 1]
+        kernel = _residual_terms(f[:, 0], f[:, 1], x1 * x1, x1 * x2, x2 * x2, k[:, 0], k[:, 1], k[:, 2], b)
+        np.testing.assert_allclose(ratio * divisor * (x1 * x1 + x2 * x2) / w2, kernel, rtol=1e-12)
 
 
 def test_divisor_positivity():
@@ -235,7 +260,7 @@ def test_smallest_eigenvalue_bound():
 
 def test_bound_identity_frame_zero_gradient_contribution():
     # k12 = 0: the t = 0 slice contributes nothing.
-    frame = TiltedFrame.identity()
+    frame = IDENTITY
     c0 = mean_curvature_type_bound(frame, 0.3, SamplerConfig(t_max=0.0))
     assert c0 == 0.0
     c = mean_curvature_type_bound(frame, 0.3, SamplerConfig(t_max=50.0, t_nodes=64, angle_nodes=64))
@@ -297,7 +322,7 @@ def test_bound_pinned_values():
     # Bit-exact pin of the closed-form kernel on fixed frames.
     config = SamplerConfig(t_max=100.0, t_nodes=48, angle_nodes=64)
     frames = {
-        "identity": TiltedFrame.identity(),
+        "identity": IDENTITY,
         "rotation": TiltedFrame(rand_rotation(np.random.default_rng(32))),
     }
     got = {
@@ -324,7 +349,7 @@ def _grid_quotient(k12, k3, t, gamma, theta, b):
 
 
 _ORACLE_FRAMES = [
-    TiltedFrame.identity(),
+    IDENTITY,
     TiltedFrame(rand_rotation(np.random.default_rng(33))),
     TiltedFrame(rand_rotation(np.random.default_rng(34))),
 ]

@@ -3,31 +3,40 @@ import math
 import numpy as np
 import pytest
 from conftest import (
+    graph_euler_lagrange,
     max_rel_err,
     rand_jet,
-    rand_jet2,
     rand_rotation,
     scherk_gradient,
     scherk_hessian,
 )
 
-from finmin.errors import DegenerateJetError, DegenerateTransversalError, DomainError
+from finmin.errors import DegenerateJetError, DomainError
+from finmin.graph_pde import GraphPoint, _residual_terms, graph_residual
 from finmin.jet import (
     ImmersionJet1,
-    ImmersionJet2,
-    area_integrand,
+    _flat_area_fun,
     area_integrand_grad,
     area_integrand_grad_central,
     area_integrand_grad_dual,
     area_integrand_hess,
     area_integrand_hess_central,
     area_integrand_hess_dual,
-    default_transversal,
     e_scalar,
     gram,
-    mean_curvature_bracket,
-    mean_curvature_residual,
 )
+
+
+# The jets of the flat graph (x1, x2) -> (x1, x2, 0) and of the graph with
+# gradient (1, 0).
+FLAT = ImmersionJet1([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+SLOPE = ImmersionJet1([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+
+
+def area(z, b):
+    """F at the jet matrix z through the dual oracle's function, the one
+    float copy of F besides the closed-form derivatives."""
+    return float(_flat_area_fun(b)(np.asarray(z, dtype=float).ravel()))
 
 
 # ---------------------------------------------------------------------------
@@ -41,7 +50,7 @@ def test_gram_orthonormal_columns():
 
 def test_gram_graph_jet():
     a, c = 0.7, -1.2
-    j = ImmersionJet1.graph(a, c)
+    j = ImmersionJet1([[1.0, 0.0], [0.0, 1.0], [a, c]])
     expected = np.array([[1 + a * a, a * c], [a * c, 1 + c * c]])
     np.testing.assert_allclose(gram(j), expected, rtol=1e-15)
 
@@ -56,13 +65,11 @@ def test_jet_validation():
         ImmersionJet1(np.zeros((2, 3)))
     with pytest.raises(DomainError):
         ImmersionJet1(np.full((3, 2), np.nan))
-    with pytest.raises(DomainError):
-        ImmersionJet2(np.array([[[0.0, 1.0], [0.5, 0.0]]] * 3))  # not symmetric
 
 
 def test_e_scalar_graph_jet():
     for a, c, b in [(0.7, -1.2, 0.3), (0.0, 0.0, 0.45), (2.0, 1.0, 0.1)]:
-        j = ImmersionJet1.graph(a, c)
+        j = ImmersionJet1([[1.0, 0.0], [0.0, 1.0], [a, c]])
         assert e_scalar(j, b) == pytest.approx(b * b * (a * a + c * c), rel=1e-14, abs=1e-300)
 
 
@@ -80,7 +87,7 @@ def test_e_scalar_tilted_jet():
         m = rand_rotation(rng)
         f1, f2 = rng.uniform(-2, 2, 2)
         b = rng.uniform(0.0, 0.5)
-        j = ImmersionJet1.tilted(f1, f2, m)
+        j = ImmersionJet1(m[:, :2] + np.outer(m[:, 2], [f1, f2]))
         k = m[2, :]
         w = k[2] - k[0] * f1 - k[1] * f2
         w2 = 1 + f1 * f1 + f2 * f2
@@ -101,13 +108,13 @@ def test_e_scalar_matches_inverse_gram_identity():
 
 
 def test_graph_jet_area_and_anisotropy():
-    j = ImmersionJet1.graph(1.0, 0.0)
-    area = math.sqrt(np.linalg.det(gram(j)))
+    j = SLOPE
+    c = math.sqrt(np.linalg.det(gram(j)))
     anisotropy = e_scalar(j, 0.3)
-    assert area == pytest.approx(math.sqrt(2.0))
+    assert c == pytest.approx(math.sqrt(2.0))
     assert anisotropy == pytest.approx(0.09)
-    assert area_integrand(j, 0.3) == pytest.approx(2.0 * area**3 / (2.0 * area**2 + anisotropy))
-    assert anisotropy / area**2 == pytest.approx(0.045)
+    assert area(j.z, 0.3) == pytest.approx(2.0 * c**3 / (2.0 * c**2 + anisotropy))
+    assert anisotropy / c**2 == pytest.approx(0.045)
 
 
 # ---------------------------------------------------------------------------
@@ -115,12 +122,12 @@ def test_graph_jet_area_and_anisotropy():
 
 
 def test_area_integrand_flat():
-    assert area_integrand(ImmersionJet1.graph(0.0, 0.0), 0.45) == 1.0
+    assert area(FLAT.z, 0.45) == 1.0
 
 
 def test_area_integrand_example():
     # C = sqrt(2), E = 0.09: F = 2 * 2**1.5 / 4.09
-    v = area_integrand(ImmersionJet1.graph(1.0, 0.0), 0.3)
+    v = area(SLOPE.z, 0.3)
     assert v == pytest.approx(2.0 * 2.0**1.5 / 4.09, rel=1e-14)
     assert v == pytest.approx(1.3830939485311444, rel=1e-14)
 
@@ -130,13 +137,15 @@ def test_area_integrand_b0_is_area_element():
     for _ in range(50):
         j = rand_jet(rng)
         c = math.sqrt(np.linalg.det(gram(j)))
-        assert area_integrand(j, 0.0) == pytest.approx(c, rel=1e-13)
+        assert area(j.z, 0.0) == pytest.approx(c, rel=1e-13)
 
 
 def test_area_integrand_degenerate_jet():
+    # The closed forms divide by C: a rank-one jet fails the guard.
     j = ImmersionJet1(np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]]))
-    with pytest.raises(DegenerateJetError):
-        area_integrand(j, 0.2)
+    for closed_form in (area_integrand_grad, area_integrand_hess):
+        with pytest.raises(DegenerateJetError):
+            closed_form(j, 0.2)
 
 
 def test_scaling_degree_two():
@@ -145,8 +154,8 @@ def test_scaling_degree_two():
         j = rand_jet(rng)
         lam = rng.uniform(0.1, 4.0)
         b = rng.uniform(0.0, 0.5)
-        f1 = area_integrand(ImmersionJet1(lam * j.z), b)
-        f2 = lam * lam * area_integrand(j, b)
+        f1 = area(lam * j.z, b)
+        f2 = lam * lam * area(j.z, b)
         assert abs(f1 - f2) <= 1e-12 * abs(f2)
 
 
@@ -159,8 +168,8 @@ def test_planar_rotation_invariance():
         rot = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
         z = j.z.copy()
         z[:2, :] = rot @ z[:2, :]
-        f1 = area_integrand(ImmersionJet1(z), b)
-        f2 = area_integrand(j, b)
+        f1 = area(z, b)
+        f2 = area(j.z, b)
         assert abs(f1 - f2) <= 1e-12 * abs(f2)
 
 
@@ -173,8 +182,8 @@ def test_reparametrization_covariance():
             s = rng.uniform(-1.5, 1.5, size=(2, 2))
             if np.linalg.det(s) > 0.1:
                 break
-        f1 = area_integrand(ImmersionJet1(j.z @ s), b)
-        f2 = np.linalg.det(s) * area_integrand(j, b)
+        f1 = area(j.z @ s, b)
+        f2 = np.linalg.det(s) * area(j.z, b)
         assert abs(f1 - f2) <= 1e-11 * abs(f2)
 
 
@@ -197,7 +206,7 @@ def test_grad_flat_jet_rows():
     # At the flat graph jet the E-part vanishes and the gradient is the
     # area-element gradient: identity rows for the immersion directions,
     # zero third row.
-    g = area_integrand_grad(ImmersionJet1.graph(0.0, 0.0), 0.3)
+    g = area_integrand_grad(FLAT, 0.3)
     np.testing.assert_allclose(g, np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]), atol=1e-15)
 
 
@@ -232,7 +241,7 @@ def test_hess_vs_oracles():
 
 def test_hess_golden_flat_jet():
     # Frozen from the dual-number oracle at the flat graph jet, b = 0.4.
-    h = area_integrand_hess(ImmersionJet1.graph(0.0, 0.0), 0.4)
+    h = area_integrand_hess(FLAT, 0.4)
     expected = np.zeros((6, 6))
     expected[0, 3] = expected[3, 0] = 1.0
     expected[1, 2] = expected[2, 1] = -1.0
@@ -241,87 +250,79 @@ def test_hess_golden_flat_jet():
 
 
 # ---------------------------------------------------------------------------
-# minimality residual and bracket
+# Euler-Lagrange operator of graphs from the closed-form Hessian
+#
+# graph_euler_lagrange contracts area_integrand_hess with the graph
+# direction; tests/test_symbolic_chain.py derives the same operator exactly
+# from the metric and proves it proportional to the graph residual kernel.
 
 
 def test_residual_affine_immersion_is_zero():
+    # Graphs of affine functions over any plane are minimal for every b.
     rng = np.random.default_rng(11)
     for _ in range(20):
-        j1 = rand_jet(rng)
+        m = rand_rotation(rng)
+        f = rng.uniform(-2.0, 2.0, 2)
         b = rng.uniform(0.0, 0.5)
-        assert mean_curvature_residual(j1, ImmersionJet2.zero(), b) == 0.0
-        assert mean_curvature_bracket(j1, ImmersionJet2.zero(), b) == 0.0
+        assert graph_euler_lagrange(f, np.zeros((2, 2)), m, b) == 0.0
+        assert _residual_terms(*f, 0.0, 0.0, 0.0, *m[2], b) == 0.0
 
 
 def test_residual_scherk_b0():
-    f1, f2 = scherk_gradient(0.3, 0.4)
+    f = scherk_gradient(0.3, 0.4)
     h11, h12, h22 = scherk_hessian(0.3, 0.4)
-    j1 = ImmersionJet1.graph(f1, f2)
-    j2 = ImmersionJet2.graph(h11, h12, h22)
-    assert abs(mean_curvature_residual(j1, j2, 0.0)) <= 1e-9
+    hess = [[h11, h12], [h12, h22]]
+    assert abs(graph_euler_lagrange(f, hess, np.eye(3), 0.0)) <= 1e-9
+    assert abs(graph_euler_lagrange(f, hess, np.eye(3), 0.3)) > 1e-4
 
 
 def test_residual_paraboloid_positive_golden():
-    # f = x^2 + y^2 at the origin; value 4 - 4 b**2 from the oracle.
-    j1 = ImmersionJet1.graph(0.0, 0.0)
-    j2 = ImmersionJet2.graph(2.0, 0.0, 2.0)
-    r = mean_curvature_residual(j1, j2, 0.2)
+    # f = x^2 + y^2 at the origin: the Hessian block of F is (1 - b^2) I,
+    # so the operator is 4 - 4 b^2.
+    r = graph_euler_lagrange([0.0, 0.0], np.diag([2.0, 2.0]), np.eye(3), 0.2)
     assert r > 0.0
     assert r == pytest.approx(3.84, rel=1e-13)
 
 
 def test_residual_linear_in_curvature_and_transversal():
+    # The residual kernel is linear in the Hessian H of the graph. (The
+    # transversal of the former jet contraction has no counterpart: the
+    # graph direction of the frame takes its place.)
     rng = np.random.default_rng(12)
     for _ in range(50):
-        j1 = rand_jet(rng)
-        j2a, j2b = rand_jet2(rng), rand_jet2(rng)
+        m = rand_rotation(rng)
+        f = rng.uniform(-1.5, 1.5, 2)
+        ha, hb = rng.uniform(-1.5, 1.5, (2, 3))
         b = rng.uniform(0.0, 0.5)
-        v = default_transversal(j1) + 0.3 * j1.z[:, 0]
-        ra = mean_curvature_residual(j1, j2a, b, v)
-        rb = mean_curvature_residual(j1, j2b, b, v)
-        rab = mean_curvature_residual(
-            j1, ImmersionJet2(2.0 * j2a.second - 3.0 * j2b.second), b, v
-        )
+        ra = _residual_terms(*f, *ha, *m[2], b)
+        rb = _residual_terms(*f, *hb, *m[2], b)
+        rab = _residual_terms(*f, *(2.0 * ha - 3.0 * hb), *m[2], b)
         assert rab == pytest.approx(2.0 * ra - 3.0 * rb, rel=1e-12, abs=1e-12)
-        r2v = mean_curvature_residual(j1, j2a, b, 2.0 * v)
-        assert r2v == pytest.approx(2.0 * ra, rel=1e-12)
-
-
-def test_residual_rejects_tangential_transversal():
-    j1 = ImmersionJet1.graph(0.5, -0.25)
-    j2 = ImmersionJet2.graph(1.0, 0.0, 1.0)
-    with pytest.raises(DegenerateTransversalError):
-        mean_curvature_residual(j1, j2, 0.2, v=j1.z[:, 0])
-
-
-def test_default_transversal_is_cross_product():
-    j = ImmersionJet1.graph(0.7, -0.2)
-    np.testing.assert_allclose(default_transversal(j), [-0.7, 0.2, 1.0], atol=1e-15)
 
 
 def test_bracket_residual_ratio():
-    # bracket == (2 C^2 + E)^3 / C times residual: identical zero sets,
-    # strictly positive finite ratio.
+    # Over the horizontal plane the graph residual is the Euler-Lagrange
+    # operator cleared by the positive factor D^3 / (2 W), D = 2 W^2 + E.
     rng = np.random.default_rng(13)
     for _ in range(200):
-        j1 = rand_jet(rng)
-        j2 = rand_jet2(rng)
+        f1, f2, h11, h12, h22 = rng.uniform(-1.5, 1.5, 5)
         b = rng.uniform(0.0, 0.5)
-        res = mean_curvature_residual(j1, j2, b)
-        br = mean_curvature_bracket(j1, j2, b)
-        det = np.linalg.det(gram(j1))
-        ratio = (2.0 * det + e_scalar(j1, b)) ** 3 / math.sqrt(det)
-        assert br == pytest.approx(ratio * res, rel=1e-9, abs=1e-9)
+        w2 = 1.0 + f1 * f1 + f2 * f2
+        ratio = (2.0 * w2 + b * b * (w2 - 1.0)) ** 3 / (2.0 * math.sqrt(w2))
+        op = graph_euler_lagrange([f1, f2], [[h11, h12], [h12, h22]], np.eye(3), b)
+        res = graph_residual(GraphPoint(f1, f2, h11, h12, h22), b)
+        assert res == pytest.approx(ratio * op, rel=1e-9, abs=1e-9)
         assert ratio > 0.0
 
 
 def test_bracket_b0_normalization():
-    # At b = 0 the ratio reduces to 8 C^5.
+    # At b = 0 the operator is the classical minimal-surface operator over
+    # W^3, the second variation of the Euclidean area element W.
     rng = np.random.default_rng(14)
     for _ in range(50):
-        j1 = rand_jet(rng)
-        j2 = rand_jet2(rng)
-        c = math.sqrt(np.linalg.det(gram(j1)))
-        res = mean_curvature_residual(j1, j2, 0.0)
-        br = mean_curvature_bracket(j1, j2, 0.0)
-        assert br == pytest.approx(8.0 * c**5 * res, rel=1e-10, abs=1e-10)
+        m = rand_rotation(rng)
+        f1, f2, h11, h12, h22 = rng.uniform(-1.5, 1.5, 5)
+        w2 = 1.0 + f1 * f1 + f2 * f2
+        classical = (1 + f2 * f2) * h11 - 2 * f1 * f2 * h12 + (1 + f1 * f1) * h22
+        op = graph_euler_lagrange([f1, f2], [[h11, h12], [h12, h22]], m, 0.0)
+        assert op * w2**1.5 == pytest.approx(classical, rel=1e-10, abs=1e-10)

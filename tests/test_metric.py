@@ -1,17 +1,50 @@
-import math
+"""Profile families and parameters, and the norm F = alpha phi(beta/alpha)
+they define, evaluated exactly in sympy from the shipped profile _phi.
 
-import numpy as np
+The fundamental tensor g = Hess(F^2 / 2) is checked exactly as well; its
+positive definiteness is the convexity condition that
+tests/test_symbolic_chain.py ties to PhiFamily.b_interval.
+"""
+
 import pytest
-from conftest import fib_sphere
 
 from finmin.errors import DomainError
-from finmin.metric import (
-    MetricParams,
-    PhiFamily,
-    fundamental_tensor,
-    minkowski_norm,
-    phi_eval,
-)
+from finmin.metric import MetricParams, PhiFamily, _phi
+
+
+@pytest.fixture(scope="module")
+def sp():
+    return pytest.importorskip("sympy")
+
+
+def rational(sp, v):
+    return sp.Rational(str(v)) if isinstance(v, float) else sp.sympify(v)
+
+
+def exact_norm(sp, b, y, family=PhiFamily.MATSUMOTO):
+    """F(y) = alpha * phi(b y3 / alpha) in sympy, phi the shipped profile."""
+    y = sp.Matrix(y)
+    alpha = sp.sqrt(y.dot(y))
+    return alpha * _phi(family, rational(sp, b) * y[2] / alpha)
+
+
+@pytest.fixture(scope="module")
+def tensor(sp):
+    """g_ij = d^2 (F^2 / 2) / dy_i dy_j of the slope norm as a function of
+    (b, y): g(b, y) is the exact tensor at rational b and y."""
+    b = sp.Symbol("b", nonnegative=True)
+    ys = sp.symbols("y0:3", real=True)
+    g = sp.hessian(exact_norm(sp, b, ys) ** 2 / 2, ys)
+
+    def at(b_value, y):
+        return g.xreplace({v: rational(sp, x) for v, x in zip((b, *ys), (b_value, *y))})
+
+    return at
+
+
+def is_positive_definite(g):
+    # Sylvester's criterion on exact entries.
+    return all(g[:n, :n].det() > 0 for n in (1, 2, 3))
 
 
 @pytest.mark.parametrize(
@@ -25,8 +58,9 @@ from finmin.metric import (
         (PhiFamily.EUCLIDEAN, 0.4, 1.0),
     ],
 )
-def test_phi_eval(family, s, expected):
-    assert phi_eval(family, s) == pytest.approx(expected, rel=1e-15)
+def test_phi_eval(sp, family, s, expected):
+    assert _phi(family, s) == pytest.approx(expected, rel=1e-15)
+    assert _phi(family, rational(sp, s)) == rational(sp, expected)
 
 
 @pytest.mark.parametrize(
@@ -39,9 +73,18 @@ def test_phi_eval(family, s, expected):
         (PhiFamily.RANDERS, 1.5),
     ],
 )
-def test_phi_eval_rejects_out_of_range(family, s):
-    with pytest.raises(DomainError, match="admissible interval"):
-        phi_eval(family, s)
+def test_phi_eval_rejects_out_of_range(sp, family, s):
+    # The profile argument s = beta/alpha obeys |s| <= b. At b = |s| the
+    # profile breaks a norm condition (phi > 0, phi - s phi' + (b^2 - s^2)
+    # phi'' > 0 on [-b, b]) at an end of the interval, and MetricParams
+    # rejects that b.
+    x = sp.Symbol("x")
+    b = abs(rational(sp, s))
+    phi = _phi(family, x)
+    cond = phi - x * sp.diff(phi, x) + (b**2 - x**2) * sp.diff(phi, x, 2)
+    assert min(expr.subs(x, end) for expr in (phi, cond) for end in (b, -b)) <= 0
+    with pytest.raises(DomainError, match="outside"):
+        MetricParams(float(b), family)
 
 
 @pytest.mark.parametrize(
@@ -72,106 +115,57 @@ def test_params_accepts_euclidean_degeneration():
         (0.0, (3.0, 4.0, 0.0), 5.0),
     ],
 )
-def test_norm_examples(b, y, expected):
-    assert minkowski_norm(MetricParams(b), y) == pytest.approx(expected, rel=1e-14)
+def test_norm_examples(sp, b, y, expected):
+    value = exact_norm(sp, b, [rational(sp, v) for v in y])
+    assert value.is_Rational
+    assert float(value) == pytest.approx(expected, rel=1e-15)
 
 
-def test_norm_randers():
+def test_norm_randers(sp):
     # F = alpha + beta
-    assert minkowski_norm(MetricParams(0.4, PhiFamily.RANDERS), (0.0, 0.0, 2.0)) == pytest.approx(2.8)
+    assert exact_norm(sp, 0.4, (0, 0, 2), PhiFamily.RANDERS) == sp.Rational(14, 5)
 
 
-def test_norm_rejects_zero_vector():
-    with pytest.raises(DomainError, match="slit"):
-        minkowski_norm(MetricParams(0.3), (0.0, 0.0, 0.0))
-    with pytest.raises(DomainError):
-        minkowski_norm(MetricParams(0.3), (1.0, 2.0))
+def test_norm_homogeneity(sp):
+    ys = sp.symbols("y0:3", real=True)
+    lam = sp.Symbol("lam", positive=True)
+    for family in PhiFamily:
+        f = exact_norm(sp, 0.45, ys, family)
+        scaled = exact_norm(sp, 0.45, [lam * v for v in ys], family)
+        assert sp.simplify(sp.factor_terms(scaled) - lam * f) == 0
 
 
-def test_norm_homogeneity():
-    rng = np.random.default_rng(7)
-    params = MetricParams(0.45)
-    for _ in range(200):
-        y = rng.normal(size=3)
-        if not y.any():
-            continue
-        lam = rng.uniform(1e-3, 10.0)
-        f1 = minkowski_norm(params, lam * y)
-        f2 = lam * minkowski_norm(params, y)
-        assert abs(f1 - f2) <= 1e-12 * abs(f2)
+def test_norm_rotation_invariance(sp):
+    # Rotations of the x1-x2 plane fix beta, hence the norm; exact rational
+    # rotations from Pythagorean triples.
+    ys = sp.symbols("y0:3", real=True)
+    f = exact_norm(sp, 0.4, ys)
+    for c, s, r in [(3, 4, 5), (5, 12, 13), (-8, 15, 17), (20, -21, 29)]:
+        c, s = sp.Rational(c, r), sp.Rational(s, r)
+        rotated = [c * ys[0] - s * ys[1], s * ys[0] + c * ys[1], ys[2]]
+        assert sp.expand(exact_norm(sp, 0.4, rotated) - f) == 0
 
 
-def test_norm_rotation_invariance():
-    # Rotations of the x1-x2 plane fix beta, hence the norm.
-    rng = np.random.default_rng(11)
-    params = MetricParams(0.4)
-    for _ in range(100):
-        y = rng.normal(size=3)
-        th = rng.uniform(0.0, 2.0 * math.pi)
-        rot = np.array(
-            [
-                [math.cos(th), -math.sin(th), 0.0],
-                [math.sin(th), math.cos(th), 0.0],
-                [0.0, 0.0, 1.0],
-            ]
-        )
-        f1 = minkowski_norm(params, rot @ y)
-        f2 = minkowski_norm(params, y)
-        assert abs(f1 - f2) <= 1e-13 * abs(f2)
+def test_fundamental_tensor_euclidean_identity(sp, tensor):
+    assert tensor(0.0, (1.0, 0.0, 0.0)) == sp.eye(3)
+    assert tensor(0.0, (0.3, -0.2, 0.9)) == sp.eye(3)
 
 
-def test_fundamental_tensor_euclidean_identity():
-    g = fundamental_tensor(MetricParams(0.0), (1.0, 0.0, 0.0))
-    np.testing.assert_allclose(g, np.eye(3), atol=1e-12)
-    g = fundamental_tensor(MetricParams(0.0), (0.3, -0.2, 0.9))
-    np.testing.assert_allclose(g, np.eye(3), atol=1e-12)
+def test_fundamental_tensor_golden_b02(sp, tensor):
+    g = tensor(0.2, (0.0, 0.0, 1.0))
+    assert g == sp.diag(sp.Rational(75, 64), sp.Rational(75, 64), sp.Rational(25, 16))
+    assert is_positive_definite(g)
 
 
-def test_fundamental_tensor_golden_b02():
-    # Frozen from the dual-number oracle; exact rationals 75/64 and 25/16.
-    g = fundamental_tensor(MetricParams(0.2), (0.0, 0.0, 1.0))
-    expected = np.diag([1.171875, 1.171875, 1.5625])
-    np.testing.assert_allclose(g, expected, atol=1e-12)
-    assert np.all(np.linalg.eigvalsh(g) > 0.0)
-
-
-def test_fundamental_tensor_near_convexity_boundary():
-    g = fundamental_tensor(MetricParams(0.49), (0.0, 0.0, -1.0))
-    assert np.all(np.linalg.eigvalsh(g) > 0.0)
+def test_fundamental_tensor_near_convexity_boundary(tensor):
+    assert is_positive_definite(tensor(0.49, (0.0, 0.0, -1.0)))
 
 
 @pytest.mark.parametrize("b", [0.0, 0.1, 0.2, 0.3, 0.4, 0.45])
-def test_fundamental_tensor_positive_definite_on_sphere(b):
-    params = MetricParams(b)
-    for y in fib_sphere(100):
-        g = fundamental_tensor(params, y)
-        assert np.min(np.linalg.eigvalsh(g)) > 0.0
-
-
-def test_fundamental_tensor_symmetry_central():
-    params = MetricParams(0.35)
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        y = rng.normal(size=3)
-        g = fundamental_tensor(params, y, method="central")
-        assert np.max(np.abs(g - g.T)) <= 1e-7
-
-
-def test_fundamental_tensor_dual_vs_central():
-    params = MetricParams(0.3)
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        y = rng.normal(size=3)
-        gd = fundamental_tensor(params, y)
-        gc = fundamental_tensor(params, y, method="central")
-        assert np.max(np.abs(gd - gc)) <= 1e-5 * max(1.0, np.max(np.abs(gd)))
-
-
-def test_fundamental_tensor_bad_method():
-    with pytest.raises(ValueError, match="method"):
-        fundamental_tensor(MetricParams(0.1), (1.0, 0.0, 0.0), method="nope")
-
-
-def test_fundamental_tensor_rejects_zero():
-    with pytest.raises(DomainError):
-        fundamental_tensor(MetricParams(0.1), (0.0, 0.0, 0.0))
+def test_fundamental_tensor_positive_definite_on_sphere(sp, tensor, b):
+    # F is invariant under rotations about e3, so the unit vectors
+    # (sin t, 0, cos t) reach every direction up to such a rotation; t runs
+    # over rational points of the circle in every quadrant and on the axes.
+    for sin_t, cos_t, r in [(0, 1, 1), (1, 0, 1), (3, 4, 5), (4, 3, 5), (5, 12, 13), (12, 5, 13), (8, 15, 17), (24, 7, 25)]:
+        for y in [(sin_t, 0, cos_t), (sin_t, 0, -cos_t), (-sin_t, 0, -cos_t)]:
+            assert is_positive_definite(tensor(b, [sp.Rational(v, r) for v in y]))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from finmin.errors import DomainError
-from finmin.jet import ImmersionJet1, ImmersionJet2, mean_curvature_bracket
+from finmin.graph_pde import GraphPoint, graph_residual
 from finmin.translation import (
     TranslationPoint,
     compatibility_check,
@@ -18,14 +18,6 @@ from finmin.translation import (
 
 RIGIDITY_B2 = [Fraction(1, 100), Fraction(4, 100), Fraction(9, 100), Fraction(16, 100), Fraction(24, 100)]
 RIGIDITY_P = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(5), Fraction(10)]
-
-
-def _translation_jets(fp, fpp, gp, gpp):
-    j1 = ImmersionJet1(np.array([[1.0, 0.0], [0.0, 1.0], [fp, gp]]))
-    s = np.zeros((3, 2, 2))
-    s[2, 0, 0] = fpp
-    s[2, 1, 1] = gpp
-    return j1, ImmersionJet2(s)
 
 
 # ---------------------------------------------------------------------------
@@ -120,16 +112,17 @@ def test_b0_reduction_classical_translation_equation():
 
 
 def test_residual_matches_jet_bracket():
+    # A translation surface is a graph with h12 = 0, and its residual is W^2
+    # times the graph residual (tests/test_symbolic_chain.py proves the
+    # coefficients exactly): simultaneous zero sets, positive ratio.
     rng = np.random.default_rng(44)
     for _ in range(200):
         fp, gp, fpp, gpp = rng.uniform(-2, 2, 4)
         tp = TranslationPoint(fp=fp, fpp=fpp, gp=gp, gpp=gpp)
-        j1, j2 = _translation_jets(fp, fpp, gp, gpp)
+        w2 = 1.0 + fp * fp + gp * gp
         for b in (0.0, 0.15, 0.3, 0.45):
-            br = mean_curvature_bracket(j1, j2, b)
-            res = translation_residual(tp, b)
-            # ratio is exactly 2: simultaneous zero sets, positive ratio
-            assert br == pytest.approx(2.0 * res, rel=1e-9, abs=1e-9)
+            graph = graph_residual(GraphPoint(fp, gp, fpp, 0.0, gpp), b)
+            assert translation_residual(tp, b) == pytest.approx(w2 * graph, rel=1e-9, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -159,9 +152,9 @@ def test_kl_degrees():
 
 
 def test_kl_constant_terms():
-    # K(0) = 4 (1 - b^2); L(0) = 2 (1 - 2 b^2 - 2 b^4) from the bracket
-    # oracle (a circulating printed variant has 2 (1 - 4 b^2) instead; the
-    # decomposition identity below rules it out).
+    # K(0) = 4 (1 - b^2); L(0) = 2 (1 - 2 b^2 - 2 b^4), as derived in
+    # tests/test_symbolic_chain.py (a circulating printed variant has
+    # 2 (1 - 4 b^2) instead; the decomposition identity below rules it out).
     for b2 in [Fraction(0)] + RIGIDITY_B2:
         polys = kl_polys(b2)
         assert polys.k_at(0) == 4 * (1 - b2)
@@ -269,7 +262,6 @@ def test_compatibility_b0():
     assert rep.separability_zero and rep.companion_zero
     assert rep.admits_nonplanar
     assert rep.separability_lowest is None and rep.companion_lowest is None
-    assert rep.ratio_formula_matches
 
 
 @pytest.mark.parametrize("b2", [Fraction(1, 25), Fraction(1, 100), Fraction(24, 100)])
@@ -284,4 +276,3 @@ def test_compatibility_positive_b(b2):
     if not rep.companion_zero:
         deg, coeff = rep.companion_lowest
         assert coeff != 0 and deg >= 0
-    assert not rep.ratio_formula_matches
