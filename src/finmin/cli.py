@@ -22,91 +22,31 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from fractions import Fraction
 
 # Each command imports what it runs inside its handler, so a command loads
 # only what it uses: numpy only where it computes on arrays (not
-# residual-graph, residual-translation or check-translation), and of scipy
-# only the compiled SuperLU module, only in `solve`.
+# residual-graph, residual-translation or check-translation), of scipy
+# only the compiled SuperLU module, only in `solve`, and fractions only
+# where rationals are parsed or computed.
 from .errors import (
     DomainError,
     QuadratureConvergenceError,
     SolverError,
 )
-from .metric import MetricParams, PhiFamily
+from .metric import PhiFamily, check_b
 
-__all__ = ["RunConfig", "run", "main", "console_main", "write_grid_csv", "read_grid_csv"]
+__all__ = ["main", "console_main", "write_grid_csv", "read_grid_csv"]
 
 GRID_FORMAT_VERSION = "minsurf-grid v1"
 
-COMMANDS = (
-    "volume",
-    "residual-graph",
-    "residual-translation",
-    "check-derivatives",
-    "check-translation",
-    "ellipticity",
-    "solve",
-)
-
-
-@dataclass
-class RunConfig:
-    """Validated, typed invocation of one CLI command."""
-
-    command: str
-    b_values: list = field(default_factory=lambda: [0.0])
-    family: PhiFamily = PhiFamily.MATSUMOTO
-    n: int = 2
-    b2_values: list = field(default_factory=list)
-    p_values: list = field(default_factory=list)
-    point: dict | None = None
-    domain: tuple = (-1.0, 1.0, -1.0, 1.0)
-    nx: int = 63
-    ny: int = 63
-    boundary: str = "zero"
-    out: str | None = None
-    tol: float = 1e-10
-    max_iter: int = 30
-    samples: int = 200
-    seed: int = 0
-    tmax: float = 1e3
-    rtol_dual: float = 1e-9
-    rtol_central: float = 1e-6
-    timestamp: bool = True
-
-    def validate(self):
-        if self.command not in COMMANDS:
-            raise DomainError(f"unknown command {self.command!r}")
-        if self.command in ("residual-graph", "residual-translation", "ellipticity", "solve"):
-            family = PhiFamily.MATSUMOTO
-        else:
-            family = self.family
-        for b in self.b_values:
-            MetricParams(b, family)  # raises DomainError outside the range
-        if self.command in ("check-derivatives", "ellipticity"):
-            if self.samples < 1:
-                raise DomainError(f"--samples {self.samples} must be >= 1")
-            if self.seed < 0:
-                raise DomainError(f"--seed {self.seed} must be >= 0")
-        if self.command == "ellipticity":
-            from .graph_pde import SamplerConfig
-
-            SamplerConfig(t_max=self.tmax)  # raises DomainError on a bad horizon
-        # A nan or infinite tolerance would switch its check off; comparisons
-        # against nan are false, so the test also rejects nan.
-        for name in ("tol", "rtol_dual", "rtol_central"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise DomainError(f"--{name.replace('_', '-')} {value} must be positive and finite")
-
 
 def _jsonable(value):
-    if isinstance(value, Fraction):
+    # A value can only be a Fraction or a numpy scalar if some command has
+    # loaded fractions or numpy.
+    fractions = sys.modules.get("fractions")
+    if fractions is not None and isinstance(value, fractions.Fraction):
         return f"{value.numerator}/{value.denominator}"
-    # A value can only be a numpy scalar if some command has loaded numpy.
     np = sys.modules.get("numpy")
     if np is not None and isinstance(value, (np.floating, np.integer, np.bool_)):
         return value.item()
@@ -117,12 +57,21 @@ def _jsonable(value):
     return value
 
 
-def _emit(config: RunConfig, record: dict):
-    record = {"command": config.command, **record}
-    if config.timestamp:
-        record["timestamp"] = datetime.now(timezone.utc).isoformat()
-    json.dump(_jsonable(record), sys.stdout, indent=2)
-    sys.stdout.write("\n")
+def _nonfinite(value, key=None, b=None):
+    """(key, value, b) of the first nan or infinite float in a record, with
+    the b of the innermost enclosing entry that has one; None if all finite."""
+    if isinstance(value, dict):
+        b = value.get("b", b)
+        items = value.items()
+    elif isinstance(value, list):
+        items = ((key, v) for v in value)
+    else:
+        return (key, value, b) if isinstance(value, float) and not math.isfinite(value) else None
+    for k, v in items:
+        found = _nonfinite(v, k, b)
+        if found:
+            return found
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -172,72 +121,67 @@ def read_grid_csv(path):
 # command handlers
 
 
-def _cmd_volume(config: RunConfig):
-    from .volume import (
-        QuadraturePolicy,
-        VolumeFactorRequest,
-        bh_factor_closed_matsumoto,
-        bh_factor_quadrature,
-    )
+def _cmd_volume(args):
+    from .volume import bh_factor_closed_matsumoto, bh_factor_quadrature
 
+    family = PhiFamily(args.family)
+    closed_form = family is PhiFamily.MATSUMOTO and args.n == 2
     results = []
     worst = 0.0
-    for b in config.b_values:
-        params = MetricParams(b, config.family)
-        req = VolumeFactorRequest(params, n=config.n, quadrature=QuadraturePolicy())
-        value, nodes = bh_factor_quadrature(req)
+    for b in args.b:
+        value, nodes = bh_factor_quadrature(b, family, args.n)
         entry = {
             "b": b,
-            "euclidean_degeneration": params.euclidean_degeneration,
+            "euclidean_degeneration": b == 0.0,
             "quadrature": value,
             "nodes": nodes,
         }
-        if config.family is PhiFamily.MATSUMOTO and config.n == 2:
+        if closed_form:
             closed = bh_factor_closed_matsumoto(b)
             entry["closed"] = closed
             entry["abs_diff"] = abs(value - closed)
             worst = max(worst, entry["abs_diff"])
         results.append(entry)
-    record = {"family": config.family.value, "n": config.n, "results": results}
+    record = {"family": family.value, "n": args.n, "results": results}
     code = 0
-    if config.family is PhiFamily.MATSUMOTO and config.n == 2 and worst > config.tol:
-        record["failure"] = f"quadrature/closed disagreement {worst} above tol {config.tol}"
+    if closed_form and worst > args.tol:
+        record["failure"] = f"quadrature/closed disagreement {worst} above tol {args.tol}"
         code = 4
     return record, code
 
 
-def _cmd_residual_graph(config: RunConfig):
-    from .graph_pde import GraphPoint, graph_residual
+def _cmd_residual_graph(args):
+    from .graph_pde import graph_residual
 
-    gp = GraphPoint(**config.point)
+    point = _parse_point(args.point, ("f1", "f2", "h11", "h12", "h22"))
     results = [
         {
             "b": b,
             "euclidean_degeneration": b == 0.0,
-            "residual": graph_residual(gp, b),
+            "residual": graph_residual(**point, b=b),
         }
-        for b in config.b_values
+        for b in args.b
     ]
-    return {"point": config.point, "results": results}, 0
+    return {"point": point, "results": results}, 0
 
 
-def _cmd_residual_translation(config: RunConfig):
-    from .translation import TranslationPoint, lambda_mu, translation_residual
+def _cmd_residual_translation(args):
+    from .translation import lambda_mu, translation_residual
 
-    tp = TranslationPoint(**config.point)
+    point = _parse_point(args.point, ("fp", "fpp", "gp", "gpp"))
     results = []
-    for b in config.b_values:
-        lam, mu = lambda_mu(tp.r, tp.s, b)
+    for b in args.b:
+        lam, mu = lambda_mu(point["fp"] * point["fp"], point["gp"] * point["gp"], b)
         results.append(
             {
                 "b": b,
                 "euclidean_degeneration": b == 0.0,
                 "lambda": lam,
                 "mu": mu,
-                "residual": translation_residual(tp, b),
+                "residual": translation_residual(**point, b=b),
             }
         )
-    return {"point": config.point, "results": results}, 0
+    return {"point": point, "results": results}, 0
 
 
 def _matrix_rel_err(x, y):
@@ -250,16 +194,14 @@ def _matrix_rel_err(x, y):
 
 
 def _random_jet(rng, min_det=0.25):
-    from .jet import ImmersionJet1
-
     while True:
         z = rng.uniform(-1.5, 1.5, size=(3, 2))
         a = z.T @ z
         if a[0, 0] * a[1, 1] - a[0, 1] ** 2 >= min_det:
-            return ImmersionJet1(z)
+            return z
 
 
-def _cmd_check_derivatives(config: RunConfig):
+def _cmd_check_derivatives(args):
     import numpy as np
 
     from .jet import (
@@ -271,12 +213,12 @@ def _cmd_check_derivatives(config: RunConfig):
         area_integrand_hess_dual,
     )
 
-    rng = np.random.default_rng(config.seed)
-    jets = [_random_jet(rng) for _ in range(config.samples)]
-    z = np.stack([j.z for j in jets], axis=-1)
+    rng = np.random.default_rng(args.seed)
+    jets = [_random_jet(rng) for _ in range(args.samples)]
+    z = np.stack(jets, axis=-1)
     results = []
     failures = []
-    for b in config.b_values:
+    for b in args.b:
         # closed forms one jet at a time (the code under test), oracles in one pass
         g = np.stack([area_integrand_grad(j, b) for j in jets], axis=-1)
         h = np.stack([area_integrand_hess(j, b) for j in jets], axis=-1)
@@ -288,10 +230,10 @@ def _cmd_check_derivatives(config: RunConfig):
         }
         nonfinite = [k for k, v in worst.items() if not math.isfinite(v)]
         ok = not nonfinite and (
-            worst["grad_dual"] <= config.rtol_dual
-            and worst["hess_dual"] <= config.rtol_dual
-            and worst["grad_central"] <= config.rtol_central
-            and worst["hess_central"] <= config.rtol_central
+            worst["grad_dual"] <= args.rtol_dual
+            and worst["hess_dual"] <= args.rtol_dual
+            and worst["grad_central"] <= args.rtol_central
+            and worst["hess_central"] <= args.rtol_central
         )
         for k in nonfinite:
             # strict JSON has no nan/inf: the value is null, the failure names it
@@ -299,10 +241,10 @@ def _cmd_check_derivatives(config: RunConfig):
             worst[k] = None
         results.append({"b": b, "max_rel_errors": worst, "pass": ok})
     record = {
-        "samples": config.samples,
-        "seed": config.seed,
-        "rtol_dual": config.rtol_dual,
-        "rtol_central": config.rtol_central,
+        "samples": args.samples,
+        "seed": args.seed,
+        "rtol_dual": args.rtol_dual,
+        "rtol_central": args.rtol_central,
         "results": results,
     }
     if failures:
@@ -310,37 +252,36 @@ def _cmd_check_derivatives(config: RunConfig):
     return record, 0 if all(r["pass"] for r in results) else 4
 
 
-def _cmd_check_translation(config: RunConfig):
+def _cmd_check_translation(args):
     from .translation import compatibility_check, kl_polys, kl_ratio_derivative
 
-    b2_values = config.b2_values or [Fraction(0)]
-    p_values = config.p_values or [Fraction(0), Fraction(1), Fraction(2), Fraction(5)]
     results = []
     pattern_ok = True
     zero_message = ""
-    for b2 in b2_values:
-        polys = kl_polys(b2)
-        report = compatibility_check(b2)
+    for b2 in args.b2:
+        k, l = kl_polys(b2)
+        separability, companion = compatibility_check(k, l)
+        admits_nonplanar = not separability and not companion
         nodes = []
-        for p in p_values:
-            v = kl_ratio_derivative(b2, p)
+        for p in args.p:
+            v = kl_ratio_derivative(k, l, p)
             nodes.append({"p": p, "value": v, "abs_is_one": abs(v) == 1})
         all_one = all(n["value"] == 1 for n in nodes)
         any_unit = any(n["abs_is_one"] for n in nodes)
         if b2 == 0:
-            pattern_ok &= all_one and report.admits_nonplanar
+            pattern_ok &= all_one and admits_nonplanar
             zero_message = "(K/L)_p = 1 at all nodes; " if all_one else ""
         else:
-            pattern_ok &= (not any_unit) and not report.admits_nonplanar
+            pattern_ok &= (not any_unit) and not admits_nonplanar
         results.append(
             {
                 "b2": b2,
-                "k_coeffs": list(polys.k_coeffs),
-                "l_coeffs": list(polys.l_coeffs),
+                "k_coeffs": list(k),
+                "l_coeffs": list(l),
                 "ratio_derivative": nodes,
-                "separability_zero": report.separability_zero,
-                "companion_zero": report.companion_zero,
-                "admits_nonplanar": report.admits_nonplanar,
+                "separability_zero": not separability,
+                "companion_zero": not companion,
+                "admits_nonplanar": admits_nonplanar,
             }
         )
     if pattern_ok:
@@ -350,30 +291,23 @@ def _cmd_check_translation(config: RunConfig):
     return {"results": results, "message": message}, 0 if pattern_ok else 4
 
 
-def _cmd_ellipticity(config: RunConfig):
+def _cmd_ellipticity(args):
     import numpy as np
 
-    from .graph_pde import (
-        SamplerConfig,
-        TiltedFrame,
-        ellipticity_quotients,
-        mean_curvature_type_bound,
-        random_rotations,
-    )
+    from .graph_pde import ellipticity_quotients, mean_curvature_type_bound, random_rotations
 
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(args.seed)
     results = []
     ok_all = True
-    for b in config.b_values:
-        n = config.samples
+    for b in args.b:
+        n = args.samples
         f = rng.uniform(-3.0, 3.0, size=(n, 2))
         frames = random_rotations(rng, n)
         xi = rng.normal(size=(n, 2))
         ratio, divisor = ellipticity_quotients(f, frames[:, 2, :], xi, b)
         min_ratio = float(np.min(ratio))
         min_divisor = float(np.min(divisor))
-        frame = TiltedFrame(random_rotations(rng, 1)[0])
-        c_est = mean_curvature_type_bound(frame, b, SamplerConfig(t_max=config.tmax))
+        c_est = mean_curvature_type_bound(random_rotations(rng, 1)[0], b, t_max=args.tmax)
         ok = min_ratio >= 1.0 - 1e-12 and min_divisor > 0.0
         ok_all &= ok
         results.append(
@@ -387,7 +321,7 @@ def _cmd_ellipticity(config: RunConfig):
                 "pass": ok,
             }
         )
-    return {"seed": config.seed, "results": results}, 0 if ok_all else 4
+    return {"seed": args.seed, "results": results}, 0 if ok_all else 4
 
 
 def _boundary_callable(spec: str, domain):
@@ -426,40 +360,40 @@ def _check_writable(path):
     raise DomainError(f"--out {path!r} cannot be written: {problem}")
 
 
-def _cmd_solve(config: RunConfig):
+def _cmd_solve(args):
     from .solver import GridProblem, planarity_deviation, solve_minimal_graph
 
-    if len(config.b_values) != 1:
+    if len(args.b) != 1:
         raise DomainError("solve takes exactly one b value")
-    if config.out:
+    if args.out:
         # checked before the solve, which may take seconds
-        _check_writable(config.out)
-    b = config.b_values[0]
+        _check_writable(args.out)
+    b = args.b[0]
     problem = GridProblem(
-        domain=config.domain,
-        nx=config.nx,
-        ny=config.ny,
+        domain=args.domain,
+        nx=args.nx,
+        ny=args.ny,
         b=b,
-        boundary=_boundary_callable(config.boundary, config.domain),
+        boundary=_boundary_callable(args.boundary, args.domain),
     )
-    sol = solve_minimal_graph(problem, tol=config.tol, max_iter=config.max_iter)
+    sol = solve_minimal_graph(problem, tol=args.tol, max_iter=args.max_iter)
     record = {
         "b": b,
         "euclidean_degeneration": b == 0.0,
-        "domain": list(config.domain),
-        "nx": config.nx,
-        "ny": config.ny,
-        "boundary": config.boundary,
+        "domain": args.domain,
+        "nx": args.nx,
+        "ny": args.ny,
+        "boundary": args.boundary,
         "iterations": sol.iterations,
         "residual_norm": sol.residual_norm,
         "planarity_deviation": planarity_deviation(sol),
-        "out": config.out,
+        "out": args.out,
     }
-    if config.out:
+    if args.out:
         try:
-            write_grid_csv(config.out, problem.xs(), problem.ys(), sol.f)
+            write_grid_csv(args.out, problem.xs(), problem.ys(), sol.f)
         except OSError as exc:
-            raise DomainError(f"--out {config.out!r} cannot be written: {exc.strerror}") from exc
+            raise DomainError(f"--out {args.out!r} cannot be written: {exc.strerror}") from exc
     return record, 0
 
 
@@ -474,14 +408,6 @@ _HANDLERS = {
 }
 
 
-def run(config: RunConfig) -> int:
-    """Execute a validated configuration; print the JSON record; return status."""
-    config.validate()
-    record, code = _HANDLERS[config.command](config)
-    _emit(config, record)
-    return code
-
-
 # ---------------------------------------------------------------------------
 # argument parsing
 
@@ -493,6 +419,8 @@ def _parse_floats(text):
 def _parse_fractions(text):
     # argparse turns a ValueError into a usage error (exit 2); Fraction
     # raises ZeroDivisionError on a zero denominator such as "1/0".
+    from fractions import Fraction
+
     try:
         return [Fraction(v) for v in text.split(",")]
     except ZeroDivisionError as exc:
@@ -500,13 +428,22 @@ def _parse_fractions(text):
 
 
 def _parse_point(text, keys):
+    """--point "k1=v1,k2=v2,..." as a dict in the order given; DomainError
+    unless each of keys appears exactly once with a finite number."""
     out = {}
     for item in text.split(","):
         key, _, value = item.partition("=")
         key = key.strip()
         if key not in keys:
             raise DomainError(f"unknown point field {key!r}; expected {sorted(keys)}")
-        out[key] = float(value)
+        if key in out:
+            raise DomainError(f"point field {key} is given twice")
+        try:
+            out[key] = float(value)
+        except ValueError:
+            raise DomainError(f"point field {key} needs a number: {item.strip()!r}") from None
+        if not math.isfinite(out[key]):
+            raise DomainError(f"{key} must be finite")
     missing = set(keys) - set(out)
     if missing:
         raise DomainError(f"point is missing fields {sorted(missing)}")
@@ -549,8 +486,9 @@ def _build_parser():
     p.add_argument("--rtol-central", type=float, default=1e-6)
 
     p = sub_parser("check-translation", help="exact rigidity report")
-    p.add_argument("--b2", type=_parse_fractions, default=[Fraction(0)], help='e.g. "0,1/100,9/100"')
-    p.add_argument("--p", type=_parse_fractions, default=[Fraction(0), Fraction(1), Fraction(2), Fraction(5)])
+    # argparse runs a string default through `type`
+    p.add_argument("--b2", type=_parse_fractions, default="0", help='e.g. "0,1/100,9/100"')
+    p.add_argument("--p", type=_parse_fractions, default="0,1,2,5")
 
     p = sub_parser("ellipticity", help="coefficient lower bound and type constant")
     p.add_argument("--b", type=_parse_floats, default=[0.3])
@@ -571,34 +509,29 @@ def _build_parser():
     return parser
 
 
-_POINT_KEYS = {
-    "residual-graph": {"f1", "f2", "h11", "h12", "h22"},
-    "residual-translation": {"fp", "fpp", "gp", "gpp"},
-}
+def _validate(args):
+    """DomainError on arguments the parser accepts but no command can use."""
+    # volume alone takes --family; the other commands use the slope metric
+    family = PhiFamily(args.family) if args.command == "volume" else PhiFamily.MATSUMOTO
+    for b in getattr(args, "b", ()):
+        check_b(b, family)
+    if args.command in ("check-derivatives", "ellipticity"):
+        if args.samples < 1:
+            raise DomainError(f"--samples {args.samples} must be >= 1")
+        if args.seed < 0:
+            raise DomainError(f"--seed {args.seed} must be >= 0")
+    if args.command == "ellipticity":
+        from .graph_pde import check_t_max
 
-
-def _config_from_args(args) -> RunConfig:
-    config = RunConfig(command=args.command, timestamp=not args.no_timestamp)
-    if hasattr(args, "b"):
-        config.b_values = args.b
-    if hasattr(args, "family"):
-        config.family = PhiFamily(args.family)
-    for name in ("n", "samples", "seed", "tmax", "nx", "ny", "boundary", "out", "max_iter", "tol"):
-        if hasattr(args, name):
-            setattr(config, name, getattr(args, name))
-    if hasattr(args, "rtol_dual"):
-        config.rtol_dual = args.rtol_dual
-        config.rtol_central = args.rtol_central
-    if hasattr(args, "b2"):
-        config.b2_values = args.b2
-        config.p_values = args.p
-    if hasattr(args, "domain"):
-        if len(args.domain) != 4:
-            raise DomainError("--domain expects x0,x1,y0,y1")
-        config.domain = tuple(args.domain)
-    if args.command in _POINT_KEYS:
-        config.point = _parse_point(args.point, _POINT_KEYS[args.command])
-    return config
+        check_t_max(args.tmax)
+    # A nan or infinite tolerance would switch its check off; comparisons
+    # against nan are false, so the test also rejects nan.
+    for name in ("tol", "rtol_dual", "rtol_central"):
+        value = getattr(args, name, None)
+        if value is not None and not 0.0 < value < math.inf:
+            raise DomainError(f"--{name.replace('_', '-')} {value} must be positive and finite")
+    if args.command == "solve" and len(args.domain) != 4:
+        raise DomainError("--domain expects x0,x1,y0,y1")
 
 
 def main(argv=None) -> int:
@@ -609,14 +542,26 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        config = _config_from_args(args)
-        return run(config)
+        _validate(args)
+        record, code = _HANDLERS[args.command](args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (QuadratureConvergenceError, SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    record = _jsonable({"command": args.command, **record})
+    # Finite inputs can still overflow; strict JSON has no nan or infinity.
+    bad = _nonfinite(record)
+    if bad:
+        key, value, b = bad
+        print(f"error: {key} is {value} at b={b}: the computation overflows double precision", file=sys.stderr)
+        return 3
+    if not args.no_timestamp:
+        record["timestamp"] = datetime.now(timezone.utc).isoformat()
+    json.dump(record, sys.stdout, indent=2)
+    sys.stdout.write("\n")
+    return code
 
 
 def console_main():

@@ -44,71 +44,26 @@ so only t and delta are sampled. The t^2 terms of the first entry cancel:
 W^2 |k12| cos delta + w t = |k12| cos delta + k3 t, the form the sampler
 evaluates, so large gradients lose no precision to cancellation.
 
-graph_residual computes on Python floats, so the module loads numpy only
-inside the functions that work on arrays.
+The functions take plain numbers and arrays: graph_residual the gradient
+and Hessian entries of one point, the sampler the frame m as a 3x3
+matrix. graph_residual computes on Python floats, so the module loads
+numpy only inside the functions that work on arrays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
+from .metric import check_b
 
 __all__ = [
-    "GraphPoint",
-    "TiltedFrame",
-    "SamplerConfig",
     "graph_residual",
     "ellipticity_quotients",
+    "check_t_max",
     "mean_curvature_type_bound",
     "random_rotations",
 ]
-
-
-@dataclass(frozen=True)
-class GraphPoint:
-    """Gradient and Hessian of a graph function at one point."""
-
-    f1: float
-    f2: float
-    h11: float
-    h12: float
-    h22: float
-
-    def __post_init__(self):
-        for name in ("f1", "f2", "h11", "h12", "h22"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise DomainError(f"{name} must be finite")
-            object.__setattr__(self, name, v)
-
-
-@dataclass(frozen=True)
-class TiltedFrame:
-    """Orthogonal 3x3 frame; columns span the base plane and graph direction.
-
-    k, the last row, is the only part of the frame the residual
-    coefficients depend on. Orthogonality is enforced to 1e-12.
-    """
-
-    m: np.ndarray
-
-    def __post_init__(self):
-        import numpy as np
-
-        m = np.array(self.m, dtype=float)
-        if m.shape != (3, 3):
-            raise DomainError(f"frame must be 3x3, got shape {m.shape}")
-        if np.max(np.abs(m @ m.T - np.eye(3))) > 1e-12:
-            raise DomainError("frame matrix is not orthogonal to 1e-12")
-        m.setflags(write=False)
-        object.__setattr__(self, "m", m)
-
-    @property
-    def k(self) -> np.ndarray:
-        """Last row of the frame; sum(k_i^2) = 1."""
-        return self.m[2, :]
 
 
 def _divisor_excess(w2, w, b2):
@@ -132,22 +87,14 @@ def _residual_terms(f1, f2, h11, h12, h22, k1, k2, k3, b):
     return divisor * hform + excess * w2 * uform
 
 
-def graph_residual(gp: GraphPoint, b: float) -> float:
-    """Minimal-graph residual over the horizontal plane; zero iff minimal.
+def graph_residual(f1, f2, h11, h12, h22, b) -> float:
+    """Minimal-graph residual over the horizontal plane at gradient (f1, f2)
+    and Hessian entries h11, h12, h22; zero iff minimal.
 
     At b = 0 this is exactly 4*W^2 times the classical minimal-surface
     operator (1+f2^2)h11 - 2 f1 f2 h12 + (1+f1^2)h22.
     """
-    return float(
-        _residual_terms(gp.f1, gp.f2, gp.h11, gp.h12, gp.h22, 0.0, 0.0, 1.0, b)
-    )
-
-
-def _check_b(b) -> float:
-    b = float(b)
-    if not (0.0 <= b < 0.5):
-        raise DomainError(f"b={b} outside [0, 0.5)")
-    return b
+    return float(_residual_terms(f1, f2, h11, h12, h22, 0.0, 0.0, 1.0, b))
 
 
 def ellipticity_quotients(f, k, xi, b: float):
@@ -160,7 +107,7 @@ def ellipticity_quotients(f, k, xi, b: float):
     """
     import numpy as np
 
-    b = _check_b(b)
+    b = check_b(b)
     w2 = 1.0 + f[:, 0] ** 2 + f[:, 1] ** 2
     w = k[:, 2] - k[:, 0] * f[:, 0] - k[:, 1] * f[:, 1]
     divisor, excess = _divisor_excess(w2, w, b * b)
@@ -172,60 +119,59 @@ def ellipticity_quotients(f, k, xi, b: float):
     return aform * w2 / xi2, divisor
 
 
-@dataclass(frozen=True)
-class SamplerConfig:
-    """Grids used to estimate the mean-curvature-type constant.
+def check_t_max(t_max):
+    """The sampler's gradient horizon; DomainError unless 0 or in [1e-3, 1e75].
 
-    t_max = 0 samples the zero gradient only; otherwise the gradient
-    magnitudes are zero plus t_nodes log-spaced values from 1e-3 to t_max.
-    angle_nodes is the number of equispaced angles delta on the circle.
+    The log grid starts at 1e-3; beyond t ~ 7e76 the divisor
+    S*(S - 2 b^2 w^2) < 5 t^4 may overflow a double. The comparisons also
+    reject nan.
     """
-
-    t_max: float = 1e3
-    t_nodes: int = 512
-    angle_nodes: int = 256
-
-    def __post_init__(self):
-        # The log grid starts at 1e-3; beyond t ~ 7e76 the divisor
-        # S*(S - 2 b^2 w^2) < 5 t^4 may overflow a double. The comparisons
-        # also reject nan.
-        if not (self.t_max == 0.0 or 1e-3 <= self.t_max <= 1e75):
-            raise DomainError(f"t_max={self.t_max} must be 0 or in [1e-3, 1e75]")
-        if self.t_nodes < 1 or self.angle_nodes < 1:
-            raise DomainError("t_nodes and angle_nodes must be >= 1")
-
-    def t_grid(self) -> np.ndarray:
-        import numpy as np
-
-        if self.t_max == 0.0:
-            return np.array([0.0])
-        ts = np.logspace(-3.0, math.log10(self.t_max), self.t_nodes)
-        return np.concatenate(([0.0], ts))
+    if not (t_max == 0.0 or 1e-3 <= t_max <= 1e75):
+        raise DomainError(f"t_max={t_max} must be 0 or in [1e-3, 1e75]")
 
 
-def mean_curvature_type_bound(frame: TiltedFrame, b: float, config: SamplerConfig | None = None) -> float:
+def _t_grid(t_max, t_nodes):
+    """Sampled gradient magnitudes: zero alone at t_max = 0, otherwise zero
+    plus t_nodes log-spaced values from 1e-3 to t_max."""
+    import numpy as np
+
+    if t_max == 0.0:
+        return np.array([0.0])
+    return np.concatenate(([0.0], np.logspace(-3.0, math.log10(t_max), t_nodes)))
+
+
+def mean_curvature_type_bound(m, b: float, t_max=1e3, t_nodes=512, angle_nodes=256) -> float:
     """Sample maximum of the ellipticity excess quotient; a lower estimate
-    of the mean-curvature-type constant for this frame and b.
+    of the mean-curvature-type constant for the orthogonal 3x3 frame m and b.
 
-    The quotient is maximized over the gradient angle theta in closed form
-    (the Rayleigh-quotient identity in the module docstring); what is
-    sampled is the gradient magnitude t (log-spaced plus zero) and the
-    angle delta = gamma - theta on an equispaced grid that contains the
-    parallel and antiparallel directions exactly. An estimate, not a
-    proof: the quotient is bounded by degree counting, and growing the
-    horizon tenfold moves the value by well under a percent.
+    The quotient depends on the frame only through its last row k. It is
+    maximized over the gradient angle theta in closed form (the
+    Rayleigh-quotient identity in the module docstring); what is sampled is
+    the gradient magnitude t (_t_grid) and the angle delta = gamma - theta
+    on angle_nodes equispaced angles, a grid that contains the parallel and
+    antiparallel directions exactly. An estimate, not a proof: the quotient
+    is bounded by degree counting, and growing the horizon tenfold moves
+    the value by well under a percent. DomainError unless m is orthogonal
+    to 1e-12, b is admissible, t_max passes check_t_max and both node
+    counts are >= 1.
     """
     import numpy as np
 
-    b = _check_b(b)
-    config = config or SamplerConfig()
-    k1, k2, k3 = frame.k
+    m = np.asarray(m, dtype=float)
+    if m.shape != (3, 3):
+        raise DomainError(f"frame must be 3x3, got shape {m.shape}")
+    if np.max(np.abs(m @ m.T - np.eye(3))) > 1e-12:
+        raise DomainError("frame matrix is not orthogonal to 1e-12")
+    b = check_b(b)
+    check_t_max(t_max)
+    if t_nodes < 1 or angle_nodes < 1:
+        raise DomainError("t_nodes and angle_nodes must be >= 1")
+    k1, k2, k3 = m[2]
     k12 = math.hypot(k1, k2)
-    t = config.t_grid()[:, None]
+    t = _t_grid(t_max, t_nodes)[:, None]
     # The quotient is even in delta, so the grid's half circle [0, pi]
     # holds every value it takes.
-    n = config.angle_nodes
-    delta = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)[: n // 2 + 1]
+    delta = np.linspace(0.0, 2.0 * math.pi, angle_nodes, endpoint=False)[: angle_nodes // 2 + 1]
     k12_cos = k12 * np.cos(delta)
     w2 = 1.0 + t * t
     w = k3 - k12_cos * t

@@ -18,15 +18,16 @@ alpha**2/(alpha - beta). The module provides closed-form first and second
 z-derivatives of F and dual-number and finite-difference oracles for
 both, which check-derivatives compares.
 
-The closed forms take one jet. The oracles take one jet or a stack of
-jet matrices z of shape (3, 2, *S), and differentiate every sample in
-one array pass (the (n, *S) convention of the dual module).
+Every function takes the jet as an array. The closed forms take one 3x2
+jet; the oracles take one jet or a stack of jets of shape (3, 2, *S), and
+differentiate every sample in one array pass (the (n, *S) convention of
+the dual module). Each of them checks the shape and finiteness of its jet
+through _jet_array; the private helpers take a checked jet.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,9 +35,6 @@ from . import dual
 from .errors import DegenerateJetError, DomainError
 
 __all__ = [
-    "ImmersionJet1",
-    "gram",
-    "e_scalar",
     "area_integrand_grad",
     "area_integrand_hess",
     "area_integrand_grad_dual",
@@ -54,29 +52,24 @@ _E3 = np.array([0.0, 0.0, 1.0])
 DEGENERACY_FACTOR = 1e-14
 
 
-@dataclass(frozen=True)
-class ImmersionJet1:
-    """First-order jet: z[i, e] = d(phi^i)/d(x^e), i ambient, e surface.
+def _jet_array(z, stacked=False):
+    """z as a float array of shape (3, 2), or (3, 2, *S) when stacked.
 
-    Operations that divide by the area scalar require rank(z) == 2,
-    enforced there through the determinant guard, not at construction.
+    z[i, e] = d(phi^i)/d(x^e), i ambient, e surface. DomainError unless the
+    shape fits and every entry is finite; operations that divide by the
+    area scalar also require rank(z) == 2, enforced there through the
+    determinant guard.
     """
-
-    z: np.ndarray
-
-    def __post_init__(self):
-        z = np.array(self.z, dtype=float)
-        if z.shape != (3, 2):
-            raise DomainError(f"jet must be 3x2, got shape {z.shape}")
-        if not np.all(np.isfinite(z)):
-            raise DomainError("jet entries must be finite")
-        z.setflags(write=False)
-        object.__setattr__(self, "z", z)
+    z = np.asarray(z, dtype=float)
+    if z.shape[:2] != (3, 2) or (z.ndim != 2 and not stacked):
+        raise DomainError(f"jet must have shape {'(3, 2, *S)' if stacked else '(3, 2)'}, got {z.shape}")
+    if not np.isfinite(z).all():
+        raise DomainError("jet entries must be finite")
+    return z
 
 
-def gram(j: ImmersionJet1) -> np.ndarray:
+def _gram(z) -> np.ndarray:
     """Gram matrix A = z^T z of the jet columns (2x2, exactly symmetric)."""
-    z = j.z
     # one off-diagonal dot product reused for both entries: bitwise symmetry
     a01 = float(z[:, 0] @ z[:, 1])
     return np.array(
@@ -108,24 +101,25 @@ def _d_vector(z):
     return z[:, 0] * z[2, 1] - z[:, 1] * z[2, 0]
 
 
-def e_scalar(j: ImmersionJet1, b: float) -> float:
+def _e_scalar(z, b: float) -> float:
     """Anisotropy scalar E >= 0.
 
     Computed as b**2 times the squared length of the cross pattern between
     the jet columns and the third ambient row; identical to
     b**2 * det(A) * A^{eps eta} z3_eps z3_eta.
     """
-    d = _d_vector(j.z)
+    d = _d_vector(z)
     return float(b * b * (d @ d))
 
 
-def _area_parts(j: ImmersionJet1, b: float):
-    """(det A, adj A, C, E, 2*C**2 + E) at a jet that passes the guard."""
-    a = gram(j)
+def _area_parts(z, b: float):
+    """(z, det A, adj A, C, E, 2*C**2 + E) at a jet that passes the guard."""
+    z = _jet_array(z)
+    a = _gram(z)
     det = _require_nondegenerate(a)
     c = math.sqrt(det)
-    e = e_scalar(j, b)
-    return det, _adj2(a), c, e, 2.0 * det + e
+    e = _e_scalar(z, b)
+    return z, det, _adj2(a), c, e, 2.0 * det + e
 
 
 def _grad_det(z, adj):
@@ -166,29 +160,27 @@ def _hess_e(z, b):
     return 2.0 * b * b * (t1 + t2)
 
 
-def area_integrand_grad(j: ImmersionJet1, b: float) -> np.ndarray:
+def area_integrand_grad(z, b: float) -> np.ndarray:
     """Closed-form gradient dF/dz as a 3x2 array.
 
     Assembled from the adjugate expansion of det A and the quadratic
     expansion of E; cross-checked against the dual-number and
     finite-difference oracles in the test suite.
     """
-    z = j.z
-    det, adj, c, e, den = _area_parts(j, b)
+    z, det, adj, c, e, den = _area_parts(z, b)
     dc = (z @ adj) / c
     de = _grad_e(z, b)
     return ((4.0 * det * det + 6.0 * det * e) * dc - 2.0 * det * c * de) / den**2
 
 
-def area_integrand_hess(j: ImmersionJet1, b: float) -> np.ndarray:
+def area_integrand_hess(z, b: float) -> np.ndarray:
     """Closed-form Hessian d2F/dz2 as a 6x6 array, flat index 2*i + e.
 
     Exactly symmetric by construction. The coefficient of the dC x dC
     dyad is (12*C*E**2 - 8*C**3*E)/(2*C**2+E)**3, which is what exact
     differentiation of the gradient produces.
     """
-    z = j.z
-    det, adj, c, e, den = _area_parts(j, b)
+    z, det, adj, c, e, den = _area_parts(z, b)
 
     dc = (z @ adj) / c
     de = _grad_e(z, b)
@@ -233,31 +225,29 @@ def _flat_area_fun(b):
     return fun
 
 
-def _flat_jets(j):
-    """Flat jet vectors, shape (6, *S), of one jet or of stacked z arrays (3, 2, *S)."""
-    z = j.z if isinstance(j, ImmersionJet1) else np.asarray(j, dtype=float)
-    if z.shape[:2] != (3, 2):
-        raise DomainError(f"jets must have shape (3, 2, *S), got {z.shape}")
+def _flat_jets(z):
+    """Flat jet vectors, shape (6, *S), of one jet or of stacked jets (3, 2, *S)."""
+    z = _jet_array(z, stacked=True)
     return z.reshape((6,) + z.shape[2:])
 
 
-def area_integrand_grad_dual(j, b: float) -> np.ndarray:
+def area_integrand_grad_dual(z, b: float) -> np.ndarray:
     """Gradient of F by forward dual-number differentiation (oracle), (3, 2, *S)."""
-    x = _flat_jets(j)
+    x = _flat_jets(z)
     return dual.gradient(_flat_area_fun(b), x).reshape((3, 2) + x.shape[1:])
 
 
-def area_integrand_hess_dual(j, b: float) -> np.ndarray:
+def area_integrand_hess_dual(z, b: float) -> np.ndarray:
     """Hessian of F by nested dual-number differentiation (oracle), (6, 6, *S)."""
-    return dual.hessian(_flat_area_fun(b), _flat_jets(j))
+    return dual.hessian(_flat_area_fun(b), _flat_jets(z))
 
 
-def area_integrand_grad_central(j, b: float, step: float = 1e-6) -> np.ndarray:
+def area_integrand_grad_central(z, b: float, step: float = 1e-6) -> np.ndarray:
     """Gradient of F by central differences (secondary oracle), (3, 2, *S)."""
-    x = _flat_jets(j)
+    x = _flat_jets(z)
     return dual.central_gradient(_flat_area_fun(b), x, step).reshape((3, 2) + x.shape[1:])
 
 
-def area_integrand_hess_central(j, b: float, step: float = 2.5e-4) -> np.ndarray:
+def area_integrand_hess_central(z, b: float, step: float = 2.5e-4) -> np.ndarray:
     """Hessian of F by nested central differences (secondary oracle), (6, 6, *S)."""
-    return dual.central_hessian(_flat_area_fun(b), _flat_jets(j), step)
+    return dual.central_hessian(_flat_area_fun(b), _flat_jets(z), step)

@@ -18,12 +18,11 @@ quadrature) and the area integrand of the jet module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DomainError
 
-__all__ = ["PhiFamily", "MetricParams"]
+__all__ = ["PhiFamily", "check_b"]
 
 
 class PhiFamily(Enum):
@@ -54,24 +53,10 @@ def _phi(family, s):
     return 1 + 0 * s
 
 
-@dataclass(frozen=True)
-class MetricParams:
-    """Norm parameters: one-form norm b and profile family."""
-
-    b: float
-    family: PhiFamily = PhiFamily.MATSUMOTO
-
-    def __post_init__(self):
-        b = float(self.b)
-        object.__setattr__(self, "b", b)
-        lo, hi = self.family.b_interval
-        if not math.isfinite(b) or not (lo <= b < hi):
-            raise DomainError(
-                f"one-form norm b={b} outside [{lo}, {hi}) for family "
-                f"{self.family.value!r}"
-            )
-
-    @property
-    def euclidean_degeneration(self) -> bool:
-        """True when b == 0, i.e. the norm collapses to the Euclidean one."""
-        return self.b == 0.0
+def check_b(b, family=PhiFamily.MATSUMOTO) -> float:
+    """b as a float; DomainError unless it is an admissible one-form norm."""
+    b = float(b)
+    lo, hi = family.b_interval
+    if not math.isfinite(b) or not (lo <= b < hi):
+        raise DomainError(f"one-form norm b={b} outside [{lo}, {hi}) for family {family.value!r}")
+    return b

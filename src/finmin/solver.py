@@ -34,14 +34,14 @@ import importlib.util
 import math
 import os
 import sys
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from . import dual
 from .errors import DomainError, NonConvergenceError, SolverError, StagnationError
 from .graph_pde import _residual_terms
+from .metric import check_b
 
 __all__ = [
     "GridProblem",
@@ -55,47 +55,33 @@ _MIN_STEP = 2.0**-20
 _ARMIJO_SLOPE = 1e-4
 
 
-@dataclass(frozen=True)
 class GridProblem:
     """Dirichlet problem for the minimal-graph equation on a rectangle.
 
-    nx, ny count interior nodes per axis; the stored fields include the
-    boundary ring, so arrays have shape (nx + 2, ny + 2). The boundary
-    callable is sampled exactly on boundary nodes.
+    domain is (x0, x1, y0, y1); nx, ny count interior nodes per axis; the
+    stored fields include the boundary ring, so arrays have shape
+    (nx + 2, ny + 2). The boundary callable is sampled exactly on boundary
+    nodes.
     """
 
-    domain: tuple  # (x0, x1, y0, y1)
-    nx: int
-    ny: int
-    b: float
-    boundary: Callable[[float, float], float]
-
-    def __post_init__(self):
-        x0, x1, y0, y1 = (float(v) for v in self.domain)
+    def __init__(self, domain, nx: int, ny: int, b: float, boundary):
+        x0, x1, y0, y1 = (float(v) for v in domain)
         if not all(map(math.isfinite, (x0, x1, y0, y1))):
             raise DomainError(f"domain bounds {(x0, x1, y0, y1)} must be finite")
         if not (x0 < x1 and y0 < y1):
             raise DomainError("domain must satisfy x0 < x1 and y0 < y1")
-        object.__setattr__(self, "domain", (x0, x1, y0, y1))
-        if self.nx < 8 or self.ny < 8:
+        if nx < 8 or ny < 8:
             raise DomainError("nx and ny must be at least 8 interior nodes")
+        self.domain = (x0, x1, y0, y1)
+        self.nx, self.ny = nx, ny
+        self.hx = (x1 - x0) / (nx + 1)
+        self.hy = (y1 - y0) / (ny + 1)
         # The stencils divide by hx**2, hy**2 and 4*hx*hy.
         h = max(self.hx, self.hy)
         if not math.isfinite(4.0 * h * h):
             raise DomainError(f"grid spacing {h} is too large: its square overflows")
-        if not (0.0 <= float(self.b) < 0.5):
-            raise DomainError(f"b={self.b} outside [0, 0.5)")
-        object.__setattr__(self, "b", float(self.b))
-
-    @property
-    def hx(self) -> float:
-        x0, x1, _, _ = self.domain
-        return (x1 - x0) / (self.nx + 1)
-
-    @property
-    def hy(self) -> float:
-        _, _, y0, y1 = self.domain
-        return (y1 - y0) / (self.ny + 1)
+        self.b = check_b(b)
+        self.boundary = boundary
 
     def xs(self) -> np.ndarray:
         x0, x1, _, _ = self.domain
@@ -116,15 +102,14 @@ class GridProblem:
         return f
 
 
-@dataclass
-class GridSolution:
+class GridSolution(NamedTuple):
     """Converged nodal field with the final residual norm and history."""
 
     f: np.ndarray
     residual_norm: float
     iterations: int
     problem: GridProblem
-    residual_history: list = field(default_factory=list)
+    residual_history: list
 
 
 def _stencil_point(problem: GridProblem, f: np.ndarray):

@@ -17,52 +17,25 @@ nonplanar minimal translation surfaces: exactly at b = 0 one finds
 K = (p + 2) L, so (K/L)' == 1, and for every b > 0 the separability
 identities fail, leaving only planes.
 
-All polynomial work is over fractions.Fraction, so every reported value
-is exact.
+kl_polys builds K and L for one b^2 as tuples of coefficients;
+kl_ratio_derivative and compatibility_check take that pair, so a caller
+builds it once per b^2. All polynomial work is over fractions.Fraction, so
+every reported value is exact.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .errors import DomainError
 
 __all__ = [
-    "TranslationPoint",
-    "KLPolys",
-    "CompatibilityReport",
     "lambda_mu",
     "translation_residual",
     "kl_polys",
     "kl_ratio_derivative",
     "compatibility_check",
 ]
-
-
-@dataclass(frozen=True)
-class TranslationPoint:
-    """First and second derivatives of the two profiles at one point."""
-
-    fp: float
-    fpp: float
-    gp: float
-    gpp: float
-
-    def __post_init__(self):
-        for name in ("fp", "fpp", "gp", "gpp"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite")
-
-    @property
-    def r(self):
-        return self.fp * self.fp
-
-    @property
-    def s(self):
-        return self.gp * self.gp
 
 
 def _lambda_mu_b2(r, s, b2):
@@ -82,10 +55,11 @@ def lambda_mu(r, s, b):
     return _lambda_mu_b2(r, s, b * b)
 
 
-def translation_residual(tp: TranslationPoint, b):
-    """lambda * f'' + mu * g''; zero exactly at minimal points."""
-    lam, mu = lambda_mu(tp.r, tp.s, b)
-    return lam * tp.fpp + mu * tp.gpp
+def translation_residual(fp, fpp, gp, gpp, b):
+    """lambda * f'' + mu * g'' at profile derivatives f' = fp, f'' = fpp,
+    g' = gp, g'' = gpp; zero exactly at minimal points."""
+    lam, mu = lambda_mu(fp * fp, gp * gp, b)
+    return lam * fpp + mu * gpp
 
 
 # ---------------------------------------------------------------------------
@@ -149,23 +123,10 @@ def _lagrange(xs, ys):
     return out
 
 
-@dataclass(frozen=True)
-class KLPolys:
-    """Exact polynomial split lambda = K(p) - L(p) q, mu = K(p) + L(p) q."""
-
-    b2: Fraction
-    k_coeffs: tuple  # ascending, degree 3
-    l_coeffs: tuple  # ascending, degree 2
-
-    def k_at(self, p) -> Fraction:
-        return _eval(self.k_coeffs, Fraction(p))
-
-    def l_at(self, p) -> Fraction:
-        return _eval(self.l_coeffs, Fraction(p))
-
-
-def kl_polys(b2) -> KLPolys:
-    """Exact K, L for one squared parameter, by interpolation from lambda_mu.
+def kl_polys(b2):
+    """Exact (K, L) for one squared parameter b2 = b^2, by interpolation from
+    lambda_mu: the split lambda = K(p) - L(p) q, mu = K(p) + L(p) q, each
+    polynomial a tuple of Fraction coefficients in ascending order.
 
     K is read off on the diagonal q = 0 (where lambda = mu = K) at four
     nodes, L on the line q = 1 at three; the split is then re-verified at
@@ -191,19 +152,19 @@ def kl_polys(b2) -> KLPolys:
         l_vals.append((mu - lam) / 2)
     l = _lagrange(l_nodes, l_vals)
 
-    polys = KLPolys(b2=b2, k_coeffs=tuple(k), l_coeffs=tuple(l))
     for r, s in ((Fraction(3), Fraction(1, 2)), (Fraction(1, 3), Fraction(5))):
         lam, mu = _lambda_mu_b2(r, s, b2)
         p, q = r + s, r - s
-        if lam != polys.k_at(p) - polys.l_at(p) * q:
+        if lam != _eval(k, p) - _eval(l, p) * q:
             raise ArithmeticError(f"lambda != K - L q at r={r}, s={s}, b^2={b2}")
-        if mu != polys.k_at(p) + polys.l_at(p) * q:
+        if mu != _eval(k, p) + _eval(l, p) * q:
             raise ArithmeticError(f"mu != K + L q at r={r}, s={s}, b^2={b2}")
-    return polys
+    return tuple(k), tuple(l)
 
 
-def kl_ratio_derivative(b2, p) -> Fraction:
-    """Exact (K/L)'(p) = (K'L - KL')/L^2 at a rational p >= 0.
+def kl_ratio_derivative(k, l, p) -> Fraction:
+    """Exact (K/L)'(p) = (K'L - KL')/L^2 at a rational p >= 0, for the
+    pair (k, l) = kl_polys(b2).
 
     p = f'^2 + g'^2 is never negative. For p >= 0 and b^2 < 1/4 every
     coefficient of L is positive, so L(p) > 0 and the quotient is defined.
@@ -211,48 +172,18 @@ def kl_ratio_derivative(b2, p) -> Fraction:
     p = Fraction(p)
     if p < 0:
         raise DomainError(f"p={p} must be >= 0 (p = f'^2 + g'^2)")
-    polys = kl_polys(b2)
-    lp = polys.l_at(p)
-    kd = _eval(_deriv(list(polys.k_coeffs)), p)
-    ld = _eval(_deriv(list(polys.l_coeffs)), p)
-    return (kd * lp - polys.k_at(p) * ld) / (lp * lp)
+    lp = _eval(l, p)
+    return (_eval(_deriv(k), p) * lp - _eval(k, p) * _eval(_deriv(l), p)) / (lp * lp)
 
 
-def _lowest_nonzero(coeffs) -> Optional[tuple]:
-    for i, c in enumerate(coeffs):
-        if c != 0:
-            return (i, c)
-    return None
-
-
-@dataclass(frozen=True)
-class CompatibilityReport:
-    """Exact-arithmetic report on the separability of the translation ODE.
-
-    separability/companion are the two polynomial identities whose joint
-    vanishing is necessary for a nonplanar solution; each nonzero
-    expression is summarized by its lowest-degree surviving coefficient.
+def compatibility_check(k, l):
+    """(separability, companion): K''L^3 - K L^2 L'' - 2 K'L'L^2 + 2 K L L'^2
+    and -K''K^2 L + K^3 L'' - 2 K'K^2 L' + 2 K'^2 K L - 2 K L^3, formed
+    exactly for the pair (k, l) = kl_polys(b2). Each is a list of ascending
+    coefficients, empty when the polynomial vanishes identically. Their
+    joint vanishing is necessary for a nonplanar solution; both vanish iff
+    b = 0.
     """
-
-    b2: Fraction
-    separability_zero: bool
-    companion_zero: bool
-    separability_lowest: Optional[tuple]
-    companion_lowest: Optional[tuple]
-
-    @property
-    def admits_nonplanar(self) -> bool:
-        return self.separability_zero and self.companion_zero
-
-
-def compatibility_check(b2) -> CompatibilityReport:
-    """Form K''L^3 - K L^2 L'' - 2 K'L'L^2 + 2 K L L'^2 and its companion
-    -K''K^2 L + K^3 L'' - 2 K'K^2 L' + 2 K'^2 K L - 2 K L^3 exactly and
-    report whether each vanishes identically. Both vanish iff b = 0.
-    """
-    polys = kl_polys(b2)
-    k = list(polys.k_coeffs)
-    l = list(polys.l_coeffs)
     kd, kdd = _deriv(k), _deriv(_deriv(k))
     ld, ldd = _deriv(l), _deriv(_deriv(l))
 
@@ -273,10 +204,4 @@ def compatibility_check(b2) -> CompatibilityReport:
         ),
     )
 
-    return CompatibilityReport(
-        b2=polys.b2,
-        separability_zero=not separability,
-        companion_zero=not companion,
-        separability_lowest=_lowest_nonzero(separability),
-        companion_lowest=_lowest_nonzero(companion),
-    )
+    return separability, companion

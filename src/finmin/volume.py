@@ -7,9 +7,11 @@ module computes f(b) two ways: by Gauss-Legendre quadrature of the ratio
     f(b) = integral(sin(t)**(n-2), 0, pi)
            / integral(sin(t)**(n-2) / phi(b*cos(t))**n, 0, pi)
 
-with node doubling until the ratio stabilizes, and by the exact closed
-form 2/(2 + b**2) available for the slope family in dimension n = 2.
-The volume form is Busemann-Hausdorff; no other branch is implemented.
+with node doubling from 64 up to 16384 nodes until two estimates agree to
+1e-12 relative (module constants), and by the exact closed form
+2/(2 + b**2) available for the slope family in dimension n = 2. Both
+take b as a plain float and check it with metric.check_b. The volume form
+is Busemann-Hausdorff; no other branch is implemented.
 
 The Gauss-Legendre rule is computed here with numpy alone: Newton's method
 on P_n, evaluated by the three-term recurrence for all positive roots at
@@ -24,62 +26,25 @@ O(n**2), and O(n**2) time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError, QuadratureConvergenceError
-from .metric import MetricParams, _phi
+from .metric import PhiFamily, _phi, check_b
 
-__all__ = [
-    "QuadraturePolicy",
-    "VolumeFactorRequest",
-    "bh_factor_quadrature",
-    "bh_factor_closed_matsumoto",
-]
+__all__ = ["bh_factor_quadrature", "bh_factor_closed_matsumoto"]
 
+# Node doubling runs from _INITIAL_NODES up to _MAX_NODES (powers of two) and
+# stops once two estimates agree to _RTOL relative to the last.
+_INITIAL_NODES = 64
+_MAX_NODES = 16384
+_RTOL = 1e-12
 
 # Newton stops once no root moves by more than a few ulp of 1; from the
-# guesses below it takes four steps at every policy size (64 to 16384).
+# guesses below it takes four steps at every node count from 64 to 16384.
 _NEWTON_STEP_TOL = 4.0 * np.finfo(float).eps
 _NEWTON_MAX_STEPS = 8
-
-
-def _is_pow2(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
-@dataclass(frozen=True)
-class QuadraturePolicy:
-    """Node-count policy: start at initial_nodes, double up to max_nodes."""
-
-    initial_nodes: int = 64
-    max_nodes: int = 16384
-    rtol: float = 1e-12
-
-    def __post_init__(self):
-        for name in ("initial_nodes", "max_nodes"):
-            n = getattr(self, name)
-            if not isinstance(n, int) or not _is_pow2(n) or not (64 <= n <= 16384):
-                raise DomainError(
-                    f"{name}={n} must be a power of two between 64 and 16384"
-                )
-        if self.initial_nodes > self.max_nodes:
-            raise DomainError("initial_nodes must not exceed max_nodes")
-        if not (0.0 < self.rtol < 1.0):
-            raise DomainError("rtol must lie in (0, 1)")
-
-
-@dataclass(frozen=True)
-class VolumeFactorRequest:
-    params: MetricParams
-    n: int = 2
-    quadrature: QuadraturePolicy = field(default_factory=QuadraturePolicy)
-
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 2:
-            raise DomainError(f"dimension n={self.n} must be an integer >= 2")
 
 
 def _legendre(n: int, x):
@@ -118,10 +83,10 @@ def _nodes_weights(n_nodes: int):
     return (x + 1.0) * (math.pi / 2.0), w * (math.pi / 2.0)
 
 
-def _ratio_estimate(params: MetricParams, n: int, n_nodes: int) -> float:
+def _ratio_estimate(b: float, family: PhiFamily, n: int, n_nodes: int) -> float:
     t, w = _nodes_weights(n_nodes)
     sin_pow = np.sin(t) ** (n - 2) if n > 2 else np.ones_like(t)
-    phi = _phi(params.family, params.b * np.cos(t))
+    phi = _phi(family, b * np.cos(t))
     # At large n, phi**n overflows (those terms add 0) or underflows to 0 where
     # sin_pow has too (0/0); the caller rejects a non-finite ratio, so no warnings.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -130,34 +95,37 @@ def _ratio_estimate(params: MetricParams, n: int, n_nodes: int) -> float:
         return float(num / den)
 
 
-def bh_factor_quadrature(req: VolumeFactorRequest):
-    """(value, nodes_used): the volume factor by node-doubling quadrature of
-    the defining ratio, and the node count at which it converged.
+def bh_factor_quadrature(b: float, family: PhiFamily = PhiFamily.MATSUMOTO, n: int = 2):
+    """(value, nodes_used): the volume factor in dimension n by node-doubling
+    quadrature of the defining ratio, and the node count at which it converged.
 
     Convergence is judged on the ratio itself (shared nodes cancel smooth
     error in both integrals) and relative to its size, so factors far below
     1 get as many digits as factors near 1. Raises
     QuadratureConvergenceError, carrying the last two estimates, at the
     first non-finite estimate or when doubling is exhausted; the message
-    names the node counts.
+    names the node counts. DomainError unless b is admissible for the family
+    and n is an integer >= 2.
     """
-    pol = req.quadrature
-    n_nodes = pol.initial_nodes
-    prev = est = _ratio_estimate(req.params, req.n, n_nodes)
-    while math.isfinite(est) and n_nodes < pol.max_nodes:
+    b = check_b(b, family)
+    if not isinstance(n, int) or n < 2:
+        raise DomainError(f"dimension n={n} must be an integer >= 2")
+    n_nodes = _INITIAL_NODES
+    prev = est = _ratio_estimate(b, family, n, n_nodes)
+    while math.isfinite(est) and n_nodes < _MAX_NODES:
         n_nodes *= 2
-        prev, est = est, _ratio_estimate(req.params, req.n, n_nodes)
-        if abs(est - prev) <= pol.rtol * abs(est):
+        prev, est = est, _ratio_estimate(b, family, n, n_nodes)
+        if abs(est - prev) <= _RTOL * abs(est):
             return est, n_nodes
     if not math.isfinite(est):
         raise QuadratureConvergenceError(
-            f"quadrature ratio is {est} at b={req.params.b}, n={req.n} with "
+            f"quadrature ratio is {est} at b={b}, n={n} with "
             f"{n_nodes} nodes (the integrands over- or underflow)",
             (prev, est),
         )
     raise QuadratureConvergenceError(
-        f"quadrature ratio did not converge below rtol={pol.rtol} within "
-        f"{pol.max_nodes} nodes: {prev!r} at {max(n_nodes // 2, pol.initial_nodes)} "
+        f"quadrature ratio did not converge below rtol={_RTOL} within "
+        f"{_MAX_NODES} nodes: {prev!r} at {max(n_nodes // 2, _INITIAL_NODES)} "
         f"nodes, {est!r} at {n_nodes} nodes",
         (prev, est),
     )
@@ -165,7 +133,5 @@ def bh_factor_quadrature(req: VolumeFactorRequest):
 
 def bh_factor_closed_matsumoto(b: float) -> float:
     """Exact factor 2/(2 + b**2) for the slope family in dimension 2."""
-    b = float(b)
-    if not (0.0 <= b < 0.5):
-        raise DomainError(f"b={b} outside [0, 0.5)")
+    b = check_b(b)
     return 2.0 / (2.0 + b * b)

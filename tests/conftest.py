@@ -6,7 +6,7 @@ import numpy as np
 
 from finmin.cli import _matrix_rel_err as max_rel_err  # noqa: F401  (re-exported)
 from finmin.cli import _random_jet as rand_jet  # noqa: F401  (re-exported)
-from finmin.jet import ImmersionJet1, area_integrand_hess
+from finmin.jet import area_integrand_hess
 
 
 def graph_euler_lagrange(f, hess, m, b):
@@ -18,7 +18,7 @@ def graph_euler_lagrange(f, hess, m, b):
     are the Hessian of F contracted twice with the graph direction m[:, 2].
     """
     k = m[:, 2]
-    h = area_integrand_hess(ImmersionJet1(m[:, :2] + np.outer(k, f)), b).reshape(3, 2, 3, 2)
+    h = area_integrand_hess(m[:, :2] + np.outer(k, f), b).reshape(3, 2, 3, 2)
     return float(np.einsum("i,iejh,j,eh->", k, h, k, np.asarray(hess, dtype=float)))
 
 

@@ -12,9 +12,6 @@ import numpy as np
 from conftest import cleared_euler_lagrange, max_rel_err, rand_jet, rand_rotation, scherk
 
 from finmin.graph_pde import (
-    GraphPoint,
-    SamplerConfig,
-    TiltedFrame,
     _residual_terms,
     ellipticity_quotients,
     graph_residual,
@@ -29,16 +26,15 @@ from finmin.jet import (
     area_integrand_hess_central,
     area_integrand_hess_dual,
 )
-from finmin.metric import MetricParams, PhiFamily
+from finmin.metric import PhiFamily
 from finmin.solver import GridProblem, planarity_deviation, solve_minimal_graph
 from finmin.translation import (
-    TranslationPoint,
     compatibility_check,
     kl_polys,
     kl_ratio_derivative,
     translation_residual,
 )
-from finmin.volume import VolumeFactorRequest, bh_factor_closed_matsumoto, bh_factor_quadrature
+from finmin.volume import bh_factor_closed_matsumoto, bh_factor_quadrature
 
 
 def _report(name, ok, detail):
@@ -50,12 +46,10 @@ def test_criterion_1_volume_form():
     t0 = time.perf_counter()
     worst = 0.0
     for b in np.arange(0.0, 0.451, 0.05):
-        req = VolumeFactorRequest(MetricParams(float(b)))
-        worst = max(worst, abs(bh_factor_quadrature(req)[0] - bh_factor_closed_matsumoto(float(b))))
+        worst = max(worst, abs(bh_factor_quadrature(float(b))[0] - bh_factor_closed_matsumoto(float(b))))
     worst_randers = 0.0
     for b in (0.2, 0.5, 0.8):
-        req = VolumeFactorRequest(MetricParams(b, PhiFamily.RANDERS))
-        worst_randers = max(worst_randers, abs(bh_factor_quadrature(req)[0] - (1.0 - b * b) ** 1.5))
+        worst_randers = max(worst_randers, abs(bh_factor_quadrature(b, PhiFamily.RANDERS)[0] - (1.0 - b * b) ** 1.5))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-10 and worst_randers <= 1e-10 and elapsed < 1.0
     _report(
@@ -69,7 +63,7 @@ def test_criterion_2_derivative_fidelity():
     t0 = time.perf_counter()
     rng = np.random.default_rng(123)
     jets = [rand_jet(rng) for _ in range(200)]
-    z = np.stack([j.z for j in jets], axis=-1)
+    z = np.stack(jets, axis=-1)
     worst_dual = worst_central = 0.0
     for b in (0.0, 0.2, 0.4):
         # closed forms per jet (the code under test), each oracle in one pass
@@ -108,7 +102,7 @@ def test_criterion_3_pde_residual_equivalence():
         cleared = cleared_euler_lagrange([f1, f2], [[h11, h12], [h12, h22]], m, b)
         res = _residual_terms(f1, f2, h11, h12, h22, *m[2], b)
         if i % 5 == 0:
-            assert res == graph_residual(GraphPoint(f1, f2, h11, h12, h22), b)
+            assert res == graph_residual(f1, f2, h11, h12, h22, b)
         worst = max(worst, abs(cleared - res) / max(abs(cleared), 1e-12))
         if res != 0.0:
             min_ratio = min(min_ratio, cleared / res)
@@ -157,9 +151,9 @@ def test_criterion_4_ellipticity():
         for bs in (0.0, 0.15, 0.3, 0.45, 0.4999)
     )
 
-    frame = TiltedFrame(rand_rotation(np.random.default_rng(5)))
-    c1 = mean_curvature_type_bound(frame, 0.3, SamplerConfig(t_max=1e3))
-    c10 = mean_curvature_type_bound(frame, 0.3, SamplerConfig(t_max=1e4))
+    frame = rand_rotation(np.random.default_rng(5))
+    c1 = mean_curvature_type_bound(frame, 0.3, t_max=1e3)
+    c10 = mean_curvature_type_bound(frame, 0.3, t_max=1e4)
     stable = math.isfinite(c1) and abs(c10 - c1) <= 0.01 * c1
     ok = bool(strict and stable and kernel_equal)
     _report(
@@ -172,17 +166,16 @@ def test_criterion_4_ellipticity():
 
 def test_criterion_5_translation_rigidity():
     t0 = time.perf_counter()
-    polys0 = kl_polys(0)
-    k, l = list(polys0.k_coeffs), list(polys0.l_coeffs)
+    k, l = map(list, kl_polys(0))
     identity = [2 * l[0], 2 * l[1] + l[0], 2 * l[2] + l[1], l[2]] == k  # K = (p+2) L
-    derivative_unit = all(kl_ratio_derivative(0, p) == 1 for p in (0, Fraction(1, 2), 1, 2, 5, 10))
-    rep0 = compatibility_check(0)
-    rigid = identity and derivative_unit and rep0.admits_nonplanar
+    derivative_unit = all(kl_ratio_derivative(k, l, p) == 1 for p in (0, Fraction(1, 2), 1, 2, 5, 10))
+    # nonplanar solutions need both identities to vanish: ([], [])
+    rigid = identity and derivative_unit and compatibility_check(k, l) == ([], [])
     for b2 in (Fraction(1, 100), Fraction(4, 100), Fraction(9, 100), Fraction(16, 100), Fraction(24, 100)):
-        rep = compatibility_check(b2)
-        rigid &= not rep.admits_nonplanar
+        kl = kl_polys(b2)
+        rigid &= compatibility_check(*kl) != ([], [])
         for p in (0, Fraction(1, 2), 1, 2, 5, 10):
-            rigid &= abs(kl_ratio_derivative(b2, p)) != 1
+            rigid &= abs(kl_ratio_derivative(*kl, p)) != 1
     elapsed = time.perf_counter() - t0
     ok = rigid and elapsed < 1.0
     _report(
@@ -220,14 +213,14 @@ def test_criterion_7_classical_reduction():
     slope = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
 
     x, y = 0.3, 0.4
-    tp = TranslationPoint(
+    tp = dict(
         fp=-math.tan(x),
         fpp=-1.0 / math.cos(x) ** 2,
         gp=math.tan(y),
         gpp=1.0 / math.cos(y) ** 2,
     )
-    r0 = abs(translation_residual(tp, 0.0))
-    r3 = abs(translation_residual(tp, 0.3))
+    r0 = abs(translation_residual(**tp, b=0.0))
+    r3 = abs(translation_residual(**tp, b=0.3))
     ok = 1.8 <= slope <= 2.2 and r0 < 1e-9 and r3 > 1e-4
     _report(
         "7 classical reduction",
@@ -244,16 +237,16 @@ def test_criterion_8_invariance_suite():
         j = rand_jet(rng)
         b = rng.uniform(0.0, 0.5)
         area = _flat_area_fun(b)
-        f0 = area(j.z.ravel())
+        f0 = area(j.ravel())
 
         lam = rng.uniform(0.1, 4.0)
-        dev = abs(area((lam * j.z).ravel()) - lam * lam * f0) / (lam * lam * f0)
+        dev = abs(area((lam * j).ravel()) - lam * lam * f0) / (lam * lam * f0)
         worst["scaling"] = max(worst["scaling"], dev)
         failures += dev > 1e-12
 
         th = rng.uniform(0.0, 2.0 * math.pi)
         rot = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
-        z = j.z.copy()
+        z = j.copy()
         z[:2, :] = rot @ z[:2, :]
         dev = abs(area(z.ravel()) - f0) / f0
         worst["rotation"] = max(worst["rotation"], dev)
@@ -264,7 +257,7 @@ def test_criterion_8_invariance_suite():
             dets = float(np.linalg.det(smat))
             if dets > 0.1:
                 break
-        dev = abs(area((j.z @ smat).ravel()) - dets * f0) / (dets * f0)
+        dev = abs(area((j @ smat).ravel()) - dets * f0) / (dets * f0)
         worst["reparam"] = max(worst["reparam"], dev)
         failures += dev > 1e-11
 

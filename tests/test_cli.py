@@ -1,13 +1,15 @@
 import json
+import re
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from finmin.cli import main, read_grid_csv
-from finmin.translation import kl_ratio_derivative
+from finmin.translation import kl_polys, kl_ratio_derivative
 
 
 def run_json(capsys, argv):
@@ -94,6 +96,38 @@ def test_residual_graph_bad_point(capsys):
     assert main(["residual-graph", "--point", "bogus=1", "--no-timestamp"]) == 2
 
 
+_OVERFLOWING_POINTS = [
+    ("residual-graph", dict(f1="1", f2="0.2", h11="1", h12="0", h22="1"), key, sign + "1e308")
+    for key in ("f1", "f2", "h11", "h12", "h22")
+    for sign in ("", "-")
+] + [
+    ("residual-translation", dict(fp="1", fpp="0.5", gp="2", gpp="-0.25"), key, sign + "1e308")
+    for key in ("fp", "fpp", "gp", "gpp")
+    for sign in ("", "-")
+]
+
+
+@pytest.mark.parametrize(
+    "command, point, key, value",
+    _OVERFLOWING_POINTS,
+    ids=[f"{c.split('-')[1]}-{k}={v}" for c, _, k, v in _OVERFLOWING_POINTS],
+)
+def test_nonfinite_result_from_finite_point_exits_3(capsys, command, point, key, value):
+    # Each field is finite, so the point parser passes it, but the result
+    # overflows: the record would hold NaN or Infinity, which is not JSON.
+    point = ",".join(f"{k}={value if k == key else v}" for k, v in point.items())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--b", "0.3,0", "--point", point, "--no-timestamp"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # the first key of the first b whose value is not finite
+    assert re.fullmatch(
+        r"error: (residual|lambda) is (nan|-?inf) at b=0\.3: the computation overflows double precision\n",
+        captured.err,
+    )
+
+
 def test_residual_translation(capsys):
     code, rec = run_json(
         capsys,
@@ -139,6 +173,16 @@ def test_check_derivatives_forced_failure(capsys):
     assert rec["results"][0]["pass"] is False
 
 
+def test_check_translation_builds_k_and_l_once_per_b2(capsys, monkeypatch):
+    import finmin.translation as translation
+
+    real, calls = translation.kl_polys, []
+    monkeypatch.setattr(translation, "kl_polys", lambda b2: calls.append(b2) or real(b2))
+    argv = ["check-translation", "--b2", "0,1/100,9/100", "--p", "0,1/2,1,2,5", "--no-timestamp"]
+    assert main(argv) == 0
+    assert calls == [0, Fraction(1, 100), Fraction(9, 100)]
+
+
 def test_check_translation_report(capsys):
     code, rec = run_json(
         capsys,
@@ -162,7 +206,7 @@ def test_check_translation_report(capsys):
     second = rec["results"][1]
     assert second["admits_nonplanar"] is False
     # serialized exact rationals match the library values
-    v = kl_ratio_derivative("1/100", 0)
+    v = kl_ratio_derivative(*kl_polys("1/100"), 0)
     assert second["ratio_derivative"][0]["value"] == f"{v.numerator}/{v.denominator}"
 
 
@@ -209,6 +253,11 @@ def test_ellipticity_command(capsys):
         ["check-translation", "--b2", "0", "--p", "-1"],
         ["residual-translation", "--point", "fp=nan,fpp=0.5,gp=2,gpp=-0.25"],
         ["residual-translation", "--point", "fp=1,fpp=0.5,gp=inf,gpp=-0.25"],
+        ["residual-graph", "--point", "f1=abc,f2=0,h11=0,h12=0,h22=0"],
+        ["residual-graph", "--point", "f1,f2=0,h11=0,h12=0,h22=0"],
+        ["residual-graph", "--point", "f1=1,f1=2,f2=0,h11=0,h12=0,h22=0"],
+        ["residual-translation", "--point", "fp=1,fpp=,gp=2,gpp=0"],
+        ["residual-translation", "--point", "fp=1,fpp=0,gp=2,gpp=0,gp=2"],
     ],
     ids=[
         "ellipticity-samples-0",
@@ -230,12 +279,17 @@ def test_ellipticity_command(capsys):
         "check-translation-p-negative",
         "residual-translation-point-nan",
         "residual-translation-point-inf",
+        "residual-graph-point-not-a-number",
+        "residual-graph-point-no-value",
+        "residual-graph-point-repeated-field",
+        "residual-translation-point-empty-value",
+        "residual-translation-point-repeated-field",
     ],
 )
 def test_bad_sampler_input_exits_2(capsys, argv):
     assert main([*argv, "--no-timestamp"]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("error: ")
+    assert captured.out == "" and captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +591,9 @@ import contextlib, io, json, sys
 import finmin, finmin.cli
 
 def loaded():
-    return sorted(m for m in sys.modules if m.split(".")[0] in ("finmin", "scipy") or m == "numpy")
+    return sorted(m for m in sys.modules if m.split(".")[0] in ("finmin", "scipy") or m in WATCHED)
+
+WATCHED = ("numpy", "dataclasses", "inspect", "fractions")
 
 out = {"import": loaded()}
 for argv in json.loads(sys.argv[1]):
@@ -550,8 +606,8 @@ print(json.dumps(out))
 
 def _loaded_after_each(commands):
     """Run commands in order in one fresh interpreter (this process already
-    has everything loaded); the finmin and scipy modules, and numpy, loaded
-    so far after each, by command name."""
+    has everything loaded); the finmin and scipy modules, numpy, dataclasses,
+    inspect and fractions loaded so far after each, by command name."""
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, json.dumps(commands)],
         capture_output=True,
@@ -579,26 +635,29 @@ def test_commands_load_only_their_modules():
             ["solve", "--b", "0.3", "--boundary", "scherk", "--nx", "8", "--ny", "8"],
         ]
     )
+    # No command loads dataclasses; numpy itself imports inspect. Only the
+    # commands that compute on rationals load fractions.
     base = ["finmin", "finmin.cli", "finmin.errors", "finmin.metric"]
     assert first["import"] == second["import"] == base
     for argv in first_commands:
         code, modules = first[argv[0]]
         assert code == 0 and scipy_or_solver(modules) == [], argv
+        assert "dataclasses" not in modules, argv
     # The three scalar commands, each in a fresh interpreter, add only their
-    # own module: no numpy, no jet, no dual.
+    # own modules: no numpy, no jet, no dual, no inspect.
     for argv, own in [
-        (first_commands[0], "finmin.translation"),
-        (first_commands[1], "finmin.translation"),
-        (first_commands[2], "finmin.graph_pde"),
+        (first_commands[0], ["finmin.translation", "fractions"]),
+        (first_commands[1], ["finmin.translation", "fractions"]),
+        (first_commands[2], ["finmin.graph_pde"]),
     ]:
         code, modules = _loaded_after_each([argv])[argv[0]]
-        assert code == 0 and modules == sorted(base + [own]), argv
+        assert code == 0 and modules == sorted(base + own), argv
     code, modules = second["volume"]
-    assert code == 0 and modules == sorted(base + ["finmin.volume", "numpy"])
+    assert code == 0 and modules == sorted(base + ["finmin.volume", "inspect", "numpy"])
     # solve reaches SuperLU through its compiled module alone: no other scipy module.
     code, modules = second["solve"]
     solve_adds = ["finmin.dual", "finmin.graph_pde", "finmin.solver", "scipy.sparse.linalg._dsolve._superlu"]
-    assert code == 0 and modules == sorted(base + ["finmin.volume", "numpy"] + solve_adds)
+    assert code == 0 and modules == sorted(base + ["finmin.volume", "inspect", "numpy"] + solve_adds)
 
 
 _SUPERLU_PROBE = """

@@ -28,7 +28,7 @@ ORACLES = [
 def _jet_vectors(seed, sample_shape):
     rng = np.random.default_rng(seed)
     count = int(np.prod(sample_shape, dtype=int))
-    z = np.stack([rand_jet(rng).z.ravel() for _ in range(count)], axis=-1)
+    z = np.stack([rand_jet(rng).ravel() for _ in range(count)], axis=-1)
     return z.reshape((6,) + tuple(sample_shape))
 
 
@@ -50,7 +50,7 @@ def test_batched_oracle_equals_per_sample_loop(name, oracle, b, sample_shape):
 def test_jet_oracle_wrappers_accept_one_jet_or_a_stack():
     rng = np.random.default_rng(3)
     jets = [rand_jet(rng) for _ in range(4)]
-    z = np.stack([j.z for j in jets], axis=-1)
+    z = np.stack(jets, axis=-1)
     for wrapper, shape in [
         (area_integrand_grad_dual, (3, 2)),
         (area_integrand_grad_central, (3, 2)),

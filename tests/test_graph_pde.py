@@ -7,10 +7,8 @@ from conftest import cleared_euler_lagrange, rand_rotation, scherk_gradient, sch
 from finmin.dual import Dual
 from finmin.errors import DomainError
 from finmin.graph_pde import (
-    GraphPoint,
-    SamplerConfig,
-    TiltedFrame,
     _residual_terms,
+    _t_grid,
     ellipticity_quotients,
     graph_residual,
     mean_curvature_type_bound,
@@ -19,17 +17,14 @@ from finmin.graph_pde import (
 from finmin.solver import GridProblem, _point_partials, _stencil_point, assemble_residual
 
 
-IDENTITY = TiltedFrame(np.eye(3))
+IDENTITY = np.eye(3)
 
 
 def rand_gp(rng, span=2.0):
+    """(f1, f2, h11, h12, h22) of a random graph point."""
     f1, f2 = rng.uniform(-span, span, 2)
     h11, h12, h22 = rng.uniform(-span, span, 3)
-    return GraphPoint(f1=f1, f2=f2, h11=h11, h12=h12, h22=h22)
-
-
-def fields(gp):
-    return gp.f1, gp.f2, gp.h11, gp.h12, gp.h22
+    return float(f1), float(f2), float(h11), float(h12), float(h22)
 
 
 # ---------------------------------------------------------------------------
@@ -37,35 +32,31 @@ def fields(gp):
 
 
 def test_plane_is_minimal_for_every_b():
-    gp = GraphPoint(f1=1.3, f2=-0.4, h11=0.0, h12=0.0, h22=0.0)
+    gp = (1.3, -0.4, 0.0, 0.0, 0.0)
     for b in (0.0, 0.2, 0.45):
-        assert graph_residual(gp, b) == 0.0
+        assert graph_residual(*gp, b) == 0.0
 
 
 def test_b0_example_value():
-    gp = GraphPoint(f1=1.0, f2=0.0, h11=1.0, h12=0.0, h22=0.0)
-    assert graph_residual(gp, 0.0) == pytest.approx(8.0, rel=1e-14)
+    gp = (1.0, 0.0, 1.0, 0.0, 0.0)
+    assert graph_residual(*gp, 0.0) == pytest.approx(8.0, rel=1e-14)
 
 
 def test_scherk_solves_b0():
     f1, f2 = scherk_gradient(0.3, 0.4)
     h11, h12, h22 = scherk_hessian(0.3, 0.4)
-    gp = GraphPoint(f1=f1, f2=f2, h11=h11, h12=h12, h22=h22)
-    assert abs(graph_residual(gp, 0.0)) <= 1e-9
-    assert abs(graph_residual(gp, 0.3)) > 1e-4
+    gp = (f1, f2, h11, h12, h22)
+    assert abs(graph_residual(*gp, 0.0)) <= 1e-9
+    assert abs(graph_residual(*gp, 0.3)) > 1e-4
 
 
 def test_b0_reduction_is_classical_operator():
     rng = np.random.default_rng(21)
     for _ in range(500):
-        gp = rand_gp(rng)
-        classical = (
-            (1 + gp.f2**2) * gp.h11
-            - 2 * gp.f1 * gp.f2 * gp.h12
-            + (1 + gp.f1**2) * gp.h22
-        )
-        r = graph_residual(gp, 0.0)
-        w2 = 1.0 + gp.f1 * gp.f1 + gp.f2 * gp.f2
+        gp = f1, f2, h11, h12, h22 = rand_gp(rng)
+        classical = (1 + f2**2) * h11 - 2 * f1 * f2 * h12 + (1 + f1**2) * h22
+        r = graph_residual(*gp, 0.0)
+        w2 = 1.0 + f1 * f1 + f2 * f2
         assert r == pytest.approx(4.0 * w2 * classical, rel=1e-12, abs=1e-12)
 
 
@@ -73,30 +64,31 @@ def test_identity_frame_reduces_exactly():
     # graph_residual is the kernel at k = (0, 0, 1); flipping the graph
     # direction to k = (0, 0, -1) changes no bit.
     rng = np.random.default_rng(22)
-    flipped = TiltedFrame(np.diag([1.0, -1.0, -1.0]))
+    flipped = np.diag([1.0, -1.0, -1.0])
     for _ in range(200):
         gp = rand_gp(rng)
         b = rng.uniform(0.0, 0.5)
-        assert _residual_terms(*fields(gp), *IDENTITY.k, b) == graph_residual(gp, b)
-        assert _residual_terms(*fields(gp), *flipped.k, b) == graph_residual(gp, b)
+        assert _residual_terms(*gp, *IDENTITY[2], b) == graph_residual(*gp, b)
+        assert _residual_terms(*gp, *flipped[2], b) == graph_residual(*gp, b)
 
 
 def test_frame_validation():
     with pytest.raises(DomainError, match="orthogonal"):
-        TiltedFrame(np.array([[1.0, 0.1, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
-    np.testing.assert_array_equal(IDENTITY.k, [0.0, 0.0, 1.0])
+        mean_curvature_type_bound(np.array([[1.0, 0.1, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), 0.3)
+    with pytest.raises(DomainError, match="3x3"):
+        mean_curvature_type_bound(np.eye(2), 0.3)
 
 
 def test_frame_unit_k():
     rng = np.random.default_rng(23)
     for _ in range(50):
-        frame = TiltedFrame(rand_rotation(rng))
-        assert np.sum(frame.k**2) == pytest.approx(1.0, rel=1e-12)
+        frame = rand_rotation(rng)
+        assert np.sum(frame[2] ** 2) == pytest.approx(1.0, rel=1e-12)
 
 
 def _cleared(gp, frame, b):
-    hess = [[gp.h11, gp.h12], [gp.h12, gp.h22]]
-    return cleared_euler_lagrange([gp.f1, gp.f2], hess, frame.m, b)
+    f1, f2, h11, h12, h22 = gp
+    return cleared_euler_lagrange([f1, f2], [[h11, h12], [h12, h22]], frame, b)
 
 
 def test_residual_matches_jet_bracket():
@@ -106,19 +98,19 @@ def test_residual_matches_jet_bracket():
     rng = np.random.default_rng(24)
     for i in range(500):
         gp = rand_gp(rng)
-        frame = IDENTITY if i % 5 == 0 else TiltedFrame(rand_rotation(rng))
+        frame = IDENTITY if i % 5 == 0 else rand_rotation(rng)
         b = rng.uniform(0.0, 0.5)
-        res = _residual_terms(*fields(gp), *frame.k, b)
+        res = _residual_terms(*gp, *frame[2], b)
         assert _cleared(gp, frame, b) == pytest.approx(res, rel=1e-9, abs=1e-9)
 
 
 def test_vertical_plane_frame_is_finite():
     # k3 = 0: graph over a vertical plane; everything stays finite.
-    frame = TiltedFrame(np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]]))
-    assert frame.k[2] == 0.0
-    gp = GraphPoint(f1=0.7, f2=-0.3, h11=1.0, h12=0.2, h22=-0.5)
+    frame = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]])
+    assert frame[2, 2] == 0.0
+    gp = (0.7, -0.3, 1.0, 0.2, -0.5)
     for b in (0.0, 0.3, 0.49):
-        r = _residual_terms(*fields(gp), *frame.k, b)
+        r = _residual_terms(*gp, *frame[2], b)
         assert math.isfinite(r)
         assert _cleared(gp, frame, b) == pytest.approx(r, rel=1e-9)
 
@@ -141,11 +133,10 @@ def test_pointwise_residuals_bitwise_equal_reference():
     rng = np.random.default_rng(35)
     for i in range(300):
         gp = rand_gp(rng, span=3.0)
-        frame = IDENTITY if i % 5 == 0 else TiltedFrame(rand_rotation(rng))
+        frame = IDENTITY if i % 5 == 0 else rand_rotation(rng)
         b = rng.uniform(0.0, 0.5)
-        args = fields(gp)
-        assert _residual_terms(*args, *frame.k, b) == _reference_residual(*args, *frame.k, b)
-        assert graph_residual(gp, b) == _reference_residual(*args, 0.0, 0.0, 1.0, b)
+        assert _residual_terms(*gp, *frame[2], b) == _reference_residual(*gp, *frame[2], b)
+        assert graph_residual(*gp, b) == _reference_residual(*gp, 0.0, 0.0, 1.0, b)
 
 
 @pytest.mark.parametrize("b", [0.0, 0.3, 0.45])
@@ -164,8 +155,8 @@ def test_grid_residual_and_partials_bitwise_equal_reference(b):
 
 
 def _quotients(gps, frames, xi, b):
-    f = np.array([[gp.f1, gp.f2] for gp in gps])
-    k = np.array([frame.k for frame in frames])
+    f = np.array([gp[:2] for gp in gps])
+    k = np.array([frame[2] for frame in frames])
     return ellipticity_quotients(f, k, np.asarray(xi, dtype=float), b)
 
 
@@ -173,13 +164,13 @@ def test_coefficients_b0_are_classical():
     # At b = 0 the excess vanishes: W^2 a(xi) / |xi|^2 is the classical
     # W^2 h(xi) / |xi|^2 and the divisor is S^2 = 4 W^4.
     rng = np.random.default_rng(25)
-    frame = TiltedFrame(rand_rotation(rng))
+    frame = rand_rotation(rng)
     gps = [rand_gp(rng) for _ in range(50)]
     xi = rng.normal(size=(50, 2))
     ratio, divisor = _quotients(gps, [frame] * 50, xi, 0.0)
-    for gp, x, r, d in zip(gps, xi, ratio, divisor):
-        w2 = 1.0 + gp.f1 * gp.f1 + gp.f2 * gp.f2
-        h = x @ x - (gp.f1 * x[0] + gp.f2 * x[1]) ** 2 / w2
+    for (f1, f2, *_), x, r, d in zip(gps, xi, ratio, divisor):
+        w2 = 1.0 + f1 * f1 + f2 * f2
+        h = x @ x - (f1 * x[0] + f2 * x[1]) ** 2 / w2
         assert r == pytest.approx(w2 * h / (x @ x), rel=1e-14)
         assert d == pytest.approx(4.0 * w2**2, rel=1e-14)
 
@@ -187,7 +178,7 @@ def test_coefficients_b0_are_classical():
 def test_coefficients_flat_point_identity_frame():
     # u vanishes, so a is exactly the identity: the quotient is 1 in every
     # probe direction.
-    gp = GraphPoint(f1=0.0, f2=0.0, h11=0.0, h12=0.0, h22=0.0)
+    gp = (0.0, 0.0, 0.0, 0.0, 0.0)
     xi = np.column_stack([np.cos(np.arange(16)), np.sin(np.arange(16))]) * 3.0
     for b in (0.1, 0.3, 0.49):
         ratio, divisor = _quotients([gp] * 16, [IDENTITY] * 16, xi, b)
@@ -196,7 +187,7 @@ def test_coefficients_flat_point_identity_frame():
 
 
 def test_coefficients_reject_large_b():
-    gp = GraphPoint(f1=0.0, f2=0.0, h11=0.0, h12=0.0, h22=0.0)
+    gp = (0.0, 0.0, 0.0, 0.0, 0.0)
     for b in (0.5, -0.1, math.nan):
         with pytest.raises(DomainError):
             _quotients([gp], [IDENTITY], [[1.0, 0.0]], b)
@@ -207,7 +198,7 @@ def test_quadratic_form_lower_bound():
     rng = np.random.default_rng(26)
     for _ in range(20):
         gps = [rand_gp(rng, span=3.0) for _ in range(100)]
-        frames = [TiltedFrame(rand_rotation(rng)) for _ in range(100)]
+        frames = [rand_rotation(rng) for _ in range(100)]
         ratio, _ = _quotients(gps, frames, rng.normal(size=(100, 2)), rng.uniform(0.0, 0.5))
         assert np.all(ratio > 1.0 - 1e-12)
 
@@ -249,7 +240,7 @@ def test_smallest_eigenvalue_bound():
     xi = np.column_stack([np.cos(angles), np.sin(angles)])
     for _ in range(300):
         gp = rand_gp(rng)
-        frame = TiltedFrame(rand_rotation(rng))
+        frame = rand_rotation(rng)
         ratio, _ = _quotients([gp] * 720, [frame] * 720, xi, rng.uniform(0.0, 0.5))
         assert np.min(ratio) >= 1.0 - 1e-12
 
@@ -261,20 +252,20 @@ def test_smallest_eigenvalue_bound():
 def test_bound_identity_frame_zero_gradient_contribution():
     # k12 = 0: the t = 0 slice contributes nothing.
     frame = IDENTITY
-    c0 = mean_curvature_type_bound(frame, 0.3, SamplerConfig(t_max=0.0))
+    c0 = mean_curvature_type_bound(frame, 0.3, t_max=0.0)
     assert c0 == 0.0
-    c = mean_curvature_type_bound(frame, 0.3, SamplerConfig(t_max=50.0, t_nodes=64, angle_nodes=64))
+    c = mean_curvature_type_bound(frame, 0.3, t_max=50.0, t_nodes=64, angle_nodes=64)
     assert math.isfinite(c)
 
 
 def test_bound_t0_general_frame():
     rng = np.random.default_rng(29)
-    frame = TiltedFrame(rand_rotation(rng))
+    frame = rand_rotation(rng)
     b = 0.3
-    k1, k2, k3 = frame.k
+    k1, k2, k3 = frame[2]
     s0 = (2 + b * b) - b * b * k3 * k3
     rb0 = 2 * b * b * (s0 + 4 * b * b * k3 * k3) / (s0 * (s0 - 2 * b * b * k3 * k3))
-    c0 = mean_curvature_type_bound(frame, b, SamplerConfig(t_max=0.0))
+    c0 = mean_curvature_type_bound(frame, b, t_max=0.0)
     assert c0 == pytest.approx(rb0 * (k1 * k1 + k2 * k2), rel=1e-12)
 
 
@@ -282,23 +273,24 @@ def test_bound_sandwich_on_sampler_grid():
     # Reconstruct (gradient, probe direction) from each sampler triple and
     # check h <= a <= (1 + C) h with C the sampler maximum.
     rng = np.random.default_rng(30)
-    frame = TiltedFrame(rand_rotation(rng))
+    frame = rand_rotation(rng)
     b = 0.35
-    config = SamplerConfig(t_max=100.0, t_nodes=24, angle_nodes=16)
-    c_est = mean_curvature_type_bound(frame, b, config)
-    k1, k2, k3 = frame.k
+    config = dict(t_max=100.0, t_nodes=24, angle_nodes=16)
+    c_est = mean_curvature_type_bound(frame, b, **config)
+    k1, k2, k3 = frame[2]
     gamma0 = math.atan2(k2, k1)
-    gammas = np.linspace(0.0, 2 * math.pi, config.angle_nodes, endpoint=False)
-    thetas = np.linspace(0.0, 2 * math.pi, config.angle_nodes, endpoint=False)
+    gammas = np.linspace(0.0, 2 * math.pi, config["angle_nodes"], endpoint=False)
+    thetas = np.linspace(0.0, 2 * math.pi, config["angle_nodes"], endpoint=False)
     # every (t, gamma, theta) triple at once; xi is a unit vector, so
     # a(xi) is the quotient divided by W^2
-    t_abs, gamma, theta = np.meshgrid(config.t_grid(), gammas, thetas, indexing="ij")
+    ts = _t_grid(config["t_max"], config["t_nodes"])
+    t_abs, gamma, theta = np.meshgrid(ts, gammas, thetas, indexing="ij")
     xi_ang = (gamma0 - gamma).ravel()
     t_ang = xi_ang + theta.ravel()
     f = t_abs.ravel()[:, None] * np.column_stack([np.cos(t_ang), np.sin(t_ang)])
     xi = np.column_stack([np.cos(xi_ang), np.sin(xi_ang)])
     w2 = 1.0 + f[:, 0] ** 2 + f[:, 1] ** 2
-    ratio, _ = ellipticity_quotients(f, np.tile(frame.k, (len(f), 1)), xi, b)
+    ratio, _ = ellipticity_quotients(f, np.tile(frame[2], (len(f), 1)), xi, b)
     aform = ratio / w2
     hform = np.einsum("ij,ij->i", xi, xi) - np.einsum("ij,ij->i", f, xi) ** 2 / w2
     assert np.all(aform >= hform * (1.0 - 1e-12))
@@ -308,25 +300,25 @@ def test_bound_sandwich_on_sampler_grid():
 
 def test_bound_stability_under_horizon_growth():
     rng = np.random.default_rng(31)
-    frame = TiltedFrame(rand_rotation(rng))
+    frame = rand_rotation(rng)
     b = 0.3
-    c1 = mean_curvature_type_bound(frame, b, SamplerConfig(t_max=1e3, t_nodes=256, angle_nodes=128))
+    c1 = mean_curvature_type_bound(frame, b, t_max=1e3, t_nodes=256, angle_nodes=128)
     # The largest horizon would lose every digit to cancellation in
     # W^2 |k12| cos(delta) + w t; the sampler evaluates it without the t^2 terms.
     for t_max in (1e4, 1e75):
-        c = mean_curvature_type_bound(frame, b, SamplerConfig(t_max=t_max, t_nodes=256, angle_nodes=128))
+        c = mean_curvature_type_bound(frame, b, t_max=t_max, t_nodes=256, angle_nodes=128)
         assert abs(c - c1) <= 0.01 * c1
 
 
 def test_bound_pinned_values():
     # Bit-exact pin of the closed-form kernel on fixed frames.
-    config = SamplerConfig(t_max=100.0, t_nodes=48, angle_nodes=64)
+    config = dict(t_max=100.0, t_nodes=48, angle_nodes=64)
     frames = {
         "identity": IDENTITY,
-        "rotation": TiltedFrame(rand_rotation(np.random.default_rng(32))),
+        "rotation": rand_rotation(np.random.default_rng(32)),
     }
     got = {
-        name: [mean_curvature_type_bound(frame, b, config) for b in (0.15, 0.3, 0.45)]
+        name: [mean_curvature_type_bound(frame, b, **config) for b in (0.15, 0.3, 0.45)]
         for name, frame in frames.items()
     }
     assert got == {
@@ -350,8 +342,8 @@ def _grid_quotient(k12, k3, t, gamma, theta, b):
 
 _ORACLE_FRAMES = [
     IDENTITY,
-    TiltedFrame(rand_rotation(np.random.default_rng(33))),
-    TiltedFrame(rand_rotation(np.random.default_rng(34))),
+    rand_rotation(np.random.default_rng(33)),
+    rand_rotation(np.random.default_rng(34)),
 ]
 
 
@@ -360,14 +352,14 @@ _ORACLE_FRAMES = [
 def test_bound_dominates_gamma_theta_grid(frame, b):
     # The closed form is the supremum over theta, so it cannot fall below
     # the maximum over the (t, gamma, theta) grid it replaced.
-    config = SamplerConfig(t_max=100.0, t_nodes=24, angle_nodes=32)
-    k1, k2, k3 = frame.k
-    angles = np.linspace(0.0, 2.0 * math.pi, config.angle_nodes, endpoint=False)
+    config = dict(t_max=100.0, t_nodes=24, angle_nodes=32)
+    k1, k2, k3 = frame[2]
+    angles = np.linspace(0.0, 2.0 * math.pi, config["angle_nodes"], endpoint=False)
     grid_max = max(
         float(np.max(_grid_quotient(math.hypot(k1, k2), k3, t, angles[:, None], angles[None, :], b)))
-        for t in config.t_grid()
+        for t in _t_grid(config["t_max"], config["t_nodes"])
     )
-    assert mean_curvature_type_bound(frame, b, config) >= grid_max * (1.0 - 1e-12)
+    assert mean_curvature_type_bound(frame, b, **config) >= grid_max * (1.0 - 1e-12)
 
 
 @pytest.mark.parametrize("b", [0.1, 0.3, 0.45])
@@ -376,18 +368,18 @@ def test_bound_matches_dense_theta_maximum(frame, b):
     # At the sampler's (t, delta) nodes, a theta sweep (4096 nodes on the
     # circle, then 4096 across the two cells around each node's best theta)
     # stays below the closed-form supremum and approaches it.
-    config = SamplerConfig(t_max=100.0, t_nodes=24, angle_nodes=32)
-    k1, k2, k3 = frame.k
+    config = dict(t_max=100.0, t_nodes=24, angle_nodes=32)
+    k1, k2, k3 = frame[2]
     k12 = math.hypot(k1, k2)
-    delta = np.linspace(0.0, 2.0 * math.pi, config.angle_nodes, endpoint=False)[:, None]
+    delta = np.linspace(0.0, 2.0 * math.pi, config["angle_nodes"], endpoint=False)[:, None]
     step = 2.0 * math.pi / 4096
     theta = np.arange(4096)[None, :] * step
     dense = 0.0
-    for t in config.t_grid():
+    for t in _t_grid(config["t_max"], config["t_nodes"]):
         coarse = _grid_quotient(k12, k3, t, delta + theta, theta, b)
         fine = theta[0, np.argmax(coarse, axis=1)][:, None] + np.linspace(-step, step, 4096)[None, :]
         dense = max(dense, float(np.max(coarse)), float(np.max(_grid_quotient(k12, k3, t, delta + fine, fine, b))))
-    c = mean_curvature_type_bound(frame, b, config)
+    c = mean_curvature_type_bound(frame, b, **config)
     assert dense <= c * (1.0 + 1e-12)
     assert dense >= c * (1.0 - 1e-6)
 
@@ -396,4 +388,4 @@ def test_sampler_config_rejects_empty_grids():
     # Bad horizons are rejected through the CLI (tests/test_cli.py).
     for kwargs in ({"t_nodes": 0}, {"angle_nodes": 0}):
         with pytest.raises(DomainError, match="must be >= 1"):
-            SamplerConfig(**kwargs)
+            mean_curvature_type_bound(IDENTITY, 0.3, **kwargs)

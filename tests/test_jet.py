@@ -12,25 +12,24 @@ from conftest import (
 )
 
 from finmin.errors import DegenerateJetError, DomainError
-from finmin.graph_pde import GraphPoint, _residual_terms, graph_residual
+from finmin.graph_pde import _residual_terms, graph_residual
 from finmin.jet import (
-    ImmersionJet1,
+    _e_scalar,
     _flat_area_fun,
+    _gram,
     area_integrand_grad,
     area_integrand_grad_central,
     area_integrand_grad_dual,
     area_integrand_hess,
     area_integrand_hess_central,
     area_integrand_hess_dual,
-    e_scalar,
-    gram,
 )
 
 
 # The jets of the flat graph (x1, x2) -> (x1, x2, 0) and of the graph with
 # gradient (1, 0).
-FLAT = ImmersionJet1([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-SLOPE = ImmersionJet1([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+FLAT = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+SLOPE = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
 
 
 def area(z, b):
@@ -44,33 +43,40 @@ def area(z, b):
 
 
 def test_gram_orthonormal_columns():
-    j = ImmersionJet1(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]))
-    np.testing.assert_array_equal(gram(j), np.eye(2))
+    j = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    np.testing.assert_array_equal(_gram(j), np.eye(2))
 
 
 def test_gram_graph_jet():
     a, c = 0.7, -1.2
-    j = ImmersionJet1([[1.0, 0.0], [0.0, 1.0], [a, c]])
+    j = np.array([[1.0, 0.0], [0.0, 1.0], [a, c]])
     expected = np.array([[1 + a * a, a * c], [a * c, 1 + c * c]])
-    np.testing.assert_allclose(gram(j), expected, rtol=1e-15)
+    np.testing.assert_allclose(_gram(j), expected, rtol=1e-15)
 
 
 def test_gram_column_scaling():
-    j = ImmersionJet1(np.array([[2.0, 0.0], [0.0, 1.0], [0.0, 0.0]]))
-    np.testing.assert_array_equal(gram(j), np.diag([4.0, 1.0]))
+    j = np.array([[2.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    np.testing.assert_array_equal(_gram(j), np.diag([4.0, 1.0]))
 
 
 def test_jet_validation():
-    with pytest.raises(DomainError):
-        ImmersionJet1(np.zeros((2, 3)))
-    with pytest.raises(DomainError):
-        ImmersionJet1(np.full((3, 2), np.nan))
+    # Every entry point checks its jet through the one shared helper.
+    entries = [area_integrand_grad, area_integrand_hess]
+    entries += [area_integrand_grad_dual, area_integrand_hess_dual]
+    entries += [area_integrand_grad_central, area_integrand_hess_central]
+    for entry in entries:
+        with pytest.raises(DomainError, match="jet must have shape"):
+            entry(np.zeros((2, 3)), 0.2)
+        with pytest.raises(DomainError, match="jet entries must be finite"):
+            entry(np.full((3, 2), np.nan), 0.2)
+    with pytest.raises(DomainError, match=r"jet must have shape \(3, 2\), got \(3, 2, 4\)"):
+        area_integrand_grad(np.ones((3, 2, 4)), 0.2)
 
 
 def test_e_scalar_graph_jet():
     for a, c, b in [(0.7, -1.2, 0.3), (0.0, 0.0, 0.45), (2.0, 1.0, 0.1)]:
-        j = ImmersionJet1([[1.0, 0.0], [0.0, 1.0], [a, c]])
-        assert e_scalar(j, b) == pytest.approx(b * b * (a * a + c * c), rel=1e-14, abs=1e-300)
+        j = np.array([[1.0, 0.0], [0.0, 1.0], [a, c]])
+        assert _e_scalar(j, b) == pytest.approx(b * b * (a * a + c * c), rel=1e-14, abs=1e-300)
 
 
 def test_e_scalar_vanishes_without_third_row():
@@ -78,7 +84,7 @@ def test_e_scalar_vanishes_without_third_row():
     for _ in range(20):
         z = rng.normal(size=(3, 2))
         z[2] = 0.0
-        assert e_scalar(ImmersionJet1(z), 0.4) == 0.0
+        assert _e_scalar(np.array(z), 0.4) == 0.0
 
 
 def test_e_scalar_tilted_jet():
@@ -87,11 +93,11 @@ def test_e_scalar_tilted_jet():
         m = rand_rotation(rng)
         f1, f2 = rng.uniform(-2, 2, 2)
         b = rng.uniform(0.0, 0.5)
-        j = ImmersionJet1(m[:, :2] + np.outer(m[:, 2], [f1, f2]))
+        j = np.array(m[:, :2] + np.outer(m[:, 2], [f1, f2]))
         k = m[2, :]
         w = k[2] - k[0] * f1 - k[1] * f2
         w2 = 1 + f1 * f1 + f2 * f2
-        assert e_scalar(j, b) == pytest.approx(b * b * (w2 - w * w), rel=1e-11, abs=1e-13)
+        assert _e_scalar(j, b) == pytest.approx(b * b * (w2 - w * w), rel=1e-11, abs=1e-13)
 
 
 def test_e_scalar_matches_inverse_gram_identity():
@@ -100,20 +106,20 @@ def test_e_scalar_matches_inverse_gram_identity():
     for _ in range(200):
         j = rand_jet(rng)
         b = rng.uniform(0.0, 0.5)
-        a = gram(j)
+        a = _gram(j)
         det = np.linalg.det(a)
-        t = j.z[2, :]
+        t = j[2, :]
         other = b * b * det * (t @ np.linalg.solve(a, t))
-        assert e_scalar(j, b) == pytest.approx(other, rel=1e-12, abs=1e-14)
+        assert _e_scalar(j, b) == pytest.approx(other, rel=1e-12, abs=1e-14)
 
 
 def test_graph_jet_area_and_anisotropy():
     j = SLOPE
-    c = math.sqrt(np.linalg.det(gram(j)))
-    anisotropy = e_scalar(j, 0.3)
+    c = math.sqrt(np.linalg.det(_gram(j)))
+    anisotropy = _e_scalar(j, 0.3)
     assert c == pytest.approx(math.sqrt(2.0))
     assert anisotropy == pytest.approx(0.09)
-    assert area(j.z, 0.3) == pytest.approx(2.0 * c**3 / (2.0 * c**2 + anisotropy))
+    assert area(j, 0.3) == pytest.approx(2.0 * c**3 / (2.0 * c**2 + anisotropy))
     assert anisotropy / c**2 == pytest.approx(0.045)
 
 
@@ -122,12 +128,12 @@ def test_graph_jet_area_and_anisotropy():
 
 
 def test_area_integrand_flat():
-    assert area(FLAT.z, 0.45) == 1.0
+    assert area(FLAT, 0.45) == 1.0
 
 
 def test_area_integrand_example():
     # C = sqrt(2), E = 0.09: F = 2 * 2**1.5 / 4.09
-    v = area(SLOPE.z, 0.3)
+    v = area(SLOPE, 0.3)
     assert v == pytest.approx(2.0 * 2.0**1.5 / 4.09, rel=1e-14)
     assert v == pytest.approx(1.3830939485311444, rel=1e-14)
 
@@ -136,13 +142,13 @@ def test_area_integrand_b0_is_area_element():
     rng = np.random.default_rng(3)
     for _ in range(50):
         j = rand_jet(rng)
-        c = math.sqrt(np.linalg.det(gram(j)))
-        assert area(j.z, 0.0) == pytest.approx(c, rel=1e-13)
+        c = math.sqrt(np.linalg.det(_gram(j)))
+        assert area(j, 0.0) == pytest.approx(c, rel=1e-13)
 
 
 def test_area_integrand_degenerate_jet():
     # The closed forms divide by C: a rank-one jet fails the guard.
-    j = ImmersionJet1(np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]]))
+    j = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
     for closed_form in (area_integrand_grad, area_integrand_hess):
         with pytest.raises(DegenerateJetError):
             closed_form(j, 0.2)
@@ -154,8 +160,8 @@ def test_scaling_degree_two():
         j = rand_jet(rng)
         lam = rng.uniform(0.1, 4.0)
         b = rng.uniform(0.0, 0.5)
-        f1 = area(lam * j.z, b)
-        f2 = lam * lam * area(j.z, b)
+        f1 = area(lam * j, b)
+        f2 = lam * lam * area(j, b)
         assert abs(f1 - f2) <= 1e-12 * abs(f2)
 
 
@@ -166,10 +172,10 @@ def test_planar_rotation_invariance():
         b = rng.uniform(0.0, 0.5)
         th = rng.uniform(0.0, 2 * math.pi)
         rot = np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
-        z = j.z.copy()
+        z = j.copy()
         z[:2, :] = rot @ z[:2, :]
         f1 = area(z, b)
-        f2 = area(j.z, b)
+        f2 = area(j, b)
         assert abs(f1 - f2) <= 1e-12 * abs(f2)
 
 
@@ -182,8 +188,8 @@ def test_reparametrization_covariance():
             s = rng.uniform(-1.5, 1.5, size=(2, 2))
             if np.linalg.det(s) > 0.1:
                 break
-        f1 = area(j.z @ s, b)
-        f2 = np.linalg.det(s) * area(j.z, b)
+        f1 = area(j @ s, b)
+        f2 = np.linalg.det(s) * area(j, b)
         assert abs(f1 - f2) <= 1e-11 * abs(f2)
 
 
@@ -195,8 +201,8 @@ def test_grad_b0_is_area_gradient():
     rng = np.random.default_rng(7)
     for _ in range(50):
         j = rand_jet(rng)
-        a = gram(j)
-        dc = j.z @ np.array([[a[1, 1], -a[0, 1]], [-a[0, 1], a[0, 0]]]) / math.sqrt(
+        a = _gram(j)
+        dc = j @ np.array([[a[1, 1], -a[0, 1]], [-a[0, 1], a[0, 0]]]) / math.sqrt(
             np.linalg.det(a)
         )
         assert max_rel_err(area_integrand_grad(j, 0.0), dc) <= 1e-13
@@ -231,7 +237,7 @@ def test_hess_symmetric_exactly():
 def test_hess_vs_oracles():
     rng = np.random.default_rng(10)
     jets = [rand_jet(rng) for _ in range(60)]
-    z = np.stack([j.z for j in jets], axis=-1)
+    z = np.stack(jets, axis=-1)
     for b in (0.0, 0.2, 0.4):
         # closed form per jet, each oracle in one pass over the 60 jets
         h = np.stack([area_integrand_hess(j, b) for j in jets], axis=-1)
@@ -310,7 +316,7 @@ def test_bracket_residual_ratio():
         w2 = 1.0 + f1 * f1 + f2 * f2
         ratio = (2.0 * w2 + b * b * (w2 - 1.0)) ** 3 / (2.0 * math.sqrt(w2))
         op = graph_euler_lagrange([f1, f2], [[h11, h12], [h12, h22]], np.eye(3), b)
-        res = graph_residual(GraphPoint(f1, f2, h11, h12, h22), b)
+        res = graph_residual(f1, f2, h11, h12, h22, b)
         assert res == pytest.approx(ratio * op, rel=1e-9, abs=1e-9)
         assert ratio > 0.0
 

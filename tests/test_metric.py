@@ -9,7 +9,7 @@ tests/test_symbolic_chain.py ties to PhiFamily.b_interval.
 import pytest
 
 from finmin.errors import DomainError
-from finmin.metric import MetricParams, PhiFamily, _phi
+from finmin.metric import PhiFamily, _phi, check_b
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +76,7 @@ def test_phi_eval(sp, family, s, expected):
 def test_phi_eval_rejects_out_of_range(sp, family, s):
     # The profile argument s = beta/alpha obeys |s| <= b. At b = |s| the
     # profile breaks a norm condition (phi > 0, phi - s phi' + (b^2 - s^2)
-    # phi'' > 0 on [-b, b]) at an end of the interval, and MetricParams
+    # phi'' > 0 on [-b, b]) at an end of the interval, and check_b
     # rejects that b.
     x = sp.Symbol("x")
     b = abs(rational(sp, s))
@@ -84,7 +84,7 @@ def test_phi_eval_rejects_out_of_range(sp, family, s):
     cond = phi - x * sp.diff(phi, x) + (b**2 - x**2) * sp.diff(phi, x, 2)
     assert min(expr.subs(x, end) for expr in (phi, cond) for end in (b, -b)) <= 0
     with pytest.raises(DomainError, match="outside"):
-        MetricParams(float(b), family)
+        check_b(float(b), family)
 
 
 @pytest.mark.parametrize(
@@ -97,14 +97,13 @@ def test_phi_eval_rejects_out_of_range(sp, family, s):
     ],
 )
 def test_params_validation(b, family):
-    with pytest.raises(DomainError):
-        MetricParams(b, family)
+    with pytest.raises(DomainError, match=f"one-form norm b={b} outside .* for family '{family.value}'"):
+        check_b(b, family)
 
 
 def test_params_accepts_euclidean_degeneration():
-    p = MetricParams(0.0)
-    assert p.euclidean_degeneration
-    assert not MetricParams(0.3).euclidean_degeneration
+    assert check_b(0) == 0.0 and type(check_b(0)) is float
+    assert check_b(0.3) == 0.3
 
 
 @pytest.mark.parametrize(

@@ -54,7 +54,7 @@ def test_shape_mismatch():
 def test_manufactured_field_second_order_consistency():
     # Smooth non-solution field with known derivatives: the stencil
     # residual converges to the exact pointwise residual at order 2.
-    from finmin.graph_pde import GraphPoint, graph_residual
+    from finmin.graph_pde import graph_residual
 
     smooth = lambda x, y: math.sin(x) * math.cos(2.0 * y)
 
@@ -63,14 +63,14 @@ def test_manufactured_field_second_order_consistency():
         out = np.empty((problem.nx, problem.ny))
         for i, x in enumerate(xs):
             for j, y in enumerate(ys):
-                gp = GraphPoint(
+                out[i, j] = graph_residual(
                     f1=math.cos(x) * math.cos(2 * y),
                     f2=-2.0 * math.sin(x) * math.sin(2 * y),
                     h11=-math.sin(x) * math.cos(2 * y),
                     h12=-2.0 * math.cos(x) * math.sin(2 * y),
                     h22=-4.0 * math.sin(x) * math.cos(2 * y),
+                    b=problem.b,
                 )
-                out[i, j] = graph_residual(gp, problem.b)
         return out
 
     for b in (0.0, 0.25):
@@ -327,7 +327,7 @@ def test_planarity_matches_independent_one_dimensional_fit():
     f = full_field(problem, lambda x, y: x * x)
     from finmin.solver import GridSolution
 
-    fake = GridSolution(f=f, residual_norm=0.0, iterations=0, problem=problem)
+    fake = GridSolution(f=f, residual_norm=0.0, iterations=0, problem=problem, residual_history=[])
     dev = planarity_deviation(fake)
     n = xs.size
     mx, mx2, mx3 = xs.mean(), (xs**2).mean(), (xs**3).mean()

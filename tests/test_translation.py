@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from finmin.errors import DomainError
-from finmin.graph_pde import GraphPoint, graph_residual
+from finmin.graph_pde import graph_residual
+from finmin.cli import _parse_point
 from finmin.translation import (
-    TranslationPoint,
     compatibility_check,
     kl_polys,
     kl_ratio_derivative,
@@ -73,40 +73,43 @@ def test_positivity():
 
 
 def test_plane_residual_zero():
-    tp = TranslationPoint(fp=1.5, fpp=0.0, gp=-0.7, gpp=0.0)
+    tp = dict(fp=1.5, fpp=0.0, gp=-0.7, gpp=0.0)
     for b in (0.0, 0.2, 0.45):
-        assert translation_residual(tp, b) == 0.0
+        assert translation_residual(**tp, b=b) == 0.0
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_translation_point_rejects_non_finite(bad):
-    for name in ("fp", "fpp", "gp", "gpp"):
+    # Points enter from outside through the CLI's --point parser, which
+    # checks each field.
+    keys = ("fp", "fpp", "gp", "gpp")
+    for name in keys:
         fields = {"fp": 1.0, "fpp": 0.5, "gp": 2.0, "gpp": -0.25, name: bad}
         with pytest.raises(DomainError, match=f"{name} must be finite"):
-            TranslationPoint(**fields)
+            _parse_point(",".join(f"{k}={v}" for k, v in fields.items()), keys)
 
 
 def test_scherk_translation_residual():
     x, y = 0.3, 0.4
-    tp = TranslationPoint(
+    tp = dict(
         fp=-math.tan(x),
         fpp=-1.0 / math.cos(x) ** 2,
         gp=math.tan(y),
         gpp=1.0 / math.cos(y) ** 2,
     )
-    assert abs(translation_residual(tp, 0.0)) <= 1e-9
-    assert abs(translation_residual(tp, 0.3)) > 1e-4
+    assert abs(translation_residual(**tp, b=0.0)) <= 1e-9
+    assert abs(translation_residual(**tp, b=0.3)) > 1e-4
 
 
 def test_b0_reduction_classical_translation_equation():
     rng = np.random.default_rng(43)
     for _ in range(100):
         fp, gp, fpp, gpp = rng.uniform(-2, 2, 4)
-        tp = TranslationPoint(fp=fp, fpp=fpp, gp=gp, gpp=gpp)
+        tp = dict(fp=fp, fpp=fpp, gp=gp, gpp=gpp)
         r, s = fp * fp, gp * gp
         factor = 4.0 * (1.0 + r + s) ** 2  # positive multiple
         classical = (1 + s) * fpp + (1 + r) * gpp
-        assert translation_residual(tp, 0.0) == pytest.approx(
+        assert translation_residual(**tp, b=0.0) == pytest.approx(
             factor * classical, rel=1e-12, abs=1e-12
         )
 
@@ -118,11 +121,11 @@ def test_residual_matches_jet_bracket():
     rng = np.random.default_rng(44)
     for _ in range(200):
         fp, gp, fpp, gpp = rng.uniform(-2, 2, 4)
-        tp = TranslationPoint(fp=fp, fpp=fpp, gp=gp, gpp=gpp)
+        tp = dict(fp=fp, fpp=fpp, gp=gp, gpp=gpp)
         w2 = 1.0 + fp * fp + gp * gp
         for b in (0.0, 0.15, 0.3, 0.45):
-            graph = graph_residual(GraphPoint(fp, gp, fpp, 0.0, gpp), b)
-            assert translation_residual(tp, b) == pytest.approx(w2 * graph, rel=1e-9, abs=1e-9)
+            graph = graph_residual(fp, gp, fpp, 0.0, gpp, b)
+            assert translation_residual(**tp, b=b) == pytest.approx(w2 * graph, rel=1e-9, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -130,15 +133,14 @@ def test_residual_matches_jet_bracket():
 
 
 def test_kl_b0_coefficients():
-    polys = kl_polys(0)
-    assert polys.k_coeffs == (4, 10, 8, 2)
-    assert polys.l_coeffs == (2, 4, 2)
+    k, l = kl_polys(0)
+    assert k == (4, 10, 8, 2)
+    assert l == (2, 4, 2)
 
 
 def test_kl_b0_exact_division():
     # K = (p + 2) L with zero remainder at b = 0.
-    polys = kl_polys(0)
-    k, l = list(polys.k_coeffs), list(polys.l_coeffs)
+    k, l = map(list, kl_polys(0))
     # multiply L by (p + 2) and compare coefficientwise
     prod = [2 * l[0], 2 * l[1] + l[0], 2 * l[2] + l[1], l[2]]
     assert prod == k
@@ -146,9 +148,9 @@ def test_kl_b0_exact_division():
 
 def test_kl_degrees():
     for b2 in [Fraction(0)] + RIGIDITY_B2:
-        polys = kl_polys(b2)
-        assert len(polys.k_coeffs) == 4
-        assert len(polys.l_coeffs) == 3
+        k, l = kl_polys(b2)
+        assert len(k) == 4
+        assert len(l) == 3
 
 
 def test_kl_constant_terms():
@@ -156,24 +158,24 @@ def test_kl_constant_terms():
     # tests/test_symbolic_chain.py (a circulating printed variant has
     # 2 (1 - 4 b^2) instead; the decomposition identity below rules it out).
     for b2 in [Fraction(0)] + RIGIDITY_B2:
-        polys = kl_polys(b2)
-        assert polys.k_at(0) == 4 * (1 - b2)
-        assert polys.l_at(0) == 2 * (1 - 2 * b2 - 2 * b2 * b2)
+        k, l = kl_polys(b2)
+        assert k[0] == 4 * (1 - b2)
+        assert l[0] == 2 * (1 - 2 * b2 - 2 * b2 * b2)
 
 
 def test_decomposition_identity_exact():
-    from finmin.translation import _lambda_mu_b2
+    from finmin.translation import _eval, _lambda_mu_b2
 
     rng = np.random.default_rng(45)
     for b2 in [Fraction(0), Fraction(1, 100), Fraction(9, 100), Fraction(6, 25)]:
-        polys = kl_polys(b2)
+        k, l = kl_polys(b2)
         for _ in range(20):
             r = Fraction(int(rng.integers(0, 60)), int(rng.integers(1, 11)))
             s = Fraction(int(rng.integers(0, 60)), int(rng.integers(1, 11)))
             p, q = r + s, r - s
             lam, mu = _lambda_mu_b2(r, s, b2)
-            assert lam == polys.k_at(p) - polys.l_at(p) * q
-            assert mu == polys.k_at(p) + polys.l_at(p) * q
+            assert lam == _eval(k, p) - _eval(l, p) * q
+            assert mu == _eval(k, p) + _eval(l, p) * q
 
 
 def test_kl_domain():
@@ -216,20 +218,21 @@ def test_kl_identity_checks_raise(monkeypatch, at, perturb, message):
 
 def test_ratio_derivative_unit_at_b0():
     for p in (0, 1, 2, 5):
-        assert kl_ratio_derivative(0, p) == 1
+        assert kl_ratio_derivative(*kl_polys(0), p) == 1
 
 
 def test_ratio_derivative_never_unit_for_positive_b():
     for b2 in RIGIDITY_B2:
+        kl = kl_polys(b2)
         for p in RIGIDITY_P:
-            v = kl_ratio_derivative(b2, p)
+            v = kl_ratio_derivative(*kl, p)
             assert abs(v) != 1
 
 
 def test_ratio_derivative_example_values():
-    v = kl_ratio_derivative(Fraction(9, 100), 1)
+    v = kl_ratio_derivative(*kl_polys(Fraction(9, 100)), 1)
     assert abs(v) != 1
-    v = kl_ratio_derivative(Fraction(1, 100), 0)
+    v = kl_ratio_derivative(*kl_polys(Fraction(1, 100)), 0)
     assert v != 1
     assert abs(float(v) - 1.0) < 0.2
 
@@ -238,17 +241,17 @@ def test_ratio_derivative_rejects_negative_p():
     # p = f'^2 + g'^2 >= 0; at b = 0, L = 2(p + 1)^2 vanishes at p = -1.
     for b2 in (0, Fraction(1, 100)):
         with pytest.raises(DomainError, match="must be >= 0"):
-            kl_ratio_derivative(b2, -1)
+            kl_ratio_derivative(*kl_polys(b2), -1)
 
 
 @pytest.mark.parametrize("b2", [Fraction(0), Fraction(1, 100), Fraction(9, 100), Fraction(249, 1000)])
 def test_l_coefficients_positive(b2):
     # so L(p) > 0 for every admissible p >= 0 and (K/L)' has no pole there
-    assert all(c > 0 for c in kl_polys(b2).l_coeffs)
+    assert all(c > 0 for c in kl_polys(b2)[1])
 
 
 def test_ratio_derivative_is_exact_fraction():
-    v = kl_ratio_derivative(Fraction(1, 100), 0)
+    v = kl_ratio_derivative(*kl_polys(Fraction(1, 100)), 0)
     assert isinstance(v, Fraction)
     assert v == Fraction(5328311, 5333378)  # frozen from the exact pipeline
 
@@ -258,21 +261,14 @@ def test_ratio_derivative_is_exact_fraction():
 
 
 def test_compatibility_b0():
-    rep = compatibility_check(0)
-    assert rep.separability_zero and rep.companion_zero
-    assert rep.admits_nonplanar
-    assert rep.separability_lowest is None and rep.companion_lowest is None
+    # Both identities vanish identically: empty coefficient lists.
+    assert compatibility_check(*kl_polys(0)) == ([], [])
 
 
 @pytest.mark.parametrize("b2", [Fraction(1, 25), Fraction(1, 100), Fraction(24, 100)])
 def test_compatibility_positive_b(b2):
-    rep = compatibility_check(b2)
-    assert not (rep.separability_zero and rep.companion_zero)
-    assert not rep.admits_nonplanar
-    # lowest-degree surviving coefficient is reported for each nonzero
-    if not rep.separability_zero:
-        deg, coeff = rep.separability_lowest
-        assert coeff != 0 and deg >= 0
-    if not rep.companion_zero:
-        deg, coeff = rep.companion_lowest
-        assert coeff != 0 and deg >= 0
+    separability, companion = compatibility_check(*kl_polys(b2))
+    assert separability or companion
+    # each nonzero polynomial comes trimmed: its leading coefficient is nonzero
+    for poly in (separability, companion):
+        assert not poly or poly[-1] != 0

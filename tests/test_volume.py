@@ -5,20 +5,15 @@ import numpy as np
 import pytest
 
 from finmin.errors import DomainError, QuadratureConvergenceError
-from finmin.metric import MetricParams, PhiFamily
+from finmin import volume
+from finmin.metric import PhiFamily
 from finmin.volume import (
-    QuadraturePolicy,
-    VolumeFactorRequest,
     _gauss_legendre,
     _nodes_weights,
     _ratio_estimate,
     bh_factor_closed_matsumoto,
     bh_factor_quadrature,
 )
-
-
-def _req(b, family=PhiFamily.MATSUMOTO, n=2, **kw):
-    return VolumeFactorRequest(MetricParams(b, family), n=n, **kw)
 
 
 @pytest.mark.parametrize(
@@ -42,12 +37,12 @@ def test_closed_form_domain(b):
 
 
 def test_quadrature_euclidean_limit():
-    assert bh_factor_quadrature(_req(0.0))[0] == pytest.approx(1.0, abs=1e-13)
+    assert bh_factor_quadrature(0.0)[0] == pytest.approx(1.0, abs=1e-13)
 
 
 def test_quadrature_matches_closed_form_on_grid():
     for b in np.arange(0.0, 0.46, 0.05):
-        q = bh_factor_quadrature(_req(float(b)))[0]
+        q = bh_factor_quadrature(float(b))[0]
         assert abs(q - bh_factor_closed_matsumoto(float(b))) <= 1e-10
 
 
@@ -55,12 +50,12 @@ def test_quadrature_randers():
     # Independent oracle: the n=2 denominator integral has the closed
     # value pi/(1-b^2)^(3/2), so the factor is (1-b^2)^(3/2).
     for b in (0.2, 0.5, 0.8):
-        q = bh_factor_quadrature(_req(b, family=PhiFamily.RANDERS))[0]
+        q = bh_factor_quadrature(b, family=PhiFamily.RANDERS)[0]
         assert abs(q - (1.0 - b * b) ** 1.5) <= 1e-10
 
 
 def test_randers_example_value():
-    q = bh_factor_quadrature(_req(0.5, family=PhiFamily.RANDERS))[0]
+    q = bh_factor_quadrature(0.5, family=PhiFamily.RANDERS)[0]
     assert q == pytest.approx(0.6495190528383290, abs=1e-10)
 
 
@@ -72,53 +67,50 @@ def test_closed_form_strictly_decreasing():
 
 def test_n3_converges_in_unit_interval():
     # No closed form asserted; golden recorded from the quadrature oracle.
-    v = bh_factor_quadrature(_req(0.3, n=3))[0]
+    v = bh_factor_quadrature(0.3, n=3)[0]
     assert 0.0 < v <= 1.0
     assert v == pytest.approx(0.9174311926605506, abs=1e-12)
     for b in (0.0, 0.2, 0.45):
-        v = bh_factor_quadrature(_req(b, n=3))[0]
+        v = bh_factor_quadrature(b, n=3)[0]
         assert 0.0 < v <= 1.0
 
 
 def test_request_validation():
-    with pytest.raises(DomainError):
-        VolumeFactorRequest(MetricParams(0.2), n=1)
-    with pytest.raises(DomainError):
-        QuadraturePolicy(initial_nodes=100)
-    with pytest.raises(DomainError):
-        QuadraturePolicy(initial_nodes=32)
-    with pytest.raises(DomainError):
-        QuadraturePolicy(max_nodes=32768)
-    with pytest.raises(DomainError):
-        QuadraturePolicy(initial_nodes=256, max_nodes=128)
+    for n in (1, 0, 2.0):
+        with pytest.raises(DomainError, match=f"dimension n={n} must be an integer >= 2"):
+            bh_factor_quadrature(0.2, n=n)
+    for b, family in ((0.5, PhiFamily.MATSUMOTO), (-0.1, PhiFamily.RANDERS), (math.nan, PhiFamily.EUCLIDEAN)):
+        with pytest.raises(DomainError, match="outside"):
+            bh_factor_quadrature(b, family)
 
 
-def test_non_convergence_carries_estimates():
+def test_non_convergence_carries_estimates(monkeypatch):
     # Randers b = 0.999 needs 256 nodes; capped at 128 the doubling runs out.
-    params = MetricParams(0.999, PhiFamily.RANDERS)
-    policy = QuadraturePolicy(initial_nodes=64, max_nodes=128)
+    monkeypatch.setattr(volume, "_MAX_NODES", 128)
     with pytest.raises(QuadratureConvergenceError) as err:
-        bh_factor_quadrature(_req(0.999, family=PhiFamily.RANDERS, quadrature=policy))
+        bh_factor_quadrature(0.999, family=PhiFamily.RANDERS)
+    monkeypatch.undo()
     prev, last = err.value.estimates
-    assert (prev, last) == (_ratio_estimate(params, 2, 64), _ratio_estimate(params, 2, 128))
-    assert abs(last - prev) > policy.rtol
+    estimate = lambda n_nodes: _ratio_estimate(0.999, PhiFamily.RANDERS, 2, n_nodes)
+    assert (prev, last) == (estimate(64), estimate(128))
+    assert abs(last - prev) > volume._RTOL
     assert prev == pytest.approx(last, rel=1e-7)  # both already close
     assert last == pytest.approx(_randers_exact(0.999), abs=1e-10)
     assert "at 64 nodes" in str(err.value) and "at 128 nodes" in str(err.value)
-    assert bh_factor_quadrature(_req(0.999, family=PhiFamily.RANDERS))[1] == 256
+    assert bh_factor_quadrature(0.999, family=PhiFamily.RANDERS)[1] == 256
 
 
 def test_nonfinite_estimate_fails_at_first_node_count():
     # sin(t)**(n-2) and, where phi < 1, phi**n underflow to 0: 0/0 at 64 nodes.
     with pytest.raises(QuadratureConvergenceError) as err:
-        bh_factor_quadrature(_req(0.3, n=100_000))
+        bh_factor_quadrature(0.3, n=100_000)
     assert "b=0.3, n=100000 with 64 nodes" in str(err.value)
     assert math.isnan(err.value.estimates[1])
 
 
 def test_large_n_overflow_still_returns_finite_value():
     # phi**n overflows to inf on part of the nodes; those terms add 0.
-    value, _ = bh_factor_quadrature(_req(0.45, n=2000))
+    value, _ = bh_factor_quadrature(0.45, n=2000)
     assert math.isfinite(value) and 0.0 < value < 1e-70
 
 
@@ -173,13 +165,13 @@ def test_rule_symmetry_and_weight_sum(n_nodes):
 def test_matsumoto_quadrature_to_rounding(b):
     exact2 = float(Fraction(2) / (2 + Fraction(b) ** 2))
     exact3 = float(1 / (1 + Fraction(b) ** 2))
-    assert bh_factor_quadrature(_req(b))[0] == pytest.approx(exact2, rel=1e-14, abs=0)
-    assert bh_factor_quadrature(_req(b, n=3))[0] == pytest.approx(exact3, rel=1e-14, abs=0)
+    assert bh_factor_quadrature(b)[0] == pytest.approx(exact2, rel=1e-14, abs=0)
+    assert bh_factor_quadrature(b, n=3)[0] == pytest.approx(exact3, rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("b", [0.2, 0.5, 0.8, 0.95, 0.999])
 def test_randers_quadrature_to_rounding(b):
-    q = bh_factor_quadrature(_req(b, family=PhiFamily.RANDERS))[0]
+    q = bh_factor_quadrature(b, family=PhiFamily.RANDERS)[0]
     assert q == pytest.approx(_randers_exact(b), rel=1e-14, abs=0)
 
 
@@ -196,6 +188,6 @@ def test_tiny_factor_converges_relative_to_its_size():
             mp.binomial(n, k) * mp.mpf(b) ** k * mp.beta(mp.mpf(k + 1) / 2, half) for k in range(0, n + 1, 2)
         )
         exact = mp.beta(mp.mpf(1) / 2, half) / den
-    value, nodes = bh_factor_quadrature(_req(b, n=n))
+    value, nodes = bh_factor_quadrature(b, n=n)
     assert nodes == 1024
     assert abs(value - exact) <= 1e-12 * exact
