@@ -386,6 +386,7 @@ def _cmd_solve(args):
         "boundary": args.boundary,
         "iterations": sol.iterations,
         "residual_norm": sol.residual_norm,
+        "raw_residual_norm": sol.raw_residual_norm,
         "planarity_deviation": planarity_deviation(sol),
         "out": args.out,
     }

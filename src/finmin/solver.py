@@ -40,7 +40,7 @@ import numpy as np
 
 from . import dual
 from .errors import DomainError, NonConvergenceError, SolverError, StagnationError
-from .graph_pde import _residual_terms
+from .graph_pde import _divisor_excess, _residual_terms
 from .metric import check_b
 
 __all__ = [
@@ -103,13 +103,18 @@ class GridProblem:
 
 
 class GridSolution(NamedTuple):
-    """Converged nodal field with the final residual norm and history."""
+    """Converged nodal field with the final residual norms and history.
+
+    residual_norm and residual_history hold max|r / D|, the residual over
+    the positive divisor D = S(S - 2 b^2 w^2); raw_residual_norm is max|r|.
+    """
 
     f: np.ndarray
     residual_norm: float
     iterations: int
     problem: GridProblem
     residual_history: list
+    raw_residual_norm: float = math.nan
 
 
 def _stencil_point(problem: GridProblem, f: np.ndarray):
@@ -141,16 +146,21 @@ def assemble_residual(problem: GridProblem, f: np.ndarray) -> np.ndarray:
     return _residual_terms(f1, f2, h11, h12, h22, 0.0, 0.0, 1.0, problem.b)
 
 
-def _residual_and_norm(problem: GridProblem, f: np.ndarray):
-    """The residual and its max-norm.
+def _residual_and_norms(problem: GridProblem, f: np.ndarray):
+    """The residual r, the stop-test norm max|r / D| and the raw max|r|.
 
-    Overflowing data or a spacing whose square underflows make the norm nan
-    or infinite, which the Newton loop checks for itself, so numpy's
-    warnings about it are silenced.
+    D = S(S - 2 b^2 w^2) >= 4 - 4 b^2 is the divisor graph_pde factors out
+    of the equation; r / D is the normalized elliptic form a : H, which
+    carries neither the W^4 size of D nor, through a, anything but the
+    h^-2 of the Hessian stencils. Overflowing data or a spacing whose
+    square underflows make the norms nan or infinite, which the Newton loop
+    checks for itself, so numpy's warnings about it are silenced.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         r = assemble_residual(problem, f)
-        return r, float(np.max(np.abs(r)))
+        f1, f2 = _stencil_point(problem, f)[:2]
+        divisor = _divisor_excess(1.0 + f1 * f1 + f2 * f2, 1.0, problem.b**2)[0]
+        return r, float(np.max(np.abs(r / divisor))), float(np.max(np.abs(r)))
 
 
 def _point_partials(problem: GridProblem, f: np.ndarray):
@@ -237,8 +247,9 @@ class _JacobianPattern(NamedTuple):
         return cls(order, gather[by_column], rows[by_column].astype(np.intc), indptr.astype(np.intc))
 
 
-def _jacobian(problem: GridProblem, f: np.ndarray, pattern: _JacobianPattern) -> np.ndarray:
-    """CSC data of the Jacobian: its entries in the order of pattern.indices."""
+def _stencil_weights(problem: GridProblem, f: np.ndarray) -> np.ndarray:
+    """Jacobian entries as (9, nx, ny) arrays: weights[k][i, j] is
+    d r[i, j] / d f[i + a, j + c] for (a, c) = _OFFSETS[k], interior indices."""
     hx, hy = problem.hx, problem.hy
     d_f1, d_f2, d_h11, d_h12, d_h22 = _point_partials(problem, f)
 
@@ -258,8 +269,32 @@ def _jacobian(problem: GridProblem, f: np.ndarray, pattern: _JacobianPattern) ->
             w += d_h12 * (a * c / (4.0 * hx * hy))
         return w
 
-    weights = np.stack([stencil_weight(a, c) for a, c in _OFFSETS])
-    return weights.ravel()[pattern.gather]
+    return np.stack([stencil_weight(a, c) for a, c in _OFFSETS])
+
+
+def _jacobian(problem: GridProblem, f: np.ndarray, pattern: _JacobianPattern) -> np.ndarray:
+    """CSC data of the Jacobian: its entries in the order of pattern.indices."""
+    return _stencil_weights(problem, f).ravel()[pattern.gather]
+
+
+def _apply_stencil(weights: np.ndarray, field: np.ndarray) -> np.ndarray:
+    """sum_k weights[k] * field shifted by _OFFSETS[k], at the interior nodes.
+
+    field has the boundary ring, shape (nx + 2, ny + 2); with the weights
+    of _stencil_weights and a field zero on the ring this is the Jacobian
+    times the field's interior values.
+    """
+    nx, ny = weights.shape[1:]
+    out = np.zeros((nx, ny))
+    for w, (a, c) in zip(weights, _OFFSETS):
+        out += w * field[1 + a : 1 + a + nx, 1 + c : 1 + c + ny]
+    return out
+
+
+def _rounding_floor(weights: np.ndarray, f: np.ndarray) -> float:
+    """eps * max(|J| |f|): the rounding error of the raw residual at f, the
+    level below which no step can be shown to reduce max|r|."""
+    return float(np.finfo(float).eps * np.max(_apply_stencil(np.abs(weights), np.abs(f))))
 
 
 _SUPERLU = "scipy.sparse.linalg._dsolve._superlu"
@@ -378,12 +413,12 @@ def solve_minimal_graph(
     if max_iter < 0:
         raise DomainError(f"max_iter={max_iter} must be >= 0")
     f = _initial_field(problem, initial_guess)
-    r, res = _residual_and_norm(problem, f)
+    r, res, raw = _residual_and_norms(problem, f)
     history = [res]
     # `res > tol` is false for nan. Later residuals are finite: the line
     # search accepts a step only below a finite bound.
-    if not math.isfinite(res):
-        raise SolverError(f"initial residual max-norm is {res}", history)
+    if not (math.isfinite(res) and math.isfinite(raw)):
+        raise SolverError(f"initial residual max-norm is {raw}", history)
     if res > tol:
         pattern = _JacobianPattern.build(problem.nx, problem.ny)
     iterations = 0
@@ -400,15 +435,20 @@ def solve_minimal_graph(
         while True:
             f_try = f.copy()
             f_try[1:-1, 1:-1] += lam * delta
-            r_try, res_try = _residual_and_norm(problem, f_try)
-            if res_try <= tol or res_try <= (1.0 - _ARMIJO_SLOPE * lam) * res:
+            r_try, res_try, raw_try = _residual_and_norms(problem, f_try)
+            # The merit is the raw max|r|, whose Newton direction delta is;
+            # r / D weighs the nodes by a divisor that moves with f.
+            if res_try <= tol or raw_try <= (1.0 - _ARMIJO_SLOPE * lam) * raw:
                 break
             lam *= 0.5
             if lam < _MIN_STEP:
+                floor = _rounding_floor(_stencil_weights(problem, f), f)
                 raise StagnationError(
-                    f"line search stalled at residual {res:.3e}", history
+                    f"line search stalled at residual {res:.3e} (raw max-norm {raw:.3e}, "
+                    f"rounding floor eps*max(|J||f|) = {floor:.3e})",
+                    history,
                 )
-        f, r, res = f_try, r_try, res_try
+        f, r, res, raw = f_try, r_try, res_try, raw_try
         history.append(res)
         iterations += 1
     return GridSolution(
@@ -417,6 +457,7 @@ def solve_minimal_graph(
         iterations=iterations,
         problem=problem,
         residual_history=history,
+        raw_residual_norm=raw,
     )
 
 

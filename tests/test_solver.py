@@ -1,12 +1,13 @@
 import importlib.machinery
 import math
+import re
 import sys
 
 import numpy as np
 import pytest
 from conftest import scherk
 
-from finmin.errors import DomainError, NonConvergenceError, SolverError
+from finmin.errors import DomainError, NonConvergenceError, SolverError, StagnationError
 from finmin.solver import (
     _SUPERLU,
     GridProblem,
@@ -221,6 +222,34 @@ def test_bad_tol():
     problem = GridProblem(UNIT_SQUARE, 15, 15, 0.0, lambda x, y: 0.0)
     with pytest.raises(DomainError):
         solve_minimal_graph(problem, tol=0.0)
+
+
+def test_stop_test_is_the_residual_over_the_divisor():
+    # At b = 0 the divisor S(S - 2 b^2 w^2) is 4 W^4, with W^2 = 1 + f1^2 + f2^2
+    # from the central-difference gradient.
+    problem = GridProblem(UNIT_SQUARE, 31, 31, 0.0, scherk)
+    sol = solve_minimal_graph(problem, tol=1e-10)
+    r = assemble_residual(problem, sol.f)
+    f1 = (sol.f[2:, 1:-1] - sol.f[:-2, 1:-1]) / (2.0 * problem.hx)
+    f2 = (sol.f[1:-1, 2:] - sol.f[1:-1, :-2]) / (2.0 * problem.hy)
+    w2 = 1.0 + f1**2 + f2**2
+    assert sol.raw_residual_norm == np.max(np.abs(r))
+    assert sol.residual_norm == pytest.approx(np.max(np.abs(r / (4.0 * w2**2))), rel=1e-12)
+    assert sol.residual_norm == sol.residual_history[-1] <= 1e-10
+    assert sol.residual_norm < sol.raw_residual_norm
+
+
+def test_stagnation_names_the_rounding_floor():
+    # tol = 1e-17 lies below the rounding level of the raw residual.
+    problem = GridProblem(UNIT_SQUARE, 15, 15, 0.3, scherk)
+    with pytest.raises(StagnationError) as err:
+        solve_minimal_graph(problem, tol=1e-17)
+    message = str(err.value)
+    match = re.search(r"raw max-norm (\S+), rounding floor eps\*max\(\|J\|\|f\|\) = (\S+)\)$", message)
+    assert match, message
+    raw, floor = (float(v) for v in match.groups())
+    assert 0.0 < raw <= floor
+    assert message.startswith(f"line search stalled at residual {err.value.residual_history[-1]:.3e}")
 
 
 # ---------------------------------------------------------------------------
