@@ -387,6 +387,7 @@ def _cmd_solve(args):
         "iterations": sol.iterations,
         "residual_norm": sol.residual_norm,
         "raw_residual_norm": sol.raw_residual_norm,
+        "factorizations": sol.factorizations,
         "planarity_deviation": planarity_deviation(sol),
         "out": args.out,
     }

@@ -2,12 +2,32 @@
 rectangle with Dirichlet data.
 
 Second-order central differences on a uniform tensor grid (5-point
-Laplacian stencil plus the symmetric 4-point cross difference), damped
-Newton with an Armijo line search on the residual max-norm, and sparse
-direct linear solves. Because the discrete residual at an interior node
-is the pointwise graph equation on stencil-derived gradient and Hessian
-values, affine fields are exact discrete solutions for every admissible
-b; the solver therefore reproduces the planarity rigidity at desk scale.
+Laplacian stencil plus the symmetric 4-point cross difference) and damped
+Newton with an Armijo line search. Because the discrete residual at an
+interior node is the pointwise graph equation on stencil-derived gradient
+and Hessian values, affine fields are exact discrete solutions for every
+admissible b; the solver therefore reproduces the planarity rigidity at
+desk scale.
+
+The iteration stops when max|r / D| <= tol, where r is the residual and
+D = S(S - 2 b^2 w^2) the positive divisor graph_pde factors out of the
+equation (graph_pde._divisor_excess). r / D is the normalized elliptic
+form a : H, so tol means the same at every gradient size, while the raw
+max|r| carries D's W^4 and a rounding floor eps*max(|J||f|) that exceeds
+1e-10 on fine grids (5.2e-10 at N = 255). The line search keeps the raw
+max|r| as its merit function: the Newton direction is a descent direction
+for it, and not always for the quotient, whose weights move with f.
+
+Linear systems. The first Newton step factors the Jacobian with SuperLU
+and solves directly. Each later step solves its system by GMRES (Saad &
+Schultz, SIAM J. Sci. Stat. Comput. 7, 1986) to relative residual 1e-8,
+right-preconditioned by that LU; the Jacobian is applied as nine stencil
+weight arrays, without assembling it. This is inexact Newton (Dembo,
+Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982): near the solution
+GMRES needs 2 to 6 steps, each a triangular solve, where a factorization
+costs as much as about twenty. If GMRES misses within 30 steps the
+Jacobian is factored anew; the old LU is dropped first, so at most one is
+in memory. GridSolution.factorizations counts the factorizations.
 
 The linear systems number the interior nodes by geometric nested
 dissection (George, SIAM J. Numer. Anal. 10, 1973): each block is split
@@ -15,7 +35,7 @@ at the middle line of its longer side and the line is numbered last.
 SuperLU factors the Jacobian in that order without reordering columns,
 which at N = 255 holds the L + U fill to 5.2 M entries where COLAMD on
 the naturally numbered matrix reaches 9.1 M. The CSC index arrays are
-built once per solve; each Newton step only gathers the new stencil
+built once per solve; a factorization only gathers the new stencil
 weights into them.
 
 The factorization is SuperLU (Demmel, Eisenstat, Gilbert, Li & Liu, SIAM
@@ -53,6 +73,11 @@ __all__ = [
 
 _MIN_STEP = 2.0**-20
 _ARMIJO_SLOPE = 1e-4
+# Newton systems after the first are solved by GMRES to this relative
+# residual, preconditioned by the last LU; the Jacobian is factored anew
+# only when GMRES misses it within the step budget.
+_GMRES_RTOL = 1e-8
+_GMRES_STEPS = 30
 
 
 class GridProblem:
@@ -115,6 +140,7 @@ class GridSolution(NamedTuple):
     problem: GridProblem
     residual_history: list
     raw_residual_norm: float = math.nan
+    factorizations: int = 0
 
 
 def _stencil_point(problem: GridProblem, f: np.ndarray):
@@ -340,7 +366,8 @@ def _csc_array(*args, **kwargs):
 def _newton_step(problem: GridProblem, f: np.ndarray, r: np.ndarray, pattern: _JacobianPattern):
     """Newton direction at the interior nodes, shape (nx, ny), and the SuperLU factors.
 
-    The ordering is the pattern's dissection numbering, so SuperLU is told
+    The direct step: the Jacobian at f is factored and solved. The solver
+    takes it at the first Newton step and whenever GMRES misses. The ordering is the pattern's dissection numbering, so SuperLU is told
     not to reorder columns: these are the options splu(permc_spec="NATURAL")
     passes to the same routine.
     """
@@ -356,9 +383,44 @@ def _newton_step(problem: GridProblem, f: np.ndarray, r: np.ndarray, pattern: _J
         ilu=False,
         options=options,
     )
-    step = np.empty(r.size)
-    step[pattern.order] = lu.solve(-r.ravel()[pattern.order])
-    return step.reshape(r.shape), lu
+    return _lu_solve(lu, pattern.order, -r.ravel()).reshape(r.shape), lu
+
+
+def _lu_solve(lu, order: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """A^-1 v for v in natural numbering, with lu the factors of A in the
+    dissection numbering `order`."""
+    x = np.empty(v.size)
+    x[order] = lu.solve(v[order])
+    return x
+
+
+def _gmres(matvec, precondition, rhs: np.ndarray):
+    """x with |rhs - A x| <= _GMRES_RTOL |rhs| by right-preconditioned GMRES
+    (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 1986); None if
+    _GMRES_STEPS steps do not reach it.
+
+    matvec applies A and precondition M^-1. Modified Gram-Schmidt Arnoldi
+    builds an orthonormal basis V of the Krylov space of A M^-1 and the
+    Hessenberg matrix H with A M^-1 V_k = V_k+1 H; y minimizes
+    |beta e1 - H y|, which is the residual of x = M^-1 V_k y.
+    """
+    beta = float(np.linalg.norm(rhs))
+    basis = [rhs / beta]
+    hessenberg = np.zeros((_GMRES_STEPS + 1, _GMRES_STEPS))
+    for k in range(_GMRES_STEPS):
+        w = matvec(precondition(basis[k]))
+        for i, v in enumerate(basis):
+            hessenberg[i, k] = v @ w
+            w -= hessenberg[i, k] * v
+        hessenberg[k + 1, k] = np.linalg.norm(w)
+        h = hessenberg[: k + 2, : k + 1]
+        e1 = np.zeros(k + 2)
+        e1[0] = beta
+        y = np.linalg.lstsq(h, e1, rcond=None)[0]
+        if np.linalg.norm(h @ y - e1) <= _GMRES_RTOL * beta:
+            return precondition(np.array(basis).T @ y)
+        basis.append(w / hessenberg[k + 1, k])
+    return None
 
 
 def _initial_field(problem: GridProblem, kind: str) -> np.ndarray:
@@ -396,13 +458,17 @@ def solve_minimal_graph(
     max_iter: int = 30,
     initial_guess: str = "boundary-blend",
 ) -> GridSolution:
-    """Damped Newton iteration until the residual max-norm drops below tol.
+    """Damped Newton iteration until max|r / D| (the module docstring) drops
+    to tol.
 
     The Jacobian couples each node to its compact 9-point neighborhood and
     is built from exact dual-number partials chained through the stencil
-    weights and factored in nested-dissection order. Line search: Armijo
-    backtracking with factor 1/2 down to step 2**-20, after which
-    StagnationError is raised; exceeding max_iter raises
+    weights. It is factored in nested-dissection order at the first step;
+    later steps run GMRES preconditioned by that LU and factor anew only
+    when GMRES misses its tolerance. Line search: Armijo backtracking on
+    max|r| with factor 1/2 down to step 2**-20, after which
+    StagnationError is raised, naming the rounding floor of max|r|;
+    exceeding max_iter raises
     NonConvergenceError, and an initial residual that is not finite (nan
     or infinite, from non-finite or overflowing data) raises SolverError.
     All three carry the residual history.
@@ -421,23 +487,35 @@ def solve_minimal_graph(
         raise SolverError(f"initial residual max-norm is {raw}", history)
     if res > tol:
         pattern = _JacobianPattern.build(problem.nx, problem.ny)
-    iterations = 0
+    iterations = factorizations = 0
+    lu = None
     while res > tol:
         if iterations >= max_iter:
             raise NonConvergenceError(
                 f"residual {res:.3e} above tol={tol} after {max_iter} Newton steps",
                 history,
             )
-        # Drop the factors at once: kept until the next step is factored,
-        # two LUs would be in memory together.
-        delta = _newton_step(problem, f, r, pattern)[0]
+        delta = None
+        if lu is not None:
+            weights = _stencil_weights(problem, f)
+            delta = _gmres(
+                lambda v: _apply_stencil(weights, np.pad(v.reshape(r.shape), 1)).ravel(),
+                lambda v: _lu_solve(lu, pattern.order, v),
+                -r.ravel(),
+            )
+        if delta is None:
+            # Drop the old factors first: at most one LU is in memory.
+            lu = None
+            delta, lu = _newton_step(problem, f, r, pattern)
+            factorizations += 1
+        delta = delta.reshape(r.shape)
         lam = 1.0
         while True:
             f_try = f.copy()
             f_try[1:-1, 1:-1] += lam * delta
             r_try, res_try, raw_try = _residual_and_norms(problem, f_try)
-            # The merit is the raw max|r|, whose Newton direction delta is;
-            # r / D weighs the nodes by a divisor that moves with f.
+            # Armijo on the raw max|r|: delta is a Newton direction for r,
+            # not for r / D, whose divisor moves with f.
             if res_try <= tol or raw_try <= (1.0 - _ARMIJO_SLOPE * lam) * raw:
                 break
             lam *= 0.5
@@ -458,6 +536,7 @@ def solve_minimal_graph(
         problem=problem,
         residual_history=history,
         raw_residual_norm=raw,
+        factorizations=factorizations,
     )
 
 

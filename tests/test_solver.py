@@ -1,3 +1,4 @@
+import functools
 import importlib.machinery
 import math
 import re
@@ -8,10 +9,12 @@ import pytest
 from conftest import scherk
 
 from finmin.errors import DomainError, NonConvergenceError, SolverError, StagnationError
+import finmin.solver
 from finmin.solver import (
     _SUPERLU,
     GridProblem,
     _dissection_order,
+    _gmres,
     _initial_field,
     _jacobian,
     _JacobianPattern,
@@ -250,6 +253,83 @@ def test_stagnation_names_the_rounding_floor():
     raw, floor = (float(v) for v in match.groups())
     assert 0.0 < raw <= floor
     assert message.startswith(f"line search stalled at residual {err.value.residual_history[-1]:.3e}")
+
+
+# ---------------------------------------------------------------------------
+# large grids, b > 0 convergence order, lagged LU
+
+
+@functools.lru_cache(maxsize=None)
+def scherk_solution(n, b):
+    return solve_minimal_graph(GridProblem(UNIT_SQUARE, n, n, b, scherk), tol=1e-10)
+
+
+@pytest.mark.parametrize("n, b, iterations", [(127, 0.0, 2), (127, 0.3, 3), (127, 0.45, 3), (255, 0.0, 2)])
+def test_scherk_data_at_large_grids(n, b, iterations):
+    sol = scherk_solution(n, b)
+    assert sol.iterations == iterations
+    assert sol.factorizations == 1
+    assert sol.residual_norm <= 1e-10
+    assert 0.0 < sol.residual_norm < sol.raw_residual_norm
+    if b == 0.0:
+        # the O(h^2) discretization bound perfbench checks on its grid files
+        exact = full_field(sol.problem, scherk)
+        assert np.max(np.abs(sol.f - exact)) <= 0.025 * sol.problem.hx**2
+    if n == 255:
+        # the raw max-norm sits at its rounding floor, above tol
+        assert sol.raw_residual_norm > 1e-10
+
+
+@pytest.mark.parametrize("n", [127, 255])
+@pytest.mark.parametrize("b", [0.0, 0.3, 0.45])
+def test_zero_and_affine_data_at_large_grids(n, b):
+    zero = solve_minimal_graph(GridProblem(UNIT_SQUARE, n, n, b, lambda x, y: 0.0))
+    assert np.max(np.abs(zero.f)) == 0.0
+    assert zero.residual_norm == zero.raw_residual_norm == 0.0
+    assert zero.iterations == zero.factorizations == 0
+    # At N = 255 and b = 0 the raw residual of the exact discrete plane is
+    # rounding above 1e-10; the scaled stop test accepts it as it is.
+    problem = GridProblem(UNIT_SQUARE, n, n, b, affine_boundary(0.1, 0.3, 0.2))
+    plane = solve_minimal_graph(problem)
+    assert plane.iterations == plane.factorizations == 0
+    assert plane.residual_norm <= 1e-10
+    exact = full_field(problem, lambda x, y: 0.1 + 0.3 * x + 0.2 * y)
+    assert np.max(np.abs(plane.f - exact)) <= 1e-15
+
+
+@pytest.mark.parametrize("b", [0.3, 0.45])
+def test_self_convergence_order_for_positive_b(b):
+    # No closed-form solution exists for b > 0; nested grids N -> 2N + 1 share
+    # every other node, and the differences there shrink at order 2.
+    sizes = (15, 31, 63, 127)
+    fields = [scherk_solution(n, b).f for n in sizes]
+    diffs = [np.max(np.abs(coarse - fine[::2, ::2])) for coarse, fine in zip(fields, fields[1:])]
+    orders = [math.log2(d0 / d1) for d0, d1 in zip(diffs, diffs[1:])]
+    assert min(orders) >= 1.9, orders
+
+
+@pytest.mark.parametrize("b", [0.0, 0.3, 0.45])
+def test_lagged_lu_matches_factoring_every_step(b, monkeypatch):
+    problem = GridProblem(UNIT_SQUARE, 63, 63, b, scherk)
+    lagged = solve_minimal_graph(problem)
+    # With no GMRES steps allowed every Newton step refactors.
+    monkeypatch.setattr(finmin.solver, "_GMRES_STEPS", 0)
+    direct = solve_minimal_graph(problem)
+    assert lagged.factorizations == 1
+    assert direct.factorizations == direct.iterations == lagged.iterations
+    assert np.max(np.abs(lagged.f - direct.f)) <= 1e-14
+
+
+def test_gmres_meets_its_relative_tolerance():
+    rng = np.random.default_rng(5)
+    a = np.eye(40) + 0.3 * rng.normal(size=(40, 40)) / math.sqrt(40)
+    rhs = rng.normal(size=40)
+    x = _gmres(lambda v: a @ v, lambda v: v / 2.0, rhs)
+    assert np.linalg.norm(rhs - a @ x) <= 1e-8 * np.linalg.norm(rhs)
+    # an exact preconditioner converges at the first step
+    inverse = np.linalg.inv(a)
+    x = _gmres(lambda v: a @ v, lambda v: inverse @ v, rhs)
+    assert np.linalg.norm(rhs - a @ x) <= 1e-12 * np.linalg.norm(rhs)
 
 
 # ---------------------------------------------------------------------------
