@@ -430,19 +430,21 @@ def _initial_field(problem: GridProblem, kind: str) -> np.ndarray:
     if kind != "boundary-blend":
         raise DomainError(f"unknown initial guess {kind!r}")
     # Transfinite bilinear blend of the boundary ring; exact on affine data,
-    # which removes iteration noise from the planarity test.
+    # which removes iteration noise from the planarity test. Data near the
+    # float limit overflow it; the solver reports the non-finite residual.
     nx, ny = problem.nx, problem.ny
     u = np.linspace(0.0, 1.0, nx + 2)[:, None]
     v = np.linspace(0.0, 1.0, ny + 2)[None, :]
     left, right = f[0, :][None, :], f[-1, :][None, :]
     bottom, top = f[:, 0][:, None], f[:, -1][:, None]
-    blend = (1 - u) * left + u * right + (1 - v) * bottom + v * top
-    blend -= (
-        (1 - u) * (1 - v) * f[0, 0]
-        + u * (1 - v) * f[-1, 0]
-        + (1 - u) * v * f[0, -1]
-        + u * v * f[-1, -1]
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        blend = (1 - u) * left + u * right + (1 - v) * bottom + v * top
+        blend -= (
+            (1 - u) * (1 - v) * f[0, 0]
+            + u * (1 - v) * f[-1, 0]
+            + (1 - u) * v * f[0, -1]
+            + u * v * f[-1, -1]
+        )
     blend[0, :], blend[-1, :], blend[:, 0], blend[:, -1] = (
         f[0, :],
         f[-1, :],

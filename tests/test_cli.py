@@ -435,6 +435,19 @@ def test_solve_nonfinite_residual_prints_only_the_error_line(capsys, flags):
     assert captured.err == "error: initial residual max-norm is nan\n"
 
 
+def test_solve_overflowing_initial_blend_prints_only_the_error_line(capsys):
+    # Found by tests/test_cli_contract.py: the bilinear blend of boundary data
+    # near 1e308 overflows before the residual does.
+    argv = ["solve", "--nx", "15", "--ny", "8", "--boundary", "affine:1.3,1.6,1e308", "--no-timestamp"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 3
+    assert [str(w.message) for w in caught] == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: initial residual max-norm is nan\n"
+
+
 def test_solve_unwritable_out_exits_2_before_solving(tmp_path, capsys, monkeypatch):
     import finmin.solver
 
