@@ -175,12 +175,12 @@ def assemble_residual(problem: GridProblem, f: np.ndarray) -> np.ndarray:
 def _residual_and_norms(problem: GridProblem, f: np.ndarray):
     """The residual r, the stop-test norm max|r / D| and the raw max|r|.
 
-    D = S(S - 2 b^2 w^2) >= 4 - 4 b^2 is the divisor graph_pde factors out
-    of the equation; r / D is the normalized elliptic form a : H, which
-    carries neither the W^4 size of D nor, through a, anything but the
-    h^-2 of the Hessian stencils. Overflowing data or a spacing whose
-    square underflows make the norms nan or infinite, which the Newton loop
-    checks for itself, so numpy's warnings about it are silenced.
+    D = S(S - 2 b^2 w^2) >= 4 - 4 b^2 is the positive divisor graph_pde
+    factors out of the equation, here at w = 1; r / D is the normalized
+    elliptic form a : H (at b = 0 the minimal-surface operator over W^2),
+    free of D's W^4 growth. Overflowing data or a spacing whose square
+    underflows make the norms nan or infinite, which the Newton loop checks
+    for itself, so numpy's warnings about it are silenced.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         r = assemble_residual(problem, f)
@@ -366,10 +366,11 @@ def _csc_array(*args, **kwargs):
 def _newton_step(problem: GridProblem, f: np.ndarray, r: np.ndarray, pattern: _JacobianPattern):
     """Newton direction at the interior nodes, shape (nx, ny), and the SuperLU factors.
 
-    The direct step: the Jacobian at f is factored and solved. The solver
-    takes it at the first Newton step and whenever GMRES misses. The ordering is the pattern's dissection numbering, so SuperLU is told
-    not to reorder columns: these are the options splu(permc_spec="NATURAL")
-    passes to the same routine.
+    The direct step, taken at the first Newton step and whenever GMRES
+    misses: the Jacobian at f is factored and solved. The ordering is the
+    pattern's dissection numbering, so SuperLU is told not to reorder
+    columns: these are the options splu(permc_spec="NATURAL") passes to the
+    same routine.
     """
     data = _jacobian(problem, f, pattern)
     options = dict(ColPerm="NATURAL", SymmetricMode=True, DiagPivotThresh=None, PanelSize=None, Relax=None)
