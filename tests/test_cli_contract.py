@@ -3,11 +3,11 @@
 Every invocation, whatever its arguments, must exit 0, 2, 3 or 4; print
 nothing or one strict-JSON record to stdout; print nothing or one `error:`
 line to stderr (argparse's usage message, exit 2, ends in its `error:`
-line); and raise no warning. Each example runs `main()` in process.
-Each example sets some flags of one command to valid values and at most
-one flag to an edge value: a finite extreme, a non-finite or malformed
-number, a bad rational, an unwritable path. Sizes stay small (solves at
-most 15 x 15, at most 3 samples), so the examples are cheap.
+line); and raise no warning. Each example runs `main()` in process on
+one command with some of its flags at valid values and at most one flag
+at an edge value: a finite extreme, a non-finite or malformed number, a
+bad rational, an unwritable path. Sizes stay small (solves at most
+15 x 15, at most 3 samples), so the examples are cheap.
 """
 
 import contextlib
@@ -124,12 +124,12 @@ def grammar(folder):
 def argvs(draw, folder):
     """A command with some of its flags, at most one of them at an edge value.
 
-    The edge flag, if any (three in four examples), is drawn uniformly
+    The edge flag, if any (seven in eight examples), is drawn uniformly
     from all (command, flag) pairs, so commands with more flags are drawn
     more often."""
     flags = grammar(folder)
     pairs = [(command, flag) for command in sorted(flags) for flag in sorted(flags[command])]
-    if draw(st.integers(0, 3)):
+    if draw(st.integers(0, 7)):
         command, edge = draw(st.sampled_from(pairs))
     else:
         command, edge = draw(st.sampled_from(sorted(flags))), None
