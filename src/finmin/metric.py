@@ -44,8 +44,7 @@ class PhiFamily(Enum):
 
 def _phi(family, s):
     # No domain checks here: callers guarantee admissibility. s may be a
-    # float, a numpy array or a sympy expression; integer literals keep the
-    # last exact.
+    # float or a sympy expression; integer literals keep the last exact.
     if family is PhiFamily.MATSUMOTO:
         return 1 / (1 - s)
     if family is PhiFamily.RANDERS:

@@ -13,22 +13,20 @@ with node doubling from 64 up to 16384 nodes until two estimates agree to
 take b as a plain float and check it with metric.check_b. The volume form
 is Busemann-Hausdorff; no other branch is implemented.
 
-The Gauss-Legendre rule is computed here with numpy alone: Newton's method
-on P_n, evaluated by the three-term recurrence for all positive roots at
-once, from the guesses cos(pi*(k - 1/4)/(n + 1/2)); weights
-2/((1 - x**2) * P_n'(x)**2); the negative half by symmetry. This is the
-recurrence-based Newton rule that Hale & Townsend, SIAM J. Sci. Comput.
-35(2) (2013), compare with Golub-Welsch. It takes O(n) memory, where the
-dense companion matrix of numpy.polynomial.legendre.leggauss takes
-O(n**2), and O(n**2) time.
+Everything runs on Python floats; the module imports no numpy. The
+Gauss-Legendre rule comes from Newton's method on P_n, evaluated by its
+three-term recurrence, for each positive root in turn, from Tricomi's
+guess; weights 2/((1 - x**2) * P_n'(x)**2); the negative half by symmetry.
+This is the recurrence-based Newton rule that Hale & Townsend, SIAM J. Sci.
+Comput. 35(2) (2013), compare with Golub-Welsch. It takes O(n) memory and
+O(n**2) time: about one recurrence pass per root. Both integrals are summed
+with math.fsum.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-
-import numpy as np
 
 from .errors import DomainError, QuadratureConvergenceError
 from .metric import PhiFamily, _phi, check_b
@@ -41,58 +39,104 @@ _INITIAL_NODES = 64
 _MAX_NODES = 16384
 _RTOL = 1e-12
 
-# Newton stops once no root moves by more than a few ulp of 1; from the
-# guesses below it takes four steps at every node count from 64 to 16384.
-_NEWTON_STEP_TOL = 4.0 * np.finfo(float).eps
+# A root's Newton iteration ends with the step dx that satisfies
+# n**2 * dx**2 <= _NEWTON_STEP_TOL * (1 - x**2), that is, n times the step in
+# theta = arccos(x) below ~3e-8. The root is then x - dx, and P_n' there comes
+# from a first-order Taylor step off the last pass: the terms both drop are
+# below ~1e-15 relative in the weight. From Tricomi's guess, that takes one
+# recurrence pass per root at every size but the ~40 outermost roots, which
+# take two (three for the outermost one).
+_NEWTON_STEP_TOL = 1e-15
 _NEWTON_MAX_STEPS = 8
 
 
-def _legendre(n: int, x):
-    """(P_n(x), P_n'(x)) by the three-term recurrence, for |x| < 1."""
-    p0, p1 = np.ones_like(x), x
-    for k in range(1, n):
-        p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
-    return p1, n * (p0 - x * p1) / ((1.0 - x) * (1.0 + x))
+def _legendre(e, x: float):
+    """(p_n(x), p_{n-1}(x)) for p_k = P_k * 4**k / binom(2k, k), n = len(e).
+
+    These scaled Legendre polynomials satisfy p_{k+1} = 2x p_k - (1 + e_k) p_{k-1}
+    with e_k = 1/(4k**2 - 1) and p_0 = 1, p_{-1} = 0, and they grow like
+    sqrt(pi*k). A step takes two products, where one of P_k takes three and a
+    division. Rounding 1 + e_k to a float would perturb every step alike and
+    bias the weights by a few ulp, so e_k is kept apart.
+    """
+    y = 2.0 * x
+    p0, p1 = 0.0, 1.0
+    for ek in e:
+        p0, p1 = p1, y * p1 - p0 - ek * p0
+    return p1, p0
 
 
 def _gauss_legendre(n_nodes: int):
-    """Gauss-Legendre nodes (ascending) and weights on [-1, 1], n_nodes even.
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1], n_nodes even,
+    as two tuples of floats.
 
-    The roots of P_n come in pairs +-x: Newton runs on the n/2 positive
-    roots at once and the rule is mirrored.
+    The roots of P_n come in pairs +-x: Newton runs on each of the n/2
+    positive roots and the rule is mirrored. Raises ArithmeticError when a
+    root's Newton iteration does not settle.
     """
-    k = np.arange(1, n_nodes // 2 + 1)
-    x = np.cos(math.pi * (k - 0.25) / (n_nodes + 0.5))
-    for _ in range(_NEWTON_MAX_STEPS):
-        p, dp = _legendre(n_nodes, x)
-        dx = p / dp
-        x = x - dx
-        if np.max(np.abs(dx)) <= _NEWTON_STEP_TOL:
-            break
-    else:
-        raise ArithmeticError(f"Legendre root Newton iteration stalled at {n_nodes} nodes")
-    _, dp = _legendre(n_nodes, x)
-    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
-    return np.concatenate([-x, x[::-1]]), np.concatenate([w, w[::-1]])
+    n = n_nodes
+    e = [1.0 / (4 * k * k - 1) for k in range(n)]
+    rho = 2 * n / (2 * n - 1)  # p_n / p_{n-1} = rho * P_n / P_{n-1}
+    # 2 * (p_{n-1} / P_{n-1})**2, rounded once
+    two_scale_sq = 2 * (1 << 4 * (n - 1)) / math.comb(2 * n - 2, n - 1) ** 2
+    xs, ws = [], []
+    for k in range(1, n // 2 + 1):
+        # Tricomi's guess, off by O(n**-4)
+        x = (1.0 - (n - 1) / (8.0 * n**3)) * math.cos(math.pi * (k - 0.25) / (n + 0.5))
+        for _ in range(_NEWTON_MAX_STEPS):
+            p, q = _legendre(e, x)
+            p /= rho  # now p, q and dp are P_n, P_{n-1} and P_n' times p_{n-1}/P_{n-1}
+            s = (1.0 - x) * (1.0 + x)
+            dp = n * (q - x * p) / s
+            dx = p / dp
+            if n * n * dx * dx <= _NEWTON_STEP_TOL * s:
+                break
+            x -= dx
+        else:
+            raise ArithmeticError(f"Legendre root Newton iteration stalled at {n_nodes} nodes")
+        # Carry P_n' and 1 - x**2 to x - dx: (1 - x**2) P'' = 2x P' - n(n + 1) P.
+        dp -= dx * (2.0 * x * dp - n * (n + 1) * p) / s
+        s += dx * (2.0 * x - dx)
+        xs.append(x - dx)
+        ws.append(two_scale_sq / (s * dp * dp))
+    # xs descend from the root nearest 1
+    return (
+        tuple(-x for x in xs) + tuple(reversed(xs)),
+        tuple(ws) + tuple(reversed(ws)),
+    )
 
 
 @lru_cache(maxsize=64)
 def _nodes_weights(n_nodes: int):
     # Gauss-Legendre on [-1, 1] mapped onto [0, pi].
     x, w = _gauss_legendre(n_nodes)
-    return (x + 1.0) * (math.pi / 2.0), w * (math.pi / 2.0)
+    half_pi = math.pi / 2.0
+    return tuple((xi + 1.0) * half_pi for xi in x), tuple(wi * half_pi for wi in w)
+
+
+def _quotient(num: float, den: float) -> float:
+    # num / den for num, den >= 0 with IEEE results where Python raises.
+    if den == 0.0:
+        return math.nan if num == 0.0 else math.inf
+    return num / den
 
 
 def _ratio_estimate(b: float, family: PhiFamily, n: int, n_nodes: int) -> float:
     t, w = _nodes_weights(n_nodes)
-    sin_pow = np.sin(t) ** (n - 2) if n > 2 else np.ones_like(t)
-    phi = _phi(family, b * np.cos(t))
-    # At large n, phi**n overflows (those terms add 0) or underflows to 0 where
-    # sin_pow has too (0/0); the caller rejects a non-finite ratio, so no warnings.
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        num = w @ sin_pow
-        den = w @ (sin_pow / phi**n)
-        return float(num / den)
+    num, den = [], []
+    for ti, wi in zip(t, w):
+        sin_pow = math.sin(ti) ** (n - 2)
+        phi = _phi(family, b * math.cos(ti))
+        # At large n, phi**n overflows (the term adds 0) or underflows to 0
+        # (an infinite term, or 0/0 where sin_pow has underflowed too); the
+        # caller rejects a non-finite ratio.
+        try:
+            phi_n = phi**n
+        except OverflowError:
+            phi_n = math.inf
+        num.append(wi * sin_pow)
+        den.append(wi * _quotient(sin_pow, phi_n))
+    return _quotient(math.fsum(num), math.fsum(den))
 
 
 def bh_factor_quadrature(b: float, family: PhiFamily = PhiFamily.MATSUMOTO, n: int = 2):

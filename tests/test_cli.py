@@ -41,11 +41,12 @@ def test_volume_record(capsys):
 
 def test_volume_pinned_nodes_and_value(capsys):
     # Bit-exact pin: any change to the Gauss-Legendre node source moves the
-    # last digits of the quadrature value (here 1.1e-16 from 2/2.09).
+    # last digits of the quadrature value (here 1.1e-16 from 2/2.09, and equal
+    # to the closed form 2/(2 + b*b) evaluated in floats).
     code, rec = run_json(capsys, ["volume", "--b", "0.3", "--n", "2", "--no-timestamp"])
     assert code == 0
     entry = rec["results"][0]
-    assert entry["quadrature"] == 0.9569377990430622
+    assert entry["quadrature"] == 0.9569377990430623
     assert entry["nodes"] == 128
 
 
@@ -649,7 +650,8 @@ def test_commands_load_only_their_modules():
         ]
     )
     # No command loads dataclasses; numpy itself imports inspect. Only the
-    # commands that compute on rationals load fractions.
+    # commands that compute on rationals load fractions. volume computes on
+    # Python floats: it adds finmin.volume alone, no numpy and no inspect.
     base = ["finmin", "finmin.cli", "finmin.errors", "finmin.metric"]
     assert first["import"] == second["import"] == base
     for argv in first_commands:
@@ -666,7 +668,7 @@ def test_commands_load_only_their_modules():
         code, modules = _loaded_after_each([argv])[argv[0]]
         assert code == 0 and modules == sorted(base + own), argv
     code, modules = second["volume"]
-    assert code == 0 and modules == sorted(base + ["finmin.volume", "inspect", "numpy"])
+    assert code == 0 and modules == sorted(base + ["finmin.volume"])
     # solve reaches SuperLU through its compiled module alone: no other scipy module.
     code, modules = second["solve"]
     solve_adds = ["finmin.dual", "finmin.graph_pde", "finmin.solver", "scipy.sparse.linalg._dsolve._superlu"]
@@ -725,10 +727,10 @@ from finmin.cli import main
 
 outs = []
 for argv in json.loads(sys.argv[1]):
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    outs.append([code, buf.getvalue()])
+    outs.append([code, out.getvalue(), err.getvalue()])
 print(json.dumps(outs))
 """
 
@@ -736,20 +738,36 @@ _SCALAR_COMMANDS = [
     ["residual-graph", "--b", "0,0.2,0.45", "--point", "f1=0.7,f2=-1.3,h11=0.5,h12=0.25,h22=-2"],
     ["residual-translation", "--b", "0,0.3", "--point", "fp=1,fpp=0.5,gp=2,gpp=-0.25"],
     ["check-translation", "--b2", "0,1/100,9/100", "--p", "0,1/2,1,2,5"],
+    # the four volume commands of the perfbench pointwise workload
+    ["volume", "--b", "0,0.15,0.3,0.45", "--n", "2", "--family", "matsumoto"],
+    ["volume", "--b", "0,0.15,0.3,0.45", "--n", "3", "--family", "matsumoto"],
+    ["volume", "--b", "0.2,0.5,0.8", "--n", "2", "--family", "randers"],
+    ["volume", "--b", "0.5", "--n", "2", "--family", "euclidean"],
+    # phi**n overflows on part of the nodes; those terms add 0
+    ["volume", "--b", "0.45", "--n", "2000"],
 ]
 
 
 def test_scalar_commands_byte_identical_without_numpy(capsys):
-    commands = [[*argv, "--no-timestamp"] for argv in _SCALAR_COMMANDS]
+    # The last command's estimate is 0/0 at 64 nodes: exit 3 and one error line.
+    failing = ["volume", "--b", "0.3", "--n", "100000"]
+    commands = [[*argv, "--no-timestamp"] for argv in [*_SCALAR_COMMANDS, failing]]
     proc = subprocess.run(
         [sys.executable, "-c", _NO_NUMPY_PROBE, json.dumps(commands)],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    for argv, (code, out) in zip(commands, json.loads(proc.stdout)):
-        assert main(argv) == code == 0, argv
-        assert capsys.readouterr().out == out, argv
+    results = json.loads(proc.stdout)
+    for argv, (code, out, err) in zip(commands, results):
+        assert main(argv) == code, argv
+        assert capsys.readouterr() == (out, err), argv
+    assert [code for code, _, _ in results] == [0] * len(_SCALAR_COMMANDS) + [3]
+    assert all(err == "" for _, _, err in results[:-1])
+    _, out, err = results[-1]
+    assert out == ""
+    assert err.startswith("error: quadrature ratio is nan at b=0.3, n=100000 with 64 nodes")
+    assert err.count("\n") == 1
 
 
 def test_jsonable_turns_numpy_scalars_into_python():
