@@ -193,12 +193,30 @@ def _matrix_rel_err(x, y):
     return np.max(np.abs(x - y), axis=(0, 1)) / np.maximum(np.max(np.abs(y), axis=(0, 1)), 1e-300)
 
 
-def _random_jet(rng, min_det=0.25):
-    while True:
-        z = rng.uniform(-1.5, 1.5, size=(3, 2))
-        a = z.T @ z
-        if a[0, 0] * a[1, 1] - a[0, 1] ** 2 >= min_det:
-            return z
+# Largest block of jets drawn at once; bounds the draw's memory at any --samples.
+_JET_BLOCK = 1024
+
+
+def _random_jets(rng, count, min_det=0.25):
+    """count jets, (3, 2, count): entries uniform in [-1.5, 1.5), keeping
+    the jets whose Gram determinant is at least min_det.
+
+    Draws blocks of at most _JET_BLOCK jets. rng.uniform(size=(k, 3, 2))
+    yields the stream of k draws of shape (3, 2), and a block never holds
+    more jets than are still missing, so the jets are those of drawing and
+    testing one at a time.
+    """
+    import numpy as np
+
+    from .jet import _gram_det
+
+    kept = []
+    while count > 0:
+        z = np.moveaxis(rng.uniform(-1.5, 1.5, size=(min(count, _JET_BLOCK), 3, 2)), 0, -1)
+        z = z[..., _gram_det(z) >= min_det]
+        kept.append(z)
+        count -= z.shape[-1]
+    return np.concatenate(kept, axis=-1)
 
 
 def _cmd_check_derivatives(args):
@@ -213,15 +231,13 @@ def _cmd_check_derivatives(args):
         area_integrand_hess_dual,
     )
 
-    rng = np.random.default_rng(args.seed)
-    jets = [_random_jet(rng) for _ in range(args.samples)]
-    z = np.stack(jets, axis=-1)
+    z = _random_jets(np.random.default_rng(args.seed), args.samples)
     results = []
     failures = []
     for b in args.b:
-        # closed forms one jet at a time (the code under test), oracles in one pass
-        g = np.stack([area_integrand_grad(j, b) for j in jets], axis=-1)
-        h = np.stack([area_integrand_hess(j, b) for j in jets], axis=-1)
+        # the closed forms (the code under test) and each oracle in one pass over all samples
+        g = area_integrand_grad(z, b)
+        h = area_integrand_hess(z, b)
         worst = {
             "grad_dual": float(_matrix_rel_err(g, area_integrand_grad_dual(z, b)).max()),
             "grad_central": float(_matrix_rel_err(g, area_integrand_grad_central(z, b)).max()),

@@ -99,19 +99,20 @@ def gradient(fun, x):
 def hessian(fun, x):
     """Exact Hessian of ``fun: R^n -> R`` at every sample of x, shape (n, n, *S).
 
-    One nested (hyper-dual) pass per ordered pair (i, j). The passes for
-    (i, j) and (j, i) round differently, so neither is copied from the other.
+    One nested (hyper-dual) pass per row i: coordinate k carries the first
+    seed delta_ki and, along a new leading axis j, the second seed
+    delta_kj, so the pass returns the row h[i] as an (n, *S) array. Every
+    entry is bit for bit what a pass seeded with the single pair (i, j)
+    gives. The entries (i, j) and (j, i) come from different passes, which
+    round differently, so neither is copied from the other.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
+    columns = _unit_steps(x, 1.0)
     h = np.empty((n,) + x.shape)
     for i in range(n):
-        for j in range(n):
-            args = [
-                Dual(Dual(x[k], 1.0 if k == i else 0.0), Dual(1.0 if k == j else 0.0, 0.0))
-                for k in range(n)
-            ]
-            h[i, j] = fun(args).du.du
+        args = [Dual(Dual(x[k], 1.0 if k == i else 0.0), Dual(columns[k], 0.0)) for k in range(n)]
+        h[i] = fun(args).du.du
     return h
 
 

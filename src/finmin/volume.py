@@ -149,11 +149,15 @@ def bh_factor_quadrature(b: float, family: PhiFamily = PhiFamily.MATSUMOTO, n: i
     QuadratureConvergenceError, carrying the last two estimates, at the
     first non-finite estimate or when doubling is exhausted; the message
     names the node counts. DomainError unless b is admissible for the family
-    and n is an integer >= 2.
+    and n is an integer >= 2 that converts to a float.
     """
     b = check_b(b, family)
     if not isinstance(n, int) or n < 2:
         raise DomainError(f"dimension n={n} must be an integer >= 2")
+    try:
+        float(n)  # the integrands take powers with exponents n - 2 and n
+    except OverflowError:
+        raise DomainError(f"dimension n of {len(str(n))} digits is beyond the float range") from None
     n_nodes = _INITIAL_NODES
     prev = est = _ratio_estimate(b, family, n, n_nodes)
     while math.isfinite(est) and n_nodes < _MAX_NODES:

@@ -5,8 +5,13 @@ import math
 import numpy as np
 
 from finmin.cli import _matrix_rel_err as max_rel_err  # noqa: F401  (re-exported)
-from finmin.cli import _random_jet as rand_jet  # noqa: F401  (re-exported)
+from finmin.cli import _random_jets
 from finmin.jet import area_integrand_hess
+
+
+def rand_jet(rng):
+    """One random (3, 2) jet, drawn as check-derivatives draws its jets."""
+    return _random_jets(rng, 1)[..., 0]
 
 
 def graph_euler_lagrange(f, hess, m, b):

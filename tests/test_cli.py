@@ -59,6 +59,14 @@ def test_volume_nonfinite_estimate_exits_3_at_once():
     assert proc.stderr.count("\n") == 1
 
 
+def test_volume_n_beyond_float_range_exits_2():
+    # The integrands take float powers with exponents n - 2 and n.
+    proc = run_proc(["volume", "--b", "0.3", "--n", "1" + "0" * 400, "--no-timestamp"])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: dimension n of 401 digits is beyond the float range\n"
+
+
 def test_volume_sweep_and_degeneration_flag(capsys):
     code, rec = run_json(capsys, ["volume", "--b", "0,0.2,0.4", "--no-timestamp"])
     assert code == 0
@@ -154,6 +162,28 @@ def test_check_derivatives_small(capsys):
         assert entry["pass"] is True
         assert entry["max_rel_errors"]["grad_dual"] <= 1e-9
         assert entry["max_rel_errors"]["hess_central"] <= 1e-6
+
+
+def _random_jets_one_at_a_time(rng, count):
+    """The sequential draw the block draw must reproduce."""
+    jets = []
+    while len(jets) < count:
+        z = rng.uniform(-1.5, 1.5, size=(3, 2))
+        a = z.T @ z
+        if a[0, 0] * a[1, 1] - a[0, 1] ** 2 >= 0.25:
+            jets.append(z)
+    return np.stack(jets, axis=-1)
+
+
+@pytest.mark.parametrize("seed,count", [(0, 1), (1, 5), (123, 200), (7, 1024), (8, 2500)])
+def test_jets_drawn_in_blocks_equal_jets_drawn_one_at_a_time(seed, count):
+    from finmin.cli import _random_jets
+
+    rng = np.random.default_rng(seed)
+    ref = np.random.default_rng(seed)
+    assert np.array_equal(_random_jets(rng, count), _random_jets_one_at_a_time(ref, count))
+    # and the generators are left in the same state
+    assert rng.uniform() == ref.uniform()
 
 
 def test_check_derivatives_forced_failure(capsys):
@@ -524,18 +554,19 @@ def test_byte_identical_determinism():
     assert a2.stdout == b2.stdout
 
 
-# Values printed by the per-sample implementation the batched oracles replaced;
-# exact equality pins the batched pass to its bits.
+# Values printed by the stacked closed forms against the batched oracles.
+# The oracles' bits are those of the per-sample implementation the batched
+# passes replaced; exact equality pins both passes to their bits.
 _PINNED_CHECK_DERIVATIVES = {
     200: {
-        0.0: (1.7235181039083605e-15, 7.803695108211591e-10, 3.4564209115568948e-15, 2.9091555478257494e-07),
-        0.2: (1.5637234318703642e-15, 8.283213938909327e-10, 4.6054290343026436e-15, 2.7984516435263235e-07),
-        0.4: (2.0735681856885567e-15, 9.150139311327711e-10, 6.237105647651032e-15, 2.955412425572539e-07),
+        0.0: (2.2980241385444805e-15, 7.80368792625268e-10, 3.7602820905948635e-15, 2.9091555405137353e-07),
+        0.2: (2.1501197188217506e-15, 8.283204259041744e-10, 5.852124495444117e-15, 2.79845163680861e-07),
+        0.4: (2.9029954599639795e-15, 9.150129319346497e-10, 6.449252098251407e-15, 2.955412418240769e-07),
     },
     1: {
-        0.0: (2.9208379865118863e-16, 1.869383044630855e-10, 1.4347860746720915e-15, 1.4521216239672015e-08),
-        0.2: (2.936975569237664e-16, 1.2211562608574984e-10, 9.065825187109835e-16, 1.3092593595821288e-08),
-        0.4: (2.9864951911566993e-16, 3.0344153726407864e-10, 1.6058766906064445e-15, 1.8223149216380094e-08),
+        0.0: (1.4604189932559431e-16, 1.869383044630855e-10, 1.287628528551877e-15, 1.4521216239672015e-08),
+        0.2: (2.936975569237664e-16, 1.221154792369714e-10, 9.065825187109835e-16, 1.3092593444724201e-08),
+        0.4: (2.9864951911566993e-16, 3.0344146260169885e-10, 1.5311847515084704e-15, 1.8223149216380094e-08),
     },
 }
 
@@ -569,11 +600,8 @@ def test_check_derivatives_nonfinite_error_fails(capsys, monkeypatch, target):
     def poisoned(*args, **kwargs):
         out = np.array(real(*args, **kwargs), dtype=float)
         calls.append(None)
-        if target == "area_integrand_grad":
-            if len(calls) == 2:  # the second jet at the first b
-                out[0, 0] = np.nan
-        else:
-            out[0, 0, 1] = np.nan  # one entry of the second sample
+        if target == "area_integrand_hess_dual" or len(calls) == 1:
+            out[0, 0, 1] = np.nan  # one entry of sample 1 (at the first b only for the gradient)
         return out
 
     monkeypatch.setattr(jet, target, poisoned)

@@ -84,7 +84,7 @@ def grammar(folder):
     return {
         "volume": {
             "--b": b,
-            "--n": (choice(2, 3), choice(-1, 0, 1, 40, 1000, "x")),
+            "--n": (choice(2, 3), choice(-1, 0, 1, 40, 1000, "x", 10**400)),
             "--family": (choice("matsumoto", "randers", "euclidean"), choice("bogus", "")),
             "--tol": tol,
         },

@@ -61,3 +61,35 @@ def test_jet_oracle_wrappers_accept_one_jet_or_a_stack():
         assert stacked.shape == shape + (4,)
         for k, j in enumerate(jets):
             assert np.array_equal(stacked[..., k], wrapper(j, 0.2))
+
+
+def _hessian_per_pair(fun, x):
+    """Reference: one hyper-dual pass per ordered pair (i, j), each seeded
+    with Python floats."""
+    n = x.shape[0]
+    h = np.empty((n,) + x.shape)
+    for i in range(n):
+        for j in range(n):
+            args = [
+                dual.Dual(dual.Dual(x[k], 1.0 if k == i else 0.0), dual.Dual(1.0 if k == j else 0.0, 0.0))
+                for k in range(n)
+            ]
+            h[i, j] = fun(args).du.du
+    return h
+
+
+@pytest.mark.parametrize("b", [0.0, 0.2, 0.45])
+@pytest.mark.parametrize("sample_shape", [(), (5,), (3, 4)], ids=["S=()", "S=(k,)", "S=(k,m)"])
+def test_row_batched_hessian_equals_per_pair_passes(b, sample_shape):
+    fun = _flat_area_fun(b)
+    x = _jet_vectors(29, sample_shape)
+    assert np.array_equal(dual.hessian(fun, x), _hessian_per_pair(fun, x))
+
+
+def test_row_batched_hessian_of_a_rational_function():
+    # Every Dual operation, reflected and divided ones included, in one function.
+    def fun(v):
+        return (2.0 - v[0] * v[1]) / (1.0 + v[2] * v[2]) + dual.sqrt(v[0] * v[0] + 3.0) / v[1] - v[2]
+
+    x = np.random.default_rng(4).uniform(0.5, 2.0, size=(3, 6))
+    assert np.array_equal(dual.hessian(fun, x), _hessian_per_pair(fun, x))

@@ -11,6 +11,7 @@ from conftest import (
     scherk_hessian,
 )
 
+from finmin.cli import _random_jets
 from finmin.errors import DegenerateJetError, DomainError
 from finmin.graph_pde import _residual_terms, graph_residual
 from finmin.jet import (
@@ -69,8 +70,18 @@ def test_jet_validation():
             entry(np.zeros((2, 3)), 0.2)
         with pytest.raises(DomainError, match="jet entries must be finite"):
             entry(np.full((3, 2), np.nan), 0.2)
-    with pytest.raises(DomainError, match=r"jet must have shape \(3, 2\), got \(3, 2, 4\)"):
-        area_integrand_grad(np.ones((3, 2, 4)), 0.2)
+        with pytest.raises(DomainError, match=r"jet must have shape \(3, 2, \*S\), got \(3,\)"):
+            entry(np.zeros(3), 0.2)
+        with pytest.raises(DomainError, match="jet entries must be finite"):
+            entry(np.stack([FLAT, np.full((3, 2), np.inf)], axis=-1), 0.2)
+
+
+def test_closed_forms_accept_stacked_jets():
+    z = np.stack([FLAT, SLOPE, 2.0 * SLOPE, FLAT], axis=-1)
+    assert area_integrand_grad(z, 0.2).shape == (3, 2, 4)
+    assert area_integrand_hess(z, 0.2).shape == (6, 6, 4)
+    assert area_integrand_grad(z.reshape(3, 2, 2, 2), 0.2).shape == (3, 2, 2, 2)
+    assert area_integrand_hess(z.reshape(3, 2, 2, 2), 0.2).shape == (6, 6, 2, 2)
 
 
 def test_e_scalar_graph_jet():
@@ -150,8 +161,19 @@ def test_area_integrand_degenerate_jet():
     # The closed forms divide by C: a rank-one jet fails the guard.
     j = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
     for closed_form in (area_integrand_grad, area_integrand_hess):
-        with pytest.raises(DegenerateJetError):
+        with pytest.raises(DegenerateJetError, match=r"^gram determinant 0\.0 fails the immersion guard"):
             closed_form(j, 0.2)
+
+
+def test_guard_names_the_first_degenerate_sample():
+    # One bad jet fails the whole stack; the message names the first one.
+    bad = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
+    z = np.stack([SLOPE, FLAT, bad, SLOPE, bad], axis=-1)
+    for closed_form in (area_integrand_grad, area_integrand_hess):
+        with pytest.raises(DegenerateJetError, match=r"^sample \[2\]: gram determinant 0\.0 fails"):
+            closed_form(z, 0.2)
+        with pytest.raises(DegenerateJetError, match=r"^sample \[0, 1\]: "):
+            closed_form(z[..., 1:].reshape(3, 2, 2, 2), 0.2)
 
 
 def test_scaling_degree_two():
@@ -217,13 +239,12 @@ def test_grad_flat_jet_rows():
 
 
 def test_grad_vs_oracles():
-    rng = np.random.default_rng(8)
-    for _ in range(100):
-        j = rand_jet(rng)
-        for b in (0.0, 0.2, 0.4):
-            g = area_integrand_grad(j, b)
-            assert max_rel_err(g, area_integrand_grad_dual(j, b)) <= 1e-12
-            assert max_rel_err(g, area_integrand_grad_central(j, b)) <= 1e-7
+    z = _random_jets(np.random.default_rng(8), 100)
+    for b in (0.0, 0.2, 0.4):
+        # the closed form and each oracle in one pass over the 100 jets
+        g = area_integrand_grad(z, b)
+        assert np.all(max_rel_err(g, area_integrand_grad_dual(z, b)) <= 1e-12)
+        assert np.all(max_rel_err(g, area_integrand_grad_central(z, b)) <= 1e-7)
 
 
 def test_hess_symmetric_exactly():
@@ -232,17 +253,31 @@ def test_hess_symmetric_exactly():
         j = rand_jet(rng)
         h = area_integrand_hess(j, 0.3)
         np.testing.assert_array_equal(h, h.T)
+    z = _random_jets(rng, 60).reshape(3, 2, 4, 15)
+    for b in (0.0, 0.3, 0.45):
+        h = area_integrand_hess(z, b)
+        assert np.array_equal(h, h.swapaxes(0, 1))
 
 
 def test_hess_vs_oracles():
-    rng = np.random.default_rng(10)
-    jets = [rand_jet(rng) for _ in range(60)]
-    z = np.stack(jets, axis=-1)
+    z = _random_jets(np.random.default_rng(10), 60)
     for b in (0.0, 0.2, 0.4):
-        # closed form per jet, each oracle in one pass over the 60 jets
-        h = np.stack([area_integrand_hess(j, b) for j in jets], axis=-1)
+        # the closed form and each oracle in one pass over the 60 jets
+        h = area_integrand_hess(z, b)
         assert np.all(max_rel_err(h, area_integrand_hess_dual(z, b)) <= 1e-11)
         assert np.all(max_rel_err(h, area_integrand_hess_central(z, b)) <= 1e-5)
+
+
+@pytest.mark.parametrize("closed_form", [area_integrand_grad, area_integrand_hess], ids=["grad", "hess"])
+@pytest.mark.parametrize("sample_shape", [(1,), (7,), (3, 4)], ids=["S=(1,)", "S=(k,)", "S=(k,m)"])
+def test_stacked_closed_form_equals_per_jet_call(closed_form, sample_shape):
+    # Elementwise arithmetic in a fixed order: a stack gives each jet's bits.
+    count = int(np.prod(sample_shape))
+    z = _random_jets(np.random.default_rng(21), count).reshape((3, 2) + sample_shape)
+    for b in (0.0, 0.2, 0.45):
+        out = closed_form(z, b)
+        for idx in np.ndindex(*sample_shape):
+            assert np.array_equal(out[(Ellipsis,) + idx], closed_form(z[(Ellipsis,) + idx], b))
 
 
 def test_hess_golden_flat_jet():
