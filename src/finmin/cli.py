@@ -41,20 +41,14 @@ __all__ = ["main", "console_main", "write_grid_csv", "read_grid_csv"]
 GRID_FORMAT_VERSION = "minsurf-grid v1"
 
 
-def _jsonable(value):
-    # A value can only be a Fraction or a numpy scalar if some command has
-    # loaded fractions or numpy.
-    fractions = sys.modules.get("fractions")
-    if fractions is not None and isinstance(value, fractions.Fraction):
+def _json_default(value):
+    """json.dump's hook for what it cannot encode itself: an exact rational
+    as "num/den". Handlers build every other field from Python scalars."""
+    from fractions import Fraction
+
+    if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
-    np = sys.modules.get("numpy")
-    if np is not None and isinstance(value, (np.floating, np.integer, np.bool_)):
-        return value.item()
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _nonfinite(value, key=None, b=None):
@@ -568,7 +562,7 @@ def main(argv=None) -> int:
     except (QuadratureConvergenceError, SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    record = _jsonable({"command": args.command, **record})
+    record = {"command": args.command, **record}
     # Finite inputs can still overflow; strict JSON has no nan or infinity.
     bad = _nonfinite(record)
     if bad:
@@ -577,7 +571,7 @@ def main(argv=None) -> int:
         return 3
     if not args.no_timestamp:
         record["timestamp"] = datetime.now(timezone.utc).isoformat()
-    json.dump(record, sys.stdout, indent=2)
+    json.dump(record, sys.stdout, indent=2, default=_json_default)
     sys.stdout.write("\n")
     return code
 

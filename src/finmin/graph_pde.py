@@ -24,9 +24,14 @@ a = (delta - f f^T/W^2) + R * W^2 * u u^T with
     R = 2 b^2 (S + 4 b^2 w^2) / (S * (S - 2 b^2 w^2)) >= 0,
 
 an elliptic form bounded below by |xi|^2 / W^2 and above by (1 + C) times
-the classical minimal-surface form, where C is estimated by the bound
-sampler in this module. The divisor and the numerator of R are written
-once (_divisor_excess); the residual, ellipticity_quotients (the CLI's
+the classical minimal-surface form. The mean-curvature-type constant is
+exactly C = 2 b^2 / (2 + b^2) for every frame: the excess below has
+supremum R (W^2 - w^2), and C minus that is a positive multiple of
+x = w^2 / W^2 for b^2 < 1/3, so C is approached where w = 0
+(tests/test_symbolic_chain.py proves each step). The bound sampler in
+this module estimates C from below on a grid, an independent check of
+that value. The divisor and the numerator of R are written once
+(_divisor_excess); the residual, ellipticity_quotients (the CLI's
 vectorized check of the lower bound) and the sampler all use them.
 
 For a unit probe direction xi the excess a(xi) / h(xi) - 1 over the
@@ -142,18 +147,19 @@ def _t_grid(t_max, t_nodes):
 
 def mean_curvature_type_bound(m, b: float, t_max=1e3, t_nodes=512, angle_nodes=256) -> float:
     """Sample maximum of the ellipticity excess quotient; a lower estimate
-    of the mean-curvature-type constant for the orthogonal 3x3 frame m and b.
+    of the mean-curvature-type constant 2 b^2 / (2 + b^2) (the module
+    docstring) for the orthogonal 3x3 frame m and b.
 
     The quotient depends on the frame only through its last row k. It is
     maximized over the gradient angle theta in closed form (the
     Rayleigh-quotient identity in the module docstring); what is sampled is
     the gradient magnitude t (_t_grid) and the angle delta = gamma - theta
     on angle_nodes equispaced angles, a grid that contains the parallel and
-    antiparallel directions exactly. An estimate, not a proof: the quotient
-    is bounded by degree counting, and growing the horizon tenfold moves
-    the value by well under a percent. DomainError unless m is orthogonal
-    to 1e-12, b is admissible, t_max passes check_t_max and both node
-    counts are >= 1.
+    antiparallel directions exactly. An estimate, not a proof: the
+    supremum is approached where w = 0, which the grid meets only
+    approximately, and for the horizontal frame only as t grows without
+    bound. DomainError unless m is orthogonal to 1e-12, b is admissible,
+    t_max passes check_t_max and both node counts are >= 1.
     """
     import numpy as np
 

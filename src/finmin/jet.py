@@ -1,22 +1,30 @@
 """Jet-level geometry of immersed surfaces in the slope-metric 3-space.
 
 Everything is built from a first-order jet z, the 3x2 matrix of ambient
-partials of an immersion. The induced area density is
+partials of an immersion, through its three 2x2 minors
 
-    F(z) = 2*C**3 / (2*C**2 + E),   C = sqrt(det A),   A = z^T z,
+    mu_j = z[p,0]*z[q,1] - z[p,1]*z[q,0],   (p, q) = (0, 1), (0, 2), (1, 2).
 
-where the anisotropy scalar
+The induced area density is
 
-    E = b**2 * sum_k (z[k,0]*z[2,1] - z[k,1]*z[2,0])**2
-      = b**2 * det(A) * (A^-1 quadratic form on the third ambient row)
+    F(z) = 2*C**3 / (2*C**2 + E) = 2PC / D,   C = sqrt(P),   D = 2P + E,
 
-measures how the tangent plane leans against the distinguished third
-axis. F is C times the Busemann-Hausdorff density 2/(2 + b**2 |a|**2) of
-the norm's indicatrix in the tangent plane, a the tangential part of the
-third axis; tests/test_symbolic_chain.py derives it from the metric
-alpha**2/(alpha - beta). The module provides closed-form first and second
-z-derivatives of F and dual-number and finite-difference oracles for
-both, which check-derivatives compares.
+with P = det(z^T z) = mu_0**2 + mu_1**2 + mu_2**2 (Lagrange's identity)
+and the anisotropy scalar
+
+    E = b**2 * (mu_1**2 + mu_2**2)
+      = b**2 * det(A) * (A^-1 quadratic form on the third ambient row),
+
+A = z^T z, which measures how the tangent plane leans against the
+distinguished third axis. F is C times the Busemann-Hausdorff density
+2/(2 + b**2 |a|**2) of the norm's indicatrix in the tangent plane, a the
+tangential part of the third axis; tests/test_symbolic_chain.py derives
+it from the metric alpha**2/(alpha - beta). The closed-form first and
+second z-derivatives of F are one chain rule through (P, E), whose
+derivatives are those of the minors (each mu_j has a constant Hessian).
+The dual-number and finite-difference oracles, which check-derivatives
+compares with the closed forms, keep the Gram form a00*a11 - a01**2 on
+purpose, so they share no formula with the code they check.
 
 Every function takes one jet of shape (3, 2) or a stack of jets of shape
 (3, 2, *S), sample axes last, and returns gradients as (3, 2, *S) and
@@ -25,7 +33,8 @@ closed forms are elementwise arithmetic over the sample axes, with every
 sum in a fixed order and no matrix products, so each sample's values are
 bit for bit those of a call on that sample alone and the Hessian is
 exactly symmetric. Each entry point checks the shape and finiteness of
-its jet through _jet_array; the private helpers take a checked jet.
+its jet through _jet_array (the closed forms in _chain_parts); _minors
+and its wrappers take a checked jet.
 """
 
 from __future__ import annotations
@@ -65,159 +74,105 @@ def _jet_array(z):
     return z
 
 
-def _gram(z) -> np.ndarray:
-    """Gram matrix A = z^T z of the jet columns, (2, 2, *S), exactly symmetric."""
-    (z00, z01), (z10, z11), (z20, z21) = z
-    # one off-diagonal sum reused for both entries: bitwise symmetry
-    a01 = z00 * z01 + z10 * z11 + z20 * z21
-    return np.array([[z00 * z00 + z10 * z10 + z20 * z20, a01], [a01, z01 * z01 + z11 * z11 + z21 * z21]])
+# Row pairs (p, q) of the minors mu_j; only mu_1 and mu_2 involve the
+# third ambient row and enter E.
+_PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
-def _d_vector(z):
-    """d[k] = z[k,0]*z[2,1] - z[k,1]*z[2,0] for k = 0, 1, shape (2, *S);
-    the k = 2 entry vanishes identically and is left out."""
-    return z[:2, 0] * z[2, 1] - z[:2, 1] * z[2, 0]
+def _minors(z, b: float):
+    """(mu, P, E): the minors [mu_0, mu_1, mu_2], each of shape S,
+    P = det(z^T z) = sum_j mu_j**2 (Lagrange's identity) and
+    E = b**2 (mu_1**2 + mu_2**2). A sum of squares does not cancel, where
+    a00*a11 - a01**2 loses digits as the columns of z turn parallel.
+    """
+    mu = [z[p, 0] * z[q, 1] - z[p, 1] * z[q, 0] for p, q in _PAIRS]
+    tilt = mu[1] * mu[1] + mu[2] * mu[2]
+    return mu, mu[0] * mu[0] + tilt, b * b * tilt
 
 
 def _gram_det(z):
-    """det(z^T z), shape S, as the sum of the squared 2x2 minors of z
-    (Lagrange's identity). A sum of squares does not cancel, where
-    a00*a11 - a01**2 loses digits as the columns of z turn parallel."""
-    d0, d1 = _d_vector(z)
-    w = z[0, 0] * z[1, 1] - z[0, 1] * z[1, 0]
-    return w * w + (d0 * d0 + d1 * d1)
+    """det(z^T z), shape S."""
+    return _minors(z, 0.0)[1]
 
 
-def _require_nondegenerate(z, a):
-    """det A, shape S; DegenerateJetError naming the first sample that fails."""
-    det = _gram_det(z)
-    tr = a[0, 0] + a[1, 1]
-    bad = det <= DEGENERACY_FACTOR * tr * tr
+def _e_scalar(z, b: float):
+    """Anisotropy scalar E >= 0, shape S; equal to
+    b**2 * det(A) * A^{eps eta} z3_eps z3_eta."""
+    return _minors(z, b)[2]
+
+
+def _chain_parts(z, b: float):
+    """((P, E, C, D), mu, grad mu, (grad P, grad E), (F_P, F_E)) of a jet,
+    gradients flat, (6, *S), index 2*i + e.
+
+    grad P = 2 sum_j mu_j grad mu_j and grad E = 2 b**2 (the same sum over
+    j = 1, 2); F = 2PC/D has F_P = C(2P + 3E)/D**2 and F_E = -2PC/D**2.
+    DegenerateJetError, naming the first sample that fails, where
+    P <= DEGENERACY_FACTOR * trace(A)**2.
+    """
+    z = _jet_array(z)
+    mu, p, e = _minors(z, b)
+    (z00, z01), (z10, z11), (z20, z21) = z
+    tr = (z00 * z00 + z10 * z10 + z20 * z20) + (z01 * z01 + z11 * z11 + z21 * z21)
+    bad = p <= DEGENERACY_FACTOR * tr * tr
     if np.any(bad):
         k = np.unravel_index(np.argmax(bad), np.shape(bad))
         sample = f"sample {list(map(int, k))}: " if k else ""
         raise DegenerateJetError(
-            f"{sample}gram determinant {float(det[k])} fails the immersion guard "
+            f"{sample}gram determinant {float(p[k])} fails the immersion guard "
             f"(threshold {DEGENERACY_FACTOR} * trace**2)"
         )
-    return det
-
-
-def _e_scalar(z, b: float):
-    """Anisotropy scalar E >= 0, shape S.
-
-    Computed as b**2 times the squared length of the cross pattern between
-    the jet columns and the third ambient row; identical to
-    b**2 * det(A) * A^{eps eta} z3_eps z3_eta.
-    """
-    d0, d1 = _d_vector(z)
-    return b * b * (d0 * d0 + d1 * d1)
-
-
-def _area_parts(z, b: float):
-    """(z, A, det A, C, E, 2*C**2 + E) at jets that pass the guard."""
-    z = _jet_array(z)
-    a = _gram(z)
-    det = _require_nondegenerate(z, a)
-    e = _e_scalar(z, b)
-    return z, a, det, np.sqrt(det), e, 2.0 * det + e
-
-
-def _z_adj(z, a):
-    """z @ adj(A), (3, 2, *S): half the z-gradient of det A."""
-    (a00, a01), (_, a11) = a
-    return np.stack([z[:, 0] * a11 - z[:, 1] * a01, z[:, 1] * a00 - z[:, 0] * a01], axis=1)
-
-
-def _grad_e(z, b):
-    # rows 0, 1: d[k] * (z[2,1], -z[2,0]); row 2: z^T d rotated by eps
-    d = _d_vector(z)
-    m1 = np.stack([z[2, 1], -z[2, 0]])
-    ztd = z[0] * d[0] + z[1] * d[1]
-    rows = np.concatenate([d[:, None] * m1[None], np.stack([-ztd[1], ztd[0]])[None]])
-    return 2.0 * b * b * rows
-
-
-def _hess_det(z, a):
-    """Exact Hessian of det(z^T z), (3, 2, 3, 2, *S):
-
-        2 delta_ij adj[e,h] - 2 u[i,h] u[j,e] + 2 eps[e,h] w[i,j],
-
-    u = z @ eps, w[i,j] = z[i,0]*z[j,1] - z[j,0]*z[i,1]. Every term is
-    bitwise symmetric under (i,e) <-> (j,h), and so is the sum.
-    """
-    (a00, a01), (_, a11) = a
-    u = np.stack([-z[:, 1], z[:, 0]], axis=1)
-    w = z[:, 0, None] * z[None, :, 1]
-    w = w - w.swapaxes(0, 1)  # exactly antisymmetric
-    h = -2.0 * (u[:, None, None, :] * u.swapaxes(0, 1)[None, :, :, None])
-    adj2 = 2.0 * np.array([[a11, -a01], [-a01, a00]])
-    for i in range(3):
-        h[i, :, i] += adj2
-    w2 = 2.0 * w
-    h[:, 0, :, 1] += w2
-    h[:, 1, :, 0] -= w2
-    return h
-
-
-def _hess_e(z, b):
-    """Exact Hessian of E, (3, 2, 3, 2, *S), bitwise symmetric."""
-    d = _d_vector(z)
-    # dd[k, i, e] = d(d_k)/d(z[i, e]), k = 0, 1
-    dd = np.zeros((2,) + z.shape)
-    dd[0, 0] = dd[1, 1] = np.stack([z[2, 1], -z[2, 0]])
-    dd[:, 2, 0] = -z[:2, 1]
-    dd[:, 2, 1] = z[:2, 0]
-    h = dd[0][:, :, None, None] * dd[0][None, None] + dd[1][:, :, None, None] * dd[1][None, None]
-    # d_i eps[e,h] delta_j2 - delta_i2 eps[e,h] d_j
-    h[:2, 0, 2, 1] += d
-    h[:2, 1, 2, 0] -= d
-    h[2, 0, :2, 1] -= d
-    h[2, 1, :2, 0] += d
-    return 2.0 * b * b * h
+    g = []
+    for i, j in _PAIRS:
+        gm = np.zeros((6,) + z.shape[2:])
+        gm[2 * i], gm[2 * i + 1] = z[j, 1], -z[j, 0]
+        gm[2 * j], gm[2 * j + 1] = -z[i, 1], z[i, 0]
+        g.append(gm)
+    tilt = mu[1] * g[1] + mu[2] * g[2]
+    c, d = np.sqrt(p), 2.0 * p + e
+    d2 = d * d
+    grads = (2.0 * (mu[0] * g[0] + tilt), 2.0 * b * b * tilt)
+    return (p, e, c, d), mu, g, grads, (c * (2.0 * p + 3.0 * e) / d2, -2.0 * p * c / d2)
 
 
 def area_integrand_grad(z, b: float) -> np.ndarray:
-    """Closed-form gradient dF/dz, (3, 2, *S).
-
-    Assembled from the adjugate expansion of det A and the quadratic
-    expansion of E; cross-checked against the dual-number and
-    finite-difference oracles in the test suite.
-    """
-    z, a, det, c, e, den = _area_parts(z, b)
-    dc = _z_adj(z, a) / c
-    de = _grad_e(z, b)
-    return ((4.0 * det * det + 6.0 * det * e) * dc - 2.0 * det * c * de) / (den * den)
+    """Closed-form gradient dF/dz = F_P grad P + F_E grad E, (3, 2, *S);
+    cross-checked against the dual-number and finite-difference oracles in
+    the test suite."""
+    *_, (dp, de), (f_p, f_e) = _chain_parts(z, b)
+    return (f_p * dp + f_e * de).reshape((3, 2) + dp.shape[1:])
 
 
 def area_integrand_hess(z, b: float) -> np.ndarray:
     """Closed-form Hessian d2F/dz2, (6, 6, *S), flat index 2*i + e.
 
-    Exactly symmetric by construction. The coefficient of the dC x dC
-    dyad is (12*C*E**2 - 8*C**3*E)/(2*C**2+E)**3, which is what exact
-    differentiation of the gradient produces.
+    The chain rule through (P, E):
+
+        F_P hess P + F_E hess E + F_PP dP dP + F_PE (dP dE + dE dP) + F_EE dE dE,
+
+    F_PP = (3E**2 - 4P**2 - 12PE)/(2C D**3), F_PE = C(2P - 3E)/D**3 and
+    F_EE = 4PC/D**3; E <= P/4 for admissible b, so F_PP does not cancel.
+    hess P = 2 sum_j (grad mu_j grad mu_j + mu_j hess mu_j), hess E the same
+    over j = 1, 2 times b**2, where hess mu_j is a constant +-1 pattern.
+    Every term is exactly symmetric, and so is the sum.
     """
-    z, a, det, c, e, den = _area_parts(z, b)
-    flat = (6,) + z.shape[2:]
-    za = _z_adj(z, a)
-    dc = (za / c).reshape(flat)
-    ddet = (2.0 * za).reshape(flat)
-    de = _grad_e(z, b).reshape(flat)
-    hc = _hess_det(z, a).reshape((6,) + flat) / (2.0 * c) - ddet[:, None] * ddet[None] / (4.0 * c * det)
-    he = _hess_e(z, b).reshape((6,) + flat)
-
-    cc = dc[:, None] * dc[None]
-    ce = dc[:, None] * de[None] + de[:, None] * dc[None]
-    ee = de[:, None] * de[None]
-
-    den2 = den * den
-    den3 = den2 * den
+    (p, e, c, d), mu, g, (dp, de), (f_p, f_e) = _chain_parts(z, b)
+    halves = []  # grad mu_j grad mu_j + mu_j hess mu_j, half the Hessian of mu_j**2
+    for (i, j), m, gm in zip(_PAIRS, mu, g):
+        h = gm[:, None] * gm[None]
+        h[2 * i, 2 * j + 1] += m
+        h[2 * j + 1, 2 * i] += m
+        h[2 * i + 1, 2 * j] -= m
+        h[2 * j, 2 * i + 1] -= m
+        halves.append(h)
+    tilt = halves[1] + halves[2]
+    d3 = d * d * d
     return (
-        (4.0 * det * det + 6.0 * det * e) / den2 * hc
-        - 2.0 * det * c / den2 * he
-        + (12.0 * c * e * e - 8.0 * det * c * e) / den3 * cc
-        + (4.0 * det * det - 6.0 * det * e) / den3 * ce
-        + 4.0 * det * c / den3 * ee
+        f_p * (2.0 * (halves[0] + tilt))
+        + f_e * (2.0 * b * b * tilt)
+        + (3.0 * e * e - 4.0 * p * p - 12.0 * p * e) / (2.0 * c * d3) * (dp[:, None] * dp[None])
+        + c * (2.0 * p - 3.0 * e) / d3 * (dp[:, None] * de[None] + de[:, None] * dp[None])
+        + 4.0 * p * c / d3 * (de[:, None] * de[None])
     )
 
 

@@ -35,8 +35,9 @@ at the middle line of its longer side and the line is numbered last.
 SuperLU factors the Jacobian in that order without reordering columns,
 which at N = 255 holds the L + U fill to 5.2 M entries where COLAMD on
 the naturally numbered matrix reaches 9.1 M. The CSC index arrays are
-built once per solve; a factorization only gathers the new stencil
-weights into them.
+built once per solve. Each Newton step computes the stencil weights once;
+GMRES applies them, a factorization gathers them into the index arrays,
+and a stalled line search reads its rounding floor from them.
 
 The factorization is SuperLU (Demmel, Eisenstat, Gilbert, Li & Liu, SIAM
 J. Matrix Anal. Appl. 20, 1999) through scipy's compiled extension
@@ -298,11 +299,6 @@ def _stencil_weights(problem: GridProblem, f: np.ndarray) -> np.ndarray:
     return np.stack([stencil_weight(a, c) for a, c in _OFFSETS])
 
 
-def _jacobian(problem: GridProblem, f: np.ndarray, pattern: _JacobianPattern) -> np.ndarray:
-    """CSC data of the Jacobian: its entries in the order of pattern.indices."""
-    return _stencil_weights(problem, f).ravel()[pattern.gather]
-
-
 def _apply_stencil(weights: np.ndarray, field: np.ndarray) -> np.ndarray:
     """sum_k weights[k] * field shifted by _OFFSETS[k], at the interior nodes.
 
@@ -363,16 +359,17 @@ def _csc_array(*args, **kwargs):
     return scipy.sparse.csc_array(*args, **kwargs)
 
 
-def _newton_step(problem: GridProblem, f: np.ndarray, r: np.ndarray, pattern: _JacobianPattern):
+def _newton_step(weights: np.ndarray, r: np.ndarray, pattern: _JacobianPattern):
     """Newton direction at the interior nodes, shape (nx, ny), and the SuperLU factors.
 
     The direct step, taken at the first Newton step and whenever GMRES
-    misses: the Jacobian at f is factored and solved. The ordering is the
-    pattern's dissection numbering, so SuperLU is told not to reorder
-    columns: these are the options splu(permc_spec="NATURAL") passes to the
-    same routine.
+    misses: the stencil weights of the current field are gathered into the
+    Jacobian's CSC data, in the order of pattern.indices, which is factored
+    and solved. The ordering is the pattern's dissection numbering, so
+    SuperLU is told not to reorder columns: these are the options
+    splu(permc_spec="NATURAL") passes to the same routine.
     """
-    data = _jacobian(problem, f, pattern)
+    data = weights.ravel()[pattern.gather]
     options = dict(ColPerm="NATURAL", SymmetricMode=True, DiagPivotThresh=None, PanelSize=None, Relax=None)
     lu = _superlu().gstrf(
         r.size,
@@ -498,9 +495,9 @@ def solve_minimal_graph(
                 f"residual {res:.3e} above tol={tol} after {max_iter} Newton steps",
                 history,
             )
+        weights = _stencil_weights(problem, f)
         delta = None
         if lu is not None:
-            weights = _stencil_weights(problem, f)
             delta = _gmres(
                 lambda v: _apply_stencil(weights, np.pad(v.reshape(r.shape), 1)).ravel(),
                 lambda v: _lu_solve(lu, pattern.order, v),
@@ -509,7 +506,7 @@ def solve_minimal_graph(
         if delta is None:
             # Drop the old factors first: at most one LU is in memory.
             lu = None
-            delta, lu = _newton_step(problem, f, r, pattern)
+            delta, lu = _newton_step(weights, r, pattern)
             factorizations += 1
         delta = delta.reshape(r.shape)
         lam = 1.0
@@ -523,7 +520,7 @@ def solve_minimal_graph(
                 break
             lam *= 0.5
             if lam < _MIN_STEP:
-                floor = _rounding_floor(_stencil_weights(problem, f), f)
+                floor = _rounding_floor(weights, f)
                 raise StagnationError(
                     f"line search stalled at residual {res:.3e} (raw max-norm {raw:.3e}, "
                     f"rounding floor eps*max(|J||f|) = {floor:.3e})",

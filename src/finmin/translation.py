@@ -14,8 +14,11 @@ q = r - s the pair splits as lambda = K(p) - L(p) q, mu = K(p) + L(p) q
 with deg K = 3, deg L = 2.
 Whether K/L has derivative of absolute value one decides the existence of
 nonplanar minimal translation surfaces: exactly at b = 0 one finds
-K = (p + 2) L, so (K/L)' == 1, and for every b > 0 the separability
-identities fail, leaving only planes.
+K = (p + 2) L, so (K/L)' == 1, and for every b in (0, 1/2) the
+separability identities fail, leaving only planes. As polynomials in
+g = b^2 the coefficients of the separability polynomial have gcd
+g^2 (g + 2) and those of the companion polynomial g^2, so both vanish
+identically on [0, 1/4) only at g = 0 (tests/test_symbolic_chain.py).
 
 kl_polys builds K and L for one b^2 as tuples of coefficients;
 kl_ratio_derivative and compatibility_check take that pair, so a caller
@@ -182,7 +185,7 @@ def compatibility_check(k, l):
     exactly for the pair (k, l) = kl_polys(b2). Each is a list of ascending
     coefficients, empty when the polynomial vanishes identically. Their
     joint vanishing is necessary for a nonplanar solution; both vanish iff
-    b = 0.
+    b = 0 (the module docstring).
     """
     kd, kdd = _deriv(k), _deriv(_deriv(k))
     ld, ldd = _deriv(l), _deriv(_deriv(l))

@@ -327,6 +327,17 @@ def test_bound_pinned_values():
     }
 
 
+@pytest.mark.parametrize("b", [0.15, 0.3, 0.45])
+def test_bound_approaches_the_exact_constant_from_below(b):
+    # The mean-curvature-type constant is 2 b^2 / (2 + b^2) for every frame
+    # (tests/test_symbolic_chain.py); the sampler is a lower estimate of it.
+    exact = 2.0 * b * b / (2.0 + b * b)
+    rng = np.random.default_rng(35)
+    for _ in range(5):
+        c = mean_curvature_type_bound(rand_rotation(rng), b)
+        assert exact * (1.0 - 1e-6) <= c <= exact * (1.0 + 1e-12)
+
+
 def _grid_quotient(k12, k3, t, gamma, theta, b):
     # Brute-force reference: the excess quotient at gradient magnitude t,
     # angle gamma between (k1, k2) and the probe direction and angle theta

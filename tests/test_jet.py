@@ -17,7 +17,6 @@ from finmin.graph_pde import _residual_terms, graph_residual
 from finmin.jet import (
     _e_scalar,
     _flat_area_fun,
-    _gram,
     area_integrand_grad,
     area_integrand_grad_central,
     area_integrand_grad_dual,
@@ -40,24 +39,7 @@ def area(z, b):
 
 
 # ---------------------------------------------------------------------------
-# gram and scalars
-
-
-def test_gram_orthonormal_columns():
-    j = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-    np.testing.assert_array_equal(_gram(j), np.eye(2))
-
-
-def test_gram_graph_jet():
-    a, c = 0.7, -1.2
-    j = np.array([[1.0, 0.0], [0.0, 1.0], [a, c]])
-    expected = np.array([[1 + a * a, a * c], [a * c, 1 + c * c]])
-    np.testing.assert_allclose(_gram(j), expected, rtol=1e-15)
-
-
-def test_gram_column_scaling():
-    j = np.array([[2.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-    np.testing.assert_array_equal(_gram(j), np.diag([4.0, 1.0]))
+# jet validation and scalars
 
 
 def test_jet_validation():
@@ -117,7 +99,7 @@ def test_e_scalar_matches_inverse_gram_identity():
     for _ in range(200):
         j = rand_jet(rng)
         b = rng.uniform(0.0, 0.5)
-        a = _gram(j)
+        a = j.T @ j
         det = np.linalg.det(a)
         t = j[2, :]
         other = b * b * det * (t @ np.linalg.solve(a, t))
@@ -126,7 +108,7 @@ def test_e_scalar_matches_inverse_gram_identity():
 
 def test_graph_jet_area_and_anisotropy():
     j = SLOPE
-    c = math.sqrt(np.linalg.det(_gram(j)))
+    c = math.sqrt(np.linalg.det(j.T @ j))
     anisotropy = _e_scalar(j, 0.3)
     assert c == pytest.approx(math.sqrt(2.0))
     assert anisotropy == pytest.approx(0.09)
@@ -153,7 +135,7 @@ def test_area_integrand_b0_is_area_element():
     rng = np.random.default_rng(3)
     for _ in range(50):
         j = rand_jet(rng)
-        c = math.sqrt(np.linalg.det(_gram(j)))
+        c = math.sqrt(np.linalg.det(j.T @ j))
         assert area(j, 0.0) == pytest.approx(c, rel=1e-13)
 
 
@@ -223,7 +205,7 @@ def test_grad_b0_is_area_gradient():
     rng = np.random.default_rng(7)
     for _ in range(50):
         j = rand_jet(rng)
-        a = _gram(j)
+        a = j.T @ j
         dc = j @ np.array([[a[1, 1], -a[0, 1]], [-a[0, 1], a[0, 0]]]) / math.sqrt(
             np.linalg.det(a)
         )
@@ -266,6 +248,39 @@ def test_hess_vs_oracles():
         h = area_integrand_hess(z, b)
         assert np.all(max_rel_err(h, area_integrand_hess_dual(z, b)) <= 1e-11)
         assert np.all(max_rel_err(h, area_integrand_hess_central(z, b)) <= 1e-5)
+
+
+def mp_reference(z, b):
+    """Gradient (3, 2) and Hessian (6, 6) of F at one jet by mpmath.diff at
+    40 digits, on the Gram form of F that the dual oracle also uses."""
+    mpmath = pytest.importorskip("mpmath")
+    b = mpmath.mpf(b)
+
+    def fun(*v):
+        a00 = v[0] * v[0] + v[2] * v[2] + v[4] * v[4]
+        a11 = v[1] * v[1] + v[3] * v[3] + v[5] * v[5]
+        a01 = v[0] * v[1] + v[2] * v[3] + v[4] * v[5]
+        det = a00 * a11 - a01 * a01
+        e = b * b * ((v[0] * v[5] - v[1] * v[4]) ** 2 + (v[2] * v[5] - v[3] * v[4]) ** 2)
+        return 2 * det * mpmath.sqrt(det) / (2 * det + e)
+
+    with mpmath.workdps(40):
+        x = [mpmath.mpf(float(t)) for t in z.ravel()]
+
+        def partial(*axes):
+            return float(mpmath.diff(fun, x, [axes.count(k) for k in range(6)]))
+
+        grad = np.array([partial(i) for i in range(6)]).reshape(3, 2)
+        return grad, np.array([[partial(i, j) for j in range(6)] for i in range(6)])
+
+
+def test_closed_forms_match_a_40_digit_reference():
+    z = _random_jets(np.random.default_rng(0), 4)
+    for b in (0.0, 0.2, 0.4):
+        for k in range(z.shape[-1]):
+            grad, hess = mp_reference(z[..., k], b)
+            assert max_rel_err(area_integrand_grad(z[..., k], b), grad) <= 2e-15
+            assert max_rel_err(area_integrand_hess(z[..., k], b), hess) <= 2e-15
 
 
 @pytest.mark.parametrize("closed_form", [area_integrand_grad, area_integrand_hess], ids=["grad", "hess"])

@@ -16,9 +16,9 @@ from finmin.solver import (
     _dissection_order,
     _gmres,
     _initial_field,
-    _jacobian,
     _JacobianPattern,
     _newton_step,
+    _stencil_weights,
     _superlu,
     assemble_residual,
     planarity_deviation,
@@ -341,7 +341,8 @@ def jacobian_matrix(problem, f, pattern):
     import scipy.sparse as sp
 
     n = pattern.order.size
-    return sp.csc_matrix((_jacobian(problem, f, pattern), pattern.indices, pattern.indptr), shape=(n, n))
+    data = _stencil_weights(problem, f).ravel()[pattern.gather]
+    return sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=(n, n))
 
 
 def natural_jacobian(problem, f):
@@ -383,7 +384,7 @@ def test_dissection_beats_colamd_and_keeps_the_newton_step():
     problem = GridProblem(UNIT_SQUARE, 63, 63, 0.3, scherk)
     f = _initial_field(problem, "boundary-blend")
     r = assemble_residual(problem, f)
-    step, lu = _newton_step(problem, f, r, _JacobianPattern.build(63, 63))
+    step, lu = _newton_step(_stencil_weights(problem, f), r, _JacobianPattern.build(63, 63))
     jac = natural_jacobian(problem, f)
     colamd = spla.splu(jac.tocsc())
     assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
@@ -403,7 +404,7 @@ def test_newton_step_equals_splu_bit_for_bit(b):
     r = assemble_residual(problem, f)
     pattern = _JacobianPattern.build(63, 63)
     assert pattern.indices.dtype == pattern.indptr.dtype == np.intc
-    step, lu = _newton_step(problem, f, r, pattern)
+    step, lu = _newton_step(_stencil_weights(problem, f), r, pattern)
     reference = spla.splu(jacobian_matrix(problem, f, pattern), permc_spec="NATURAL")
     expected = np.empty(r.size)
     expected[pattern.order] = reference.solve(-r.ravel()[pattern.order])

@@ -15,6 +15,14 @@ Each link is derived in sympy and compared with the code that ships:
 3. Area integrand -> translation equation. At h12 = 0 the kernel's h11 and
    h22 coefficients are lambda/W^2 and mu/W^2, whose split gives the
    README's K and L; K = (p + 2) L at b = 0.
+4. Graph equation -> ellipticity constant. The excess of the graph
+   equation's form over the classical one has supremum
+   C(b) = 2b^2/(2 + b^2) over all gradients and probe directions, the
+   same for every frame.
+5. Translation equation -> rigidity for every b. As polynomials in
+   g = b^2, the separability and companion polynomials and the numerator
+   of (K/L)' - 1 vanish identically only at g = 0 on [0, 1/4), and that
+   of (K/L)' + 1 never does.
 
 W = sqrt(1 + |f|^2) stays a symbol with dW/df_i = f_i/W, and polynomial
 identities are reduced modulo W^2 - 1 - |f|^2. The kernels take symbols;
@@ -33,16 +41,18 @@ import pytest
 
 sp = pytest.importorskip("sympy")
 
-from finmin.graph_pde import _residual_terms  # noqa: E402
+from finmin.graph_pde import _divisor_excess, _residual_terms  # noqa: E402
 from finmin.jet import _e_scalar, _flat_area_fun  # noqa: E402
 from finmin.metric import PhiFamily, _phi  # noqa: E402
-from finmin.translation import _lambda_mu_b2, kl_polys  # noqa: E402
+from finmin.translation import _lambda_mu_b2, compatibility_check, kl_polys  # noqa: E402
 from finmin.volume import bh_factor_closed_matsumoto  # noqa: E402
 
 b, s, theta, a1, a2, a_sq = sp.symbols("b s theta a1 a2 a_sq", real=True)
 f1, f2, h11, h12, h22, W = sp.symbols("f1 f2 h11 h12 h22 W", real=True)
 k1, k2, k3 = sp.symbols("k1 k2 k3", real=True)
 p, q, g = sp.symbols("p q g", real=True)  # g = b^2 in the translation link
+xi1, xi2, u1, u2 = sp.symbols("xi1 xi2 u1 u2", real=True)
+x, w_squared = sp.symbols("x w_squared", nonnegative=True)
 
 
 def exact(expr):
@@ -259,3 +269,108 @@ def test_k_is_p_plus_2_times_l_at_b0():
     k_poly, l_poly = _k_and_l()
     assert sp.expand(k_poly.subs(g, 0) - (p + 2) * l_poly.subs(g, 0)) == 0
     assert sp.expand(k_poly - (p + 2) * l_poly) != 0
+
+
+# ---------------------------------------------------------------------------
+# 4. graph equation -> ellipticity constant
+
+
+def test_excess_supremum_over_probe_directions():
+    # The excess quotient R W^2 (u.xi)^2 / h(xi), h = I - f f^T / W^2, has
+    # supremum R W^2 u^T (I + f f^T) u over xi (Sherman-Morrison).
+    f = sp.Matrix([f1, f2])
+    h = sp.eye(2) - f * f.T / w_sq()
+    h_inv = sp.eye(2) + f * f.T
+    assert sp.simplify(h * h_inv - sp.eye(2)) == sp.zeros(2, 2)
+    xi, u = sp.Matrix([xi1, xi2]), sp.Matrix([u1, u2])
+
+    def form(m, v):
+        return (v.T * m * v)[0]
+
+    # h >= I / W^2 > 0: W^2 h(xi) - |xi|^2 is a square (Lagrange's identity).
+    assert sp.simplify(w_sq() * form(h, xi) - (xi1**2 + xi2**2) - (f1 * xi2 - f2 * xi1) ** 2) == 0
+    # Cauchy-Schwarz in the h inner product, with its defect written as the
+    # h-form of v >= 0: (u.xi)^2 / h(xi) <= u^T h^-1 u ...
+    top = form(h_inv, u)
+    u_xi = (u.T * xi)[0]
+    v = xi - u_xi / top * h_inv * u
+    assert sp.simplify(top * form(h, xi) - u_xi**2 - top * form(h, v)) == 0
+    # ... with equality at xi = h^-1 u.
+    best = h_inv * u
+    assert sp.simplify((u.T * best)[0] ** 2 / form(h, best) - top) == 0
+
+
+def test_excess_supremum_is_the_tangential_defect():
+    # For a unit frame row k and u = (k1, k2) + w f / W^2, w = k3 - k.f:
+    # W^2 u^T (I + f f^T) u = W^2 - w^2.
+    f = sp.Matrix([f1, f2])
+    w = k3 - k1 * f1 - k2 * f2
+    u = sp.Matrix([k1, k2]) + w * f / w_sq()
+    defect = w_sq() * (u.T * (sp.eye(2) + f * f.T) * u)[0] - (w_sq() - w**2)
+    numerator = sp.Poly(sp.expand(sp.numer(sp.together(defect))), k3)
+    assert sp.rem(numerator, sp.Poly(k1**2 + k2**2 + k3**2 - 1, k3)).is_zero
+
+
+def test_mean_curvature_type_constant_is_exact():
+    # With x = w^2 / W^2 in [0, 1], the supremum R (W^2 - w^2) of the
+    # shipped kernel's R = excess / divisor stays below C = 2b^2/(2 + b^2),
+    # and reaches it only at x = 0 (k tangent to the graph).
+    divisor, excess = (exact(t) for t in _divisor_excess(W**2, sp.sqrt(w_squared), b**2))
+    sup = (excess / divisor * (W**2 - w_squared)).subs(w_squared, x * W**2)
+    constant = 2 * b**2 / (2 + b**2)
+    bracket = 2 - 5 * b**2 - 3 * b**4 + 3 * b**2 * (1 + b**2) * x
+    gap = 4 * b**2 * x * bracket / ((2 + b**2) * (2 + b**2 - b**2 * x) * (2 + b**2 - 3 * b**2 * x))
+    assert sp.simplify(constant - sup - gap) == 0
+    # For b^2 < 1/3 every factor of the gap is positive on 0 < x <= 1: the
+    # bracket grows with x from (1 - 3b^2)(2 + b^2), and the last
+    # denominator factor falls to 2 - 2b^2 at x = 1.
+    assert sp.expand(bracket.subs(x, 0) - (1 - 3 * b**2) * (2 + b**2)) == 0
+    assert sp.expand(sp.diff(bracket, x) - 3 * b**2 * (1 + b**2)) == 0
+    assert sp.expand((2 + b**2 - 3 * b**2 * x).subs(x, 1) - (2 - 2 * b**2)) == 0
+    assert sp.simplify(sup.subs(x, 0) - constant) == 0
+
+
+# ---------------------------------------------------------------------------
+# 5. translation equation -> rigidity for every b
+
+
+@pytest.fixture(scope="module")
+def rigidity_polys():
+    """K, L and the polynomials in (p, g) whose identical vanishing decides
+    nonplanar translation surfaces."""
+    k_poly, l_poly = _k_and_l()
+    separability = sp.cancel(l_poly**4 * sp.diff(k_poly / l_poly, p, 2))
+    companion = sp.cancel(k_poly**4 * sp.diff(l_poly / k_poly, p, 2) - 2 * k_poly * l_poly**3)
+    return k_poly, l_poly, separability, companion
+
+
+def coefficient_gcd(poly):
+    """gcd in g of the coefficients of poly in p."""
+    return sp.factor(reduce(sp.gcd, sp.Poly(poly, p).all_coeffs()))
+
+
+def test_rigidity_polynomials_have_the_stated_coefficient_gcds(rigidity_polys):
+    # A coefficient gcd is the whole common zero set in g of the
+    # coefficients: g^2 (g + 2) and g^2 vanish on [0, 1/4) only at g = 0.
+    k_poly, l_poly, separability, companion = rigidity_polys
+    assert sp.expand(coefficient_gcd(separability) - g**2 * (g + 2)) == 0
+    assert sp.expand(coefficient_gcd(companion) - g**2) == 0
+    # (K/L)' -+ 1 over the integer pair (2K, 2L): the numerator of
+    # (K/L)' - 1 vanishes identically only at g = 0, that of (K/L)' + 1 never.
+    k2, l2 = 2 * k_poly, 2 * l_poly
+    for sign, content in ((-1, 12 * g**2), (1, 2)):
+        numerator = sp.expand(sp.diff(k2, p) * l2 - k2 * sp.diff(l2, p) + sign * l2**2)
+        assert sp.cancel(sp.diff(k_poly / l_poly, p) + sign - numerator / l2**2) == 0
+        assert sp.expand(coefficient_gcd(numerator) - content) == 0
+    assert sp.expand(k_poly - (p + 2) * l_poly - 2 * g * (p + 1) * (g * p + 4 * g + 2 * p + 2)) == 0
+
+
+def test_compatibility_check_is_the_sympy_pair(rigidity_polys):
+    _, _, separability, companion = rigidity_polys
+    for g0 in ("0", "1/100", "1/7", "9/100", "6/25"):
+        got = compatibility_check(*kl_polys(g0))
+        g0 = sp.Rational(g0)
+        for shipped, poly in zip(got, (separability, companion)):
+            as_poly = sum(sp.Rational(c.numerator, c.denominator) * p**i for i, c in enumerate(shipped))
+            assert sp.expand(as_poly - poly.subs(g, g0)) == 0
+            assert (shipped == []) == (g0 == 0)
