@@ -15,30 +15,43 @@ then one row per node in row-major order (x-index outer, y-index inner),
 boundary included.
 """
 
-from __future__ import annotations
-
 import argparse
+import importlib
 import json
 import math
-import os
 import sys
-from datetime import datetime, timezone
 
-# Each command imports what it runs inside its handler, so a command loads
-# only what it uses: numpy only where it computes on arrays (not
-# residual-graph, residual-translation or check-translation), of scipy
-# only the compiled SuperLU module, only in `solve`, and fractions only
-# where rationals are parsed or computed.
-from .errors import (
-    DomainError,
-    QuadratureConvergenceError,
-    SolverError,
-)
+# Each command's handler lives in the module it drives, and main imports
+# only that module (_HANDLERS), so a command compiles and loads only its own
+# code: numpy only where it computes on arrays (not volume, residual-graph,
+# residual-translation or check-translation), of scipy only the compiled
+# SuperLU module, only in `solve`, fractions only in check-translation
+# (its --b2 and --p values and the polynomial work), and datetime only when
+# a timestamp is written.
+from .errors import DomainError, QuadratureConvergenceError, SolverError
 from .metric import PhiFamily, check_b
 
 __all__ = ["main", "console_main", "write_grid_csv", "read_grid_csv"]
 
 GRID_FORMAT_VERSION = "minsurf-grid v1"
+
+# command -> module holding its handler _cmd_<command, "-" as "_">(args),
+# which returns (record, exit code)
+_HANDLERS = {
+    "volume": "volume",
+    "residual-graph": "graph_pde",
+    "residual-translation": "translation",
+    "check-derivatives": "jet",
+    "check-translation": "translation",
+    "ellipticity": "graph_pde",
+    "solve": "solver",
+}
+
+# --point fields of the pointwise commands, parsed by _validate
+_POINT_FIELDS = {
+    "residual-graph": ("f1", "f2", "h11", "h12", "h22"),
+    "residual-translation": ("fp", "fpp", "gp", "gpp"),
+}
 
 
 def _json_default(value):
@@ -112,315 +125,6 @@ def read_grid_csv(path):
 
 
 # ---------------------------------------------------------------------------
-# command handlers
-
-
-def _cmd_volume(args):
-    from .volume import bh_factor_closed_matsumoto, bh_factor_quadrature
-
-    family = PhiFamily(args.family)
-    closed_form = family is PhiFamily.MATSUMOTO and args.n == 2
-    results = []
-    worst = 0.0
-    for b in args.b:
-        value, nodes = bh_factor_quadrature(b, family, args.n)
-        entry = {
-            "b": b,
-            "euclidean_degeneration": b == 0.0,
-            "quadrature": value,
-            "nodes": nodes,
-        }
-        if closed_form:
-            closed = bh_factor_closed_matsumoto(b)
-            entry["closed"] = closed
-            entry["abs_diff"] = abs(value - closed)
-            worst = max(worst, entry["abs_diff"])
-        results.append(entry)
-    record = {"family": family.value, "n": args.n, "results": results}
-    code = 0
-    if closed_form and worst > args.tol:
-        record["failure"] = f"quadrature/closed disagreement {worst} above tol {args.tol}"
-        code = 4
-    return record, code
-
-
-def _cmd_residual_graph(args):
-    from .graph_pde import graph_residual
-
-    point = _parse_point(args.point, ("f1", "f2", "h11", "h12", "h22"))
-    results = [
-        {
-            "b": b,
-            "euclidean_degeneration": b == 0.0,
-            "residual": graph_residual(**point, b=b),
-        }
-        for b in args.b
-    ]
-    return {"point": point, "results": results}, 0
-
-
-def _cmd_residual_translation(args):
-    from .translation import lambda_mu, translation_residual
-
-    point = _parse_point(args.point, ("fp", "fpp", "gp", "gpp"))
-    results = []
-    for b in args.b:
-        lam, mu = lambda_mu(point["fp"] * point["fp"], point["gp"] * point["gp"], b)
-        results.append(
-            {
-                "b": b,
-                "euclidean_degeneration": b == 0.0,
-                "lambda": lam,
-                "mu": mu,
-                "residual": translation_residual(**point, b=b),
-            }
-        )
-    return {"point": point, "results": results}, 0
-
-
-def _matrix_rel_err(x, y):
-    """max|x - y| / max|y| over each matrix, axes (0, 1); trailing axes are samples."""
-    import numpy as np
-
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return np.max(np.abs(x - y), axis=(0, 1)) / np.maximum(np.max(np.abs(y), axis=(0, 1)), 1e-300)
-
-
-# Largest block of jets drawn at once; bounds the draw's memory at any --samples.
-_JET_BLOCK = 1024
-
-
-def _random_jets(rng, count, min_det=0.25):
-    """count jets, (3, 2, count): entries uniform in [-1.5, 1.5), keeping
-    the jets whose Gram determinant is at least min_det.
-
-    Draws blocks of at most _JET_BLOCK jets. rng.uniform(size=(k, 3, 2))
-    yields the stream of k draws of shape (3, 2), and a block never holds
-    more jets than are still missing, so the jets are those of drawing and
-    testing one at a time.
-    """
-    import numpy as np
-
-    from .jet import _gram_det
-
-    kept = []
-    while count > 0:
-        z = np.moveaxis(rng.uniform(-1.5, 1.5, size=(min(count, _JET_BLOCK), 3, 2)), 0, -1)
-        z = z[..., _gram_det(z) >= min_det]
-        kept.append(z)
-        count -= z.shape[-1]
-    return np.concatenate(kept, axis=-1)
-
-
-def _cmd_check_derivatives(args):
-    import numpy as np
-
-    from .jet import (
-        area_integrand_grad,
-        area_integrand_grad_central,
-        area_integrand_grad_dual,
-        area_integrand_hess,
-        area_integrand_hess_central,
-        area_integrand_hess_dual,
-    )
-
-    z = _random_jets(np.random.default_rng(args.seed), args.samples)
-    results = []
-    failures = []
-    for b in args.b:
-        # the closed forms (the code under test) and each oracle in one pass over all samples
-        g = area_integrand_grad(z, b)
-        h = area_integrand_hess(z, b)
-        worst = {
-            "grad_dual": float(_matrix_rel_err(g, area_integrand_grad_dual(z, b)).max()),
-            "grad_central": float(_matrix_rel_err(g, area_integrand_grad_central(z, b)).max()),
-            "hess_dual": float(_matrix_rel_err(h, area_integrand_hess_dual(z, b)).max()),
-            "hess_central": float(_matrix_rel_err(h, area_integrand_hess_central(z, b)).max()),
-        }
-        nonfinite = [k for k, v in worst.items() if not math.isfinite(v)]
-        ok = not nonfinite and (
-            worst["grad_dual"] <= args.rtol_dual
-            and worst["hess_dual"] <= args.rtol_dual
-            and worst["grad_central"] <= args.rtol_central
-            and worst["hess_central"] <= args.rtol_central
-        )
-        for k in nonfinite:
-            # strict JSON has no nan/inf: the value is null, the failure names it
-            failures.append(f"{k} relative error is {worst[k]} at b={b}")
-            worst[k] = None
-        results.append({"b": b, "max_rel_errors": worst, "pass": ok})
-    record = {
-        "samples": args.samples,
-        "seed": args.seed,
-        "rtol_dual": args.rtol_dual,
-        "rtol_central": args.rtol_central,
-        "results": results,
-    }
-    if failures:
-        record["failure"] = "; ".join(failures)
-    return record, 0 if all(r["pass"] for r in results) else 4
-
-
-def _cmd_check_translation(args):
-    from .translation import compatibility_check, kl_polys, kl_ratio_derivative
-
-    results = []
-    pattern_ok = True
-    zero_message = ""
-    for b2 in args.b2:
-        k, l = kl_polys(b2)
-        separability, companion = compatibility_check(k, l)
-        admits_nonplanar = not separability and not companion
-        nodes = []
-        for p in args.p:
-            v = kl_ratio_derivative(k, l, p)
-            nodes.append({"p": p, "value": v, "abs_is_one": abs(v) == 1})
-        all_one = all(n["value"] == 1 for n in nodes)
-        any_unit = any(n["abs_is_one"] for n in nodes)
-        if b2 == 0:
-            pattern_ok &= all_one and admits_nonplanar
-            zero_message = "(K/L)_p = 1 at all nodes; " if all_one else ""
-        else:
-            pattern_ok &= (not any_unit) and not admits_nonplanar
-        results.append(
-            {
-                "b2": b2,
-                "k_coeffs": list(k),
-                "l_coeffs": list(l),
-                "ratio_derivative": nodes,
-                "separability_zero": not separability,
-                "companion_zero": not companion,
-                "admits_nonplanar": admits_nonplanar,
-            }
-        )
-    if pattern_ok:
-        message = zero_message + "rigidity criterion satisfied only at b=0"
-    else:
-        message = "rigidity pattern violated"
-    return {"results": results, "message": message}, 0 if pattern_ok else 4
-
-
-def _cmd_ellipticity(args):
-    import numpy as np
-
-    from .graph_pde import ellipticity_quotients, mean_curvature_type_bound, random_rotations
-
-    rng = np.random.default_rng(args.seed)
-    results = []
-    ok_all = True
-    for b in args.b:
-        n = args.samples
-        f = rng.uniform(-3.0, 3.0, size=(n, 2))
-        frames = random_rotations(rng, n)
-        xi = rng.normal(size=(n, 2))
-        ratio, divisor = ellipticity_quotients(f, frames[:, 2, :], xi, b)
-        min_ratio = float(np.min(ratio))
-        min_divisor = float(np.min(divisor))
-        c_est = mean_curvature_type_bound(random_rotations(rng, 1)[0], b, t_max=args.tmax)
-        ok = min_ratio >= 1.0 - 1e-12 and min_divisor > 0.0
-        ok_all &= ok
-        results.append(
-            {
-                "b": b,
-                "euclidean_degeneration": b == 0.0,
-                "samples": n,
-                "min_quadform_ratio": min_ratio,
-                "min_divisor": min_divisor,
-                "mean_curvature_type_bound": c_est,
-                "pass": ok,
-            }
-        )
-    return {"seed": args.seed, "results": results}, 0 if ok_all else 4
-
-
-def _boundary_callable(spec: str, domain):
-    if spec == "zero":
-        return lambda x, y: 0.0
-    if spec.startswith("affine:"):
-        try:
-            c0, cx, cy = (float(v) for v in spec.split(":", 1)[1].split(","))
-        except ValueError as exc:
-            raise DomainError(f"bad affine boundary spec {spec!r}") from exc
-        if not all(map(math.isfinite, (c0, cx, cy))):
-            raise DomainError(f"affine boundary coefficients in {spec!r} must be finite")
-        return lambda x, y: c0 + cx * x + cy * y
-    if spec == "scherk":
-        x0, x1, y0, y1 = domain
-        lim = math.pi / 2
-        if not (-lim < x0 and x1 < lim and -lim < y0 and y1 < lim):
-            raise DomainError(
-                "scherk boundary data requires the domain inside (-pi/2, pi/2)^2"
-            )
-        return lambda x, y: math.log(math.cos(x)) - math.log(math.cos(y))
-    raise DomainError(f"unknown boundary spec {spec!r}")
-
-
-def _check_writable(path):
-    """DomainError unless a file can be created or replaced at path."""
-    folder = os.path.dirname(path) or os.curdir
-    if os.path.isdir(path):
-        problem = "it is a directory"
-    elif not os.path.isdir(folder):
-        problem = f"there is no directory {folder!r}"
-    elif not os.access(folder, os.W_OK):
-        problem = f"directory {folder!r} is not writable"
-    else:
-        return
-    raise DomainError(f"--out {path!r} cannot be written: {problem}")
-
-
-def _cmd_solve(args):
-    from .solver import GridProblem, planarity_deviation, solve_minimal_graph
-
-    if len(args.b) != 1:
-        raise DomainError("solve takes exactly one b value")
-    if args.out:
-        # checked before the solve, which may take seconds
-        _check_writable(args.out)
-    b = args.b[0]
-    problem = GridProblem(
-        domain=args.domain,
-        nx=args.nx,
-        ny=args.ny,
-        b=b,
-        boundary=_boundary_callable(args.boundary, args.domain),
-    )
-    sol = solve_minimal_graph(problem, tol=args.tol, max_iter=args.max_iter)
-    record = {
-        "b": b,
-        "euclidean_degeneration": b == 0.0,
-        "domain": args.domain,
-        "nx": args.nx,
-        "ny": args.ny,
-        "boundary": args.boundary,
-        "iterations": sol.iterations,
-        "residual_norm": sol.residual_norm,
-        "raw_residual_norm": sol.raw_residual_norm,
-        "factorizations": sol.factorizations,
-        "planarity_deviation": planarity_deviation(sol),
-        "out": args.out,
-    }
-    if args.out:
-        try:
-            write_grid_csv(args.out, problem.xs(), problem.ys(), sol.f)
-        except OSError as exc:
-            raise DomainError(f"--out {args.out!r} cannot be written: {exc.strerror}") from exc
-    return record, 0
-
-
-_HANDLERS = {
-    "volume": _cmd_volume,
-    "residual-graph": _cmd_residual_graph,
-    "residual-translation": _cmd_residual_translation,
-    "check-derivatives": _cmd_check_derivatives,
-    "check-translation": _cmd_check_translation,
-    "ellipticity": _cmd_ellipticity,
-    "solve": _cmd_solve,
-}
-
-
-# ---------------------------------------------------------------------------
 # argument parsing
 
 
@@ -482,13 +186,10 @@ def _build_parser():
     p.add_argument("--family", choices=[f.value for f in PhiFamily], default="matsumoto")
     p.add_argument("--tol", type=float, default=1e-10)
 
-    p = sub_parser("residual-graph", help="pointwise minimal-graph residual")
-    p.add_argument("--b", type=_parse_floats, default=[0.0])
-    p.add_argument("--point", required=True, help="f1=..,f2=..,h11=..,h12=..,h22=..")
-
-    p = sub_parser("residual-translation", help="pointwise translation residual")
-    p.add_argument("--b", type=_parse_floats, default=[0.0])
-    p.add_argument("--point", required=True, help="fp=..,fpp=..,gp=..,gpp=..")
+    for name, what in (("residual-graph", "minimal-graph"), ("residual-translation", "translation")):
+        p = sub_parser(name, help=f"pointwise {what} residual")
+        p.add_argument("--b", type=_parse_floats, default=[0.0])
+        p.add_argument("--point", required=True, help=",".join(f"{k}=.." for k in _POINT_FIELDS[name]))
 
     p = sub_parser("check-derivatives", help="closed forms vs dual/central oracles")
     p.add_argument("--b", type=_parse_floats, default=[0.0, 0.2, 0.4])
@@ -522,7 +223,8 @@ def _build_parser():
 
 
 def _validate(args):
-    """DomainError on arguments the parser accepts but no command can use."""
+    """DomainError on arguments the parser accepts but no command can use;
+    replaces a --point string by its dict of fields."""
     # volume alone takes --family; the other commands use the slope metric
     family = PhiFamily(args.family) if args.command == "volume" else PhiFamily.MATSUMOTO
     for b in getattr(args, "b", ()):
@@ -544,6 +246,8 @@ def _validate(args):
             raise DomainError(f"--{name.replace('_', '-')} {value} must be positive and finite")
     if args.command == "solve" and len(args.domain) != 4:
         raise DomainError("--domain expects x0,x1,y0,y1")
+    if args.command in _POINT_FIELDS:
+        args.point = _parse_point(args.point, _POINT_FIELDS[args.command])
 
 
 def main(argv=None) -> int:
@@ -555,7 +259,8 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         _validate(args)
-        record, code = _HANDLERS[args.command](args)
+        module = importlib.import_module(f"{__package__}.{_HANDLERS[args.command]}")
+        record, code = getattr(module, "_cmd_" + args.command.replace("-", "_"))(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -570,6 +275,8 @@ def main(argv=None) -> int:
         print(f"error: {key} is {value} at b={b}: the computation overflows double precision", file=sys.stderr)
         return 3
     if not args.no_timestamp:
+        from datetime import datetime, timezone
+
         record["timestamp"] = datetime.now(timezone.utc).isoformat()
     json.dump(record, sys.stdout, indent=2, default=_json_default)
     sys.stdout.write("\n")

@@ -31,8 +31,10 @@ x = w^2 / W^2 for b^2 < 1/3, so C is approached where w = 0
 (tests/test_symbolic_chain.py proves each step). The bound sampler in
 this module estimates C from below on a grid, an independent check of
 that value. The divisor and the numerator of R are written once
-(_divisor_excess); the residual, ellipticity_quotients (the CLI's
-vectorized check of the lower bound) and the sampler all use them.
+(_divisor_excess); the residual, its Hessian coefficients
+(_hessian_coefficients, which the solver's Jacobian takes),
+ellipticity_quotients (the CLI's vectorized check of the lower bound) and
+the sampler all use them.
 
 For a unit probe direction xi the excess a(xi) / h(xi) - 1 over the
 classical form h = (delta - f f^T/W^2) : xi xi is R * W^2 (u . xi)^2 / h.
@@ -52,10 +54,10 @@ evaluates, so large gradients lose no precision to cancellation.
 The functions take plain numbers and arrays: graph_residual the gradient
 and Hessian entries of one point, the sampler the frame m as a 3x3
 matrix. graph_residual computes on Python floats, so the module loads
-numpy only inside the functions that work on arrays.
+numpy only inside the functions that work on arrays. The two _cmd_*
+functions at the end are the CLI's residual-graph and ellipticity
+commands.
 """
-
-from __future__ import annotations
 
 import math
 
@@ -90,6 +92,29 @@ def _residual_terms(f1, f2, h11, h12, h22, k1, k2, k3, b):
     u2 = k2 + w * f2 / w2
     uform = u1 * u1 * h11 + 2.0 * u1 * u2 * h12 + u2 * u2 * h22
     return divisor * hform + excess * w2 * uform
+
+
+def _hessian_coefficients(f1, f2, k1, k2, k3, b):
+    """(d/dh11, d/dh12, d/dh22) of _residual_terms: the residual is linear
+    in the Hessian, so these are its coefficients,
+
+        D (delta - f f^T / W^2) + X W^2 u u^T,   (D, X) = _divisor_excess,
+
+    with the off-diagonal doubled. Each operation is the one a dual-number
+    pass through _residual_terms makes, in its order, so the values are bit
+    for bit those of dual.gradient. Arithmetic only, like _residual_terms.
+    """
+    w2 = 1.0 + f1 * f1 + f2 * f2
+    w = k3 - k1 * f1 - k2 * f2
+    divisor, excess = _divisor_excess(w2, w, b * b)
+    u1 = k1 + w * f1 / w2
+    u2 = k2 + w * f2 / w2
+    scale = excess * w2
+    return (
+        (1.0 - f1 * f1 / w2) * divisor + u1 * u1 * scale,
+        -(2.0 * f1 * f2 / w2) * divisor + 2.0 * u1 * u2 * scale,
+        (1.0 - f2 * f2 / w2) * divisor + u2 * u2 * scale,
+    )
 
 
 def graph_residual(f1, f2, h11, h12, h22, b) -> float:
@@ -187,7 +212,7 @@ def mean_curvature_type_bound(m, b: float, t_max=1e3, t_nodes=512, angle_nodes=2
     return float(np.max(rb * (lead * lead + w2 * (k12 * np.sin(delta)) ** 2)))
 
 
-def random_rotations(rng: np.random.Generator, n: int) -> np.ndarray:
+def random_rotations(rng: "np.random.Generator", n: int) -> "np.ndarray":
     """n uniformly random rotation matrices (det +1), shape (n, 3, 3).
 
     Quaternion construction: deterministic given the generator state,
@@ -209,3 +234,56 @@ def random_rotations(rng: np.random.Generator, n: int) -> np.ndarray:
     m[:, 2, 1] = 2 * (c * d + a * b)
     m[:, 2, 2] = a * a - b * b - c * c + d * d
     return m
+
+
+# ---------------------------------------------------------------------------
+# CLI commands: (record, exit code) for the parsed arguments
+
+
+def _cmd_residual_graph(args):
+    results = [
+        {
+            "b": b,
+            "euclidean_degeneration": b == 0.0,
+            "residual": graph_residual(**args.point, b=b),
+        }
+        for b in args.b
+    ]
+    return {"point": args.point, "results": results}, 0
+
+
+def _cmd_ellipticity(args):
+    """Per b: the sampled lower bound of the normalized form and the
+    divisor, and the sampler's estimate of the mean-curvature-type constant
+    beside its exact value C = 2 b^2 / (2 + b^2) (the module docstring),
+    which the estimate must not exceed."""
+    import numpy as np
+
+    rng = np.random.default_rng(args.seed)
+    results = []
+    ok_all = True
+    for b in args.b:
+        n = args.samples
+        f = rng.uniform(-3.0, 3.0, size=(n, 2))
+        frames = random_rotations(rng, n)
+        xi = rng.normal(size=(n, 2))
+        ratio, divisor = ellipticity_quotients(f, frames[:, 2, :], xi, b)
+        min_ratio = float(np.min(ratio))
+        min_divisor = float(np.min(divisor))
+        c_est = mean_curvature_type_bound(random_rotations(rng, 1)[0], b, t_max=args.tmax)
+        c_exact = 2.0 * b * b / (2.0 + b * b)
+        ok = min_ratio >= 1.0 - 1e-12 and min_divisor > 0.0 and c_est <= c_exact * (1.0 + 1e-12)
+        ok_all &= ok
+        results.append(
+            {
+                "b": b,
+                "euclidean_degeneration": b == 0.0,
+                "samples": n,
+                "min_quadform_ratio": min_ratio,
+                "min_divisor": min_divisor,
+                "mean_curvature_type_bound": c_est,
+                "mean_curvature_type_constant": c_exact,
+                "pass": ok,
+            }
+        )
+    return {"seed": args.seed, "results": results}, 0 if ok_all else 4

@@ -34,10 +34,13 @@ sum in a fixed order and no matrix products, so each sample's values are
 bit for bit those of a call on that sample alone and the Hessian is
 exactly symmetric. Each entry point checks the shape and finiteness of
 its jet through _jet_array (the closed forms in _chain_parts); _minors
-and its wrappers take a checked jet.
+and its wrappers take a checked jet. _cmd_check_derivatives, at the end,
+is the CLI's check-derivatives command.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -223,3 +226,76 @@ def area_integrand_grad_central(z, b: float, step: float = 1e-6) -> np.ndarray:
 def area_integrand_hess_central(z, b: float, step: float = 2.5e-4) -> np.ndarray:
     """Hessian of F by nested central differences (secondary oracle), (6, 6, *S)."""
     return dual.central_hessian(_flat_area_fun(b), _flat_jets(z), step)
+
+
+# ---------------------------------------------------------------------------
+# CLI command: check-derivatives
+
+
+def _matrix_rel_err(x, y):
+    """max|x - y| / max|y| over each matrix, axes (0, 1); trailing axes are samples."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    return np.max(np.abs(x - y), axis=(0, 1)) / np.maximum(np.max(np.abs(y), axis=(0, 1)), 1e-300)
+
+
+# Largest block of jets drawn at once; bounds the draw's memory at any --samples.
+_JET_BLOCK = 1024
+
+
+def _random_jets(rng, count, min_det=0.25):
+    """count jets, (3, 2, count): entries uniform in [-1.5, 1.5), keeping
+    the jets whose Gram determinant is at least min_det.
+
+    Draws blocks of at most _JET_BLOCK jets. rng.uniform(size=(k, 3, 2))
+    yields the stream of k draws of shape (3, 2), and a block never holds
+    more jets than are still missing, so the jets are those of drawing and
+    testing one at a time.
+    """
+    kept = []
+    while count > 0:
+        z = np.moveaxis(rng.uniform(-1.5, 1.5, size=(min(count, _JET_BLOCK), 3, 2)), 0, -1)
+        z = z[..., _gram_det(z) >= min_det]
+        kept.append(z)
+        count -= z.shape[-1]
+    return np.concatenate(kept, axis=-1)
+
+
+def _cmd_check_derivatives(args):
+    """(record, exit code): the closed forms against both oracles on
+    --samples seeded random jets, at each b."""
+    z = _random_jets(np.random.default_rng(args.seed), args.samples)
+    results = []
+    failures = []
+    for b in args.b:
+        # the closed forms (the code under test) and each oracle in one pass over all samples
+        g = area_integrand_grad(z, b)
+        h = area_integrand_hess(z, b)
+        worst = {
+            "grad_dual": float(_matrix_rel_err(g, area_integrand_grad_dual(z, b)).max()),
+            "grad_central": float(_matrix_rel_err(g, area_integrand_grad_central(z, b)).max()),
+            "hess_dual": float(_matrix_rel_err(h, area_integrand_hess_dual(z, b)).max()),
+            "hess_central": float(_matrix_rel_err(h, area_integrand_hess_central(z, b)).max()),
+        }
+        nonfinite = [k for k, v in worst.items() if not math.isfinite(v)]
+        ok = not nonfinite and (
+            worst["grad_dual"] <= args.rtol_dual
+            and worst["hess_dual"] <= args.rtol_dual
+            and worst["grad_central"] <= args.rtol_central
+            and worst["hess_central"] <= args.rtol_central
+        )
+        for k in nonfinite:
+            # strict JSON has no nan/inf: the value is null, the failure names it
+            failures.append(f"{k} relative error is {worst[k]} at b={b}")
+            worst[k] = None
+        results.append({"b": b, "max_rel_errors": worst, "pass": ok})
+    record = {
+        "samples": args.samples,
+        "seed": args.seed,
+        "rtol_dual": args.rtol_dual,
+        "rtol_central": args.rtol_central,
+        "results": results,
+    }
+    if failures:
+        record["failure"] = "; ".join(failures)
+    return record, 0 if all(r["pass"] for r in results) else 4

@@ -15,8 +15,6 @@ The norm enters the computations only through ``_phi`` (the volume
 quadrature) and the area integrand of the jet module.
 """
 
-from __future__ import annotations
-
 import math
 from enum import Enum
 

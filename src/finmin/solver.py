@@ -46,6 +46,8 @@ its `gstrf` with the arguments `splu(A, permc_spec="NATURAL")` would pass,
 so the factors are the same, and a solve imports no other scipy module
 (importing `scipy.sparse.linalg` costs about 350 ms, most of it a numpy
 compatibility layer the solver does not use).
+
+_cmd_solve, at the end, is the CLI's `solve` command.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ import numpy as np
 
 from . import dual
 from .errors import DomainError, NonConvergenceError, SolverError, StagnationError
-from .graph_pde import _divisor_excess, _residual_terms
+from .graph_pde import _divisor_excess, _hessian_coefficients, _residual_terms
 from .metric import check_b
 
 __all__ = [
@@ -193,14 +195,19 @@ def _residual_and_norms(problem: GridProblem, f: np.ndarray):
 def _point_partials(problem: GridProblem, f: np.ndarray):
     """d(residual)/d(f1, f2, h11, h12, h22) at every interior node, shape (5, nx, ny).
 
-    dual.gradient over the stacked stencil values: five dual passes, each
-    a vectorized evaluation of the residual formula at all nodes.
+    The residual is linear in the Hessian, so its three Hessian partials
+    are the coefficients graph_pde._hessian_coefficients computes in closed
+    form; dual.gradient takes the two gradient partials, each in one
+    vectorized dual pass over all nodes. Both are bit for bit what
+    dual.gradient over all five stencil values gives.
     """
+    f1, f2, h11, h12, h22 = _stencil_point(problem, f)
 
     def residual(v):
-        return _residual_terms(*v, 0.0, 0.0, 1.0, problem.b)
+        return _residual_terms(*v, h11, h12, h22, 0.0, 0.0, 1.0, problem.b)
 
-    return dual.gradient(residual, np.stack(_stencil_point(problem, f)))
+    d_f = dual.gradient(residual, np.stack((f1, f2)))
+    return np.stack((*d_f, *_hessian_coefficients(f1, f2, 0.0, 0.0, 1.0, problem.b)))
 
 
 _OFFSETS = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 0), (0, 1), (1, -1), (1, 0), (1, 1)]
@@ -551,3 +558,84 @@ def planarity_deviation(sol: GridSolution) -> float:
     design = np.column_stack([np.ones(xg.size), xg.ravel(), yg.ravel()])
     coef, *_ = np.linalg.lstsq(design, sol.f.ravel(), rcond=None)
     return float(np.max(np.abs(sol.f.ravel() - design @ coef)))
+
+
+# ---------------------------------------------------------------------------
+# CLI command: solve
+
+
+def _boundary_callable(spec: str, domain):
+    if spec == "zero":
+        return lambda x, y: 0.0
+    if spec.startswith("affine:"):
+        try:
+            c0, cx, cy = (float(v) for v in spec.split(":", 1)[1].split(","))
+        except ValueError as exc:
+            raise DomainError(f"bad affine boundary spec {spec!r}") from exc
+        if not all(map(math.isfinite, (c0, cx, cy))):
+            raise DomainError(f"affine boundary coefficients in {spec!r} must be finite")
+        return lambda x, y: c0 + cx * x + cy * y
+    if spec == "scherk":
+        x0, x1, y0, y1 = domain
+        lim = math.pi / 2
+        if not (-lim < x0 and x1 < lim and -lim < y0 and y1 < lim):
+            raise DomainError(
+                "scherk boundary data requires the domain inside (-pi/2, pi/2)^2"
+            )
+        return lambda x, y: math.log(math.cos(x)) - math.log(math.cos(y))
+    raise DomainError(f"unknown boundary spec {spec!r}")
+
+
+def _check_writable(path):
+    """DomainError unless a file can be created or replaced at path."""
+    folder = os.path.dirname(path) or os.curdir
+    if os.path.isdir(path):
+        problem = "it is a directory"
+    elif not os.path.isdir(folder):
+        problem = f"there is no directory {folder!r}"
+    elif not os.access(folder, os.W_OK):
+        problem = f"directory {folder!r} is not writable"
+    else:
+        return
+    raise DomainError(f"--out {path!r} cannot be written: {problem}")
+
+
+def _cmd_solve(args):
+    """(record, exit code) of one Dirichlet solve; with --out, the grid is
+    written by the CLI's grid-file writer."""
+    if len(args.b) != 1:
+        raise DomainError("solve takes exactly one b value")
+    if args.out:
+        # checked before the solve, which may take seconds
+        _check_writable(args.out)
+    b = args.b[0]
+    problem = GridProblem(
+        domain=args.domain,
+        nx=args.nx,
+        ny=args.ny,
+        b=b,
+        boundary=_boundary_callable(args.boundary, args.domain),
+    )
+    sol = solve_minimal_graph(problem, tol=args.tol, max_iter=args.max_iter)
+    record = {
+        "b": b,
+        "euclidean_degeneration": b == 0.0,
+        "domain": args.domain,
+        "nx": args.nx,
+        "ny": args.ny,
+        "boundary": args.boundary,
+        "iterations": sol.iterations,
+        "residual_norm": sol.residual_norm,
+        "raw_residual_norm": sol.raw_residual_norm,
+        "factorizations": sol.factorizations,
+        "planarity_deviation": planarity_deviation(sol),
+        "out": args.out,
+    }
+    if args.out:
+        from .cli import write_grid_csv
+
+        try:
+            write_grid_csv(args.out, problem.xs(), problem.ys(), sol.f)
+        except OSError as exc:
+            raise DomainError(f"--out {args.out!r} cannot be written: {exc.strerror}") from exc
+    return record, 0

@@ -23,12 +23,12 @@ identically on [0, 1/4) only at g = 0 (tests/test_symbolic_chain.py).
 kl_polys builds K and L for one b^2 as tuples of coefficients;
 kl_ratio_derivative and compatibility_check take that pair, so a caller
 builds it once per b^2. All polynomial work is over fractions.Fraction, so
-every reported value is exact.
+every reported value is exact; the functions that build Fractions import
+the module themselves, so translation_residual, which computes on floats
+for the CLI's residual-translation, loads no fractions. The two
+_cmd_* functions at the end are the CLI's residual-translation and
+check-translation commands.
 """
-
-from __future__ import annotations
-
-from fractions import Fraction
 
 from .errors import DomainError
 
@@ -87,6 +87,8 @@ def _sub(a, b):
 
 
 def _mul(a, b):
+    from fractions import Fraction
+
     if not a or not b:
         return []
     out = [Fraction(0)] * (len(a) + len(b) - 1)
@@ -105,6 +107,8 @@ def _deriv(a):
 
 
 def _eval(a, x):
+    from fractions import Fraction
+
     acc = Fraction(0)
     for c in reversed(a):
         acc = acc * x + c
@@ -113,6 +117,8 @@ def _eval(a, x):
 
 def _lagrange(xs, ys):
     """Exact interpolating polynomial through (xs, ys), ascending coeffs."""
+    from fractions import Fraction
+
     out = []
     for i, xi in enumerate(xs):
         basis = [Fraction(1)]
@@ -135,6 +141,8 @@ def kl_polys(b2):
     nodes, L on the line q = 1 at three; the split is then re-verified at
     off-grid rational points.
     """
+    from fractions import Fraction
+
     b2 = Fraction(b2)
     if not (0 <= b2 < Fraction(1, 4)):
         raise DomainError(f"b^2={b2} outside [0, 1/4)")
@@ -165,13 +173,15 @@ def kl_polys(b2):
     return tuple(k), tuple(l)
 
 
-def kl_ratio_derivative(k, l, p) -> Fraction:
+def kl_ratio_derivative(k, l, p) -> "Fraction":
     """Exact (K/L)'(p) = (K'L - KL')/L^2 at a rational p >= 0, for the
     pair (k, l) = kl_polys(b2).
 
     p = f'^2 + g'^2 is never negative. For p >= 0 and b^2 < 1/4 every
     coefficient of L is positive, so L(p) > 0 and the quotient is defined.
     """
+    from fractions import Fraction
+
     p = Fraction(p)
     if p < 0:
         raise DomainError(f"p={p} must be >= 0 (p = f'^2 + g'^2)")
@@ -208,3 +218,61 @@ def compatibility_check(k, l):
     )
 
     return separability, companion
+
+
+# ---------------------------------------------------------------------------
+# CLI commands: (record, exit code) for the parsed arguments
+
+
+def _cmd_residual_translation(args):
+    point = args.point
+    results = []
+    for b in args.b:
+        lam, mu = lambda_mu(point["fp"] * point["fp"], point["gp"] * point["gp"], b)
+        results.append(
+            {
+                "b": b,
+                "euclidean_degeneration": b == 0.0,
+                "lambda": lam,
+                "mu": mu,
+                "residual": translation_residual(**point, b=b),
+            }
+        )
+    return {"point": point, "results": results}, 0
+
+
+def _cmd_check_translation(args):
+    results = []
+    pattern_ok = True
+    zero_message = ""
+    for b2 in args.b2:
+        k, l = kl_polys(b2)
+        separability, companion = compatibility_check(k, l)
+        admits_nonplanar = not separability and not companion
+        nodes = []
+        for p in args.p:
+            v = kl_ratio_derivative(k, l, p)
+            nodes.append({"p": p, "value": v, "abs_is_one": abs(v) == 1})
+        all_one = all(n["value"] == 1 for n in nodes)
+        any_unit = any(n["abs_is_one"] for n in nodes)
+        if b2 == 0:
+            pattern_ok &= all_one and admits_nonplanar
+            zero_message = "(K/L)_p = 1 at all nodes; " if all_one else ""
+        else:
+            pattern_ok &= (not any_unit) and not admits_nonplanar
+        results.append(
+            {
+                "b2": b2,
+                "k_coeffs": list(k),
+                "l_coeffs": list(l),
+                "ratio_derivative": nodes,
+                "separability_zero": not separability,
+                "companion_zero": not companion,
+                "admits_nonplanar": admits_nonplanar,
+            }
+        )
+    if pattern_ok:
+        message = zero_message + "rigidity criterion satisfied only at b=0"
+    else:
+        message = "rigidity pattern violated"
+    return {"results": results, "message": message}, 0 if pattern_ok else 4

@@ -20,10 +20,8 @@ guess; weights 2/((1 - x**2) * P_n'(x)**2); the negative half by symmetry.
 This is the recurrence-based Newton rule that Hale & Townsend, SIAM J. Sci.
 Comput. 35(2) (2013), compare with Golub-Welsch. It takes O(n) memory and
 O(n**2) time: about one recurrence pass per root. Both integrals are summed
-with math.fsum.
+with math.fsum. _cmd_volume is the CLI's `volume` command.
 """
-
-from __future__ import annotations
 
 import math
 from functools import lru_cache
@@ -183,3 +181,31 @@ def bh_factor_closed_matsumoto(b: float) -> float:
     """Exact factor 2/(2 + b**2) for the slope family in dimension 2."""
     b = check_b(b)
     return 2.0 / (2.0 + b * b)
+
+
+def _cmd_volume(args):
+    """The `volume` command: (record, exit code) for the parsed CLI arguments."""
+    family = PhiFamily(args.family)
+    closed_form = family is PhiFamily.MATSUMOTO and args.n == 2
+    results = []
+    worst = 0.0
+    for b in args.b:
+        value, nodes = bh_factor_quadrature(b, family, args.n)
+        entry = {
+            "b": b,
+            "euclidean_degeneration": b == 0.0,
+            "quadrature": value,
+            "nodes": nodes,
+        }
+        if closed_form:
+            closed = bh_factor_closed_matsumoto(b)
+            entry["closed"] = closed
+            entry["abs_diff"] = abs(value - closed)
+            worst = max(worst, entry["abs_diff"])
+        results.append(entry)
+    record = {"family": family.value, "n": args.n, "results": results}
+    code = 0
+    if closed_form and worst > args.tol:
+        record["failure"] = f"quadrature/closed disagreement {worst} above tol {args.tol}"
+        code = 4
+    return record, code

@@ -4,9 +4,8 @@ import math
 
 import numpy as np
 
-from finmin.cli import _matrix_rel_err as max_rel_err  # noqa: F401  (re-exported)
-from finmin.cli import _random_jets
-from finmin.jet import area_integrand_hess
+from finmin.jet import _matrix_rel_err as max_rel_err  # noqa: F401  (re-exported)
+from finmin.jet import _random_jets, area_integrand_hess
 
 
 def rand_jet(rng):

@@ -81,9 +81,13 @@ def test_volume_rejects_bad_b(capsys):
 
 
 def test_timestamp_present_by_default(capsys):
+    # datetime is imported only to write this field
+    from datetime import datetime, timedelta
+
     code, rec = run_json(capsys, ["volume", "--b", "0.1"])
     assert code == 0
-    assert "timestamp" in rec
+    stamp = datetime.fromisoformat(rec["timestamp"])
+    assert stamp.tzinfo is not None and stamp.utcoffset() == timedelta(0)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +181,7 @@ def _random_jets_one_at_a_time(rng, count):
 
 @pytest.mark.parametrize("seed,count", [(0, 1), (1, 5), (123, 200), (7, 1024), (8, 2500)])
 def test_jets_drawn_in_blocks_equal_jets_drawn_one_at_a_time(seed, count):
-    from finmin.cli import _random_jets
+    from finmin.jet import _random_jets
 
     rng = np.random.default_rng(seed)
     ref = np.random.default_rng(seed)
@@ -260,6 +264,46 @@ def test_ellipticity_command(capsys):
         assert entry["pass"] is True
         assert entry["min_quadform_ratio"] >= 1.0 - 1e-12
         assert entry["min_divisor"] > 0.0
+
+
+@pytest.mark.parametrize("tmax", ["1000", "0"])
+def test_ellipticity_reports_the_exact_type_constant(capsys, tmax):
+    # C(b) = 2 b^2 / (2 + b^2) for every frame (tests/test_symbolic_chain.py);
+    # the sampled estimate stays at or below it. At --tmax 0 only the zero
+    # gradient is sampled, where the excess reaches C only for a frame row
+    # k with k3 = 0.
+    bs = [0.0, 0.15, 0.3, 0.45]
+    argv = ["ellipticity", "--b", "0,0.15,0.3,0.45", "--samples", "50", "--seed", "3", "--tmax", tmax]
+    code, rec = run_json(capsys, [*argv, "--no-timestamp"])
+    assert code == 0
+    for b, entry in zip(bs, rec["results"]):
+        exact = 2.0 * b * b / (2.0 + b * b)
+        assert entry["mean_curvature_type_constant"] == exact
+        assert entry["mean_curvature_type_bound"] <= exact * (1.0 + 1e-12)
+        if b == 0.0:
+            assert entry["mean_curvature_type_bound"] == exact == 0.0
+        elif tmax == "0":
+            assert 0.0 < entry["mean_curvature_type_bound"] < exact
+        else:
+            assert entry["mean_curvature_type_bound"] >= exact * (1.0 - 1e-6)
+        assert entry["pass"] is True
+    keys = list(rec["results"][0])
+    assert keys[keys.index("mean_curvature_type_bound") + 1] == "mean_curvature_type_constant"
+
+
+def test_ellipticity_fails_when_the_estimate_exceeds_the_constant(capsys, monkeypatch):
+    from finmin import graph_pde
+
+    real = graph_pde.mean_curvature_type_bound
+    # a sampler 1e-11 relative above C at b = 0.3 only
+    monkeypatch.setattr(
+        graph_pde,
+        "mean_curvature_type_bound",
+        lambda m, b, **kw: 2.0 * b * b / (2.0 + b * b) * (1.0 + 1e-11) if b == 0.3 else real(m, b, **kw),
+    )
+    code, rec = run_json(capsys, ["ellipticity", "--b", "0.15,0.3", "--samples", "20", "--no-timestamp"])
+    assert code == 4
+    assert [entry["pass"] for entry in rec["results"]] == [True, False]
 
 
 @pytest.mark.parametrize(
@@ -635,7 +679,7 @@ import finmin, finmin.cli
 def loaded():
     return sorted(m for m in sys.modules if m.split(".")[0] in ("finmin", "scipy") or m in WATCHED)
 
-WATCHED = ("numpy", "dataclasses", "inspect", "fractions")
+WATCHED = ("numpy", "dataclasses", "inspect", "fractions", "datetime", "__future__")
 
 out = {"import": loaded()}
 for argv in json.loads(sys.argv[1]):
@@ -648,8 +692,8 @@ print(json.dumps(out))
 
 def _loaded_after_each(commands):
     """Run commands in order in one fresh interpreter (this process already
-    has everything loaded); the finmin and scipy modules, numpy, dataclasses,
-    inspect and fractions loaded so far after each, by command name."""
+    has everything loaded); the finmin and scipy modules and the WATCHED
+    modules loaded so far after each, by command name."""
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, json.dumps(commands)],
         capture_output=True,
@@ -677,19 +721,23 @@ def test_commands_load_only_their_modules():
             ["solve", "--b", "0.3", "--boundary", "scherk", "--nx", "8", "--ny", "8"],
         ]
     )
-    # No command loads dataclasses; numpy itself imports inspect. Only the
-    # commands that compute on rationals load fractions. volume computes on
-    # Python floats: it adds finmin.volume alone, no numpy and no inspect.
+    # No command loads dataclasses; numpy itself imports inspect, and
+    # datetime and __future__ too, which no command loads otherwise under
+    # --no-timestamp. Only check-translation, which computes on rationals,
+    # loads fractions. volume computes on Python floats: it adds
+    # finmin.volume alone, no numpy and no inspect.
     base = ["finmin", "finmin.cli", "finmin.errors", "finmin.metric"]
     assert first["import"] == second["import"] == base
     for argv in first_commands:
         code, modules = first[argv[0]]
         assert code == 0 and scipy_or_solver(modules) == [], argv
         assert "dataclasses" not in modules, argv
+    for _, modules in [first[argv[0]] for argv in first_commands] + [second["volume"], second["solve"]]:
+        assert "numpy" in modules or not {"datetime", "__future__"} & set(modules), modules
     # The three scalar commands, each in a fresh interpreter, add only their
     # own modules: no numpy, no jet, no dual, no inspect.
     for argv, own in [
-        (first_commands[0], ["finmin.translation", "fractions"]),
+        (first_commands[0], ["finmin.translation"]),
         (first_commands[1], ["finmin.translation", "fractions"]),
         (first_commands[2], ["finmin.graph_pde"]),
     ]:
@@ -700,7 +748,7 @@ def test_commands_load_only_their_modules():
     # solve reaches SuperLU through its compiled module alone: no other scipy module.
     code, modules = second["solve"]
     solve_adds = ["finmin.dual", "finmin.graph_pde", "finmin.solver", "scipy.sparse.linalg._dsolve._superlu"]
-    assert code == 0 and modules == sorted(base + ["finmin.volume", "inspect", "numpy"] + solve_adds)
+    assert code == 0 and modules == sorted(base + ["finmin.volume", "inspect", "numpy", "datetime", "__future__"] + solve_adds)
 
 
 _SUPERLU_PROBE = """

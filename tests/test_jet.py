@@ -11,12 +11,12 @@ from conftest import (
     scherk_hessian,
 )
 
-from finmin.cli import _random_jets
 from finmin.errors import DegenerateJetError, DomainError
 from finmin.graph_pde import _residual_terms, graph_residual
 from finmin.jet import (
     _e_scalar,
     _flat_area_fun,
+    _random_jets,
     area_integrand_grad,
     area_integrand_grad_central,
     area_integrand_grad_dual,

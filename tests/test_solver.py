@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from conftest import scherk
 
+from finmin import dual
 from finmin.errors import DomainError, NonConvergenceError, SolverError, StagnationError
+from finmin.graph_pde import _residual_terms
 import finmin.solver
 from finmin.solver import (
     _SUPERLU,
@@ -18,6 +20,8 @@ from finmin.solver import (
     _initial_field,
     _JacobianPattern,
     _newton_step,
+    _point_partials,
+    _stencil_point,
     _stencil_weights,
     _superlu,
     assemble_residual,
@@ -358,6 +362,34 @@ def test_dissection_order_is_a_permutation(shape):
     nx, ny = shape
     order = _dissection_order(nx, ny)
     assert np.array_equal(np.sort(order), np.arange(nx * ny))
+
+
+@pytest.mark.parametrize(
+    "n,b,field",
+    [
+        ((9, 12), 0.0, "scherk"),
+        ((9, 12), 0.3, "zero"),
+        ((12, 9), 0.45, "random"),
+        ((31, 17), 0.15, "random"),
+        ((63, 64), 0.45, "scherk"),
+        ((127, 130), 0.3, "scherk"),
+    ],
+)
+def test_point_partials_equal_dual_gradient_bit_for_bit(n, b, field):
+    # The Hessian partials come in closed form, the gradient partials from
+    # two dual passes; together they are the five dual passes over all
+    # stencil values, to the bit (signed zeros of the zero field included).
+    nx, ny = n
+    problem = GridProblem((-1.4, 1.4, -1.2, 1.2), nx, ny, b, scherk)
+    f = {
+        "scherk": lambda: full_field(problem, scherk),
+        "zero": lambda: np.zeros((nx + 2, ny + 2)),
+        "random": lambda: np.random.default_rng(nx).uniform(-2.0, 2.0, (nx + 2, ny + 2)),
+    }[field]()
+    got = _point_partials(problem, f)
+    want = dual.gradient(lambda v: _residual_terms(*v, 0.0, 0.0, 1.0, b), np.stack(_stencil_point(problem, f)))
+    assert got.shape == want.shape == (5, nx, ny)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("b", [0.0, 0.3, 0.45])
