@@ -31,10 +31,11 @@ x = w^2 / W^2 for b^2 < 1/3, so C is approached where w = 0
 (tests/test_symbolic_chain.py proves each step). The bound sampler in
 this module estimates C from below on a grid, an independent check of
 that value. The divisor and the numerator of R are written once
-(_divisor_excess); the residual, its Hessian coefficients
-(_hessian_coefficients, which the solver's Jacobian takes),
-ellipticity_quotients (the CLI's vectorized check of the lower bound) and
-the sampler all use them.
+(_divisor_excess); the residual, ellipticity_quotients (the CLI's
+vectorized check of the lower bound) and the sampler all use them. The
+solver's Jacobian differentiates the residual by hand at w = 1
+(solver._point_partials), and a test ties it bit for bit to dual passes
+through _residual_terms.
 
 For a unit probe direction xi the excess a(xi) / h(xi) - 1 over the
 classical form h = (delta - f f^T/W^2) : xi xi is R * W^2 (u . xi)^2 / h.
@@ -92,29 +93,6 @@ def _residual_terms(f1, f2, h11, h12, h22, k1, k2, k3, b):
     u2 = k2 + w * f2 / w2
     uform = u1 * u1 * h11 + 2.0 * u1 * u2 * h12 + u2 * u2 * h22
     return divisor * hform + excess * w2 * uform
-
-
-def _hessian_coefficients(f1, f2, k1, k2, k3, b):
-    """(d/dh11, d/dh12, d/dh22) of _residual_terms: the residual is linear
-    in the Hessian, so these are its coefficients,
-
-        D (delta - f f^T / W^2) + X W^2 u u^T,   (D, X) = _divisor_excess,
-
-    with the off-diagonal doubled. Each operation is the one a dual-number
-    pass through _residual_terms makes, in its order, so the values are bit
-    for bit those of dual.gradient. Arithmetic only, like _residual_terms.
-    """
-    w2 = 1.0 + f1 * f1 + f2 * f2
-    w = k3 - k1 * f1 - k2 * f2
-    divisor, excess = _divisor_excess(w2, w, b * b)
-    u1 = k1 + w * f1 / w2
-    u2 = k2 + w * f2 / w2
-    scale = excess * w2
-    return (
-        (1.0 - f1 * f1 / w2) * divisor + u1 * u1 * scale,
-        -(2.0 * f1 * f2 / w2) * divisor + 2.0 * u1 * u2 * scale,
-        (1.0 - f2 * f2 / w2) * divisor + u2 * u2 * scale,
-    )
 
 
 def graph_residual(f1, f2, h11, h12, h22, b) -> float:

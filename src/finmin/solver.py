@@ -16,7 +16,10 @@ form a : H, so tol means the same at every gradient size, while the raw
 max|r| carries D's W^4 and a rounding floor eps*max(|J||f|) that exceeds
 1e-10 on fine grids (5.2e-10 at N = 255). The line search keeps the raw
 max|r| as its merit function: the Newton direction is a descent direction
-for it, and not always for the quotient, whose weights move with f.
+for it, and not always for the quotient, whose weights move with f. When
+a full step fails, the line search reads that floor: with max|r| within
+_FLOOR_MULTIPLE of it no step can be shown to help, and the solve stops
+as stagnated instead of halving the step twenty times.
 
 Linear systems. The first Newton step factors the Jacobian with SuperLU
 and solves directly. Each later step solves its system by GMRES (Saad &
@@ -25,9 +28,14 @@ right-preconditioned by that LU; the Jacobian is applied as nine stencil
 weight arrays, without assembling it. This is inexact Newton (Dembo,
 Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982): near the solution
 GMRES needs 2 to 6 steps, each a triangular solve, where a factorization
-costs as much as about twenty. If GMRES misses within 30 steps the
-Jacobian is factored anew; the old LU is dropped first, so at most one is
-in memory. GridSolution.factorizations counts the factorizations.
+costs as much as about twenty. Givens rotations update the Hessenberg
+least-squares problem as each step arrives (Saad, Iterative Methods for
+Sparse Linear Systems, 2003, 6.5), and GMRES keeps each preconditioned
+vector M^-1 v_k it computes, at most one more vector of n doubles per
+step, so its solution needs no closing triangular solve. If GMRES misses
+within 30 steps the Jacobian is factored anew; the old LU is dropped
+first, so at most one is in memory. GridSolution.factorizations counts
+the factorizations.
 
 The linear systems number the interior nodes by geometric nested
 dissection (George, SIAM J. Numer. Anal. 10, 1973): each block is split
@@ -35,9 +43,12 @@ at the middle line of its longer side and the line is numbered last.
 SuperLU factors the Jacobian in that order without reordering columns,
 which at N = 255 holds the L + U fill to 5.2 M entries where COLAMD on
 the naturally numbered matrix reaches 9.1 M. The CSC index arrays are
-built once per solve. Each Newton step computes the stencil weights once;
-GMRES applies them, a factorization gathers them into the index arrays,
-and a stalled line search reads its rounding floor from them.
+built once per solve, from an (n, 9) table of 32-bit keys 16 row + k,
+one table row per column, each sorted along its 9 entries (so n stays
+below 2**27 unknowns). Each Newton step computes the stencil weights
+once, from partials taken by a hand-written forward-mode pass over row
+blocks; GMRES applies them, a factorization gathers them into the index
+arrays, and a failed full step reads its rounding floor from them.
 
 The factorization is SuperLU (Demmel, Eisenstat, Gilbert, Li & Liu, SIAM
 J. Matrix Anal. Appl. 20, 1999) through scipy's compiled extension
@@ -61,9 +72,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import dual
 from .errors import DomainError, NonConvergenceError, SolverError, StagnationError
-from .graph_pde import _divisor_excess, _hessian_coefficients, _residual_terms
+from .graph_pde import _divisor_excess, _residual_terms
 from .metric import check_b
 
 __all__ = [
@@ -76,6 +86,9 @@ __all__ = [
 
 _MIN_STEP = 2.0**-20
 _ARMIJO_SLOPE = 1e-4
+# The line search stops as stagnated once a full step fails with the raw
+# max|r| at most this multiple of its rounding floor (_rounding_floor).
+_FLOOR_MULTIPLE = 2.0
 # Newton systems after the first are solved by GMRES to this relative
 # residual, preconditioned by the last LU; the Jacobian is factored anew
 # only when GMRES misses it within the step budget.
@@ -181,13 +194,14 @@ def _residual_and_norms(problem: GridProblem, f: np.ndarray):
     D = S(S - 2 b^2 w^2) >= 4 - 4 b^2 is the positive divisor graph_pde
     factors out of the equation, here at w = 1; r / D is the normalized
     elliptic form a : H (at b = 0 the minimal-surface operator over W^2),
-    free of D's W^4 growth. Overflowing data or a spacing whose square
-    underflows make the norms nan or infinite, which the Newton loop checks
-    for itself, so numpy's warnings about it are silenced.
+    free of D's W^4 growth. r is assemble_residual's, from one pass over
+    the stencils. Overflowing data or a spacing whose square underflows
+    make the norms nan or infinite, which the Newton loop checks for
+    itself, so numpy's warnings about it are silenced.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        r = assemble_residual(problem, f)
-        f1, f2 = _stencil_point(problem, f)[:2]
+        f1, f2, h11, h12, h22 = _stencil_point(problem, f)
+        r = _residual_terms(f1, f2, h11, h12, h22, 0.0, 0.0, 1.0, problem.b)
         divisor = _divisor_excess(1.0 + f1 * f1 + f2 * f2, 1.0, problem.b**2)[0]
         return r, float(np.max(np.abs(r / divisor))), float(np.max(np.abs(r)))
 
@@ -195,23 +209,74 @@ def _residual_and_norms(problem: GridProblem, f: np.ndarray):
 def _point_partials(problem: GridProblem, f: np.ndarray):
     """d(residual)/d(f1, f2, h11, h12, h22) at every interior node, shape (5, nx, ny).
 
-    The residual is linear in the Hessian, so its three Hessian partials
-    are the coefficients graph_pde._hessian_coefficients computes in closed
-    form; dual.gradient takes the two gradient partials, each in one
-    vectorized dual pass over all nodes. Both are bit for bit what
-    dual.gradient over all five stencil values gives.
+    One hand-written forward-mode pass through graph_pde._residual_terms
+    at the frame row k = (0, 0, 1). The residual is linear in the Hessian,
+    so its three Hessian partials are the coefficients
+
+        D (delta - f f^T / W^2) + X W^2 u u^T,   (D, X) = _divisor_excess,
+
+    with the off-diagonal doubled. The gradient partials carry one
+    derivative channel per seed f1, f2 through the same operations, in the
+    order a dual.Dual pass makes them, so that all five are bit for bit
+    what dual.gradient over the five stencil values gives, signed zeros
+    included. Where the stencil values are finite, w = 1 - 0 f1 - 0 f2 is
+    exactly 1 and its derivative -0.0, and the operations on those
+    constants are folded.
     """
     f1, f2, h11, h12, h22 = _stencil_point(problem, f)
-
-    def residual(v):
-        return _residual_terms(*v, h11, h12, h22, 0.0, 0.0, 1.0, problem.b)
-
-    d_f = dual.gradient(residual, np.stack((f1, f2)))
-    return np.stack((*d_f, *_hessian_coefficients(f1, f2, 0.0, 0.0, 1.0, problem.b)))
+    b2 = problem.b * problem.b
+    f11, f22 = f1 * f1, f2 * f2
+    w2 = 1.0 + f11 + f22
+    # _divisor_excess at w = 1
+    s = (2.0 + b2) * w2 - b2
+    t = s - 2.0 * b2
+    divisor = s * t
+    excess = 2.0 * b2 * (s + 4.0 * b2)
+    p12 = 2.0 * f1 * f2
+    quotient = (f11 * h11 + p12 * h12 + f22 * h22) / w2
+    hform = (h11 + h22) - quotient
+    g1, g2 = f1 / w2, f2 / w2
+    u1, u2 = 0.0 + g1, 0.0 + g2
+    u11, u12, u22 = u1 * u1, 2.0 * u1 * u2, u2 * u2
+    uform = u11 * h11 + u12 * h12 + u22 * h22
+    scale = excess * w2
+    out = np.empty((5,) + f1.shape)
+    df1, df2 = f1 + f1, f2 + f2
+    # Per seed f1, f2: d(W^2); h_1, h_2 with d(f^T H f)/d(seed) =
+    # 2 f1 h_1 + 2 f2 h_2; and d(w f_j)/d(seed), which is 1 for the seeded
+    # f_j and -0.0 f_j for the other.
+    for c, (d_w2, h_1, h_2, a1, a2) in enumerate(
+        ((df1, h11, h12, 1.0, -0.0 * f2), (df2, h12, h22, -0.0 * f1, 1.0))
+    ):
+        # + 0.0 is the dual pass's - (-0.0), which turns -0.0 into +0.0
+        d_s = d_w2 * (2.0 + b2) + 0.0
+        d_divisor = s * d_s + d_s * t
+        d_excess = d_s * (2.0 * b2)
+        d_hform = -1.0 * ((df1 * h_1 + df2 * h_2 - quotient * d_w2) / w2)
+        d_u1 = (a1 - g1 * d_w2) / w2
+        d_u2 = (a2 - g2 * d_w2) / w2
+        d_u11 = u1 * d_u1
+        d_uform = (
+            (d_u11 + d_u11) * h11
+            + ((u1 * 2.0) * d_u2 + (d_u1 * 2.0) * u2) * h12
+            + (u2 * d_u2 + d_u2 * u2) * h22
+        )
+        d_scale = excess * d_w2 + d_excess * w2
+        out[c] = (divisor * d_hform + d_divisor * hform) + (scale * d_uform + d_scale * uform)
+    out[2] = (1.0 - f11 / w2) * divisor + u11 * scale
+    out[3] = -(p12 / w2) * divisor + u12 * scale
+    out[4] = (1.0 - f22 / w2) * divisor + u22 * scale
+    return out
 
 
 _OFFSETS = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 0), (0, 1), (1, -1), (1, 0), (1, 1)]
 _LEAF_NODES = 16
+# The partials make dozens of temporaries per node; in blocks of this many
+# nodes each is 64 KB, which the allocator recycles from its heap and the
+# cache holds, where grid-sized ones are mapped and page-faulted afresh on
+# every call (N = 255 on a 2-vCPU VM: 30 ms a call in one pass, 12 ms in
+# blocks).
+_BLOCK_NODES = 8192
 
 
 def _dissection_order(nx: int, ny: int) -> np.ndarray:
@@ -221,28 +286,33 @@ def _dissection_order(nx: int, ny: int) -> np.ndarray:
     halves are numbered first, then that line. The 9-point stencil only
     couples nodes at most one line apart, so the line separates the
     halves and the LU factors of each half never fill into the other.
-    Blocks of at most _LEAF_NODES nodes keep natural order.
+    Blocks of at most _LEAF_NODES nodes keep natural order. The recursion
+    passes block bounds and records each leaf and line as a box (first
+    natural index, rows, columns); one array pass expands the boxes.
     """
-    natural = np.arange(nx * ny).reshape(nx, ny)
-    parts = []
+    boxes = []
 
-    def number(block):
-        rows, cols = block.shape
+    def number(r0, r1, c0, c1):
+        rows, cols = r1 - r0, c1 - c0
         if rows * cols <= _LEAF_NODES:
-            parts.append(block.ravel())
+            boxes.extend((r0 * ny + c0, rows, cols))
         elif rows >= cols:
-            m = rows // 2
-            number(block[:m])
-            number(block[m + 1 :])
-            parts.append(block[m])
+            m = r0 + rows // 2
+            number(r0, m, c0, c1)
+            number(m + 1, r1, c0, c1)
+            boxes.extend((m * ny + c0, 1, cols))
         else:
-            m = cols // 2
-            number(block[:, :m])
-            number(block[:, m + 1 :])
-            parts.append(block[:, m])
+            m = c0 + cols // 2
+            number(r0, r1, c0, m)
+            number(r0, r1, m + 1, c1)
+            boxes.extend((r0 * ny + m, rows, 1))
 
-    number(natural)
-    return np.concatenate(parts)
+    number(0, nx, 0, ny)
+    first, rows, cols = np.array(boxes, dtype=np.int64).reshape(-1, 3).T
+    sizes = rows * cols
+    box = np.repeat(np.arange(sizes.size), sizes)
+    i, j = np.divmod(np.arange(nx * ny) - np.repeat(np.cumsum(sizes) - sizes, sizes), cols[box])
+    return first[box] + i * ny + j
 
 
 class _JacobianPattern(NamedTuple):
@@ -261,49 +331,62 @@ class _JacobianPattern(NamedTuple):
 
     @classmethod
     def build(cls, nx: int, ny: int) -> _JacobianPattern:
+        """Column p holds, as rows, the dissection positions of the nodes
+        m - offset_k whose stencil k reaches node m = order[p]. An (n, 9)
+        table keys column p's entries as 16 * row + k, and as 16 n + k where
+        node m - offset_k lies outside the grid; sorting each table row
+        along its 9 keys puts the rows in order and the outside keys last.
+        The keys are C ints, which hold them while 16 n < 2**31, that is
+        for fewer than 2**27 unknowns; `gather` is int64."""
         n = nx * ny
+        if n >= 2**27:
+            raise DomainError(f"{nx} x {ny} unknowns: the Jacobian pattern indexes fewer than 2**27")
         order = _dissection_order(nx, ny)
-        position = np.empty(n, dtype=np.int64)
-        position[order] = np.arange(n)
-        natural = np.arange(n).reshape(nx, ny)
-        rows, cols, gather = [], [], []
+        # 16 * dissection position of each node, 16 n on the boundary ring
+        key = np.full((nx + 2, ny + 2), 16 * n, dtype=np.intc)
+        key[1:-1, 1:-1].flat[order] = np.arange(0, 16 * n, 16, dtype=np.intc)
+        table = np.empty((nx, ny, 9), dtype=np.intc)
         for k, (a, c) in enumerate(_OFFSETS):
-            r0, r1 = max(0, -a), nx - max(0, a)
-            c0, c1 = max(0, -c), ny - max(0, c)
-            node = natural[r0:r1, c0:c1].ravel()
-            rows.append(position[node])
-            cols.append(position[natural[r0 + a : r1 + a, c0 + c : c1 + c].ravel()])
-            gather.append(k * n + node)
-        rows, cols, gather = (np.concatenate(v) for v in (rows, cols, gather))
-        by_column = np.argsort(cols * n + rows)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
-        return cls(order, gather[by_column], rows[by_column].astype(np.intc), indptr.astype(np.intc))
+            np.add(key[1 - a : 1 - a + nx, 1 - c : 1 - c + ny], k, out=table[:, :, k])
+        table = table.reshape(n, 9)[order]
+        table.sort(axis=1)
+        inside = table < 16 * n
+        indptr = np.zeros(n + 1, dtype=np.intc)
+        np.cumsum(np.count_nonzero(inside, axis=1), out=indptr[1:])
+        keys = table[inside]
+        indices = keys >> 4
+        gather = order[indices]
+        gather += (keys & 15) * n
+        return cls(order, gather, indices, indptr)
 
 
 def _stencil_weights(problem: GridProblem, f: np.ndarray) -> np.ndarray:
     """Jacobian entries as (9, nx, ny) arrays: weights[k][i, j] is
-    d r[i, j] / d f[i + a, j + c] for (a, c) = _OFFSETS[k], interior indices."""
+    d r[i, j] / d f[i + a, j + c] for (a, c) = _OFFSETS[k], interior indices.
+
+    The partials are taken over blocks of rows of about _BLOCK_NODES nodes;
+    every value is pointwise, so the blocks give the same bits as one pass.
+    """
     hx, hy = problem.hx, problem.hy
-    d_f1, d_f2, d_h11, d_h12, d_h22 = _point_partials(problem, f)
-
-    def stencil_weight(a, c):
+    nx, ny = problem.nx, problem.ny
+    weights = np.zeros((9, nx, ny))
+    rows = max(1, _BLOCK_NODES // ny)
+    for i in range(0, nx, rows):
+        d_f1, d_f2, d_h11, d_h12, d_h22 = _point_partials(problem, f[i : i + rows + 2])
         # chain rule: d(stencil value)/d f[neighbor] for each derived quantity
-        w = np.zeros_like(d_f1)
-        if c == 0:
-            if a != 0:
-                w += d_f1 * (a / (2.0 * hx))
-                w += d_h11 / hx**2
-            else:
-                w += d_h11 * (-2.0 / hx**2) + d_h22 * (-2.0 / hy**2)
-        if a == 0 and c != 0:
-            w += d_f2 * (c / (2.0 * hy))
-            w += d_h22 / hy**2
-        if a != 0 and c != 0:
-            w += d_h12 * (a * c / (4.0 * hx * hy))
-        return w
-
-    return np.stack([stencil_weight(a, c) for a, c in _OFFSETS])
+        for w, (a, c) in zip(weights[:, i : i + rows], _OFFSETS):
+            if c == 0:
+                if a != 0:
+                    w += d_f1 * (a / (2.0 * hx))
+                    w += d_h11 / hx**2
+                else:
+                    w += d_h11 * (-2.0 / hx**2) + d_h22 * (-2.0 / hy**2)
+            if a == 0 and c != 0:
+                w += d_f2 * (c / (2.0 * hy))
+                w += d_h22 / hy**2
+            if a != 0 and c != 0:
+                w += d_h12 * (a * c / (4.0 * hx * hy))
+    return weights
 
 
 def _apply_stencil(weights: np.ndarray, field: np.ndarray) -> np.ndarray:
@@ -400,31 +483,48 @@ def _lu_solve(lu, order: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _gmres(matvec, precondition, rhs: np.ndarray):
-    """x with |rhs - A x| <= _GMRES_RTOL |rhs| by right-preconditioned GMRES
-    (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 1986); None if
-    _GMRES_STEPS steps do not reach it.
+    """(x, estimate) with |rhs - A x| <= _GMRES_RTOL |rhs| by
+    right-preconditioned GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput.
+    7, 1986); None if _GMRES_STEPS steps do not reach it.
 
     matvec applies A and precondition M^-1. Modified Gram-Schmidt Arnoldi
     builds an orthonormal basis V of the Krylov space of A M^-1 and the
-    Hessenberg matrix H with A M^-1 V_k = V_k+1 H; y minimizes
-    |beta e1 - H y|, which is the residual of x = M^-1 V_k y.
+    Hessenberg matrix H with A M^-1 V_k = V_k+1 H. Givens rotations reduce
+    H to upper triangular R as its columns arrive, so |beta e1 - H y| is
+    known at every step without solving for y (Saad, Iterative Methods for
+    Sparse Linear Systems, 2003, 6.5.3); that is `estimate`, the residual
+    of x in exact arithmetic. The preconditioned vectors z_k = M^-1 v_k
+    are kept, at most one more vector of rhs.size doubles per step, so x
+    = Z y needs no closing solve with M.
     """
     beta = float(np.linalg.norm(rhs))
-    basis = [rhs / beta]
-    hessenberg = np.zeros((_GMRES_STEPS + 1, _GMRES_STEPS))
+    basis = np.empty((_GMRES_STEPS + 1, rhs.size))
+    search = np.empty((_GMRES_STEPS, rhs.size))
+    triangle = np.zeros((_GMRES_STEPS, _GMRES_STEPS))
+    rotations = []
+    g = [beta]
+    basis[0] = rhs / beta
     for k in range(_GMRES_STEPS):
-        w = matvec(precondition(basis[k]))
-        for i, v in enumerate(basis):
-            hessenberg[i, k] = v @ w
-            w -= hessenberg[i, k] * v
-        hessenberg[k + 1, k] = np.linalg.norm(w)
-        h = hessenberg[: k + 2, : k + 1]
-        e1 = np.zeros(k + 2)
-        e1[0] = beta
-        y = np.linalg.lstsq(h, e1, rcond=None)[0]
-        if np.linalg.norm(h @ y - e1) <= _GMRES_RTOL * beta:
-            return precondition(np.array(basis).T @ y)
-        basis.append(w / hessenberg[k + 1, k])
+        search[k] = precondition(basis[k])
+        w = matvec(search[k])
+        h = np.empty(k + 2)
+        for i in range(k + 1):
+            h[i] = basis[i] @ w
+            w -= h[i] * basis[i]
+        h[k + 1] = np.linalg.norm(w)
+        for i, (c, s) in enumerate(rotations):
+            h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
+        rho = math.hypot(h[k], h[k + 1])
+        c, s = h[k] / rho, h[k + 1] / rho
+        rotations.append((c, s))
+        h[k] = rho
+        triangle[: k + 1, k] = h[: k + 1]
+        g[k], g_next = c * g[k], -s * g[k]
+        if abs(g_next) <= _GMRES_RTOL * beta:
+            y = np.linalg.solve(triangle[: k + 1, : k + 1], g)
+            return search[: k + 1].T @ y, abs(g_next)
+        g.append(g_next)
+        basis[k + 1] = w / h[k + 1]
     return None
 
 
@@ -469,13 +569,14 @@ def solve_minimal_graph(
     to tol.
 
     The Jacobian couples each node to its compact 9-point neighborhood and
-    is built from exact dual-number partials chained through the stencil
-    weights. It is factored in nested-dissection order at the first step;
+    is built from exact forward-mode partials (bit for bit those of dual
+    numbers) chained through the stencil weights. It is factored in nested-dissection order at the first step;
     later steps run GMRES preconditioned by that LU and factor anew only
     when GMRES misses its tolerance. Line search: Armijo backtracking on
-    max|r| with factor 1/2 down to step 2**-20, after which
-    StagnationError is raised, naming the rounding floor of max|r|;
-    exceeding max_iter raises
+    max|r| with factor 1/2 down to step 2**-20; StagnationError, naming
+    the rounding floor of max|r|, is raised below that step, or at once
+    when a full step fails with max|r| within _FLOOR_MULTIPLE of the
+    floor; exceeding max_iter raises
     NonConvergenceError, and an initial residual that is not finite (nan
     or infinite, from non-finite or overflowing data) raises SolverError.
     All three carry the residual history.
@@ -503,19 +604,20 @@ def solve_minimal_graph(
                 history,
             )
         weights = _stencil_weights(problem, f)
-        delta = None
+        solved = None
         if lu is not None:
-            delta = _gmres(
+            solved = _gmres(
                 lambda v: _apply_stencil(weights, np.pad(v.reshape(r.shape), 1)).ravel(),
                 lambda v: _lu_solve(lu, pattern.order, v),
                 -r.ravel(),
             )
-        if delta is None:
+        if solved is None:
             # Drop the old factors first: at most one LU is in memory.
             lu = None
             delta, lu = _newton_step(weights, r, pattern)
             factorizations += 1
-        delta = delta.reshape(r.shape)
+        else:
+            delta = solved[0].reshape(r.shape)
         lam = 1.0
         while True:
             f_try = f.copy()
@@ -525,9 +627,12 @@ def solve_minimal_graph(
             # not for r / D, whose divisor moves with f.
             if res_try <= tol or raw_try <= (1.0 - _ARMIJO_SLOPE * lam) * raw:
                 break
-            lam *= 0.5
-            if lam < _MIN_STEP:
+            if lam == 1.0:
+                # A full step failed: below the floor no step can be shown
+                # to reduce max|r|, so backtracking would only sample noise.
                 floor = _rounding_floor(weights, f)
+            lam *= 0.5
+            if raw <= _FLOOR_MULTIPLE * floor or lam < _MIN_STEP:
                 raise StagnationError(
                     f"line search stalled at residual {res:.3e} (raw max-norm {raw:.3e}, "
                     f"rounding floor eps*max(|J||f|) = {floor:.3e})",

@@ -747,7 +747,7 @@ def test_commands_load_only_their_modules():
     assert code == 0 and modules == sorted(base + ["finmin.volume"])
     # solve reaches SuperLU through its compiled module alone: no other scipy module.
     code, modules = second["solve"]
-    solve_adds = ["finmin.dual", "finmin.graph_pde", "finmin.solver", "scipy.sparse.linalg._dsolve._superlu"]
+    solve_adds = ["finmin.graph_pde", "finmin.solver", "scipy.sparse.linalg._dsolve._superlu"]
     assert code == 0 and modules == sorted(base + ["finmin.volume", "inspect", "numpy", "datetime", "__future__"] + solve_adds)
 
 

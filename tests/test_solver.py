@@ -19,8 +19,11 @@ from finmin.solver import (
     _gmres,
     _initial_field,
     _JacobianPattern,
+    _apply_stencil,
+    _lu_solve,
     _newton_step,
     _point_partials,
+    _residual_and_norms,
     _stencil_point,
     _stencil_weights,
     _superlu,
@@ -259,6 +262,28 @@ def test_stagnation_names_the_rounding_floor():
     assert message.startswith(f"line search stalled at residual {err.value.residual_history[-1]:.3e}")
 
 
+def test_stagnation_stops_at_the_first_failed_full_step_near_the_floor(monkeypatch):
+    # Once a full step fails with max|r| within _FLOOR_MULTIPLE of its rounding
+    # floor, the line search stops instead of halving down to _MIN_STEP, and
+    # no step that only moves rounding noise is recorded after it.
+    trials = []
+
+    def counted(problem, f):
+        trials.append(None)
+        return _residual_and_norms(problem, f)
+
+    monkeypatch.setattr(finmin.solver, "_residual_and_norms", counted)
+    problem = GridProblem(UNIT_SQUARE, 63, 63, 0.3, scherk)
+    with pytest.raises(StagnationError) as err:
+        solve_minimal_graph(problem, tol=1e-17)
+    history = err.value.residual_history
+    # the initial residual, one trial per accepted step, one failed trial
+    assert len(trials) == len(history) + 1
+    assert len(set(history)) == len(history)
+    raw, floor = (float(v) for v in re.search(r"raw max-norm (\S+), .* = (\S+)\)$", str(err.value)).groups())
+    assert 0.0 < raw <= finmin.solver._FLOOR_MULTIPLE * floor
+
+
 # ---------------------------------------------------------------------------
 # large grids, b > 0 convergence order, lagged LU
 
@@ -324,16 +349,97 @@ def test_lagged_lu_matches_factoring_every_step(b, monkeypatch):
     assert np.max(np.abs(lagged.f - direct.f)) <= 1e-14
 
 
+def lstsq_gmres(matvec, precondition, rhs):
+    """Right-preconditioned GMRES that solves the Hessenberg least-squares
+    problem with lstsq at every step and ends with one more application of
+    the preconditioner: the reference for _gmres's Givens rotations."""
+    steps = finmin.solver._GMRES_STEPS
+    beta = float(np.linalg.norm(rhs))
+    basis = [rhs / beta]
+    hessenberg = np.zeros((steps + 1, steps))
+    for k in range(steps):
+        w = matvec(precondition(basis[k]))
+        for i, v in enumerate(basis):
+            hessenberg[i, k] = v @ w
+            w -= hessenberg[i, k] * v
+        hessenberg[k + 1, k] = np.linalg.norm(w)
+        h = hessenberg[: k + 2, : k + 1]
+        e1 = np.zeros(k + 2)
+        e1[0] = beta
+        y = np.linalg.lstsq(h, e1, rcond=None)[0]
+        if np.linalg.norm(h @ y - e1) <= finmin.solver._GMRES_RTOL * beta:
+            return precondition(np.array(basis).T @ y)
+        basis.append(w / hessenberg[k + 1, k])
+    return None
+
+
+def counting(fun):
+    def counted(v):
+        counted.calls += 1
+        return fun(v)
+
+    counted.calls = 0
+    return counted
+
+
+def random_system(n, scale, seed):
+    rng = np.random.default_rng(seed)
+    return np.eye(n) + scale * rng.normal(size=(n, n)) / math.sqrt(n), rng.normal(size=n)
+
+
 def test_gmres_meets_its_relative_tolerance():
-    rng = np.random.default_rng(5)
-    a = np.eye(40) + 0.3 * rng.normal(size=(40, 40)) / math.sqrt(40)
-    rhs = rng.normal(size=40)
-    x = _gmres(lambda v: a @ v, lambda v: v / 2.0, rhs)
-    assert np.linalg.norm(rhs - a @ x) <= 1e-8 * np.linalg.norm(rhs)
+    # Both systems take more than 10 steps.
+    for n, scale, seed, precondition in [(40, 0.3, 5, lambda v: v / 2.0), (100, 0.5, 1, lambda v: v)]:
+        a, rhs = random_system(n, scale, seed)
+        matvec = counting(lambda v: a @ v)
+        x, estimate = _gmres(matvec, precondition, rhs)
+        residual = np.linalg.norm(rhs - a @ x)
+        assert residual <= 1e-8 * np.linalg.norm(rhs)
+        # the Givens estimate is the true residual, to rounding
+        assert abs(estimate - residual) <= 1e-14 * np.linalg.norm(rhs)
+        assert 10 < matvec.calls < finmin.solver._GMRES_STEPS
+        reference = counting(lambda v: a @ v)
+        assert lstsq_gmres(reference, precondition, rhs) is not None
+        assert matvec.calls == reference.calls
     # an exact preconditioner converges at the first step
+    a, rhs = random_system(40, 0.3, 5)
     inverse = np.linalg.inv(a)
-    x = _gmres(lambda v: a @ v, lambda v: inverse @ v, rhs)
+    x, estimate = _gmres(lambda v: a @ v, lambda v: inverse @ v, rhs)
     assert np.linalg.norm(rhs - a @ x) <= 1e-12 * np.linalg.norm(rhs)
+    assert estimate <= 1e-12 * np.linalg.norm(rhs)
+
+
+def test_gmres_returns_none_when_the_step_budget_is_short(monkeypatch):
+    a, rhs = random_system(100, 0.6, 1)
+    assert _gmres(lambda v: a @ v, lambda v: v, rhs) is None
+    a, rhs = random_system(100, 0.5, 1)
+    monkeypatch.setattr(finmin.solver, "_GMRES_STEPS", 24)
+    assert _gmres(lambda v: a @ v, lambda v: v, rhs) is None
+    monkeypatch.setattr(finmin.solver, "_GMRES_STEPS", 25)
+    assert _gmres(lambda v: a @ v, lambda v: v, rhs) is not None
+
+
+@pytest.mark.parametrize("n", [63, 127])
+@pytest.mark.parametrize("b", [0.0, 0.3, 0.45])
+def test_gmres_steps_equal_the_lstsq_version_on_newton_systems(n, b):
+    # The second Newton system of a Scherk solve, preconditioned by the LU
+    # of the first, as the solver sets it up.
+    problem = GridProblem(UNIT_SQUARE, n, n, b, scherk)
+    pattern = _JacobianPattern.build(n, n)
+    f = _initial_field(problem, "boundary-blend")
+    step, lu = _newton_step(_stencil_weights(problem, f), assemble_residual(problem, f), pattern)
+    f[1:-1, 1:-1] += step
+    weights = _stencil_weights(problem, f)
+    rhs = -assemble_residual(problem, f).ravel()
+
+    def run(gmres):
+        matvec = counting(lambda v: _apply_stencil(weights, np.pad(v.reshape(n, n), 1)).ravel())
+        return gmres(matvec, lambda v: _lu_solve(lu, pattern.order, v), rhs), matvec.calls
+
+    (x, _), steps = run(_gmres)
+    lstsq_x, lstsq_steps = run(lstsq_gmres)
+    assert 2 <= steps == lstsq_steps < finmin.solver._GMRES_STEPS
+    assert np.max(np.abs(x - lstsq_x)) <= 1e-12 * np.max(np.abs(x))
 
 
 # ---------------------------------------------------------------------------
@@ -357,11 +463,76 @@ def natural_jacobian(problem, f):
     return jacobian_matrix(problem, f, pattern)[position][:, position]
 
 
+def reference_dissection_order(nx, ny):
+    """Nested-dissection order by recursing on array views of the natural
+    numbering: the reference for the solver's recursion on block bounds."""
+    parts = []
+
+    def number(block):
+        rows, cols = block.shape
+        if rows * cols <= 16:
+            parts.append(block.ravel())
+        elif rows >= cols:
+            m = rows // 2
+            number(block[:m])
+            number(block[m + 1 :])
+            parts.append(block[m])
+        else:
+            m = cols // 2
+            number(block[:, :m])
+            number(block[:, m + 1 :])
+            parts.append(block[:, m])
+
+    number(np.arange(nx * ny).reshape(nx, ny))
+    return np.concatenate(parts)
+
+
+def reference_pattern(nx, ny):
+    """(order, gather, indices, indptr) by one argsort over the 9n int64 keys
+    column * n + row: the reference for the solver's sorted (n, 9) table."""
+    n = nx * ny
+    order = reference_dissection_order(nx, ny)
+    position = np.empty(n, dtype=np.int64)
+    position[order] = np.arange(n)
+    natural = np.arange(n).reshape(nx, ny)
+    rows, cols, gather = [], [], []
+    for k, (a, c) in enumerate(finmin.solver._OFFSETS):
+        r0, r1 = max(0, -a), nx - max(0, a)
+        c0, c1 = max(0, -c), ny - max(0, c)
+        node = natural[r0:r1, c0:c1].ravel()
+        rows.append(position[node])
+        cols.append(position[natural[r0 + a : r1 + a, c0 + c : c1 + c].ravel()])
+        gather.append(k * n + node)
+    rows, cols, gather = (np.concatenate(v) for v in (rows, cols, gather))
+    by_column = np.argsort(cols * n + rows)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
+    return order, gather[by_column], rows[by_column].astype(np.intc), indptr.astype(np.intc)
+
+
 @pytest.mark.parametrize("shape", [(8, 8), (9, 12), (12, 9), (17, 8), (63, 63)])
 def test_dissection_order_is_a_permutation(shape):
     nx, ny = shape
     order = _dissection_order(nx, ny)
     assert np.array_equal(np.sort(order), np.arange(nx * ny))
+
+
+@pytest.mark.parametrize(
+    "shape", [(8, 8), (9, 12), (12, 9), (16, 17), (17, 8), (33, 64), (100, 37), (127, 130), (255, 255)]
+)
+def test_pattern_equals_the_argsort_build_bit_for_bit(shape):
+    pattern = _JacobianPattern.build(*shape)
+    for got, want in zip(pattern, reference_pattern(*shape)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    assert pattern.order.dtype == pattern.gather.dtype == np.int64
+    assert pattern.indices.dtype == pattern.indptr.dtype == np.intc
+
+
+def test_pattern_refuses_grids_its_int32_keys_cannot_index():
+    # keys 16 * row + k stay below 2**31 only for fewer than 2**27 unknowns
+    with pytest.raises(DomainError, match=r"2\*\*27"):
+        _JacobianPattern.build(2**14, 2**13)
 
 
 @pytest.mark.parametrize(
@@ -389,6 +560,24 @@ def test_point_partials_equal_dual_gradient_bit_for_bit(n, b, field):
     got = _point_partials(problem, f)
     want = dual.gradient(lambda v: _residual_terms(*v, 0.0, 0.0, 1.0, b), np.stack(_stencil_point(problem, f)))
     assert got.shape == want.shape == (5, nx, ny)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("b", [0.0, 0.3, 0.45])
+@pytest.mark.parametrize("zeros", [1.0, 0.5], ids=["all-zero", "half-zero"])
+def test_point_partials_keep_the_dual_signed_zeros(b, zeros):
+    # Fields of +0.0 and -0.0 (a share of the nodes, the rest random) give
+    # stencil values of both signs of zero, where the dual pass's operations
+    # on zeros decide the sign of each partial.
+    nx, ny = 12, 9
+    problem = GridProblem((-1.4, 1.4, -1.2, 1.2), nx, ny, b, scherk)
+    rng = np.random.default_rng(7)
+    f = np.copysign(0.0, rng.uniform(-1.0, 1.0, (nx + 2, ny + 2)))
+    f = np.where(rng.uniform(size=f.shape) < zeros, f, rng.uniform(-2.0, 2.0, f.shape))
+    stencil = np.stack(_stencil_point(problem, f))
+    assert np.any((stencil == 0.0) & np.signbit(stencil))
+    got = _point_partials(problem, f)
+    want = dual.gradient(lambda v: _residual_terms(*v, 0.0, 0.0, 1.0, b), stencil)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
