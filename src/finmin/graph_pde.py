@@ -148,6 +148,9 @@ def _t_grid(t_max, t_nodes):
     return np.concatenate(([0.0], np.logspace(-3.0, math.log10(t_max), t_nodes)))
 
 
+_T_BLOCK = 32
+
+
 def mean_curvature_type_bound(m, b: float, t_max=1e3, t_nodes=512, angle_nodes=256) -> float:
     """Sample maximum of the ellipticity excess quotient; a lower estimate
     of the mean-curvature-type constant 2 b^2 / (2 + b^2) (the module
@@ -182,12 +185,19 @@ def mean_curvature_type_bound(m, b: float, t_max=1e3, t_nodes=512, angle_nodes=2
     # holds every value it takes.
     delta = np.linspace(0.0, 2.0 * math.pi, angle_nodes, endpoint=False)[: angle_nodes // 2 + 1]
     k12_cos = k12 * np.cos(delta)
-    w2 = 1.0 + t * t
-    w = k3 - k12_cos * t
-    divisor, excess = _divisor_excess(w2, w, b * b)
-    rb = excess / divisor
-    lead = k12_cos + k3 * t
-    return float(np.max(rb * (lead * lead + w2 * (k12 * np.sin(delta)) ** 2)))
+    k12_sin2 = (k12 * np.sin(delta)) ** 2
+
+    def block_max(t):
+        w2 = 1.0 + t * t
+        w = k3 - k12_cos * t
+        divisor, excess = _divisor_excess(w2, w, b * b)
+        rb = excess / divisor
+        lead = k12_cos + k3 * t
+        return np.max(rb * (lead * lead + w2 * k12_sin2))
+
+    # _T_BLOCK rows of t at a time keep the temporaries small (the default
+    # grid is 513 x 129); np.max over the block maxima keeps a nan.
+    return float(np.max([block_max(t[i : i + _T_BLOCK]) for i in range(0, len(t), _T_BLOCK)]))
 
 
 def random_rotations(rng: "np.random.Generator", n: int) -> "np.ndarray":

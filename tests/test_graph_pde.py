@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from conftest import cleared_euler_lagrange, rand_rotation, scherk_gradient, scherk_hessian
 
+from finmin import graph_pde
 from finmin.dual import Dual
 from finmin.errors import DomainError
 from finmin.graph_pde import (
@@ -325,6 +326,54 @@ def test_bound_pinned_values():
         "identity": [0.022247639462993213, 0.0861183859500277, 0.18387539839260603],
         "rotation": [0.022249684926466444, 0.0861243841729065, 0.1838819330011001],
     }
+
+
+def _one_array_bound(m, b, t_max=1e3, t_nodes=512, angle_nodes=256):
+    # The sampler's evaluation over the whole (t, delta) grid as one array,
+    # the reference for its evaluation in blocks of t rows.
+    k1, k2, k3 = m[2]
+    k12 = math.hypot(k1, k2)
+    t = _t_grid(t_max, t_nodes)[:, None]
+    delta = np.linspace(0.0, 2.0 * math.pi, angle_nodes, endpoint=False)[: angle_nodes // 2 + 1]
+    k12_cos = k12 * np.cos(delta)
+    w2 = 1.0 + t * t
+    w = k3 - k12_cos * t
+    divisor, excess = graph_pde._divisor_excess(w2, w, b * b)
+    lead = k12_cos + k3 * t
+    return float(np.max(excess / divisor * (lead * lead + w2 * (k12 * np.sin(delta)) ** 2)))
+
+
+@pytest.mark.parametrize("b", [0.0, 0.15, 0.3, 0.45])
+def test_bound_blocks_equal_the_one_array_evaluation(b):
+    rng = np.random.default_rng(36)
+    frames = [IDENTITY, *(rand_rotation(rng) for _ in range(4))]
+    # 1, 32, 33 and 513 t rows: one block, exactly one, one and a row, 17
+    configs = [
+        dict(t_max=0.0),
+        dict(t_max=100.0, t_nodes=31, angle_nodes=64),
+        dict(t_max=1e75, t_nodes=32, angle_nodes=7),
+        {},
+    ]
+    for frame in frames:
+        for config in configs:
+            assert mean_curvature_type_bound(frame, b, **config) == _one_array_bound(frame, b, **config)
+
+
+def test_bound_keeps_a_nan_from_a_middle_block(monkeypatch):
+    # Python's max would drop a nan that is not first; np.max keeps it.
+    real = graph_pde._divisor_excess
+    calls = []
+
+    def nan_in_second_block(w2, w, b2):
+        divisor, excess = real(w2, w, b2)
+        calls.append(w2.shape)
+        if len(calls) == 2:
+            excess = np.full_like(excess, np.nan)
+        return divisor, excess
+
+    monkeypatch.setattr(graph_pde, "_divisor_excess", nan_in_second_block)
+    assert math.isnan(mean_curvature_type_bound(rand_rotation(np.random.default_rng(37)), 0.3))
+    assert len(calls) == 17
 
 
 @pytest.mark.parametrize("b", [0.15, 0.3, 0.45])

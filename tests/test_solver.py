@@ -1,7 +1,9 @@
 import functools
 import importlib.machinery
 import math
+import os
 import re
+import subprocess
 import sys
 
 import numpy as np
@@ -616,8 +618,9 @@ def test_dissection_beats_colamd_and_keeps_the_newton_step():
 @pytest.mark.parametrize("b", [0.0, 0.3, 0.45])
 def test_newton_step_equals_splu_bit_for_bit(b):
     # The solver calls SuperLU's gstrf itself; splu with the same ordering
-    # must give the same step to the last bit, so a scipy upgrade that
-    # changes either path fails here.
+    # and panel width must give the same step to the last bit, so a scipy
+    # upgrade that changes either path, or a change of the solver's
+    # options, fails here.
     import scipy.sparse.linalg as spla
 
     problem = GridProblem(UNIT_SQUARE, 63, 63, b, scherk)
@@ -626,11 +629,44 @@ def test_newton_step_equals_splu_bit_for_bit(b):
     pattern = _JacobianPattern.build(63, 63)
     assert pattern.indices.dtype == pattern.indptr.dtype == np.intc
     step, lu = _newton_step(_stencil_weights(problem, f), r, pattern)
-    reference = spla.splu(jacobian_matrix(problem, f, pattern), permc_spec="NATURAL")
+    reference = spla.splu(jacobian_matrix(problem, f, pattern), permc_spec="NATURAL", panel_size=1)
     expected = np.empty(r.size)
     expected[pattern.order] = reference.solve(-r.ravel()[pattern.order])
     assert step.ravel().tobytes() == expected.tobytes()
     assert lu.L.nnz == reference.L.nnz and lu.U.nnz == reference.U.nnz
+
+
+_TRANSIENT_PROBE = """
+import math, sys
+
+sys.path.insert(0, sys.argv[1])
+from finmin.solver import GridProblem, _initial_field, _JacobianPattern, _newton_step, _stencil_weights, assemble_residual
+
+scherk = lambda x, y: math.log(math.cos(x)) - math.log(math.cos(y))
+problem = GridProblem((-1.0, 1.0, -1.0, 1.0), 255, 255, 0.0, scherk)
+f = _initial_field(problem, "boundary-blend")
+args = (_stencil_weights(problem, f), assemble_residual(problem, f), _JacobianPattern.build(255, 255))
+step, lu = _newton_step(*args)
+with open("/proc/self/status") as status:
+    kb = {line.split(":")[0]: int(line.split()[1]) for line in status if line.startswith(("VmHWM", "VmRSS"))}
+print((kb["VmHWM"] - kb["VmRSS"]) / 1024)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_factorization_transient_memory_at_n255():
+    # SuperLU's panel workspace is n x panel width doubles and integers,
+    # about 1 MB per panel column at N = 255, and the factors never use it.
+    # With one-column panels the high-water mark of a fresh process that
+    # factors the N = 255 Jacobian (the peak of the dirichlet workload)
+    # sits at most 8 MB above what it holds afterwards, the factors
+    # included; with scipy's default width of 20 it sat about 21 MB above.
+    # VmHWM is the high-water mark of this process image: ru_maxrss would
+    # carry over the larger one of the test process across fork and exec.
+    src = os.path.dirname(os.path.dirname(finmin.solver.__file__))
+    proc = subprocess.run([sys.executable, "-c", _TRANSIENT_PROBE, src], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) <= 8.0
 
 
 def test_missing_superlu_extension_names_the_scipy_version(monkeypatch):
