@@ -7,8 +7,19 @@ rationals as "num/den" strings, so nothing loses precision across the
 text boundary. Identical configuration and seed give byte-identical
 output when --no-timestamp is passed.
 
-Exit status: 0 success, 2 validation/usage error, 3 numerical
-non-convergence, 4 property-check failure.
+Exit status: 0 success, 2 validation/usage error or a record that
+cannot be written to stdout, 3 numerical non-convergence, 4
+property-check failure.
+
+Garbage collection: console_main, the entry of `python -m finmin` and of
+the `finmin` script, switches the cyclic collector off before main() and
+freezes the heap (gc.freeze) after it returns. So neither the collections
+during a command nor the full one at interpreter exit, over some 20k
+objects once numpy is loaded, traverse anything. Reference counting frees
+what a command allocates: the only cyclic garbage a run leaves is
+argparse's parser, a few hundred objects whatever the command's size.
+main() leaves the collector as it finds it, so in-process callers (tests,
+library users) keep normal collection.
 
 Grid files: first line "# minsurf-grid v1", then a "x,y,f" CSV header,
 then one row per node in row-major order (x-index outer, y-index inner),
@@ -16,9 +27,11 @@ boundary included.
 """
 
 import argparse
+import gc
 import importlib
 import json
 import math
+import os
 import sys
 
 # Each command's handler lives in the module it drives, and main imports
@@ -278,10 +291,23 @@ def main(argv=None) -> int:
         from datetime import datetime, timezone
 
         record["timestamp"] = datetime.now(timezone.utc).isoformat()
-    json.dump(record, sys.stdout, indent=2, default=_json_default)
-    sys.stdout.write("\n")
+    try:
+        sys.stdout.write(json.dumps(record, indent=2, default=_json_default) + "\n")
+        sys.stdout.flush()
+    except OSError as exc:
+        # Point fd 1 at the null device (the recipe in the signal module's
+        # docs), so the flush at interpreter exit cannot fail again and turn
+        # the exit status into 120.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: the record cannot be written to stdout: {exc.strerror}", file=sys.stderr)
+        return 2
     return code
 
 
 def console_main():
-    raise SystemExit(main())
+    gc.disable()
+    code = main()
+    gc.freeze()
+    raise SystemExit(code)

@@ -578,16 +578,16 @@ def solve_minimal_graph(
 
     The Jacobian couples each node to its compact 9-point neighborhood and
     is built from exact forward-mode partials (bit for bit those of dual
-    numbers) chained through the stencil weights. It is factored in nested-dissection order at the first step;
-    later steps run GMRES preconditioned by that LU and factor anew only
-    when GMRES misses its tolerance. Line search: Armijo backtracking on
-    max|r| with factor 1/2 down to step 2**-20; StagnationError, naming
-    the rounding floor of max|r|, is raised below that step, or at once
-    when a full step fails with max|r| within _FLOOR_MULTIPLE of the
-    floor; exceeding max_iter raises
-    NonConvergenceError, and an initial residual that is not finite (nan
-    or infinite, from non-finite or overflowing data) raises SolverError.
-    All three carry the residual history.
+    numbers) chained through the stencil weights. It is factored in
+    nested-dissection order at the first step; later steps run GMRES
+    preconditioned by that LU and factor anew only when GMRES misses its
+    tolerance. Line search: Armijo backtracking on max|r| with factor 1/2
+    down to step 2**-20; StagnationError, naming the rounding floor of
+    max|r|, is raised below that step, or at once when a full step fails
+    with max|r| within _FLOOR_MULTIPLE of the floor; exceeding max_iter
+    raises NonConvergenceError, and an initial residual that is not finite
+    (nan or infinite, from non-finite or overflowing data) raises
+    SolverError. All three carry the residual history.
     DomainError unless 0 < tol < inf and max_iter >= 0.
     """
     if not 0.0 < tol < math.inf:

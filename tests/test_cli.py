@@ -1,4 +1,8 @@
+import contextlib
+import gc
+import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -844,3 +848,95 @@ def test_scalar_commands_byte_identical_without_numpy(capsys):
     assert out == ""
     assert err.startswith("error: quadrature ratio is nan at b=0.3, n=100000 with 64 nodes")
     assert err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# the console entry: collector off, heap frozen; records that cannot be written
+
+_CONSOLE_PROBE = """
+import atexit, gc, json, runpy, sys
+atexit.register(lambda: print(json.dumps([gc.isenabled(), gc.get_freeze_count()]), file=sys.stderr))
+sys.argv = ["finmin", "volume", "--b", "0.3", "--no-timestamp"]
+runpy.run_module("finmin", run_name="__main__")
+"""
+
+
+def test_console_main_runs_with_the_collector_off_and_freezes_the_heap():
+    proc = subprocess.run([sys.executable, "-c", _CONSOLE_PROBE], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["command"] == "volume"
+    enabled, frozen = json.loads(proc.stderr.splitlines()[-1])
+    assert enabled is False
+    assert frozen > 0
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_collector_as_it_finds_it(capsys, enabled):
+    was_enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(["volume", "--b", "0.3", "--no-timestamp"]) == 0
+        assert main(["volume", "--b", "0.9", "--no-timestamp"]) == 2
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+# (small, large) runs of each command whose size the benchmark varies
+_SIZED_COMMANDS = {
+    "solve": ("--boundary scherk --b 0.3 --nx 15 --ny 15", "--boundary scherk --b 0.3 --nx 127 --ny 127"),
+    "check-derivatives": ("--b 0.2 --samples 20", "--b 0.2 --samples 400"),
+    "ellipticity": ("--b 0.3 --samples 100", "--b 0.3 --samples 20000"),
+    "check-translation": ("--b2 1/100", "--b2 0,1/100,1/25,9/100"),
+    "volume": ("--b 0.3", "--b 0,0.15,0.3"),
+}
+
+
+@pytest.mark.parametrize("command", _SIZED_COMMANDS)
+def test_cyclic_garbage_does_not_grow_with_the_command_size(command):
+    # console_main runs commands with the collector off, so whatever cyclic
+    # garbage a command leaves stays until exit; it must not scale with the
+    # work (today it is argparse's parser alone).
+    def garbage(flags):
+        gc.collect()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([command, *flags.split(), "--no-timestamp"]) == 0
+        return gc.collect()
+
+    small, large = _SIZED_COMMANDS[command]
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        garbage(small)  # first-call imports and caches
+        assert garbage(small) == garbage(large)
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_record_written_to_a_full_device_exits_2():
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    for unbuffered in ("1", ""):
+        env = {**os.environ, "PYTHONUNBUFFERED": unbuffered}
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "finmin", "volume", "--b", "0", "--no-timestamp"],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=env,
+            )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == "error: the record cannot be written to stdout: No space left on device\n"
+
+
+def test_record_written_to_a_closed_pipe_exits_2():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "finmin", "check-translation", "--b2", "0,1/100,9/100", "--no-timestamp"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "error: the record cannot be written to stdout: Broken pipe\n"
