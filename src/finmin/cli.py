@@ -7,9 +7,10 @@ rationals as "num/den" strings, so nothing loses precision across the
 text boundary. Identical configuration and seed give byte-identical
 output when --no-timestamp is passed.
 
-Exit status: 0 success, 2 validation/usage error or a record that
-cannot be written to stdout, 3 numerical non-convergence, 4
-property-check failure.
+Exit status: 0 success, 2 validation/usage error or a record or help
+text that cannot be written to stdout, 3 numerical non-convergence, 4
+property-check failure. A failure prints one `error:` line to stderr; a
+stderr that cannot take it leaves the exit status as it is.
 
 Garbage collection: console_main, the entry of `python -m finmin` and of
 the `finmin` script, switches the cyclic collector off before main() and
@@ -179,8 +180,14 @@ def _parse_point(text, keys):
     return out
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):
+        # argparse's own ignores a failed write; main turns it into exit 2
+        print(self.format_help(), end="", file=file or sys.stdout, flush=True)
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="finmin",
         description="Minimal-surface toolkit for the slope-metric Minkowski 3-space.",
     )
@@ -263,30 +270,58 @@ def _validate(args):
         args.point = _parse_point(args.point, _POINT_FIELDS[args.command])
 
 
+def _to_null_device(stream):
+    """Point stream's file descriptor at the null device (the recipe in the
+    signal module's docs), so the flush at interpreter exit cannot fail
+    again and turn the exit status into 120."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
+def _fail(message, code):
+    """Print one `error:` line to stderr and return code; a stderr that
+    cannot take the line leaves the exit status as it is."""
+    try:
+        print(f"error: {message}", file=sys.stderr, flush=True)
+    except OSError:
+        _to_null_device(sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     """Parse and run; returns the process exit status."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return int(exc.code) if exc.code else 0
+        if not exc.code:
+            return 0
+        # argparse ignores a failed write of the usage message, which a
+        # buffered stderr then still holds
+        try:
+            sys.stderr.flush()
+        except OSError:
+            _to_null_device(sys.stderr)
+        return int(exc.code)
+    except OSError as exc:
+        # only --help writes to stdout here
+        _to_null_device(sys.stdout)
+        return _fail(f"the help cannot be written to stdout: {exc.strerror}", 2)
     try:
         _validate(args)
         module = importlib.import_module(f"{__package__}.{_HANDLERS[args.command]}")
         record, code = getattr(module, "_cmd_" + args.command.replace("-", "_"))(args)
     except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(exc, 2)
     except (QuadratureConvergenceError, SolverError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return _fail(exc, 3)
     record = {"command": args.command, **record}
     # Finite inputs can still overflow; strict JSON has no nan or infinity.
     bad = _nonfinite(record)
     if bad:
         key, value, b = bad
-        print(f"error: {key} is {value} at b={b}: the computation overflows double precision", file=sys.stderr)
-        return 3
+        return _fail(f"{key} is {value} at b={b}: the computation overflows double precision", 3)
     if not args.no_timestamp:
         from datetime import datetime, timezone
 
@@ -295,14 +330,8 @@ def main(argv=None) -> int:
         sys.stdout.write(json.dumps(record, indent=2, default=_json_default) + "\n")
         sys.stdout.flush()
     except OSError as exc:
-        # Point fd 1 at the null device (the recipe in the signal module's
-        # docs), so the flush at interpreter exit cannot fail again and turn
-        # the exit status into 120.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        print(f"error: the record cannot be written to stdout: {exc.strerror}", file=sys.stderr)
-        return 2
+        _to_null_device(sys.stdout)
+        return _fail(f"the record cannot be written to stdout: {exc.strerror}", 2)
     return code
 
 

@@ -32,10 +32,9 @@ x = w^2 / W^2 for b^2 < 1/3, so C is approached where w = 0
 this module estimates C from below on a grid, an independent check of
 that value. The divisor and the numerator of R are written once
 (_divisor_excess); the residual, ellipticity_quotients (the CLI's
-vectorized check of the lower bound) and the sampler all use them. The
-solver's Jacobian differentiates the residual by hand at w = 1
-(solver._point_partials), and a test ties it bit for bit to dual passes
-through _residual_terms.
+vectorized check of the lower bound), the sampler and the closed-form
+partials of the horizontal residual (_residual_partials, the solver's
+Jacobian) all use them.
 
 For a unit probe direction xi the excess a(xi) / h(xi) - 1 over the
 classical form h = (delta - f f^T/W^2) : xi xi is R * W^2 (u . xi)^2 / h.
@@ -93,6 +92,34 @@ def _residual_terms(f1, f2, h11, h12, h22, k1, k2, k3, b):
     u2 = k2 + w * f2 / w2
     uform = u1 * u1 * h11 + 2.0 * u1 * u2 * h12 + u2 * u2 * h22
     return divisor * hform + excess * w2 * uform
+
+
+def _residual_partials(f1, f2, h11, h12, h22, b):
+    """d(residual)/d(f1, f2, h11, h12, h22) over the horizontal plane.
+
+    There w = 1 and u = f / W^2, so the residual is D tr H + g f^T H f with
+    (D, X) = _divisor_excess, g = (X - D) / W^2, both functions of W^2:
+    dD/dW^2 = 2 (2 + b^2)(S - b^2), dX/dW^2 = 2 b^2 (2 + b^2) and
+    dg/dW^2 = (dX/dW^2 - dD/dW^2 - g) / W^2. Arithmetic only: arrays and
+    sympy symbols pass (tests/test_symbolic_chain.py checks each term).
+    """
+    b2 = b * b
+    w2 = 1.0 + f1 * f1 + f2 * f2
+    divisor, excess = _divisor_excess(w2, 1.0, b2)
+    g = (excess - divisor) / w2
+    d_divisor = 2.0 * (2.0 + b2) * ((2.0 + b2) * w2 - 2.0 * b2)
+    d_g = (2.0 * b2 * (2.0 + b2) - d_divisor - g) / w2
+    hf1 = h11 * f1 + h12 * f2
+    hf2 = h12 * f1 + h22 * f2
+    # d/df_i = 2 f_i (dD/dW^2 tr H + dg/dW^2 f^T H f) + 2 g (H f)_i
+    common = 2.0 * (d_divisor * (h11 + h22) + d_g * (f1 * hf1 + f2 * hf2))
+    return (
+        common * f1 + 2.0 * g * hf1,
+        common * f2 + 2.0 * g * hf2,
+        divisor + g * f1 * f1,
+        2.0 * g * f1 * f2,
+        divisor + g * f2 * f2,
+    )
 
 
 def graph_residual(f1, f2, h11, h12, h22, b) -> float:

@@ -3,7 +3,8 @@ rectangle with Dirichlet data.
 
 Second-order central differences on a uniform tensor grid (5-point
 Laplacian stencil plus the symmetric 4-point cross difference) and damped
-Newton with an Armijo line search. Because the discrete residual at an
+Newton with an Armijo line search, started from the transfinite bilinear
+blend of the boundary data. Because the discrete residual at an
 interior node is the pointwise graph equation on stencil-derived gradient
 and Hessian values, affine fields are exact discrete solutions for every
 admissible b; the solver therefore reproduces the planarity rigidity at
@@ -46,9 +47,10 @@ the naturally numbered matrix reaches 9.1 M. The CSC index arrays are
 built once per solve, from an (n, 9) table of 32-bit keys 16 row + k,
 one table row per column, each sorted along its 9 entries (so n stays
 below 2**27 unknowns). Each Newton step computes the stencil weights
-once, from partials taken by a hand-written forward-mode pass over row
-blocks; GMRES applies them, a factorization gathers them into the index
-arrays, and a failed full step reads its rounding floor from them.
+once, over row blocks, from the closed-form partials of the pointwise
+residual (graph_pde._residual_partials) chained through the stencils;
+GMRES applies them, a factorization gathers them into the index arrays,
+and a failed full step reads its rounding floor from them.
 
 The factorization is SuperLU (Demmel, Eisenstat, Gilbert, Li & Liu, SIAM
 J. Matrix Anal. Appl. 20, 1999) through scipy's compiled extension
@@ -79,7 +81,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, NonConvergenceError, SolverError, StagnationError
-from .graph_pde import _divisor_excess, _residual_terms
+from .graph_pde import _divisor_excess, _residual_partials, _residual_terms
 from .metric import check_b
 
 __all__ = [
@@ -137,16 +139,6 @@ class GridProblem:
     def ys(self) -> np.ndarray:
         _, _, y0, y1 = self.domain
         return np.linspace(y0, y1, self.ny + 2)
-
-    def boundary_field(self) -> np.ndarray:
-        """(nx+2, ny+2) array with the Dirichlet ring filled, interior zero."""
-        xs, ys = self.xs(), self.ys()
-        f = np.zeros((self.nx + 2, self.ny + 2))
-        f[0, :] = [self.boundary(xs[0], y) for y in ys]
-        f[-1, :] = [self.boundary(xs[-1], y) for y in ys]
-        f[:, 0] = [self.boundary(x, ys[0]) for x in xs]
-        f[:, -1] = [self.boundary(x, ys[-1]) for x in xs]
-        return f
 
 
 class GridSolution(NamedTuple):
@@ -212,76 +204,13 @@ def _residual_and_norms(problem: GridProblem, f: np.ndarray):
         return r, float(np.max(np.abs(r / divisor))), float(np.max(np.abs(r)))
 
 
-def _point_partials(problem: GridProblem, f: np.ndarray):
-    """d(residual)/d(f1, f2, h11, h12, h22) at every interior node, shape (5, nx, ny).
-
-    One hand-written forward-mode pass through graph_pde._residual_terms
-    at the frame row k = (0, 0, 1). The residual is linear in the Hessian,
-    so its three Hessian partials are the coefficients
-
-        D (delta - f f^T / W^2) + X W^2 u u^T,   (D, X) = _divisor_excess,
-
-    with the off-diagonal doubled. The gradient partials carry one
-    derivative channel per seed f1, f2 through the same operations, in the
-    order a dual.Dual pass makes them, so that all five are bit for bit
-    what dual.gradient over the five stencil values gives, signed zeros
-    included. Where the stencil values are finite, w = 1 - 0 f1 - 0 f2 is
-    exactly 1 and its derivative -0.0, and the operations on those
-    constants are folded.
-    """
-    f1, f2, h11, h12, h22 = _stencil_point(problem, f)
-    b2 = problem.b * problem.b
-    f11, f22 = f1 * f1, f2 * f2
-    w2 = 1.0 + f11 + f22
-    # _divisor_excess at w = 1
-    s = (2.0 + b2) * w2 - b2
-    t = s - 2.0 * b2
-    divisor = s * t
-    excess = 2.0 * b2 * (s + 4.0 * b2)
-    p12 = 2.0 * f1 * f2
-    quotient = (f11 * h11 + p12 * h12 + f22 * h22) / w2
-    hform = (h11 + h22) - quotient
-    g1, g2 = f1 / w2, f2 / w2
-    u1, u2 = 0.0 + g1, 0.0 + g2
-    u11, u12, u22 = u1 * u1, 2.0 * u1 * u2, u2 * u2
-    uform = u11 * h11 + u12 * h12 + u22 * h22
-    scale = excess * w2
-    out = np.empty((5,) + f1.shape)
-    df1, df2 = f1 + f1, f2 + f2
-    # Per seed f1, f2: d(W^2); h_1, h_2 with d(f^T H f)/d(seed) =
-    # 2 f1 h_1 + 2 f2 h_2; and d(w f_j)/d(seed), which is 1 for the seeded
-    # f_j and -0.0 f_j for the other.
-    for c, (d_w2, h_1, h_2, a1, a2) in enumerate(
-        ((df1, h11, h12, 1.0, -0.0 * f2), (df2, h12, h22, -0.0 * f1, 1.0))
-    ):
-        # + 0.0 is the dual pass's - (-0.0), which turns -0.0 into +0.0
-        d_s = d_w2 * (2.0 + b2) + 0.0
-        d_divisor = s * d_s + d_s * t
-        d_excess = d_s * (2.0 * b2)
-        d_hform = -1.0 * ((df1 * h_1 + df2 * h_2 - quotient * d_w2) / w2)
-        d_u1 = (a1 - g1 * d_w2) / w2
-        d_u2 = (a2 - g2 * d_w2) / w2
-        d_u11 = u1 * d_u1
-        d_uform = (
-            (d_u11 + d_u11) * h11
-            + ((u1 * 2.0) * d_u2 + (d_u1 * 2.0) * u2) * h12
-            + (u2 * d_u2 + d_u2 * u2) * h22
-        )
-        d_scale = excess * d_w2 + d_excess * w2
-        out[c] = (divisor * d_hform + d_divisor * hform) + (scale * d_uform + d_scale * uform)
-    out[2] = (1.0 - f11 / w2) * divisor + u11 * scale
-    out[3] = -(p12 / w2) * divisor + u12 * scale
-    out[4] = (1.0 - f22 / w2) * divisor + u22 * scale
-    return out
-
-
 _OFFSETS = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 0), (0, 1), (1, -1), (1, 0), (1, 1)]
 _LEAF_NODES = 16
-# The partials make dozens of temporaries per node; in blocks of this many
-# nodes each is 64 KB, which the allocator recycles from its heap and the
-# cache holds, where grid-sized ones are mapped and page-faulted afresh on
-# every call (N = 255 on a 2-vCPU VM: 30 ms a call in one pass, 12 ms in
-# blocks).
+# The partials make about two dozen temporaries per node; in blocks of this
+# many nodes each is 64 KB, which the allocator recycles from its heap and
+# the cache holds, where grid-sized ones are mapped and page-faulted afresh
+# on every call (N = 255 on a 2-vCPU VM: 12-18 ms a call in one pass, 5.5 ms
+# in blocks).
 _BLOCK_NODES = 8192
 
 
@@ -378,7 +307,8 @@ def _stencil_weights(problem: GridProblem, f: np.ndarray) -> np.ndarray:
     weights = np.zeros((9, nx, ny))
     rows = max(1, _BLOCK_NODES // ny)
     for i in range(0, nx, rows):
-        d_f1, d_f2, d_h11, d_h12, d_h22 = _point_partials(problem, f[i : i + rows + 2])
+        point = _stencil_point(problem, f[i : i + rows + 2])
+        d_f1, d_f2, d_h11, d_h12, d_h22 = _residual_partials(*point, problem.b)
         # chain rule: d(stencil value)/d f[neighbor] for each derived quantity
         for w, (a, c) in zip(weights[:, i : i + rows], _OFFSETS):
             if c == 0:
@@ -536,49 +466,37 @@ def _gmres(matvec, precondition, rhs: np.ndarray):
     return None
 
 
-def _initial_field(problem: GridProblem, kind: str) -> np.ndarray:
-    f = problem.boundary_field()
-    if kind == "flat":
-        return f
-    if kind != "boundary-blend":
-        raise DomainError(f"unknown initial guess {kind!r}")
-    # Transfinite bilinear blend of the boundary ring; exact on affine data,
-    # which removes iteration noise from the planarity test. Data near the
-    # float limit overflow it; the solver reports the non-finite residual.
-    nx, ny = problem.nx, problem.ny
-    u = np.linspace(0.0, 1.0, nx + 2)[:, None]
-    v = np.linspace(0.0, 1.0, ny + 2)[None, :]
-    left, right = f[0, :][None, :], f[-1, :][None, :]
-    bottom, top = f[:, 0][:, None], f[:, -1][:, None]
+def _initial_field(problem: GridProblem) -> np.ndarray:
+    # Transfinite bilinear blend of the boundary data, which is sampled
+    # exactly on the ring; exact on affine data, which removes iteration
+    # noise from the planarity test. Data near the float limit overflow it;
+    # the solver reports the non-finite residual.
+    xs, ys, edge = problem.xs(), problem.ys(), problem.boundary
+    left = np.array([edge(xs[0], y) for y in ys])
+    right = np.array([edge(xs[-1], y) for y in ys])
+    bottom = np.array([edge(x, ys[0]) for x in xs])
+    top = np.array([edge(x, ys[-1]) for x in xs])
+    u = np.linspace(0.0, 1.0, xs.size)[:, None]
+    v = np.linspace(0.0, 1.0, ys.size)[None, :]
     with np.errstate(over="ignore", invalid="ignore"):
-        blend = (1 - u) * left + u * right + (1 - v) * bottom + v * top
+        blend = (1 - u) * left + u * right + (1 - v) * bottom[:, None] + v * top[:, None]
         blend -= (
-            (1 - u) * (1 - v) * f[0, 0]
-            + u * (1 - v) * f[-1, 0]
-            + (1 - u) * v * f[0, -1]
-            + u * v * f[-1, -1]
+            (1 - u) * (1 - v) * left[0]
+            + u * (1 - v) * right[0]
+            + (1 - u) * v * left[-1]
+            + u * v * right[-1]
         )
-    blend[0, :], blend[-1, :], blend[:, 0], blend[:, -1] = (
-        f[0, :],
-        f[-1, :],
-        f[:, 0],
-        f[:, -1],
-    )
+    blend[0], blend[-1], blend[:, 0], blend[:, -1] = left, right, bottom, top
     return blend
 
 
-def solve_minimal_graph(
-    problem: GridProblem,
-    tol: float = 1e-10,
-    max_iter: int = 30,
-    initial_guess: str = "boundary-blend",
-) -> GridSolution:
-    """Damped Newton iteration until max|r / D| (the module docstring) drops
-    to tol.
+def solve_minimal_graph(problem: GridProblem, tol: float = 1e-10, max_iter: int = 30) -> GridSolution:
+    """Damped Newton iteration, from the bilinear blend of the boundary
+    data, until max|r / D| (the module docstring) drops to tol.
 
     The Jacobian couples each node to its compact 9-point neighborhood and
-    is built from exact forward-mode partials (bit for bit those of dual
-    numbers) chained through the stencil weights. It is factored in
+    is built from the closed-form partials of the pointwise residual
+    chained through the stencil weights. It is factored in
     nested-dissection order at the first step; later steps run GMRES
     preconditioned by that LU and factor anew only when GMRES misses its
     tolerance. Line search: Armijo backtracking on max|r| with factor 1/2
@@ -594,7 +512,7 @@ def solve_minimal_graph(
         raise DomainError(f"tol={tol} must be positive and finite")
     if max_iter < 0:
         raise DomainError(f"max_iter={max_iter} must be >= 0")
-    f = _initial_field(problem, initial_guess)
+    f = _initial_field(problem)
     r, res, raw = _residual_and_norms(problem, f)
     history = [res]
     # `res > tol` is false for nan. Later residuals are finite: the line

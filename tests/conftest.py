@@ -55,6 +55,16 @@ def rand_rotation(rng):
     )
 
 
+def assert_channels_near(got, want, ulps=16):
+    """got equals want, channel by channel along the first axis, within
+    ulps * eps of the channel's largest magnitude."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    eps = np.finfo(float).eps
+    for c, (g, w) in enumerate(zip(got, want)):
+        assert np.max(np.abs(g - w)) <= ulps * eps * np.max(np.abs(w)), c
+
+
 def fib_sphere(n):
     """n quasi-uniform points on the unit sphere (Fibonacci lattice)."""
     i = np.arange(n) + 0.5

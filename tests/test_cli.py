@@ -940,3 +940,45 @@ def test_record_written_to_a_closed_pipe_exits_2():
         os.close(write_end)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr == "error: the record cannot be written to stdout: Broken pipe\n"
+
+
+# (argv, exit code) of each `error:` path of main, and of a usage error
+_ERROR_PATHS = {
+    "domain": (["volume", "--b", "0.9"], 2),
+    "usage": (["volume", "--bogus"], 2),
+    "quadrature": (["volume", "--b", "0.3", "--n", "100000"], 3),
+    "overflow": (["residual-graph", "--b", "0.3", "--point", "f1=1e308,f2=0.2,h11=1,h12=0,h22=1"], 3),
+    "solver": (["solve", "--b", "0.3", "--boundary", "scherk", "--nx", "9", "--ny", "9", "--max-iter", "0"], 3),
+}
+
+
+@pytest.mark.parametrize("path", _ERROR_PATHS)
+def test_error_line_written_to_a_full_device_keeps_the_exit_status(path):
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    argv, code = _ERROR_PATHS[path]
+    for unbuffered in ("1", ""):
+        env = {**os.environ, "PYTHONUNBUFFERED": unbuffered}
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "finmin", *argv, "--no-timestamp"],
+                stdout=subprocess.PIPE, stderr=full, text=True, env=env,
+            )
+        assert (proc.returncode, proc.stdout) == (code, ""), unbuffered
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+def test_help_written_to_a_full_device_exits_2(capsys, argv):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("usage: finmin")
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    for unbuffered in ("1", ""):
+        env = {**os.environ, "PYTHONUNBUFFERED": unbuffered}
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "finmin", *argv],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=env,
+            )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == "error: the help cannot be written to stdout: No space left on device\n"

@@ -11,7 +11,9 @@ Each link is derived in sympy and compared with the code that ships:
    where alpha phi(beta/alpha) is a Minkowski norm.
 2. Area integrand -> graph equation. The Euler-Lagrange operator
    M = sum_ij d^2L/df_i df_j h_ij of L = 2W^3/D, D = 2W^2 + E, satisfies
-   M D^3 = 2W _residual_terms(...) over horizontal and tilted planes.
+   M D^3 = 2W _residual_terms(...) over horizontal and tilted planes;
+   the solver's closed-form Jacobian partials (_residual_partials) are
+   the horizontal kernel's derivatives.
 3. Area integrand -> translation equation. At h12 = 0 the kernel's h11 and
    h22 coefficients are lambda/W^2 and mu/W^2, whose split gives the
    README's K and L; K = (p + 2) L at b = 0.
@@ -41,7 +43,7 @@ import pytest
 
 sp = pytest.importorskip("sympy")
 
-from finmin.graph_pde import _divisor_excess, _residual_terms  # noqa: E402
+from finmin.graph_pde import _divisor_excess, _residual_partials, _residual_terms  # noqa: E402
 from finmin.jet import _e_scalar, _flat_area_fun  # noqa: E402
 from finmin.metric import PhiFamily, _phi  # noqa: E402
 from finmin.translation import _lambda_mu_b2, compatibility_check, kl_polys  # noqa: E402
@@ -214,6 +216,15 @@ def test_horizontal_graph_equation_is_euler_lagrange(euler_lagrange):
     flat = {k1: 0, k2: 0, k3: 1}
     residual = kernel(f1, f2, h11, h12, h22, 0, 0, 1, b)
     assert reduce_mod_w(op.subs(flat) * big_d.subs(flat) ** 3 - 2 * W * residual) == 0
+
+
+def test_residual_partials_are_the_kernel_derivatives():
+    # The solver's Jacobian partials, in closed form, are the exact
+    # derivatives of the horizontal kernel in the five stencil values.
+    residual = kernel(f1, f2, h11, h12, h22, 0, 0, 1, b)
+    partials = _residual_partials(f1, f2, h11, h12, h22, b)
+    for var, partial in zip((f1, f2, h11, h12, h22), partials, strict=True):
+        assert sp.cancel(exact(partial) - sp.diff(residual, var)) == 0, var
 
 
 def test_tilted_graph_equation_is_euler_lagrange(euler_lagrange):
