@@ -28,6 +28,7 @@ boundary included.
 """
 
 import argparse
+import errno
 import gc
 import importlib
 import json
@@ -180,10 +181,18 @@ def _parse_point(text, keys):
     return out
 
 
+def _stdout():
+    """sys.stdout; OSError where Python set it to None, fd 1 being closed at
+    start-up, so that a record or help text sent there fails like a write."""
+    if sys.stdout is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    return sys.stdout
+
+
 class _Parser(argparse.ArgumentParser):
     def print_help(self, file=None):
         # argparse's own ignores a failed write; main turns it into exit 2
-        print(self.format_help(), end="", file=file or sys.stdout, flush=True)
+        print(self.format_help(), end="", file=file or _stdout(), flush=True)
 
 
 def _build_parser():
@@ -273,7 +282,10 @@ def _validate(args):
 def _to_null_device(stream):
     """Point stream's file descriptor at the null device (the recipe in the
     signal module's docs), so the flush at interpreter exit cannot fail
-    again and turn the exit status into 120."""
+    again and turn the exit status into 120. A None stream, whose fd was
+    closed at start-up, has nothing to flush."""
+    if stream is None:
+        return
     devnull = os.open(os.devnull, os.O_WRONLY)
     os.dup2(devnull, stream.fileno())
     os.close(devnull)
@@ -327,8 +339,9 @@ def main(argv=None) -> int:
 
         record["timestamp"] = datetime.now(timezone.utc).isoformat()
     try:
-        sys.stdout.write(json.dumps(record, indent=2, default=_json_default) + "\n")
-        sys.stdout.flush()
+        out = _stdout()
+        out.write(json.dumps(record, indent=2, default=_json_default) + "\n")
+        out.flush()
     except OSError as exc:
         _to_null_device(sys.stdout)
         return _fail(f"the record cannot be written to stdout: {exc.strerror}", 2)

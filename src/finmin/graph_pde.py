@@ -31,10 +31,10 @@ x = w^2 / W^2 for b^2 < 1/3, so C is approached where w = 0
 (tests/test_symbolic_chain.py proves each step). The bound sampler in
 this module estimates C from below on a grid, an independent check of
 that value. The divisor and the numerator of R are written once
-(_divisor_excess); the residual, ellipticity_quotients (the CLI's
-vectorized check of the lower bound), the sampler and the closed-form
+(metric._divisor_excess); the residual, ellipticity_quotients (the CLI's
+vectorized check of the lower bound), the sampler, the closed-form
 partials of the horizontal residual (_residual_partials, the solver's
-Jacobian) all use them.
+Jacobian) and the translation module's (lambda, mu) all use them.
 
 For a unit probe direction xi the excess a(xi) / h(xi) - 1 over the
 classical form h = (delta - f f^T/W^2) : xi xi is R * W^2 (u . xi)^2 / h.
@@ -62,7 +62,7 @@ commands.
 import math
 
 from .errors import DomainError
-from .metric import check_b
+from .metric import _divisor_excess, check_b
 
 __all__ = [
     "graph_residual",
@@ -71,13 +71,6 @@ __all__ = [
     "mean_curvature_type_bound",
     "random_rotations",
 ]
-
-
-def _divisor_excess(w2, w, b2):
-    """(S*(S - 2 b^2 w^2), 2 b^2 (S + 4 b^2 w^2)): the positive divisor and
-    the numerator of R. Arithmetic only: floats, arrays and Duals pass."""
-    s = (2.0 + b2) * w2 - b2 * w * w
-    return s * (s - 2.0 * b2 * w * w), 2.0 * b2 * (s + 4.0 * b2 * w * w)
 
 
 def _residual_terms(f1, f2, h11, h12, h22, k1, k2, k3, b):

@@ -11,8 +11,8 @@ phi(s) > 0 and phi(s) - s phi'(s) + (b**2 - s**2) phi''(s) > 0 for
 |s| <= b (Chern & Shen, Riemann-Finsler Geometry, Lemma 1.1.2). For the
 slope profile the condition reads (1 - b)(1 - 2b) > 0, hence b < 1/2;
 tests/test_symbolic_chain.py checks every family from ``_phi`` itself.
-The norm enters the computations only through ``_phi`` (the volume
-quadrature) and the area integrand of the jet module.
+_divisor_excess writes the slope metric's graph-equation divisor once, for
+the graph_pde, solver and translation modules.
 """
 
 import math
@@ -57,3 +57,11 @@ def check_b(b, family=PhiFamily.MATSUMOTO) -> float:
     if not math.isfinite(b) or not (lo <= b < hi):
         raise DomainError(f"one-form norm b={b} outside [{lo}, {hi}) for family {family.value!r}")
     return b
+
+
+def _divisor_excess(w2, w, b2):
+    """(S*(S - 2 b^2 w^2), 2 b^2 (S + 4 b^2 w^2)): the positive divisor of
+    the graph equation and the numerator of R (graph_pde's docstring).
+    Arithmetic only; the integer literals keep Fractions exact."""
+    s = (2 + b2) * w2 - b2 * w * w
+    return s * (s - 2 * b2 * w * w), 2 * b2 * (s + 4 * b2 * w * w)

@@ -12,7 +12,7 @@ desk scale.
 
 The iteration stops when max|r / D| <= tol, where r is the residual and
 D = S(S - 2 b^2 w^2) the positive divisor graph_pde factors out of the
-equation (graph_pde._divisor_excess). r / D is the normalized elliptic
+equation (metric._divisor_excess). r / D is the normalized elliptic
 form a : H, so tol means the same at every gradient size, while the raw
 max|r| carries D's W^4 and a rounding floor eps*max(|J||f|) that exceeds
 1e-10 on fine grids (5.2e-10 at N = 255). The line search keeps the raw
@@ -81,8 +81,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, NonConvergenceError, SolverError, StagnationError
-from .graph_pde import _divisor_excess, _residual_partials, _residual_terms
-from .metric import check_b
+from .graph_pde import _residual_partials, _residual_terms
+from .metric import _divisor_excess, check_b
 
 __all__ = [
     "GridProblem",

@@ -942,6 +942,21 @@ def test_record_written_to_a_closed_pipe_exits_2():
     assert proc.stderr == "error: the record cannot be written to stdout: Broken pipe\n"
 
 
+@pytest.mark.parametrize(
+    "argv, what",
+    [(["volume", "--b", "0.3", "--no-timestamp"], "record"), (["--help"], "help")],
+    ids=["record", "help"],
+)
+def test_closed_stdout_exits_2(argv, what):
+    # With fd 1 closed at start-up, Python sets sys.stdout to None.
+    proc = subprocess.run(
+        [sys.executable, "-m", "finmin", *argv],
+        stderr=subprocess.PIPE, text=True, preexec_fn=lambda: os.close(1),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == f"error: the {what} cannot be written to stdout: Bad file descriptor\n"
+
+
 # (argv, exit code) of each `error:` path of main, and of a usage error
 _ERROR_PATHS = {
     "domain": (["volume", "--b", "0.9"], 2),

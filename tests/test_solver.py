@@ -339,8 +339,8 @@ def skew(x, y):
 
 
 @functools.lru_cache(maxsize=None)
-def skew_solution(b, data=skew):
-    return solve_minimal_graph(GridProblem(UNIT_SQUARE, 47, 47, b, data), tol=1e-10).f
+def skew_solution(b, data=skew, domain=UNIT_SQUARE):
+    return solve_minimal_graph(GridProblem(domain, 47, 47, b, data), tol=1e-10).f
 
 
 # The graph equation depends on b through b^2 and on f through its
@@ -349,6 +349,7 @@ def skew_solution(b, data=skew):
 _SYMMETRIES = {
     "transpose": (lambda d: lambda x, y: d(y, x), lambda f: f.T),
     "mirror-x": (lambda d: lambda x, y: d(-x, y), lambda f: f[::-1]),
+    "rotate-90": (lambda d: lambda x, y: d(y, -x), np.rot90),
     "negate": (lambda d: lambda x, y: -d(x, y), lambda f: -f),
     "shift": (lambda d: lambda x, y: d(x, y) + 7.0, lambda f: f + 7.0),
 }
@@ -362,6 +363,15 @@ def test_solutions_follow_the_symmetries_of_the_equation(symmetry, b):
     want = map_field(skew_solution(b))
     got = skew_solution(b, map_data(skew))
     assert np.max(np.abs(got - want)) <= 4 * np.spacing(np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("b", [0.3, 0.45])
+def test_solutions_follow_the_homothety_of_the_equation(b):
+    # f(x) -> 2 f(x/2) on the doubled square: node coordinates, spacings and
+    # boundary values double and difference quotients scale by powers of
+    # two, all exactly, so every Newton iterate is twice the base one.
+    got = skew_solution(b, lambda x, y: 2.0 * skew(x / 2.0, y / 2.0), (-2.0, 2.0, -2.0, 2.0))
+    assert np.array_equal(got, 2.0 * skew_solution(b))
 
 
 @pytest.mark.parametrize("b", [0.0, 0.3, 0.45])

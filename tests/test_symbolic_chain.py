@@ -15,8 +15,8 @@ Each link is derived in sympy and compared with the code that ships:
    the solver's closed-form Jacobian partials (_residual_partials) are
    the horizontal kernel's derivatives.
 3. Area integrand -> translation equation. At h12 = 0 the kernel's h11 and
-   h22 coefficients are lambda/W^2 and mu/W^2, whose split gives the
-   README's K and L; K = (p + 2) L at b = 0.
+   h22 coefficients are lambda/W^2 and mu/W^2, the README's written-out
+   products, whose split gives the README's K and L; K = (p + 2) L at b = 0.
 4. Graph equation -> ellipticity constant. The excess of the graph
    equation's form over the classical one has supremum
    C(b) = 2b^2/(2 + b^2) over all gradients and probe directions, the
@@ -43,9 +43,9 @@ import pytest
 
 sp = pytest.importorskip("sympy")
 
-from finmin.graph_pde import _divisor_excess, _residual_partials, _residual_terms  # noqa: E402
+from finmin.graph_pde import _residual_partials, _residual_terms  # noqa: E402
 from finmin.jet import _e_scalar, _flat_area_fun  # noqa: E402
-from finmin.metric import PhiFamily, _phi  # noqa: E402
+from finmin.metric import PhiFamily, _divisor_excess, _phi  # noqa: E402
 from finmin.translation import _lambda_mu_b2, compatibility_check, kl_polys  # noqa: E402
 from finmin.volume import bh_factor_closed_matsumoto  # noqa: E402
 
@@ -250,6 +250,17 @@ def test_translation_coefficients_are_the_kernel_at_h12_zero():
     residual = kernel(f1, f2, h11, 0, h22, 0, 0, 1, b)
     lam, mu = _lambda_mu_b2(f1**2, f2**2, b**2)
     assert sp.simplify(residual - (lam * h11 + mu * h22) / w_sq()) == 0
+
+
+def test_lambda_mu_are_the_readme_products():
+    # _lambda_mu_b2 takes (lambda, mu) from the graph equation's divisor and
+    # excess; the README writes both out as products
+    r, t = sp.symbols("r t", nonnegative=True)  # t plays s, a module symbol
+    lam, mu = _lambda_mu_b2(r, t, g)
+    lead, tail = 2 + (2 + g) * (r + t), 2 * (1 - g) + (2 + g) * (r + t)
+    extra = 2 * g * (2 + 4 * g + (2 + g) * (r + t))
+    assert sp.expand(lam - (lead * tail * (1 + t) + extra * r)) == 0
+    assert sp.expand(mu - (lead * tail * (1 + r) + extra * t)) == 0
 
 
 def _k_and_l():
