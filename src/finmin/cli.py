@@ -236,7 +236,6 @@ def _build_parser():
     p.add_argument("--b", type=_parse_floats, default=[0.3])
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tmax", type=float, default=1e3)
 
     p = sub_parser("solve", help="Dirichlet solve of the minimal-graph equation")
     p.add_argument("--b", type=_parse_floats, default=[0.0])
@@ -263,10 +262,6 @@ def _validate(args):
             raise DomainError(f"--samples {args.samples} must be >= 1")
         if args.seed < 0:
             raise DomainError(f"--seed {args.seed} must be >= 0")
-    if args.command == "ellipticity":
-        from .graph_pde import check_t_max
-
-        check_t_max(args.tmax)
     # A nan or infinite tolerance would switch its check off; comparisons
     # against nan are false, so the test also rejects nan.
     for name in ("tol", "rtol_dual", "rtol_central"):

@@ -93,17 +93,6 @@ def _minors(z, b: float):
     return mu, mu[0] * mu[0] + tilt, b * b * tilt
 
 
-def _gram_det(z):
-    """det(z^T z), shape S."""
-    return _minors(z, 0.0)[1]
-
-
-def _e_scalar(z, b: float):
-    """Anisotropy scalar E >= 0, shape S; equal to
-    b**2 * det(A) * A^{eps eta} z3_eps z3_eta."""
-    return _minors(z, b)[2]
-
-
 def _chain_parts(z, b: float):
     """((P, E, C, D), mu, grad mu, (grad P, grad E), (F_P, F_E)) of a jet,
     gradients flat, (6, *S), index 2*i + e.
@@ -255,7 +244,7 @@ def _random_jets(rng, count, min_det=0.25):
     kept = []
     while count > 0:
         z = np.moveaxis(rng.uniform(-1.5, 1.5, size=(min(count, _JET_BLOCK), 3, 2)), 0, -1)
-        z = z[..., _gram_det(z) >= min_det]
+        z = z[..., _minors(z, 0.0)[1] >= min_det]
         kept.append(z)
         count -= z.shape[-1]
     return np.concatenate(kept, axis=-1)

@@ -121,6 +121,8 @@ class GridProblem:
             raise DomainError("domain must satisfy x0 < x1 and y0 < y1")
         if nx < 8 or ny < 8:
             raise DomainError("nx and ny must be at least 8 interior nodes")
+        if nx * ny >= 2**27:
+            raise DomainError(f"{nx} x {ny} unknowns: the Jacobian pattern indexes fewer than 2**27")
         self.domain = (x0, x1, y0, y1)
         self.nx, self.ny = nx, ny
         self.hx = (x1 - x0) / (nx + 1)
@@ -272,10 +274,9 @@ class _JacobianPattern(NamedTuple):
         node m - offset_k lies outside the grid; sorting each table row
         along its 9 keys puts the rows in order and the outside keys last.
         The keys are C ints, which hold them while 16 n < 2**31, that is
-        for fewer than 2**27 unknowns; `gather` is int64."""
+        for fewer than 2**27 unknowns, as GridProblem requires; `gather`
+        is int64."""
         n = nx * ny
-        if n >= 2**27:
-            raise DomainError(f"{nx} x {ny} unknowns: the Jacobian pattern indexes fewer than 2**27")
         order = _dissection_order(nx, ny)
         # 16 * dissection position of each node, 16 n on the boundary ring
         key = np.full((nx + 2, ny + 2), 16 * n, dtype=np.intc)

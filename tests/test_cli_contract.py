@@ -99,7 +99,6 @@ def grammar(folder):
             "--b": b,
             "--samples": samples,
             "--seed": seed,
-            "--tmax": (choice(0, "1e-3", 50, 1000), choice("1e-4", "1e75", "1e76", -1, "nan", "inf", "x")),
         },
         "solve": {
             "--b": (choice(0, 0.3, 0.45), b[1]),

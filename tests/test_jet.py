@@ -14,8 +14,8 @@ from conftest import (
 from finmin.errors import DegenerateJetError, DomainError
 from finmin.graph_pde import _residual_terms, graph_residual
 from finmin.jet import (
-    _e_scalar,
     _flat_area_fun,
+    _minors,
     _random_jets,
     area_integrand_grad,
     area_integrand_grad_central,
@@ -69,7 +69,7 @@ def test_closed_forms_accept_stacked_jets():
 def test_e_scalar_graph_jet():
     for a, c, b in [(0.7, -1.2, 0.3), (0.0, 0.0, 0.45), (2.0, 1.0, 0.1)]:
         j = np.array([[1.0, 0.0], [0.0, 1.0], [a, c]])
-        assert _e_scalar(j, b) == pytest.approx(b * b * (a * a + c * c), rel=1e-14, abs=1e-300)
+        assert _minors(j, b)[2] == pytest.approx(b * b * (a * a + c * c), rel=1e-14, abs=1e-300)
 
 
 def test_e_scalar_vanishes_without_third_row():
@@ -77,7 +77,7 @@ def test_e_scalar_vanishes_without_third_row():
     for _ in range(20):
         z = rng.normal(size=(3, 2))
         z[2] = 0.0
-        assert _e_scalar(np.array(z), 0.4) == 0.0
+        assert _minors(np.array(z), 0.4)[2] == 0.0
 
 
 def test_e_scalar_tilted_jet():
@@ -90,7 +90,7 @@ def test_e_scalar_tilted_jet():
         k = m[2, :]
         w = k[2] - k[0] * f1 - k[1] * f2
         w2 = 1 + f1 * f1 + f2 * f2
-        assert _e_scalar(j, b) == pytest.approx(b * b * (w2 - w * w), rel=1e-11, abs=1e-13)
+        assert _minors(j, b)[2] == pytest.approx(b * b * (w2 - w * w), rel=1e-11, abs=1e-13)
 
 
 def test_e_scalar_matches_inverse_gram_identity():
@@ -103,13 +103,13 @@ def test_e_scalar_matches_inverse_gram_identity():
         det = np.linalg.det(a)
         t = j[2, :]
         other = b * b * det * (t @ np.linalg.solve(a, t))
-        assert _e_scalar(j, b) == pytest.approx(other, rel=1e-12, abs=1e-14)
+        assert _minors(j, b)[2] == pytest.approx(other, rel=1e-12, abs=1e-14)
 
 
 def test_graph_jet_area_and_anisotropy():
     j = SLOPE
     c = math.sqrt(np.linalg.det(j.T @ j))
-    anisotropy = _e_scalar(j, 0.3)
+    anisotropy = _minors(j, 0.3)[2]
     assert c == pytest.approx(math.sqrt(2.0))
     assert anisotropy == pytest.approx(0.09)
     assert area(j, 0.3) == pytest.approx(2.0 * c**3 / (2.0 * c**2 + anisotropy))

@@ -8,11 +8,14 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import assert_channels_near, scherk
 
 from finmin import dual
+from finmin.cli import main
 from finmin.errors import DomainError, NonConvergenceError, SolverError, StagnationError
-from finmin.graph_pde import _residual_partials, _residual_terms
+from finmin.graph_pde import _residual_partials, _residual_terms, graph_residual
 import finmin.solver
 from finmin.solver import (
     _SUPERLU,
@@ -374,6 +377,77 @@ def test_solutions_follow_the_homothety_of_the_equation(b):
     assert np.array_equal(got, 2.0 * skew_solution(b))
 
 
+# Hypothesis suite of the same maps: random b, odd N and data for the
+# solver, random points for the pointwise residual and its partials.
+
+@st.composite
+def _data(draw):
+    """Affine plus trigonometric and polynomial products, of a size every
+    solve converges on."""
+    c0, cx, cy, q = (draw(st.floats(-1.0, 1.0)) for _ in range(4))
+    amp, p, r = draw(st.floats(-0.3, 0.3)), draw(st.floats(0.5, 2.5)), draw(st.floats(0.0, 1.5))
+    cxy, cxxy = draw(st.floats(-0.3, 0.3)), draw(st.floats(-0.2, 0.2))
+    return lambda x, y: c0 + cx * x + cy * y + amp * math.sin(p * x + q) * math.cosh(r * y) + (cxy + cxxy * x) * x * y
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(b=st.floats(0.0, 0.45), n=st.integers(4, 20).map(lambda k: 2 * k + 1), data=_data())
+def test_random_solves_follow_the_symmetries_and_the_homothety(b, n, data):
+    def solve(data, domain=UNIT_SQUARE, tol=1e-10):
+        return solve_minimal_graph(GridProblem(domain, n, n, b, data), tol=tol).f
+
+    # Rounding differs where the dissection order is not symmetric: up to 7
+    # ulps of max|f| over 450 random draws.
+    base = solve(data)
+    for map_data, map_field in _SYMMETRIES.values():
+        want = map_field(base)
+        assert np.max(np.abs(solve(map_data(data)) - want)) <= 16 * np.spacing(np.max(np.abs(want)))
+    # the doubled problem's residuals are exactly half the base ones, so at
+    # half the tolerance it stops at the same Newton step
+    doubled = solve(lambda x, y: 2.0 * data(x / 2.0, y / 2.0), (-2.0, 2.0, -2.0, 2.0), tol=0.5e-10)
+    assert np.array_equal(doubled, 2.0 * base)
+
+
+# The same maps at one point, as linear maps M of (f1, f2, h11, h12, h22)
+# with R(M p) = s R(p) for the residual R; the chain rule then gives the
+# partials at M p as s M^-T times those at p. "exact" maps move only
+# signs and powers of two, so both sides agree bit for bit.
+_POINT_MAPS = {
+    # (f2, f1, h22, h12, h11) and (-f2, f1, h22, -h12, h11)
+    "transpose": (np.eye(5)[[1, 0, 4, 3, 2]], 1.0, False),
+    "mirror-x": (np.diag([-1.0, 1.0, 1.0, -1.0, 1.0]), 1.0, True),
+    "rotate-90": (np.diag([-1.0, 1.0, 1.0, -1.0, 1.0]) @ np.eye(5)[[1, 0, 4, 3, 2]], 1.0, False),
+    "negate": (-np.eye(5), -1.0, True),
+    "homothety": (np.diag([1.0, 1.0, 0.5, 0.5, 0.5]), 0.5, True),
+}
+
+
+# point entries: no subnormals, and no products of them that underflow
+_finite = st.floats(-20.0, 20.0, allow_subnormal=False).map(lambda v: v if abs(v) >= 1e-50 else 0.0)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(point=st.tuples(*[_finite] * 5), b=st.floats(0.0, 0.4999))
+def test_pointwise_residual_and_partials_follow_the_maps(point, b):
+    p = np.array(point)
+    f1, f2, h11, h12, h22 = point
+    residual = graph_residual(*point, b)
+    partials = np.array(_residual_partials(*point, b))
+    # 64 eps times a bound on the terms that may cancel, for the inexact
+    # maps (at most 1.1 eps of it over 3000 random draws)
+    w2 = 1.0 + f1 * f1 + f2 * f2
+    bound = (2.0 + b * b) ** 2 * w2 * w2 * (1.0 + abs(f1) + abs(f2)) * (1.0 + abs(h11) + 2 * abs(h12) + abs(h22))
+    atol = 64 * np.spacing(1.0) * bound
+    for m, s, exact in _POINT_MAPS.values():
+        q = m @ p
+        got = np.array([graph_residual(*q, b), *_residual_partials(*q, b)])
+        want = np.array([s * residual, *(s * np.linalg.inv(m).T @ partials)])
+        if exact:
+            assert np.array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=atol)
+
+
 @pytest.mark.parametrize("b", [0.0, 0.3, 0.45])
 def test_lagged_lu_matches_factoring_every_step(b, monkeypatch):
     problem = GridProblem(UNIT_SQUARE, 63, 63, b, scherk)
@@ -566,10 +640,20 @@ def test_pattern_equals_the_argsort_build_bit_for_bit(shape):
     assert pattern.indices.dtype == pattern.indptr.dtype == np.intc
 
 
-def test_pattern_refuses_grids_its_int32_keys_cannot_index():
-    # keys 16 * row + k stay below 2**31 only for fewer than 2**27 unknowns
+def test_pattern_refuses_grids_its_int32_keys_cannot_index(monkeypatch, capsys):
+    # keys 16 * row + k stay below 2**31 only for fewer than 2**27 unknowns;
+    # GridProblem refuses larger grids, before a solve allocates any field
     with pytest.raises(DomainError, match=r"2\*\*27"):
-        _JacobianPattern.build(2**14, 2**13)
+        GridProblem(UNIT_SQUARE, 2**14, 2**13, 0.0, scherk)
+    assert GridProblem(UNIT_SQUARE, 2**14, 2**13 - 1, 0.0, scherk).nx == 2**14
+
+    def no_field(problem):
+        raise AssertionError("the solve allocated its field")
+
+    monkeypatch.setattr(finmin.solver, "_initial_field", no_field)
+    assert main(["solve", "--nx", "16384", "--ny", "8192", "--no-timestamp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "2**27" in captured.err
 
 
 @pytest.mark.parametrize(

@@ -44,7 +44,7 @@ import pytest
 sp = pytest.importorskip("sympy")
 
 from finmin.graph_pde import _residual_partials, _residual_terms  # noqa: E402
-from finmin.jet import _e_scalar, _flat_area_fun  # noqa: E402
+from finmin.jet import _flat_area_fun, _minors  # noqa: E402
 from finmin.metric import PhiFamily, _divisor_excess, _phi  # noqa: E402
 from finmin.translation import _lambda_mu_b2, compatibility_check, kl_polys  # noqa: E402
 from finmin.volume import bh_factor_closed_matsumoto  # noqa: E402
@@ -144,7 +144,7 @@ def test_density_is_the_jet_area_integrand(density):
         jet = [1.0, 0.0, 0.0, 1.0, float(x1), float(x2)]
         assert _flat_area_fun(float(bb))(jet) == pytest.approx(float(integrand.subs(point)), rel=1e-15)
         z_float = np.array([[1.0, 0.0], [0.0, 1.0], [float(x1), float(x2)]])
-        assert _e_scalar(z_float, float(bb)) == pytest.approx(float(big_e.subs(point)), rel=1e-15)
+        assert _minors(z_float, float(bb))[2] == pytest.approx(float(big_e.subs(point)), rel=1e-15)
 
 
 def test_density_on_vertical_planes_is_the_closed_volume_factor(density):
