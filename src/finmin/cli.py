@@ -62,6 +62,9 @@ _HANDLERS = {
     "solve": "solver",
 }
 
+# Largest --samples: check-derivatives peaks near 2.4 GB and 50 s there.
+_MAX_SAMPLES = 10**6
+
 # --point fields of the pointwise commands, parsed by _validate
 _POINT_FIELDS = {
     "residual-graph": ("f1", "f2", "h11", "h12", "h22"),
@@ -258,8 +261,8 @@ def _validate(args):
     for b in getattr(args, "b", ()):
         check_b(b, family)
     if args.command in ("check-derivatives", "ellipticity"):
-        if args.samples < 1:
-            raise DomainError(f"--samples {args.samples} must be >= 1")
+        if not 1 <= args.samples <= _MAX_SAMPLES:
+            raise DomainError(f"--samples {args.samples} must be between 1 and {_MAX_SAMPLES}")
         if args.seed < 0:
             raise DomainError(f"--seed {args.seed} must be >= 0")
     # A nan or infinite tolerance would switch its check off; comparisons

@@ -108,6 +108,14 @@ def graph_residual(f1, f2, h11, h12, h22, b) -> float:
     return float(_residual_terms(f1, f2, h11, h12, h22, 0.0, 0.0, 1.0, b))
 
 
+def _sampled_frame(f, k, b):
+    """(W^2, w, D, X) at sampled gradients f and frame rows k; (D, X) = _divisor_excess."""
+    b = check_b(b)
+    w2 = 1.0 + f[:, 0] ** 2 + f[:, 1] ** 2
+    w = k[:, 2] - k[:, 0] * f[:, 0] - k[:, 1] * f[:, 1]
+    return (w2, w, *_divisor_excess(w2, w, b * b))
+
+
 def ellipticity_quotients(f, k, xi, b: float):
     """(W^2 a(xi) / |xi|^2, S*(S - 2 b^2 w^2)) for n samples.
 
@@ -118,10 +126,7 @@ def ellipticity_quotients(f, k, xi, b: float):
     """
     import numpy as np
 
-    b = check_b(b)
-    w2 = 1.0 + f[:, 0] ** 2 + f[:, 1] ** 2
-    w = k[:, 2] - k[:, 0] * f[:, 0] - k[:, 1] * f[:, 1]
-    divisor, excess = _divisor_excess(w2, w, b * b)
+    w2, w, divisor, excess = _sampled_frame(f, k, b)
     rb = excess / divisor
     u = k[:, :2] + (w / w2)[:, None] * f
     xi2 = np.einsum("ij,ij->i", xi, xi)
@@ -140,10 +145,7 @@ def mean_curvature_type_bound(f, k, b: float) -> float:
     """
     import numpy as np
 
-    b = check_b(b)
-    w2 = 1.0 + f[:, 0] ** 2 + f[:, 1] ** 2
-    w = k[:, 2] - k[:, 0] * f[:, 0] - k[:, 1] * f[:, 1]
-    divisor, excess = _divisor_excess(w2, w, b * b)
+    w2, w, divisor, excess = _sampled_frame(f, k, b)
     return float(np.max(excess / divisor * (w2 - w * w)))
 
 

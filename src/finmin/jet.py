@@ -206,15 +206,21 @@ def area_integrand_hess_dual(z, b: float) -> np.ndarray:
     return dual.hessian(_flat_area_fun(b), _flat_jets(z))
 
 
-def area_integrand_grad_central(z, b: float, step: float = 1e-6) -> np.ndarray:
+# Central-difference steps of the secondary oracles; the Hessian's keeps its
+# error below 6e-7 on 10**5 seeded jets, under the default --rtol-central.
+_GRAD_STEP = 1e-6
+_HESS_STEP = 1.5e-4
+
+
+def area_integrand_grad_central(z, b: float) -> np.ndarray:
     """Gradient of F by central differences (secondary oracle), (3, 2, *S)."""
     x = _flat_jets(z)
-    return dual.central_gradient(_flat_area_fun(b), x, step).reshape((3, 2) + x.shape[1:])
+    return dual.central_gradient(_flat_area_fun(b), x, _GRAD_STEP).reshape((3, 2) + x.shape[1:])
 
 
-def area_integrand_hess_central(z, b: float, step: float = 2.5e-4) -> np.ndarray:
+def area_integrand_hess_central(z, b: float) -> np.ndarray:
     """Hessian of F by nested central differences (secondary oracle), (6, 6, *S)."""
-    return dual.central_hessian(_flat_area_fun(b), _flat_jets(z), step)
+    return dual.central_hessian(_flat_area_fun(b), _flat_jets(z), _HESS_STEP)
 
 
 # ---------------------------------------------------------------------------

@@ -23,20 +23,15 @@ _FLOOR_MULTIPLE of it no step can be shown to help, and the solve stops
 as stagnated instead of halving the step twenty times.
 
 Linear systems. The first Newton step factors the Jacobian with SuperLU
-and solves directly. Each later step solves its system by GMRES (Saad &
-Schultz, SIAM J. Sci. Stat. Comput. 7, 1986) to relative residual 1e-8,
-right-preconditioned by that LU; the Jacobian is applied as nine stencil
-weight arrays, without assembling it. This is inexact Newton (Dembo,
-Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982): near the solution
-GMRES needs 2 to 6 steps, each a triangular solve, where a factorization
-costs as much as about twenty. Givens rotations update the Hessenberg
-least-squares problem as each step arrives (Saad, Iterative Methods for
-Sparse Linear Systems, 2003, 6.5), and GMRES keeps each preconditioned
-vector M^-1 v_k it computes, at most one more vector of n doubles per
-step, so its solution needs no closing triangular solve. If GMRES misses
-within 30 steps the Jacobian is factored anew; the old LU is dropped
-first, so at most one is in memory. GridSolution.factorizations counts
-the factorizations.
+and solves directly. Each later step refines against that LU (_refine):
+x += M r, then r = rhs - J x, until |r| <= 1e-8 |rhs|, where the Jacobian
+J is applied as nine stencil weight arrays, without assembling it. This is
+inexact Newton (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19,
+1982) whose stop test reads the true residual; near the solution the
+lagged LU is close to exact, and a refinement step, one triangular solve,
+costs a twentieth of a factorization. When a step fails to shrink |r|,
+or after 30 steps, the Jacobian is factored anew; the old LU is dropped
+first, so at most one is in memory. GridSolution.factorizations counts them.
 
 The linear systems number the interior nodes by geometric nested
 dissection (George, SIAM J. Numer. Anal. 10, 1973): each block is split
@@ -49,8 +44,8 @@ one table row per column, each sorted along its 9 entries (so n stays
 below 2**27 unknowns). Each Newton step computes the stencil weights
 once, over row blocks, from the closed-form partials of the pointwise
 residual (graph_pde._residual_partials) chained through the stencils;
-GMRES applies them, a factorization gathers them into the index arrays,
-and a failed full step reads its rounding floor from them.
+refinement applies them, a factorization gathers them into the index
+arrays, and a failed full step reads its rounding floor from them.
 
 The factorization is SuperLU (Demmel, Eisenstat, Gilbert, Li & Liu, SIAM
 J. Matrix Anal. Appl. 20, 1999) through scipy's compiled extension
@@ -97,11 +92,10 @@ _ARMIJO_SLOPE = 1e-4
 # The line search stops as stagnated once a full step fails with the raw
 # max|r| at most this multiple of its rounding floor (_rounding_floor).
 _FLOOR_MULTIPLE = 2.0
-# Newton systems after the first are solved by GMRES to this relative
-# residual, preconditioned by the last LU; the Jacobian is factored anew
-# only when GMRES misses it within the step budget.
-_GMRES_RTOL = 1e-8
-_GMRES_STEPS = 30
+# Newton systems after the first are refined against the last LU to this
+# relative residual within this many steps (_refine), or factored anew.
+_REFINE_RTOL = 1e-8
+_REFINE_STEPS = 30
 
 
 class GridProblem:
@@ -389,8 +383,8 @@ def _csc_array(*args, **kwargs):
 def _newton_step(weights: np.ndarray, r: np.ndarray, pattern: _JacobianPattern):
     """Newton direction at the interior nodes, shape (nx, ny), and the SuperLU factors.
 
-    The direct step, taken at the first Newton step and whenever GMRES
-    misses: the stencil weights of the current field are gathered into the
+    The direct step, taken at the first Newton step and whenever refinement
+    fails: the stencil weights of the current field are gathered into the
     Jacobian's CSC data, in the order of pattern.indices, which is factored
     and solved. The ordering is the pattern's dissection numbering, so
     SuperLU is told not to reorder columns, and it factors one column per
@@ -421,49 +415,23 @@ def _lu_solve(lu, order: np.ndarray, v: np.ndarray) -> np.ndarray:
     return x
 
 
-def _gmres(matvec, precondition, rhs: np.ndarray):
-    """(x, estimate) with |rhs - A x| <= _GMRES_RTOL |rhs| by
-    right-preconditioned GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput.
-    7, 1986); None if _GMRES_STEPS steps do not reach it.
-
-    matvec applies A and precondition M^-1. Modified Gram-Schmidt Arnoldi
-    builds an orthonormal basis V of the Krylov space of A M^-1 and the
-    Hessenberg matrix H with A M^-1 V_k = V_k+1 H. Givens rotations reduce
-    H to upper triangular R as its columns arrive, so |beta e1 - H y| is
-    known at every step without solving for y (Saad, Iterative Methods for
-    Sparse Linear Systems, 2003, 6.5.3); that is `estimate`, the residual
-    of x in exact arithmetic. The preconditioned vectors z_k = M^-1 v_k
-    are kept, at most one more vector of rhs.size doubles per step, so x
-    = Z y needs no closing solve with M.
-    """
-    beta = float(np.linalg.norm(rhs))
-    basis = np.empty((_GMRES_STEPS + 1, rhs.size))
-    search = np.empty((_GMRES_STEPS, rhs.size))
-    triangle = np.zeros((_GMRES_STEPS, _GMRES_STEPS))
-    rotations = []
-    g = [beta]
-    basis[0] = rhs / beta
-    for k in range(_GMRES_STEPS):
-        search[k] = precondition(basis[k])
-        w = matvec(search[k])
-        h = np.empty(k + 2)
-        for i in range(k + 1):
-            h[i] = basis[i] @ w
-            w -= h[i] * basis[i]
-        h[k + 1] = np.linalg.norm(w)
-        for i, (c, s) in enumerate(rotations):
-            h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
-        rho = math.hypot(h[k], h[k + 1])
-        c, s = h[k] / rho, h[k + 1] / rho
-        rotations.append((c, s))
-        h[k] = rho
-        triangle[: k + 1, k] = h[: k + 1]
-        g[k], g_next = c * g[k], -s * g[k]
-        if abs(g_next) <= _GMRES_RTOL * beta:
-            y = np.linalg.solve(triangle[: k + 1, : k + 1], g)
-            return search[: k + 1].T @ y, abs(g_next)
-        g.append(g_next)
-        basis[k + 1] = w / h[k + 1]
+def _refine(matvec, precondition, rhs: np.ndarray):
+    """x with |rhs - A x| <= _REFINE_RTOL |rhs| by iterative refinement
+    (Golub & Van Loan, Matrix Computations, 3.5.3): from x = 0, x += M r,
+    then r = rhs - A x, where matvec applies A and precondition M ~ A^-1.
+    None as soon as a step fails to shrink |r| (a nan does), or after
+    _REFINE_STEPS steps."""
+    x = np.zeros(rhs.size)
+    r, norm = rhs, float(np.linalg.norm(rhs))
+    goal = _REFINE_RTOL * norm
+    for _ in range(_REFINE_STEPS):
+        x += precondition(r)
+        r = rhs - matvec(x)
+        last, norm = norm, float(np.linalg.norm(r))
+        if norm <= goal:
+            return x
+        if not norm < last:
+            return None
     return None
 
 
@@ -495,20 +463,13 @@ def solve_minimal_graph(problem: GridProblem, tol: float = 1e-10, max_iter: int 
     """Damped Newton iteration, from the bilinear blend of the boundary
     data, until max|r / D| (the module docstring) drops to tol.
 
-    The Jacobian couples each node to its compact 9-point neighborhood and
-    is built from the closed-form partials of the pointwise residual
-    chained through the stencil weights. It is factored in
-    nested-dissection order at the first step; later steps run GMRES
-    preconditioned by that LU and factor anew only when GMRES misses its
-    tolerance. Line search: Armijo backtracking on max|r| with factor 1/2
-    down to step 2**-20; StagnationError, naming the rounding floor of
-    max|r|, is raised below that step, or at once when a full step fails
-    with max|r| within _FLOOR_MULTIPLE of the floor; exceeding max_iter
-    raises NonConvergenceError, and an initial residual that is not finite
-    (nan or infinite, from non-finite or overflowing data) raises
-    SolverError. All three carry the residual history.
-    DomainError unless 0 < tol < inf and max_iter >= 0.
-    """
+    Newton systems: a direct SuperLU step at first, refinement against that
+    LU later, a fresh factorization when refinement fails. Line search:
+    Armijo backtracking on max|r| down to step 2**-20. StagnationError below
+    that step, or when a full step fails within _FLOOR_MULTIPLE of the
+    rounding floor; NonConvergenceError past max_iter; SolverError on a
+    non-finite initial residual; each carries the residual history.
+    DomainError unless 0 < tol < inf and max_iter >= 0."""
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tol={tol} must be positive and finite")
     if max_iter < 0:
@@ -531,20 +492,19 @@ def solve_minimal_graph(problem: GridProblem, tol: float = 1e-10, max_iter: int 
                 history,
             )
         weights = _stencil_weights(problem, f)
-        solved = None
+        delta = None
         if lu is not None:
-            solved = _gmres(
+            delta = _refine(
                 lambda v: _apply_stencil(weights, np.pad(v.reshape(r.shape), 1)).ravel(),
                 lambda v: _lu_solve(lu, pattern.order, v),
                 -r.ravel(),
             )
-        if solved is None:
+        if delta is None:
             # Drop the old factors first: at most one LU is in memory.
             lu = None
             delta, lu = _newton_step(weights, r, pattern)
             factorizations += 1
-        else:
-            delta = solved[0].reshape(r.shape)
+        delta = delta.reshape(r.shape)
         lam = 1.0
         while True:
             f_try = f.copy()

@@ -172,6 +172,14 @@ def test_check_derivatives_small(capsys):
         assert entry["max_rel_errors"]["hess_central"] <= 1e-6
 
 
+def test_check_derivatives_passes_at_default_tolerances_on_many_samples(capsys):
+    # The Hessian oracle's central step keeps its truncation error below
+    # --rtol-central 1e-6 on every jet, not only on a few hundred.
+    argv = ["check-derivatives", "--b", "0,0.2,0.3,0.4", "--samples", "10000", "--seed", "0", "--no-timestamp"]
+    assert main(argv) == 0
+    assert all(r["pass"] for r in json.loads(capsys.readouterr().out)["results"])
+
+
 def _random_jets_one_at_a_time(rng, count):
     """The sequential draw the block draw must reproduce."""
     jets = []
@@ -322,6 +330,8 @@ def test_ellipticity_has_no_horizon_option(capsys):
         ["ellipticity", "--seed", "-1"],
         ["check-derivatives", "--samples", "0"],
         ["check-derivatives", "--seed", "-1"],
+        ["ellipticity", "--samples", str(10**15)],
+        ["check-derivatives", "--samples", str(10**15)],
         ["volume", "--b", "0.3", "--tol", "nan"],
         ["volume", "--b", "0.3", "--tol", "inf"],
         ["volume", "--b", "0.3", "--tol", "0"],
@@ -343,6 +353,8 @@ def test_ellipticity_has_no_horizon_option(capsys):
         "ellipticity-seed-negative",
         "check-derivatives-samples-0",
         "check-derivatives-seed-negative",
+        "ellipticity-samples-above-cap",
+        "check-derivatives-samples-above-cap",
         "volume-tol-nan",
         "volume-tol-inf",
         "volume-tol-0",
@@ -602,14 +614,14 @@ def test_byte_identical_determinism():
 # passes replaced; exact equality pins both passes to their bits.
 _PINNED_CHECK_DERIVATIVES = {
     200: {
-        0.0: (3.2555341962713475e-15, 7.803692714225287e-10, 4.67186562770877e-15, 2.9091555392950667e-07),
-        0.2: (3.1274468637407285e-15, 8.283209098975535e-10, 5.1355378225325924e-15, 2.798451637419311e-07),
-        0.4: (3.732422734239402e-15, 9.1501318173418e-10, 7.509984351253283e-15, 2.9554124194627303e-07),
+        0.0: (3.2555341962713475e-15, 7.803692714225287e-10, 4.67186562770877e-15, 1.2477704224678125e-07),
+        0.2: (3.1274468637407285e-15, 8.283209098975535e-10, 5.1355378225325924e-15, 1.2633366627544215e-07),
+        0.4: (3.732422734239402e-15, 9.1501318173418e-10, 7.509984351253283e-15, 1.4078175496085809e-07),
     },
     1: {
-        0.0: (2.9208379865118863e-16, 1.8693826795261068e-10, 1.581943620792306e-15, 1.4521216239672015e-08),
-        0.2: (4.4054633538564964e-16, 1.221154792369714e-10, 1.2087766916146447e-15, 1.3092593898015461e-08),
-        0.4: (3.733118988945874e-16, 3.034413879393191e-10, 2.0540283251942896e-15, 1.8223149216380094e-08),
+        0.0: (2.9208379865118863e-16, 1.8693826795261068e-10, 1.581943620792306e-15, 2.8939688461226962e-08),
+        0.2: (4.4054633538564964e-16, 1.221154792369714e-10, 1.2087766916146447e-15, 6.6619449624836e-08),
+        0.4: (3.733118988945874e-16, 3.034413879393191e-10, 2.0540283251942896e-15, 4.510572886794731e-08),
     },
 }
 

@@ -21,12 +21,12 @@ from finmin.solver import (
     _SUPERLU,
     GridProblem,
     _dissection_order,
-    _gmres,
     _initial_field,
     _JacobianPattern,
     _apply_stencil,
     _lu_solve,
     _newton_step,
+    _refine,
     _residual_and_norms,
     _stencil_point,
     _stencil_weights,
@@ -448,40 +448,22 @@ def test_pointwise_residual_and_partials_follow_the_maps(point, b):
             np.testing.assert_allclose(got, want, rtol=0.0, atol=atol)
 
 
-@pytest.mark.parametrize("b", [0.0, 0.3, 0.45])
-def test_lagged_lu_matches_factoring_every_step(b, monkeypatch):
-    problem = GridProblem(UNIT_SQUARE, 63, 63, b, scherk)
+@pytest.mark.parametrize(
+    "b, data",
+    [(0.0, scherk), (0.3, scherk), (0.45, scherk), (0.3, skew)],
+    ids=["0.0", "0.3", "0.45", "skew-0.3"],
+)
+def test_lagged_lu_matches_factoring_every_step(b, data, monkeypatch):
+    problem = GridProblem(UNIT_SQUARE, 63, 63, b, data)
     lagged = solve_minimal_graph(problem)
-    # With no GMRES steps allowed every Newton step refactors.
-    monkeypatch.setattr(finmin.solver, "_GMRES_STEPS", 0)
+    # With no refinement steps allowed every Newton step refactors.
+    monkeypatch.setattr(finmin.solver, "_REFINE_STEPS", 0)
     direct = solve_minimal_graph(problem)
-    assert lagged.factorizations == 1
+    # Scherk data start from the exact surface and keep the first LU; on the
+    # skewed data refinement stops contracting and the solver refactors.
+    assert (lagged.factorizations == 1) == (data is scherk)
     assert direct.factorizations == direct.iterations == lagged.iterations
     assert np.max(np.abs(lagged.f - direct.f)) <= 1e-14
-
-
-def lstsq_gmres(matvec, precondition, rhs):
-    """Right-preconditioned GMRES that solves the Hessenberg least-squares
-    problem with lstsq at every step and ends with one more application of
-    the preconditioner: the reference for _gmres's Givens rotations."""
-    steps = finmin.solver._GMRES_STEPS
-    beta = float(np.linalg.norm(rhs))
-    basis = [rhs / beta]
-    hessenberg = np.zeros((steps + 1, steps))
-    for k in range(steps):
-        w = matvec(precondition(basis[k]))
-        for i, v in enumerate(basis):
-            hessenberg[i, k] = v @ w
-            w -= hessenberg[i, k] * v
-        hessenberg[k + 1, k] = np.linalg.norm(w)
-        h = hessenberg[: k + 2, : k + 1]
-        e1 = np.zeros(k + 2)
-        e1[0] = beta
-        y = np.linalg.lstsq(h, e1, rcond=None)[0]
-        if np.linalg.norm(h @ y - e1) <= finmin.solver._GMRES_RTOL * beta:
-            return precondition(np.array(basis).T @ y)
-        basis.append(w / hessenberg[k + 1, k])
-    return None
 
 
 def counting(fun):
@@ -498,59 +480,59 @@ def random_system(n, scale, seed):
     return np.eye(n) + scale * rng.normal(size=(n, n)) / math.sqrt(n), rng.normal(size=n)
 
 
-def test_gmres_meets_its_relative_tolerance():
-    # Both systems take more than 10 steps.
-    for n, scale, seed, precondition in [(40, 0.3, 5, lambda v: v / 2.0), (100, 0.5, 1, lambda v: v)]:
-        a, rhs = random_system(n, scale, seed)
+def perturbed_inverse(a, scale, seed):
+    """The inverse of a plus a random perturbation, a lagged LU's stand-in."""
+    return np.linalg.inv(a + random_system(a.shape[0], scale, seed)[0] - np.eye(a.shape[0]))
+
+
+def test_refine_meets_the_true_residual_tolerance():
+    a, rhs = random_system(60, 0.3, 1)
+    for scale, most in [(0.01, 4), (0.2, 13)]:
         matvec = counting(lambda v: a @ v)
-        x, estimate = _gmres(matvec, precondition, rhs)
-        residual = np.linalg.norm(rhs - a @ x)
-        assert residual <= 1e-8 * np.linalg.norm(rhs)
-        # the Givens estimate is the true residual, to rounding
-        assert abs(estimate - residual) <= 1e-14 * np.linalg.norm(rhs)
-        assert 10 < matvec.calls < finmin.solver._GMRES_STEPS
-        reference = counting(lambda v: a @ v)
-        assert lstsq_gmres(reference, precondition, rhs) is not None
-        assert matvec.calls == reference.calls
-    # an exact preconditioner converges at the first step
-    a, rhs = random_system(40, 0.3, 5)
-    inverse = np.linalg.inv(a)
-    x, estimate = _gmres(lambda v: a @ v, lambda v: inverse @ v, rhs)
+        precondition = perturbed_inverse(a, scale, 2)
+        x = _refine(matvec, lambda v: precondition @ v, rhs)
+        assert np.linalg.norm(rhs - a @ x) <= finmin.solver._REFINE_RTOL * np.linalg.norm(rhs)
+        assert 1 < matvec.calls <= most
+    # the exact inverse converges at the first step
+    matvec = counting(lambda v: a @ v)
+    x = _refine(matvec, lambda v: np.linalg.solve(a, v), rhs)
     assert np.linalg.norm(rhs - a @ x) <= 1e-12 * np.linalg.norm(rhs)
-    assert estimate <= 1e-12 * np.linalg.norm(rhs)
+    assert matvec.calls == 1
 
 
-def test_gmres_returns_none_when_the_step_budget_is_short(monkeypatch):
-    a, rhs = random_system(100, 0.6, 1)
-    assert _gmres(lambda v: a @ v, lambda v: v, rhs) is None
-    a, rhs = random_system(100, 0.5, 1)
-    monkeypatch.setattr(finmin.solver, "_GMRES_STEPS", 24)
-    assert _gmres(lambda v: a @ v, lambda v: v, rhs) is None
-    monkeypatch.setattr(finmin.solver, "_GMRES_STEPS", 25)
-    assert _gmres(lambda v: a @ v, lambda v: v, rhs) is not None
+def test_refine_returns_none_when_it_stops_contracting_or_runs_out_of_steps(monkeypatch):
+    a, rhs = random_system(60, 0.3, 1)
+    # I - M A has spectral radius 4.9: the first step grows the residual
+    matvec = counting(lambda v: a @ v)
+    precondition = perturbed_inverse(a, 1.0, 2)
+    assert _refine(matvec, lambda v: precondition @ v, rhs) is None
+    assert matvec.calls == 1
+    assert _refine(lambda v: a @ v, lambda v: np.full(v.size, np.nan), rhs) is None
+    # the contracting system above takes 13 steps
+    precondition = perturbed_inverse(a, 0.2, 2)
+    monkeypatch.setattr(finmin.solver, "_REFINE_STEPS", 12)
+    assert _refine(lambda v: a @ v, lambda v: precondition @ v, rhs) is None
+    monkeypatch.setattr(finmin.solver, "_REFINE_STEPS", 13)
+    assert _refine(lambda v: a @ v, lambda v: precondition @ v, rhs) is not None
 
 
 @pytest.mark.parametrize("n", [63, 127])
 @pytest.mark.parametrize("b", [0.0, 0.3, 0.45])
-def test_gmres_steps_equal_the_lstsq_version_on_newton_systems(n, b):
-    # The second Newton system of a Scherk solve, preconditioned by the LU
-    # of the first, as the solver sets it up.
+def test_refine_matches_a_fresh_lu_on_newton_systems(n, b):
+    # The second Newton system of a Scherk solve, refined against the LU of
+    # the first as the solver sets it up, and solved with its own LU.
     problem = GridProblem(UNIT_SQUARE, n, n, b, scherk)
     pattern = _JacobianPattern.build(n, n)
     f = _initial_field(problem)
     step, lu = _newton_step(_stencil_weights(problem, f), assemble_residual(problem, f), pattern)
     f[1:-1, 1:-1] += step
     weights = _stencil_weights(problem, f)
-    rhs = -assemble_residual(problem, f).ravel()
-
-    def run(gmres):
-        matvec = counting(lambda v: _apply_stencil(weights, np.pad(v.reshape(n, n), 1)).ravel())
-        return gmres(matvec, lambda v: _lu_solve(lu, pattern.order, v), rhs), matvec.calls
-
-    (x, _), steps = run(_gmres)
-    lstsq_x, lstsq_steps = run(lstsq_gmres)
-    assert 2 <= steps == lstsq_steps < finmin.solver._GMRES_STEPS
-    assert np.max(np.abs(x - lstsq_x)) <= 1e-12 * np.max(np.abs(x))
+    r = assemble_residual(problem, f)
+    matvec = counting(lambda v: _apply_stencil(weights, np.pad(v.reshape(n, n), 1)).ravel())
+    x = _refine(matvec, lambda v: _lu_solve(lu, pattern.order, v), -r.ravel()).reshape(n, n)
+    assert 2 <= matvec.calls < finmin.solver._REFINE_STEPS
+    direct, _ = _newton_step(weights, r, pattern)
+    assert np.max(np.abs(x - direct)) <= 1e-8 * np.max(np.abs(direct))
 
 
 # ---------------------------------------------------------------------------
