@@ -22,16 +22,26 @@ a full step fails, the line search reads that floor: with max|r| within
 _FLOOR_MULTIPLE of it no step can be shown to help, and the solve stops
 as stagnated instead of halving the step twenty times.
 
-Linear systems. The first Newton step factors the Jacobian with SuperLU
-and solves directly. Each later step refines against that LU (_refine):
-x += M r, then r = rhs - J x, until |r| <= 1e-8 |rhs|, where the Jacobian
-J is applied as nine stencil weight arrays, without assembling it. This is
-inexact Newton (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19,
-1982) whose stop test reads the true residual; near the solution the
-lagged LU is close to exact, and a refinement step, one triangular solve,
-costs a twentieth of a factorization. When a step fails to shrink |r|,
-or after 30 steps, the Jacobian is factored anew; the old LU is dropped
-first, so at most one is in memory. GridSolution.factorizations counts them.
+Linear systems. SuperLU factors the Jacobian in single precision, and
+every Newton system, the first included, is solved in double by iterative
+refinement against the current LU (_refine): x += M r, then r = rhs - J x,
+until |r| <= 1e-8 |rhs|, where M applies the float32 triangular solves and
+the Jacobian J is applied in float64 as nine stencil weight arrays,
+without assembling it. This is mixed-precision refinement (Moler, J. ACM
+14, 1967; Carson & Higham, SIAM J. Sci. Comput. 40, 2018) inside inexact
+Newton (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982), whose
+stop test reads the true residual. Fresh float32 factors shrink |r| by
+1e-5 to 2e-4 per step (N = 63 to 255), so a system that factors takes two
+triangular solves; near the solution the lagged LU of an earlier step is
+close to exact, and a refinement step costs about a fifteenth of a
+factorization. When a step fails to shrink |r|, or after 30 steps, the
+Jacobian is factored anew; the old LU is dropped first, so at most one is
+in memory. GridSolution.factorizations counts them. Where float32 does not
+serve, because gstrf finds the float32 matrix exactly singular (weights
+beyond its range become inf) or refinement fails against fresh float32
+factors, the solver refactors in float64 and keeps float64 to the end of
+the solve: fresh float64 factors give the direct step, lagged ones are
+refined against.
 
 The linear systems number the interior nodes by geometric nested
 dissection (George, SIAM J. Numer. Anal. 10, 1973): each block is split
@@ -57,15 +67,16 @@ are the same, and a solve imports no other scipy module (importing
 layer the solver does not use). SuperLU factors a panel of adjacent
 columns at a time with scratch arrays of n x panel width entries, about 1
 MB per panel column at N = 255, which the factors never use. One-column
-panels, where scipy's default is 20, take the peak memory of the N = 255
-solve from 128 to 112 MB with the same fill and no slower factorization;
-the factors differ from the default's in rounding only.
+panels, where scipy's default is 20, took the peak memory of the N = 255
+solve from 128 to 112 MB with float64 factors, with the same fill and no
+slower factorization; float32 factors take it to 90 MB.
 
 _cmd_solve, at the end, is the CLI's `solve` command.
 """
 
 from __future__ import annotations
 
+import contextlib
 import importlib.machinery
 import importlib.util
 import math
@@ -92,8 +103,8 @@ _ARMIJO_SLOPE = 1e-4
 # The line search stops as stagnated once a full step fails with the raw
 # max|r| at most this multiple of its rounding floor (_rounding_floor).
 _FLOOR_MULTIPLE = 2.0
-# Newton systems after the first are refined against the last LU to this
-# relative residual within this many steps (_refine), or factored anew.
+# Every Newton system is refined against the current LU to this relative
+# residual within this many steps (_refine), or factored anew.
 _REFINE_RTOL = 1e-8
 _REFINE_STEPS = 30
 
@@ -380,22 +391,23 @@ def _csc_array(*args, **kwargs):
     return scipy.sparse.csc_array(*args, **kwargs)
 
 
-def _newton_step(weights: np.ndarray, r: np.ndarray, pattern: _JacobianPattern):
-    """Newton direction at the interior nodes, shape (nx, ny), and the SuperLU factors.
+def _factor(weights: np.ndarray, pattern: _JacobianPattern, dtype):
+    """SuperLU factors, in precision dtype, of the Jacobian with these stencil weights.
 
-    The direct step, taken at the first Newton step and whenever refinement
-    fails: the stencil weights of the current field are gathered into the
-    Jacobian's CSC data, in the order of pattern.indices, which is factored
-    and solved. The ordering is the pattern's dissection numbering, so
+    The weights, cast to dtype (float32 beyond its range gives inf, which
+    gstrf rejects or refinement then fails on, so the cast's overflow warning
+    is silenced), are gathered into the Jacobian's CSC data in the order of
+    pattern.indices. The ordering is the pattern's dissection numbering, so
     SuperLU is told not to reorder columns, and it factors one column per
     panel to keep its workspace small (the module docstring): these are
     the options splu(permc_spec="NATURAL", panel_size=1) passes to the
     same routine.
     """
-    data = weights.ravel()[pattern.gather]
+    with np.errstate(over="ignore"):
+        data = weights.astype(dtype, copy=False).ravel()[pattern.gather]
     options = dict(ColPerm="NATURAL", SymmetricMode=True, DiagPivotThresh=None, PanelSize=1, Relax=None)
-    lu = _superlu().gstrf(
-        r.size,
+    return _superlu().gstrf(
+        pattern.order.size,
         data.size,
         data,
         pattern.indices,
@@ -404,14 +416,14 @@ def _newton_step(weights: np.ndarray, r: np.ndarray, pattern: _JacobianPattern):
         ilu=False,
         options=options,
     )
-    return _lu_solve(lu, pattern.order, -r.ravel()).reshape(r.shape), lu
 
 
-def _lu_solve(lu, order: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """A^-1 v for v in natural numbering, with lu the factors of A in the
-    dissection numbering `order`."""
+def _lu_solve(lu, order: np.ndarray, v: np.ndarray, dtype) -> np.ndarray:
+    """A^-1 v in float64 for v in natural numbering, with lu the factors of A
+    in precision dtype and the dissection numbering `order`; v is rounded to
+    dtype first."""
     x = np.empty(v.size)
-    x[order] = lu.solve(v[order])
+    x[order] = lu.solve(v[order].astype(dtype, copy=False))
     return x
 
 
@@ -463,8 +475,9 @@ def solve_minimal_graph(problem: GridProblem, tol: float = 1e-10, max_iter: int 
     """Damped Newton iteration, from the bilinear blend of the boundary
     data, until max|r / D| (the module docstring) drops to tol.
 
-    Newton systems: a direct SuperLU step at first, refinement against that
-    LU later, a fresh factorization when refinement fails. Line search:
+    Newton systems: refinement against the current float32 SuperLU factors,
+    fresh ones when refinement fails, and float64 factors from the first
+    time fresh float32 ones fail. Line search:
     Armijo backtracking on max|r| down to step 2**-20. StagnationError below
     that step, or when a full step fails within _FLOOR_MULTIPLE of the
     rounding floor; NonConvergenceError past max_iter; SolverError on a
@@ -484,7 +497,7 @@ def solve_minimal_graph(problem: GridProblem, tol: float = 1e-10, max_iter: int 
     if res > tol:
         pattern = _JacobianPattern.build(problem.nx, problem.ny)
     iterations = factorizations = 0
-    lu = None
+    lu, dtype = None, np.float32
     while res > tol:
         if iterations >= max_iter:
             raise NonConvergenceError(
@@ -492,18 +505,32 @@ def solve_minimal_graph(problem: GridProblem, tol: float = 1e-10, max_iter: int 
                 history,
             )
         weights = _stencil_weights(problem, f)
-        delta = None
-        if lu is not None:
-            delta = _refine(
+        rhs = -r.ravel()
+
+        def refine():
+            return _refine(
                 lambda v: _apply_stencil(weights, np.pad(v.reshape(r.shape), 1)).ravel(),
-                lambda v: _lu_solve(lu, pattern.order, v),
-                -r.ravel(),
+                lambda v: _lu_solve(lu, pattern.order, v, dtype),
+                rhs,
             )
-        if delta is None:
+
+        delta = None if lu is None else refine()
+        if delta is None and dtype is np.float32:
             # Drop the old factors first: at most one LU is in memory.
             lu = None
-            delta, lu = _newton_step(weights, r, pattern)
+            with contextlib.suppress(RuntimeError):  # gstrf: exactly singular
+                lu = _factor(weights, pattern, np.float32)
+            if lu is not None:
+                factorizations += 1
+                delta = refine()
+            if delta is None:
+                # Not even fresh float32 factors serve: float64 from here on.
+                lu, dtype = None, np.float64
+        if delta is None:
+            lu = None
+            lu = _factor(weights, pattern, np.float64)
             factorizations += 1
+            delta = _lu_solve(lu, pattern.order, rhs, np.float64)
         delta = delta.reshape(r.shape)
         lam = 1.0
         while True:

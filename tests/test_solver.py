@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -24,8 +25,8 @@ from finmin.solver import (
     _initial_field,
     _JacobianPattern,
     _apply_stencil,
+    _factor,
     _lu_solve,
-    _newton_step,
     _refine,
     _residual_and_norms,
     _stencil_point,
@@ -448,6 +449,21 @@ def test_pointwise_residual_and_partials_follow_the_maps(point, b):
             np.testing.assert_allclose(got, want, rtol=0.0, atol=atol)
 
 
+def recording_factor(monkeypatch):
+    """Replace the solver's _factor by one that lists the dtype of every
+    factorization and marks its factors fresh until refinement first runs
+    against them: (dtypes, fresh), fresh a one-item list."""
+    factor, dtypes, fresh = finmin.solver._factor, [], [False]
+
+    def factoring(weights, pattern, dtype):
+        dtypes.append(dtype)
+        fresh[0] = True
+        return factor(weights, pattern, dtype)
+
+    monkeypatch.setattr(finmin.solver, "_factor", factoring)
+    return dtypes, fresh
+
+
 @pytest.mark.parametrize(
     "b, data",
     [(0.0, scherk), (0.3, scherk), (0.45, scherk), (0.3, skew)],
@@ -455,15 +471,80 @@ def test_pointwise_residual_and_partials_follow_the_maps(point, b):
 )
 def test_lagged_lu_matches_factoring_every_step(b, data, monkeypatch):
     problem = GridProblem(UNIT_SQUARE, 63, 63, b, data)
+    dtypes, fresh = recording_factor(monkeypatch)
     lagged = solve_minimal_graph(problem)
-    # With no refinement steps allowed every Newton step refactors.
-    monkeypatch.setattr(finmin.solver, "_REFINE_STEPS", 0)
+    assert dtypes == [np.float32] * lagged.factorizations
+    # Refinement refused against all but fresh factors: every Newton step
+    # refactors, in float32, and refines against its own LU.
+    refine = finmin.solver._refine
+    dtypes.clear()
+
+    def refusing(*args):
+        if not fresh[0]:
+            return None
+        fresh[0] = False
+        return refine(*args)
+
+    monkeypatch.setattr(finmin.solver, "_refine", refusing)
     direct = solve_minimal_graph(problem)
+    assert dtypes == [np.float32] * direct.factorizations
     # Scherk data start from the exact surface and keep the first LU; on the
     # skewed data refinement stops contracting and the solver refactors.
     assert (lagged.factorizations == 1) == (data is scherk)
     assert direct.factorizations == direct.iterations == lagged.iterations
     assert np.max(np.abs(lagged.f - direct.f)) <= 1e-14
+
+
+def test_refinement_failing_on_fresh_float32_factors_refactors_in_float64(monkeypatch):
+    problem = GridProblem(UNIT_SQUARE, 31, 31, 0.3, scherk)
+    base = solve_minimal_graph(problem)
+    dtypes, fresh = recording_factor(monkeypatch)
+    refine, lu_solve, solve_dtypes = finmin.solver._refine, finmin.solver._lu_solve, []
+
+    def failing_on_fresh_float32(*args):
+        if fresh[0] and dtypes[-1] is np.float32:
+            return None
+        fresh[0] = False
+        return refine(*args)
+
+    def recording_solve(lu, order, v, dtype):
+        solve_dtypes.append(dtype)
+        return lu_solve(lu, order, v, dtype)
+
+    monkeypatch.setattr(finmin.solver, "_refine", failing_on_fresh_float32)
+    monkeypatch.setattr(finmin.solver, "_lu_solve", recording_solve)
+    sol = solve_minimal_graph(problem)
+    # one float32 factorization, then float64 for the rest of the solve
+    assert dtypes == [np.float32, np.float64]
+    assert set(solve_dtypes) == {np.float64}
+    assert sol.factorizations == base.factorizations + 1 == 2
+    assert sol.iterations == base.iterations
+    assert sol.residual_norm <= 1e-10
+    assert np.max(np.abs(sol.f - base.f)) <= 1e-14
+
+
+def tiny_skew(x, y):
+    return 1e-18 * skew(x / 1e-18, y / 1e-18)
+
+
+def test_weights_beyond_float32_range_fall_back_to_float64(monkeypatch):
+    # On a square of side 2e-18 the stencil weights reach 1 / h^2 ~ 6e38,
+    # beyond float32's range: gstrf finds the float32 matrix exactly
+    # singular, and the solve goes on in float64, silently, to the
+    # stagnation a float64 solver reaches on these data.
+    problem = GridProblem((-1e-18, 1e-18, -1e-18, 1e-18), 47, 47, 0.3, tiny_skew)
+    f = _initial_field(problem)
+    weights = _stencil_weights(problem, f)
+    assert np.max(np.abs(weights)) > np.finfo(np.float32).max
+    pattern = _JacobianPattern.build(47, 47)
+    with pytest.raises(RuntimeError, match="singular"):
+        _factor(weights, pattern, np.float32)
+    dtypes, _ = recording_factor(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StagnationError):
+            solve_minimal_graph(problem)
+    assert dtypes[0] is np.float32 and len(dtypes) > 1 and set(dtypes[1:]) == {np.float64}
 
 
 def counting(fun):
@@ -516,22 +597,46 @@ def test_refine_returns_none_when_it_stops_contracting_or_runs_out_of_steps(monk
     assert _refine(lambda v: a @ v, lambda v: precondition @ v, rhs) is not None
 
 
+def stencil_matvec(weights):
+    """The Jacobian with these stencil weights, applied to a flat vector."""
+    shape = weights.shape[1:]
+    return counting(lambda v: _apply_stencil(weights, np.pad(v.reshape(shape), 1)).ravel())
+
+
+def lu_refine(weights, r, pattern, lu):
+    """The Newton step for residual r, refined against float32 factors lu as
+    the solver does, and the stencil matvec that counts the refinement steps."""
+    matvec = stencil_matvec(weights)
+    x = _refine(matvec, lambda v: _lu_solve(lu, pattern.order, v, np.float32), -r.ravel())
+    return x.reshape(r.shape), matvec
+
+
+def direct_step(weights, r, pattern):
+    """The Newton step for residual r by float64 factors, solved directly."""
+    lu = _factor(weights, pattern, np.float64)
+    return _lu_solve(lu, pattern.order, -r.ravel(), np.float64).reshape(r.shape)
+
+
 @pytest.mark.parametrize("n", [63, 127])
 @pytest.mark.parametrize("b", [0.0, 0.3, 0.45])
 def test_refine_matches_a_fresh_lu_on_newton_systems(n, b):
-    # The second Newton system of a Scherk solve, refined against the LU of
-    # the first as the solver sets it up, and solved with its own LU.
+    # The first two Newton systems of a Scherk solve, refined against the
+    # float32 LU of the first as the solver sets it up, and solved with
+    # float64 factors of their own.
     problem = GridProblem(UNIT_SQUARE, n, n, b, scherk)
     pattern = _JacobianPattern.build(n, n)
     f = _initial_field(problem)
-    step, lu = _newton_step(_stencil_weights(problem, f), assemble_residual(problem, f), pattern)
+    weights, r = _stencil_weights(problem, f), assemble_residual(problem, f)
+    lu = _factor(weights, pattern, np.float32)
+    step, matvec = lu_refine(weights, r, pattern, lu)
+    # fresh float32 factors shrink |r| by 1e-5 to 2e-4 per step
+    assert matvec.calls == 2
+    assert np.max(np.abs(step - direct_step(weights, r, pattern))) <= 1e-8 * np.max(np.abs(step))
     f[1:-1, 1:-1] += step
-    weights = _stencil_weights(problem, f)
-    r = assemble_residual(problem, f)
-    matvec = counting(lambda v: _apply_stencil(weights, np.pad(v.reshape(n, n), 1)).ravel())
-    x = _refine(matvec, lambda v: _lu_solve(lu, pattern.order, v), -r.ravel()).reshape(n, n)
+    weights, r = _stencil_weights(problem, f), assemble_residual(problem, f)
+    x, matvec = lu_refine(weights, r, pattern, lu)
     assert 2 <= matvec.calls < finmin.solver._REFINE_STEPS
-    direct, _ = _newton_step(weights, r, pattern)
+    direct = direct_step(weights, r, pattern)
     assert np.max(np.abs(x - direct)) <= 1e-8 * np.max(np.abs(direct))
 
 
@@ -697,21 +802,29 @@ def test_dissection_beats_colamd_and_keeps_the_newton_step():
 
     problem = GridProblem(UNIT_SQUARE, 63, 63, 0.3, scherk)
     f = _initial_field(problem)
-    r = assemble_residual(problem, f)
-    step, lu = _newton_step(_stencil_weights(problem, f), r, _JacobianPattern.build(63, 63))
+    weights, r = _stencil_weights(problem, f), assemble_residual(problem, f)
+    pattern = _JacobianPattern.build(63, 63)
     jac = natural_jacobian(problem, f)
     colamd = spla.splu(jac.tocsc())
-    assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
     reference = spla.spsolve(jac.tocsr(), -r.ravel()).reshape(r.shape)
+    for dtype in (np.float32, np.float64):
+        lu = _factor(weights, pattern, dtype)
+        assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
+    # the solver's step, refined against float32 factors, and the direct
+    # step of its float64 fallback
+    step, _ = lu_refine(weights, r, pattern, _factor(weights, pattern, np.float32))
+    assert np.max(np.abs(step - reference)) <= 1e-10 * np.max(np.abs(reference))
+    step = direct_step(weights, r, pattern)
     assert np.max(np.abs(step - reference)) <= 1e-12 * np.max(np.abs(reference))
 
 
 @pytest.mark.parametrize("b", [0.0, 0.3, 0.45])
 def test_newton_step_equals_splu_bit_for_bit(b):
-    # The solver calls SuperLU's gstrf itself; splu with the same ordering
-    # and panel width must give the same step to the last bit, so a scipy
-    # upgrade that changes either path, or a change of the solver's
-    # options, fails here.
+    # The solver calls SuperLU's gstrf itself; splu with the same ordering,
+    # panel width and precision must give the same triangular solves to the
+    # last bit, so a scipy upgrade that changes either path, or a change of
+    # the solver's options, fails here. The solver factors in float32 and
+    # falls back to float64.
     import scipy.sparse.linalg as spla
 
     problem = GridProblem(UNIT_SQUARE, 63, 63, b, scherk)
@@ -719,28 +832,41 @@ def test_newton_step_equals_splu_bit_for_bit(b):
     r = assemble_residual(problem, f)
     pattern = _JacobianPattern.build(63, 63)
     assert pattern.indices.dtype == pattern.indptr.dtype == np.intc
-    step, lu = _newton_step(_stencil_weights(problem, f), r, pattern)
-    reference = spla.splu(jacobian_matrix(problem, f, pattern), permc_spec="NATURAL", panel_size=1)
-    expected = np.empty(r.size)
-    expected[pattern.order] = reference.solve(-r.ravel()[pattern.order])
-    assert step.ravel().tobytes() == expected.tobytes()
-    assert lu.L.nnz == reference.L.nnz and lu.U.nnz == reference.U.nnz
+    weights = _stencil_weights(problem, f)
+    for dtype in (np.float32, np.float64):
+        lu = _factor(weights, pattern, dtype)
+        step = _lu_solve(lu, pattern.order, -r.ravel(), dtype)
+        matrix = jacobian_matrix(problem, f, pattern).astype(dtype)
+        reference = spla.splu(matrix, permc_spec="NATURAL", panel_size=1)
+        expected = np.empty(r.size)
+        expected[pattern.order] = reference.solve(-r.ravel()[pattern.order].astype(dtype))
+        assert step.dtype == np.float64
+        assert step.tobytes() == expected.tobytes()
+        assert lu.L.nnz == reference.L.nnz and lu.U.nnz == reference.U.nnz
 
 
 _TRANSIENT_PROBE = """
 import math, sys
 
+import numpy as np
+
 sys.path.insert(0, sys.argv[1])
-from finmin.solver import GridProblem, _initial_field, _JacobianPattern, _newton_step, _stencil_weights, assemble_residual
+from finmin.solver import GridProblem, _factor, _initial_field, _JacobianPattern, _stencil_weights
+
+
+def kb(*keys):
+    with open("/proc/self/status") as status:
+        found = {line.split(":")[0]: int(line.split()[1]) for line in status if line.startswith(keys)}
+    return [found[key] for key in keys]
+
 
 scherk = lambda x, y: math.log(math.cos(x)) - math.log(math.cos(y))
 problem = GridProblem((-1.0, 1.0, -1.0, 1.0), 255, 255, 0.0, scherk)
-f = _initial_field(problem)
-args = (_stencil_weights(problem, f), assemble_residual(problem, f), _JacobianPattern.build(255, 255))
-step, lu = _newton_step(*args)
-with open("/proc/self/status") as status:
-    kb = {line.split(":")[0]: int(line.split()[1]) for line in status if line.startswith(("VmHWM", "VmRSS"))}
-print((kb["VmHWM"] - kb["VmRSS"]) / 1024)
+args = (_stencil_weights(problem, _initial_field(problem)), _JacobianPattern.build(255, 255), np.float32)
+(before,) = kb("VmRSS")
+lu = _factor(*args)
+hwm, rss = kb("VmHWM", "VmRSS")
+print((hwm - rss) / 1024, (rss - before) / 1024)
 """
 
 
@@ -752,12 +878,16 @@ def test_factorization_transient_memory_at_n255():
     # factors the N = 255 Jacobian (the peak of the dirichlet workload)
     # sits at most 8 MB above what it holds afterwards, the factors
     # included; with scipy's default width of 20 it sat about 21 MB above.
+    # The factorization adds at most 45 MB to the resident set: about 34 MB
+    # with float32 factors, about 54 MB with float64 ones.
     # VmHWM is the high-water mark of this process image: ru_maxrss would
     # carry over the larger one of the test process across fork and exec.
     src = os.path.dirname(os.path.dirname(finmin.solver.__file__))
     proc = subprocess.run([sys.executable, "-c", _TRANSIENT_PROBE, src], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert float(proc.stdout) <= 8.0
+    transient, added = (float(v) for v in proc.stdout.split())
+    assert transient <= 8.0
+    assert added <= 45.0
 
 
 def test_missing_superlu_extension_names_the_scipy_version(monkeypatch):
