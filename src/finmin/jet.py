@@ -236,11 +236,13 @@ def _matrix_rel_err(x, y):
 
 # Largest block of jets drawn at once; bounds the draw's memory at any --samples.
 _JET_BLOCK = 1024
+# Smallest Gram determinant of a drawn jet.
+_JET_MIN_DET = 0.25
 
 
-def _random_jets(rng, count, min_det=0.25):
+def _random_jets(rng, count):
     """count jets, (3, 2, count): entries uniform in [-1.5, 1.5), keeping
-    the jets whose Gram determinant is at least min_det.
+    the jets whose Gram determinant is at least _JET_MIN_DET.
 
     Draws blocks of at most _JET_BLOCK jets. rng.uniform(size=(k, 3, 2))
     yields the stream of k draws of shape (3, 2), and a block never holds
@@ -250,7 +252,7 @@ def _random_jets(rng, count, min_det=0.25):
     kept = []
     while count > 0:
         z = np.moveaxis(rng.uniform(-1.5, 1.5, size=(min(count, _JET_BLOCK), 3, 2)), 0, -1)
-        z = z[..., _minors(z, 0.0)[1] >= min_det]
+        z = z[..., _minors(z, 0.0)[1] >= _JET_MIN_DET]
         kept.append(z)
         count -= z.shape[-1]
     return np.concatenate(kept, axis=-1)

@@ -23,25 +23,25 @@ _FLOOR_MULTIPLE of it no step can be shown to help, and the solve stops
 as stagnated instead of halving the step twenty times.
 
 Linear systems. SuperLU factors the Jacobian in single precision, and
-every Newton system, the first included, is solved in double by iterative
-refinement against the current LU (_refine): x += M r, then r = rhs - J x,
-until |r| <= 1e-8 |rhs|, where M applies the float32 triangular solves and
-the Jacobian J is applied in float64 as nine stencil weight arrays,
-without assembling it. This is mixed-precision refinement (Moler, J. ACM
-14, 1967; Carson & Higham, SIAM J. Sci. Comput. 40, 2018) inside inexact
-Newton (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982), whose
-stop test reads the true residual. Fresh float32 factors shrink |r| by
-1e-5 to 2e-4 per step (N = 63 to 255), so a system that factors takes two
-triangular solves; near the solution the lagged LU of an earlier step is
-close to exact, and a refinement step costs about a fifteenth of a
-factorization. When a step fails to shrink |r|, or after 30 steps, the
-Jacobian is factored anew; the old LU is dropped first, so at most one is
-in memory. GridSolution.factorizations counts them. Where float32 does not
-serve, because gstrf finds the float32 matrix exactly singular (weights
-beyond its range become inf) or refinement fails against fresh float32
-factors, the solver refactors in float64 and keeps float64 to the end of
-the solve: fresh float64 factors give the direct step, lagged ones are
-refined against.
+every Newton system is solved in double by iterative refinement against
+the current LU (_refine): from x = 0, x += M r, then r = rhs - J x, until
+|r| <= 1e-8 |rhs|, where M applies the LU's triangular solves and the
+Jacobian J is applied in float64 as nine stencil weight arrays, without
+assembling it. This is mixed-precision refinement (Moler, J. ACM 14, 1967;
+Carson & Higham, SIAM J. Sci. Comput. 40, 2018) inside inexact Newton
+(Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982), whose stop
+test reads the true residual. One rule serves every system: while
+refinement fails (a step does not shrink |r|, or 30 steps pass), the LU is
+dropped, so at most one is in memory, and the Jacobian is factored afresh
+in the current precision (GridSolution.factorizations counts them). When
+fresh float32 factors fail, or gstrf finds the float32 matrix exactly
+singular (weights beyond its range become inf), the precision is float64
+for the rest of the solve; when fresh float64 factors fail, the solve
+raises SolverError. Fresh float32 factors shrink |r| by 1e-5 to 2e-4 per
+step (N = 63 to 255), so a system that factors takes two triangular
+solves, and the first step against fresh float64 ones is the direct step;
+near the solution the lagged LU of an earlier step is close to exact, and
+a refinement step costs about a fifteenth of a factorization.
 
 The linear systems number the interior nodes by geometric nested
 dissection (George, SIAM J. Numer. Anal. 10, 1973): each block is split
@@ -189,8 +189,7 @@ def assemble_residual(problem: GridProblem, f: np.ndarray) -> np.ndarray:
             f"field shape {f.shape} does not match grid "
             f"({problem.nx + 2}, {problem.ny + 2})"
         )
-    f1, f2, h11, h12, h22 = _stencil_point(problem, f)
-    return _residual_terms(f1, f2, h11, h12, h22, 0.0, 0.0, 1.0, problem.b)
+    return _residual_and_norms(problem, f)[0]
 
 
 def _residual_and_norms(problem: GridProblem, f: np.ndarray):
@@ -199,10 +198,10 @@ def _residual_and_norms(problem: GridProblem, f: np.ndarray):
     D = S(S - 2 b^2 w^2) >= 4 - 4 b^2 is the positive divisor graph_pde
     factors out of the equation, here at w = 1; r / D is the normalized
     elliptic form a : H (at b = 0 the minimal-surface operator over W^2),
-    free of D's W^4 growth. r is assemble_residual's, from one pass over
-    the stencils. Overflowing data or a spacing whose square underflows
-    make the norms nan or infinite, which the Newton loop checks for
-    itself, so numpy's warnings about it are silenced.
+    free of D's W^4 growth; assemble_residual returns r. Overflowing data
+    or a spacing whose square underflows make the norms nan or infinite,
+    which the Newton loop checks for itself, so numpy's warnings about it
+    are silenced.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         f1, f2, h11, h12, h22 = _stencil_point(problem, f)
@@ -394,14 +393,13 @@ def _csc_array(*args, **kwargs):
 def _factor(weights: np.ndarray, pattern: _JacobianPattern, dtype):
     """SuperLU factors, in precision dtype, of the Jacobian with these stencil weights.
 
-    The weights, cast to dtype (float32 beyond its range gives inf, which
-    gstrf rejects or refinement then fails on, so the cast's overflow warning
-    is silenced), are gathered into the Jacobian's CSC data in the order of
-    pattern.indices. The ordering is the pattern's dissection numbering, so
-    SuperLU is told not to reorder columns, and it factors one column per
-    panel to keep its workspace small (the module docstring): these are
-    the options splu(permc_spec="NATURAL", panel_size=1) passes to the
-    same routine.
+    The weights are cast to dtype, with the cast's overflow warning
+    silenced (the module docstring says what an inf leads to), and gathered
+    into the Jacobian's CSC data in the order of pattern.indices. The
+    ordering is the pattern's dissection numbering, so SuperLU is told not
+    to reorder columns, and it factors one column per panel to keep its
+    workspace small (the module docstring): these are the options
+    splu(permc_spec="NATURAL", panel_size=1) passes to the same routine.
     """
     with np.errstate(over="ignore"):
         data = weights.astype(dtype, copy=False).ravel()[pattern.gather]
@@ -475,13 +473,12 @@ def solve_minimal_graph(problem: GridProblem, tol: float = 1e-10, max_iter: int 
     """Damped Newton iteration, from the bilinear blend of the boundary
     data, until max|r / D| (the module docstring) drops to tol.
 
-    Newton systems: refinement against the current float32 SuperLU factors,
-    fresh ones when refinement fails, and float64 factors from the first
-    time fresh float32 ones fail. Line search:
-    Armijo backtracking on max|r| down to step 2**-20. StagnationError below
-    that step, or when a full step fails within _FLOOR_MULTIPLE of the
-    rounding floor; NonConvergenceError past max_iter; SolverError on a
-    non-finite initial residual; each carries the residual history.
+    Newton systems: the module docstring's rule. Line search: Armijo
+    backtracking on max|r| down to step 2**-20. StagnationError below that
+    step, or when a full step fails within _FLOOR_MULTIPLE of the rounding
+    floor; NonConvergenceError past max_iter; SolverError on a non-finite
+    initial residual or a Newton system fresh float64 factors cannot solve;
+    each carries the residual history.
     DomainError unless 0 < tol < inf and max_iter >= 0."""
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tol={tol} must be positive and finite")
@@ -507,30 +504,27 @@ def solve_minimal_graph(problem: GridProblem, tol: float = 1e-10, max_iter: int 
         weights = _stencil_weights(problem, f)
         rhs = -r.ravel()
 
-        def refine():
-            return _refine(
-                lambda v: _apply_stencil(weights, np.pad(v.reshape(r.shape), 1)).ravel(),
-                lambda v: _lu_solve(lu, pattern.order, v, dtype),
-                rhs,
-            )
+        def matvec(v):
+            return _apply_stencil(weights, np.pad(v.reshape(r.shape), 1)).ravel()
 
-        delta = None if lu is None else refine()
-        if delta is None and dtype is np.float32:
+        def precondition(v):
+            return _lu_solve(lu, pattern.order, v, dtype)
+
+        delta = None if lu is None else _refine(matvec, precondition, rhs)
+        while delta is None:
             # Drop the old factors first: at most one LU is in memory.
             lu = None
             with contextlib.suppress(RuntimeError):  # gstrf: exactly singular
-                lu = _factor(weights, pattern, np.float32)
+                lu = _factor(weights, pattern, dtype)
             if lu is not None:
                 factorizations += 1
-                delta = refine()
+                delta = _refine(matvec, precondition, rhs)
             if delta is None:
-                # Not even fresh float32 factors serve: float64 from here on.
-                lu, dtype = None, np.float64
-        if delta is None:
-            lu = None
-            lu = _factor(weights, pattern, np.float64)
-            factorizations += 1
-            delta = _lu_solve(lu, pattern.order, rhs, np.float64)
+                if dtype is np.float64:
+                    raise SolverError(
+                        f"fresh float64 factors fail on the Newton system at residual {res:.3e}", history
+                    )
+                dtype = np.float64  # not even fresh float32 factors serve
         delta = delta.reshape(r.shape)
         lam = 1.0
         while True:

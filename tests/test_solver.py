@@ -547,6 +547,47 @@ def test_weights_beyond_float32_range_fall_back_to_float64(monkeypatch):
     assert dtypes[0] is np.float32 and len(dtypes) > 1 and set(dtypes[1:]) == {np.float64}
 
 
+@pytest.mark.parametrize("failure", ["refinement", "singular"])
+def test_fresh_float64_factors_failing_end_the_solve(failure, monkeypatch, capsys):
+    # After the first Newton system, refinement fails against every float32
+    # LU, so the second system reaches fresh float64 factors; there either
+    # refinement fails too, or gstrf finds the matrix exactly singular. No
+    # direct step is taken: the solve ends with a SolverError.
+    problem = GridProblem(UNIT_SQUARE, 31, 31, 0.3, scherk)
+    base = solve_minimal_graph(problem)
+    dtypes, _ = recording_factor(monkeypatch)
+    factor, refine, solved = finmin.solver._factor, finmin.solver._refine, []
+
+    def failing_after_the_first_system(*args):
+        if solved and (failure == "refinement" or dtypes[-1] is np.float32):
+            return None
+        solved.append(None)
+        return refine(*args)
+
+    def singular_in_float64(weights, pattern, dtype):
+        if dtype is np.float64:
+            dtypes.append(dtype)
+            raise RuntimeError("Factor is exactly singular")
+        return factor(weights, pattern, dtype)
+
+    monkeypatch.setattr(finmin.solver, "_refine", failing_after_the_first_system)
+    if failure == "singular":
+        monkeypatch.setattr(finmin.solver, "_factor", singular_in_float64)
+    with pytest.raises(SolverError, match=r"^fresh float64 factors fail on the Newton system at residual ") as err:
+        solve_minimal_graph(problem)
+    assert type(err.value) is SolverError
+    assert err.value.residual_history == base.residual_history[:2]
+    assert str(err.value).endswith(f"{base.residual_history[1]:.3e}")
+    assert dtypes == [np.float32, np.float32, np.float64]
+    solved.clear()
+    dtypes.clear()
+    argv = ["solve", "--b", "0.3", "--boundary", "scherk", "--nx", "31", "--ny", "31", "--no-timestamp"]
+    assert main(argv) == 3
+    out, errout = capsys.readouterr()
+    assert out == ""
+    assert errout.startswith("error: fresh float64 factors fail") and errout.count("\n") == 1
+
+
 def counting(fun):
     def counted(*args):
         counted.calls += 1
