@@ -9,8 +9,9 @@ output when --no-timestamp is passed.
 
 Exit status: 0 success, 2 validation/usage error or a record or help
 text that cannot be written to stdout, 3 numerical non-convergence, 4
-property-check failure. A failure prints one `error:` line to stderr; a
-stderr that cannot take it leaves the exit status as it is.
+property-check failure, 5 out of memory (in `solve`, LU factors that do
+not fit). A failure prints one `error:` line to stderr; a stderr that
+cannot take it leaves the exit status as it is.
 
 Garbage collection: console_main, the entry of `python -m finmin` and of
 the `finmin` script, switches the cyclic collector off before main() and
@@ -326,6 +327,8 @@ def main(argv=None) -> int:
         return _fail(exc, 2)
     except (QuadratureConvergenceError, SolverError) as exc:
         return _fail(exc, 3)
+    except MemoryError as exc:
+        return _fail(str(exc) or "out of memory", 5)
     record = {"command": args.command, **record}
     # Finite inputs can still overflow; strict JSON has no nan or infinity.
     bad = _nonfinite(record)

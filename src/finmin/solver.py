@@ -52,10 +52,14 @@ the naturally numbered matrix reaches 9.1 M. The CSC index arrays are
 built once per solve, from an (n, 9) table of 32-bit keys 16 row + k,
 one table row per column, each sorted along its 9 entries (so n stays
 below 2**27 unknowns). Each Newton step computes the stencil weights
-once, over row blocks, from the closed-form partials of the pointwise
-residual (graph_pde._residual_partials) chained through the stencils;
-refinement applies them, a factorization gathers them into the index
-arrays, and a failed full step reads its rounding floor from them.
+over row blocks, from the closed-form partials of the pointwise residual
+(graph_pde._residual_partials) chained through the stencils; refinement
+applies them, and a failed full step reads its rounding floor from them.
+A factorization gathers them into the CSC data in its precision and drops
+them: while SuperLU factors, the solve holds the data, the pattern, the
+field and its residual, and builds the weights again afterwards (one more
+pass over the partials, about 7 ms at N = 255, next to a 136 ms float32
+factorization).
 
 The factorization is SuperLU (Demmel, Eisenstat, Gilbert, Li & Liu, SIAM
 J. Matrix Anal. Appl. 20, 1999) through scipy's compiled extension
@@ -69,14 +73,16 @@ columns at a time with scratch arrays of n x panel width entries, about 1
 MB per panel column at N = 255, which the factors never use. One-column
 panels, where scipy's default is 20, took the peak memory of the N = 255
 solve from 128 to 112 MB with float64 factors, with the same fill and no
-slower factorization; float32 factors take it to 90 MB.
+slower factorization; float32 factors take it to 90 MB. Holding no
+float64 weights while SuperLU factors, a C int gather index and the
+residual taken over row blocks take it to 82 MB (its process's VmHWM, 51
+MB above the interpreter with numpy and SuperLU loaded).
 
 _cmd_solve, at the end, is the CLI's `solve` command.
 """
 
 from __future__ import annotations
 
-import contextlib
 import importlib.machinery
 import importlib.util
 import math
@@ -176,6 +182,23 @@ def _stencil_point(problem: GridProblem, f: np.ndarray):
     return f1, f2, h11, h12, h22
 
 
+# The residual and its partials each make about two dozen temporaries per
+# node; in blocks of this many nodes each is 64 KB, which the allocator
+# recycles from its heap and the cache holds, where grid-sized ones are
+# mapped and page-faulted afresh on every call (N = 255 on a 2-vCPU VM:
+# 12-18 ms a call to _stencil_weights in one pass, 5.5 ms in blocks).
+_BLOCK_NODES = 8192
+
+
+def _stencil_blocks(problem: GridProblem, f: np.ndarray):
+    """(interior row slice, _stencil_point of its rows) over blocks of rows
+    of about _BLOCK_NODES nodes. Every stencil value is pointwise, so
+    blocks give the same bits as one pass over the grid."""
+    rows = max(1, _BLOCK_NODES // problem.ny)
+    for i in range(0, problem.nx, rows):
+        yield slice(i, i + rows), _stencil_point(problem, f[i : i + rows + 2])
+
+
 def assemble_residual(problem: GridProblem, f: np.ndarray) -> np.ndarray:
     """Discrete residual at the interior nodes, shape (nx, ny).
 
@@ -198,26 +221,26 @@ def _residual_and_norms(problem: GridProblem, f: np.ndarray):
     D = S(S - 2 b^2 w^2) >= 4 - 4 b^2 is the positive divisor graph_pde
     factors out of the equation, here at w = 1; r / D is the normalized
     elliptic form a : H (at b = 0 the minimal-surface operator over W^2),
-    free of D's W^4 growth; assemble_residual returns r. Overflowing data
-    or a spacing whose square underflows make the norms nan or infinite,
-    which the Newton loop checks for itself, so numpy's warnings about it
-    are silenced.
+    free of D's W^4 growth; assemble_residual returns r. It is taken over
+    row blocks (_stencil_blocks). Overflowing data or a spacing whose
+    square underflows make the norms nan or infinite, which the Newton
+    loop checks for itself, so numpy's warnings about it are silenced.
     """
+    r = np.empty((problem.nx, problem.ny))
+    quotients, raws = [], []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        f1, f2, h11, h12, h22 = _stencil_point(problem, f)
-        r = _residual_terms(f1, f2, h11, h12, h22, 0.0, 0.0, 1.0, problem.b)
-        divisor = _divisor_excess(1.0 + f1 * f1 + f2 * f2, 1.0, problem.b**2)[0]
-        return r, float(np.max(np.abs(r / divisor))), float(np.max(np.abs(r)))
+        for rows, (f1, f2, h11, h12, h22) in _stencil_blocks(problem, f):
+            part = r[rows]
+            part[...] = _residual_terms(f1, f2, h11, h12, h22, 0.0, 0.0, 1.0, problem.b)
+            divisor = _divisor_excess(1.0 + f1 * f1 + f2 * f2, 1.0, problem.b**2)[0]
+            quotients.append(np.max(np.abs(part / divisor)))
+            raws.append(np.max(np.abs(part)))
+    # np.max, unlike Python's max, keeps a nan from any block
+    return r, float(np.max(quotients)), float(np.max(raws))
 
 
 _OFFSETS = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 0), (0, 1), (1, -1), (1, 0), (1, 1)]
 _LEAF_NODES = 16
-# The partials make about two dozen temporaries per node; in blocks of this
-# many nodes each is 64 KB, which the allocator recycles from its heap and
-# the cache holds, where grid-sized ones are mapped and page-faulted afresh
-# on every call (N = 255 on a 2-vCPU VM: 12-18 ms a call in one pass, 5.5 ms
-# in blocks).
-_BLOCK_NODES = 8192
 
 
 def _dissection_order(nx: int, ny: int) -> np.ndarray:
@@ -262,7 +285,8 @@ class _JacobianPattern(NamedTuple):
     Unknown k of the linear system is interior node order[k] (natural
     index); the CSC data are the stacked (9, nx*ny) stencil weights
     gathered at `gather`. Row indices are sorted within each column and
-    unique, and `indices`/`indptr` are C ints, as SuperLU takes them.
+    unique. `indices`/`indptr` are C ints, as SuperLU takes them, and so
+    is `gather`, whose values lie below 9 nx*ny.
     """
 
     order: np.ndarray
@@ -278,8 +302,8 @@ class _JacobianPattern(NamedTuple):
         node m - offset_k lies outside the grid; sorting each table row
         along its 9 keys puts the rows in order and the outside keys last.
         The keys are C ints, which hold them while 16 n < 2**31, that is
-        for fewer than 2**27 unknowns, as GridProblem requires; `gather`
-        is int64."""
+        for fewer than 2**27 unknowns, as GridProblem requires; so does
+        `gather`, below 9 n."""
         n = nx * ny
         order = _dissection_order(nx, ny)
         # 16 * dissection position of each node, 16 n on the boundary ring
@@ -295,7 +319,7 @@ class _JacobianPattern(NamedTuple):
         np.cumsum(np.count_nonzero(inside, axis=1), out=indptr[1:])
         keys = table[inside]
         indices = keys >> 4
-        gather = order[indices]
+        gather = order.astype(np.intc)[indices]
         gather += (keys & 15) * n
         return cls(order, gather, indices, indptr)
 
@@ -304,18 +328,14 @@ def _stencil_weights(problem: GridProblem, f: np.ndarray) -> np.ndarray:
     """Jacobian entries as (9, nx, ny) arrays: weights[k][i, j] is
     d r[i, j] / d f[i + a, j + c] for (a, c) = _OFFSETS[k], interior indices.
 
-    The partials are taken over blocks of rows of about _BLOCK_NODES nodes;
-    every value is pointwise, so the blocks give the same bits as one pass.
+    The partials are taken over row blocks (_stencil_blocks).
     """
     hx, hy = problem.hx, problem.hy
-    nx, ny = problem.nx, problem.ny
-    weights = np.zeros((9, nx, ny))
-    rows = max(1, _BLOCK_NODES // ny)
-    for i in range(0, nx, rows):
-        point = _stencil_point(problem, f[i : i + rows + 2])
+    weights = np.zeros((9, problem.nx, problem.ny))
+    for rows, point in _stencil_blocks(problem, f):
         d_f1, d_f2, d_h11, d_h12, d_h22 = _residual_partials(*point, problem.b)
         # chain rule: d(stencil value)/d f[neighbor] for each derived quantity
-        for w, (a, c) in zip(weights[:, i : i + rows], _OFFSETS):
+        for w, (a, c) in zip(weights[:, rows], _OFFSETS):
             if c == 0:
                 if a != 0:
                     w += d_f1 * (a / (2.0 * hx))
@@ -390,19 +410,24 @@ def _csc_array(*args, **kwargs):
     return scipy.sparse.csc_array(*args, **kwargs)
 
 
-def _factor(weights: np.ndarray, pattern: _JacobianPattern, dtype):
-    """SuperLU factors, in precision dtype, of the Jacobian with these stencil weights.
+def _csc_data(weights: np.ndarray, pattern: _JacobianPattern, dtype) -> np.ndarray:
+    """The Jacobian's CSC data in precision dtype: the stencil weights cast
+    to dtype, with the cast's overflow warning silenced (the module
+    docstring says what an inf leads to), gathered in the order of
+    pattern.indices."""
+    with np.errstate(over="ignore"):
+        return np.take(weights.astype(dtype, copy=False).ravel(), pattern.gather)
 
-    The weights are cast to dtype, with the cast's overflow warning
-    silenced (the module docstring says what an inf leads to), and gathered
-    into the Jacobian's CSC data in the order of pattern.indices. The
-    ordering is the pattern's dissection numbering, so SuperLU is told not
-    to reorder columns, and it factors one column per panel to keep its
+
+def _factor(data: np.ndarray, pattern: _JacobianPattern):
+    """SuperLU factors, in the precision of data, of the Jacobian with these
+    CSC data (_csc_data).
+
+    The ordering is the pattern's dissection numbering, so SuperLU is told
+    not to reorder columns, and it factors one column per panel to keep its
     workspace small (the module docstring): these are the options
     splu(permc_spec="NATURAL", panel_size=1) passes to the same routine.
     """
-    with np.errstate(over="ignore"):
-        data = weights.astype(dtype, copy=False).ravel()[pattern.gather]
     options = dict(ColPerm="NATURAL", SymmetricMode=True, DiagPivotThresh=None, PanelSize=1, Relax=None)
     return _superlu().gstrf(
         pattern.order.size,
@@ -478,7 +503,8 @@ def solve_minimal_graph(problem: GridProblem, tol: float = 1e-10, max_iter: int 
     step, or when a full step fails within _FLOOR_MULTIPLE of the rounding
     floor; NonConvergenceError past max_iter; SolverError on a non-finite
     initial residual or a Newton system fresh float64 factors cannot solve;
-    each carries the residual history.
+    each carries the residual history. MemoryError, naming the precision
+    and the number of unknowns, when SuperLU cannot allocate the factors.
     DomainError unless 0 < tol < inf and max_iter >= 0."""
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tol={tol} must be positive and finite")
@@ -501,6 +527,8 @@ def solve_minimal_graph(problem: GridProblem, tol: float = 1e-10, max_iter: int 
                 f"residual {res:.3e} above tol={tol} after {max_iter} Newton steps",
                 history,
             )
+        # the last step's weights go before this step's are built
+        weights = None
         weights = _stencil_weights(problem, f)
         rhs = -r.ravel()
 
@@ -512,10 +540,23 @@ def solve_minimal_graph(problem: GridProblem, tol: float = 1e-10, max_iter: int 
 
         delta = None if lu is None else _refine(matvec, precondition, rhs)
         while delta is None:
-            # Drop the old factors first: at most one LU is in memory.
+            # Drop the old factors first: at most one LU is in memory. While
+            # SuperLU factors, only the CSC data stand for the Jacobian; the
+            # float64 weights are built again for refinement.
             lu = None
-            with contextlib.suppress(RuntimeError):  # gstrf: exactly singular
-                lu = _factor(weights, pattern, dtype)
+            data = _csc_data(weights, pattern, dtype)
+            weights = None
+            try:
+                lu = _factor(data, pattern)
+            except RuntimeError:  # gstrf: exactly singular
+                pass
+            except MemoryError as exc:
+                raise MemoryError(
+                    f"the {np.dtype(dtype)} LU factors of the {pattern.order.size}-unknown Jacobian "
+                    "do not fit in memory"
+                ) from exc
+            data = None
+            weights = _stencil_weights(problem, f)
             if lu is not None:
                 factorizations += 1
                 delta = _refine(matvec, precondition, rhs)

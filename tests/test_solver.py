@@ -17,6 +17,7 @@ from finmin import dual
 from finmin.cli import main
 from finmin.errors import DomainError, NonConvergenceError, SolverError, StagnationError
 from finmin.graph_pde import _residual_partials, _residual_terms, graph_residual
+from finmin.metric import _divisor_excess
 import finmin.solver
 from finmin.solver import (
     _SUPERLU,
@@ -25,6 +26,7 @@ from finmin.solver import (
     _initial_field,
     _JacobianPattern,
     _apply_stencil,
+    _csc_data,
     _factor,
     _lu_solve,
     _refine,
@@ -135,6 +137,53 @@ def test_problem_validation():
 def test_problem_rejects_nonfinite_domain_and_overflowing_spacing(domain):
     with pytest.raises(DomainError):
         GridProblem(domain, 15, 15, 0.3, affine_boundary(0, 0, 0))
+
+
+def one_array_residual(problem, f):
+    """(r, max|r / D|, max|r|) over the whole grid in one array pass: the
+    reference for the solver's row blocks."""
+    f1, f2, h11, h12, h22 = _stencil_point(problem, f)
+    r = _residual_terms(f1, f2, h11, h12, h22, 0.0, 0.0, 1.0, problem.b)
+    divisor = _divisor_excess(1.0 + f1 * f1 + f2 * f2, 1.0, problem.b**2)[0]
+    return r, float(np.max(np.abs(r / divisor))), float(np.max(np.abs(r)))
+
+
+@pytest.mark.parametrize("b", [0.0, 0.3, 0.45])
+def test_residual_blocks_equal_the_one_array_evaluation(b, monkeypatch):
+    # Blocks of one row, of 7 rows (which do not divide nx = 31) and the
+    # default size give the residual and both norms bit for bit.
+    problem = GridProblem((-1.4, 1.4, -1.2, 1.2), 31, 17, b, scherk)
+    f = np.random.default_rng(31).uniform(-2.0, 2.0, (33, 19))
+    r, res, raw = one_array_residual(problem, f)
+    for nodes in (1, 7 * 17, finmin.solver._BLOCK_NODES):
+        monkeypatch.setattr(finmin.solver, "_BLOCK_NODES", nodes)
+        got, got_res, got_raw = _residual_and_norms(problem, f)
+        assert got.tobytes() == r.tobytes()
+        assert (got_res, got_raw) == (res, raw)
+
+
+def test_residual_keeps_a_nan_from_a_middle_block(monkeypatch):
+    # Python's max would drop a nan that is not first; np.max keeps it. The
+    # third of five blocks of 7 rows gets a nan divisor: the stop-test norm
+    # is nan, and the raw max|r| is that of the whole grid.
+    problem = GridProblem(UNIT_SQUARE, 31, 17, 0.3, scherk)
+    f = full_field(problem, lambda x, y: scherk(x, y) + 0.1 * x * y)
+    raw = _residual_and_norms(problem, f)[2]
+    real, calls = finmin.solver._divisor_excess, []
+
+    def nan_in_the_third_block(w2, w, b2):
+        divisor, excess = real(w2, w, b2)
+        calls.append(None)
+        if len(calls) == 3:
+            divisor[3, 5] = np.nan
+        return divisor, excess
+
+    monkeypatch.setattr(finmin.solver, "_BLOCK_NODES", 7 * 17)
+    monkeypatch.setattr(finmin.solver, "_divisor_excess", nan_in_the_third_block)
+    _, res, got_raw = _residual_and_norms(problem, f)
+    assert len(calls) == 5
+    assert math.isnan(res)
+    assert got_raw == raw
 
 
 # ---------------------------------------------------------------------------
@@ -449,16 +498,22 @@ def test_pointwise_residual_and_partials_follow_the_maps(point, b):
             np.testing.assert_allclose(got, want, rtol=0.0, atol=atol)
 
 
+def factor(weights, pattern, dtype):
+    """The solver's factors, in precision dtype, of the Jacobian with these
+    stencil weights."""
+    return _factor(_csc_data(weights, pattern, dtype), pattern)
+
+
 def recording_factor(monkeypatch):
     """Replace the solver's _factor by one that lists the dtype of every
     factorization and marks its factors fresh until refinement first runs
     against them: (dtypes, fresh), fresh a one-item list."""
-    factor, dtypes, fresh = finmin.solver._factor, [], [False]
+    real, dtypes, fresh = finmin.solver._factor, [], [False]
 
-    def factoring(weights, pattern, dtype):
-        dtypes.append(dtype)
+    def factoring(data, pattern):
+        dtypes.append(data.dtype.type)
         fresh[0] = True
-        return factor(weights, pattern, dtype)
+        return real(data, pattern)
 
     monkeypatch.setattr(finmin.solver, "_factor", factoring)
     return dtypes, fresh
@@ -538,7 +593,7 @@ def test_weights_beyond_float32_range_fall_back_to_float64(monkeypatch):
     assert np.max(np.abs(weights)) > np.finfo(np.float32).max
     pattern = _JacobianPattern.build(47, 47)
     with pytest.raises(RuntimeError, match="singular"):
-        _factor(weights, pattern, np.float32)
+        factor(weights, pattern, np.float32)
     dtypes, _ = recording_factor(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -556,7 +611,7 @@ def test_fresh_float64_factors_failing_end_the_solve(failure, monkeypatch, capsy
     problem = GridProblem(UNIT_SQUARE, 31, 31, 0.3, scherk)
     base = solve_minimal_graph(problem)
     dtypes, _ = recording_factor(monkeypatch)
-    factor, refine, solved = finmin.solver._factor, finmin.solver._refine, []
+    real, refine, solved = finmin.solver._factor, finmin.solver._refine, []
 
     def failing_after_the_first_system(*args):
         if solved and (failure == "refinement" or dtypes[-1] is np.float32):
@@ -564,11 +619,11 @@ def test_fresh_float64_factors_failing_end_the_solve(failure, monkeypatch, capsy
         solved.append(None)
         return refine(*args)
 
-    def singular_in_float64(weights, pattern, dtype):
-        if dtype is np.float64:
-            dtypes.append(dtype)
+    def singular_in_float64(data, pattern):
+        if data.dtype == np.float64:
+            dtypes.append(data.dtype.type)
             raise RuntimeError("Factor is exactly singular")
-        return factor(weights, pattern, dtype)
+        return real(data, pattern)
 
     monkeypatch.setattr(finmin.solver, "_refine", failing_after_the_first_system)
     if failure == "singular":
@@ -586,6 +641,24 @@ def test_fresh_float64_factors_failing_end_the_solve(failure, monkeypatch, capsy
     out, errout = capsys.readouterr()
     assert out == ""
     assert errout.startswith("error: fresh float64 factors fail") and errout.count("\n") == 1
+
+
+def test_factors_that_do_not_fit_in_memory_exit_5(monkeypatch, capsys):
+    # SuperLU's gstrf raises a bare MemoryError when it cannot allocate the
+    # factors; the solve names the precision and the size, and the CLI
+    # prints that as its one error line.
+    def out_of_memory(data, pattern):
+        raise MemoryError
+
+    monkeypatch.setattr(finmin.solver, "_factor", out_of_memory)
+    problem = GridProblem(UNIT_SQUARE, 31, 31, 0.3, scherk)
+    with pytest.raises(MemoryError, match=r"^the float32 LU factors of the 961-unknown Jacobian do not fit in memory$"):
+        solve_minimal_graph(problem)
+    argv = ["solve", "--b", "0.3", "--boundary", "scherk", "--nx", "31", "--ny", "31", "--no-timestamp"]
+    assert main(argv) == 5
+    out, errout = capsys.readouterr()
+    assert out == ""
+    assert errout == "error: the float32 LU factors of the 961-unknown Jacobian do not fit in memory\n"
 
 
 def counting(fun):
@@ -654,7 +727,7 @@ def lu_refine(weights, r, pattern, lu):
 
 def direct_step(weights, r, pattern):
     """The Newton step for residual r by float64 factors, solved directly."""
-    lu = _factor(weights, pattern, np.float64)
+    lu = factor(weights, pattern, np.float64)
     return _lu_solve(lu, pattern.order, -r.ravel(), np.float64).reshape(r.shape)
 
 
@@ -668,7 +741,7 @@ def test_refine_matches_a_fresh_lu_on_newton_systems(n, b):
     pattern = _JacobianPattern.build(n, n)
     f = _initial_field(problem)
     weights, r = _stencil_weights(problem, f), assemble_residual(problem, f)
-    lu = _factor(weights, pattern, np.float32)
+    lu = factor(weights, pattern, np.float32)
     step, matvec = lu_refine(weights, r, pattern, lu)
     # fresh float32 factors shrink |r| by 1e-5 to 2e-4 per step
     assert matvec.calls == 2
@@ -746,7 +819,7 @@ def reference_pattern(nx, ny):
     by_column = np.argsort(cols * n + rows)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
-    return order, gather[by_column], rows[by_column].astype(np.intc), indptr.astype(np.intc)
+    return order, gather[by_column].astype(np.intc), rows[by_column].astype(np.intc), indptr.astype(np.intc)
 
 
 @pytest.mark.parametrize("shape", [(8, 8), (9, 12), (12, 9), (17, 8), (63, 63)])
@@ -764,8 +837,8 @@ def test_pattern_equals_the_argsort_build_bit_for_bit(shape):
     for got, want in zip(pattern, reference_pattern(*shape)):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
-    assert pattern.order.dtype == pattern.gather.dtype == np.int64
-    assert pattern.indices.dtype == pattern.indptr.dtype == np.intc
+    assert pattern.order.dtype == np.int64
+    assert pattern.gather.dtype == pattern.indices.dtype == pattern.indptr.dtype == np.intc
 
 
 def test_pattern_refuses_grids_its_int32_keys_cannot_index(monkeypatch, capsys):
@@ -849,11 +922,11 @@ def test_dissection_beats_colamd_and_keeps_the_newton_step():
     colamd = spla.splu(jac.tocsc())
     reference = spla.spsolve(jac.tocsr(), -r.ravel()).reshape(r.shape)
     for dtype in (np.float32, np.float64):
-        lu = _factor(weights, pattern, dtype)
+        lu = factor(weights, pattern, dtype)
         assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
     # the solver's step, refined against float32 factors, and the direct
     # step of its float64 fallback
-    step, _ = lu_refine(weights, r, pattern, _factor(weights, pattern, np.float32))
+    step, _ = lu_refine(weights, r, pattern, factor(weights, pattern, np.float32))
     assert np.max(np.abs(step - reference)) <= 1e-10 * np.max(np.abs(reference))
     step = direct_step(weights, r, pattern)
     assert np.max(np.abs(step - reference)) <= 1e-12 * np.max(np.abs(reference))
@@ -875,7 +948,7 @@ def test_newton_step_equals_splu_bit_for_bit(b):
     assert pattern.indices.dtype == pattern.indptr.dtype == np.intc
     weights = _stencil_weights(problem, f)
     for dtype in (np.float32, np.float64):
-        lu = _factor(weights, pattern, dtype)
+        lu = factor(weights, pattern, dtype)
         step = _lu_solve(lu, pattern.order, -r.ravel(), dtype)
         matrix = jacobian_matrix(problem, f, pattern).astype(dtype)
         reference = spla.splu(matrix, permc_spec="NATURAL", panel_size=1)
@@ -892,7 +965,7 @@ import math, sys
 import numpy as np
 
 sys.path.insert(0, sys.argv[1])
-from finmin.solver import GridProblem, _factor, _initial_field, _JacobianPattern, _stencil_weights
+from finmin.solver import GridProblem, _csc_data, _factor, _initial_field, _JacobianPattern, _stencil_weights
 
 
 def kb(*keys):
@@ -903,7 +976,8 @@ def kb(*keys):
 
 scherk = lambda x, y: math.log(math.cos(x)) - math.log(math.cos(y))
 problem = GridProblem((-1.0, 1.0, -1.0, 1.0), 255, 255, 0.0, scherk)
-args = (_stencil_weights(problem, _initial_field(problem)), _JacobianPattern.build(255, 255), np.float32)
+pattern = _JacobianPattern.build(255, 255)
+args = (_csc_data(_stencil_weights(problem, _initial_field(problem)), pattern, np.float32), pattern)
 (before,) = kb("VmRSS")
 lu = _factor(*args)
 hwm, rss = kb("VmHWM", "VmRSS")
@@ -929,6 +1003,43 @@ def test_factorization_transient_memory_at_n255():
     transient, added = (float(v) for v in proc.stdout.split())
     assert transient <= 8.0
     assert added <= 45.0
+
+
+_SOLVE_PROBE = """
+import math, sys
+
+sys.path.insert(0, sys.argv[1])
+import finmin.solver as solver
+
+
+def kb(key):
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith(key + ":"))
+
+
+solver._superlu()
+before = kb("VmRSS")
+scherk = lambda x, y: math.log(math.cos(x)) - math.log(math.cos(y))
+sol = solver.solve_minimal_graph(solver.GridProblem((-1.0, 1.0, -1.0, 1.0), 255, 255, 0.0, scherk))
+print((kb("VmHWM") - before) / 1024, sol.iterations, sol.factorizations)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_solve_peak_memory_at_n255():
+    # While SuperLU factors, the solve holds the float32 CSC data, the
+    # pattern (with a C int gather index), the field and its residual, and
+    # no float64 stencil weights; the residual is taken over row blocks.
+    # The N = 255 Scherk solve at b = 0 (the peak of the dirichlet workload)
+    # then peaks about 51 MB above the interpreter with numpy and SuperLU
+    # loaded; holding the float64 weights and an int64 gather index through
+    # the factorization, it peaked about 59 MB above.
+    src = os.path.dirname(os.path.dirname(finmin.solver.__file__))
+    proc = subprocess.run([sys.executable, "-c", _SOLVE_PROBE, src], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    peak, iterations, factorizations = proc.stdout.split()
+    assert (iterations, factorizations) == ("2", "1")
+    assert float(peak) <= 55.0
 
 
 def test_missing_superlu_extension_names_the_scipy_version(monkeypatch):
