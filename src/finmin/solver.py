@@ -53,8 +53,10 @@ built once per solve, from an (n, 9) table of 32-bit keys 16 row + k,
 one table row per column, each sorted along its 9 entries (so n stays
 below 2**27 unknowns). Each Newton step computes the stencil weights
 over row blocks, from the closed-form partials of the pointwise residual
-(graph_pde._residual_partials) chained through the stencils; refinement
-applies them, and a failed full step reads its rounding floor from them.
+(graph_pde._residual_partials) chained through the residual's own
+stencils, whose coefficients it reads off _stencil_point on unit fields;
+refinement applies the weights, and a failed full step reads its
+rounding floor from them.
 A factorization gathers them into the CSC data in its precision and drops
 them: while SuperLU factors, the solve holds the data, the pattern, the
 field and its residual, and builds the weights again afterwards (one more
@@ -70,13 +72,13 @@ are the same, and a solve imports no other scipy module (importing
 `scipy.sparse.linalg` costs about 350 ms, most of it a numpy compatibility
 layer the solver does not use). SuperLU factors a panel of adjacent
 columns at a time with scratch arrays of n x panel width entries, about 1
-MB per panel column at N = 255, which the factors never use. One-column
-panels, where scipy's default is 20, took the peak memory of the N = 255
-solve from 128 to 112 MB with float64 factors, with the same fill and no
-slower factorization; float32 factors take it to 90 MB. Holding no
-float64 weights while SuperLU factors, a C int gather index and the
-residual taken over row blocks take it to 82 MB (its process's VmHWM, 51
-MB above the interpreter with numpy and SuperLU loaded).
+MB per panel column at N = 255, which the factors never use. The peak
+memory of the N = 255 solve is 82 MB (its process's VmHWM, 51 MB above
+the interpreter with numpy and SuperLU loaded), held there by one-column
+panels (scipy's default is 20; the fill is the same and the
+factorization no slower), float32 factors, no float64 weights while
+SuperLU factors, a C int gather index and the residual taken over row
+blocks.
 
 _cmd_solve, at the end, is the CLI's `solve` command.
 """
@@ -328,25 +330,20 @@ def _stencil_weights(problem: GridProblem, f: np.ndarray) -> np.ndarray:
     """Jacobian entries as (9, nx, ny) arrays: weights[k][i, j] is
     d r[i, j] / d f[i + a, j + c] for (a, c) = _OFFSETS[k], interior indices.
 
-    The partials are taken over row blocks (_stencil_blocks).
+    The chain rule runs through _stencil_point's own stencils: on the nine
+    unit 3 x 3 fields (unit field k is 1 at _OFFSETS[k]) it returns
+    coeffs[q, k], the weight of stencil value q at offset k, and weights[k]
+    sums each partial times its non-zero coeffs[q, k], in the order f1, f2,
+    h11, h12, h22. The partials are taken over row blocks (_stencil_blocks).
     """
-    hx, hy = problem.hx, problem.hy
+    coeffs = np.reshape(_stencil_point(problem, np.eye(9).reshape(3, 3, 9)), (5, 9))
     weights = np.zeros((9, problem.nx, problem.ny))
     for rows, point in _stencil_blocks(problem, f):
-        d_f1, d_f2, d_h11, d_h12, d_h22 = _residual_partials(*point, problem.b)
-        # chain rule: d(stencil value)/d f[neighbor] for each derived quantity
-        for w, (a, c) in zip(weights[:, rows], _OFFSETS):
-            if c == 0:
-                if a != 0:
-                    w += d_f1 * (a / (2.0 * hx))
-                    w += d_h11 / hx**2
-                else:
-                    w += d_h11 * (-2.0 / hx**2) + d_h22 * (-2.0 / hy**2)
-            if a == 0 and c != 0:
-                w += d_f2 * (c / (2.0 * hy))
-                w += d_h22 / hy**2
-            if a != 0 and c != 0:
-                w += d_h12 * (a * c / (4.0 * hx * hy))
+        partials = _residual_partials(*point, problem.b)
+        for w, column in zip(weights[:, rows], coeffs.T):
+            for d, c in zip(partials, column):
+                if c:
+                    w += d * c
     return weights
 
 

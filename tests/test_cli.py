@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import gc
 import io
 import json
@@ -82,6 +83,12 @@ def test_volume_rejects_bad_b(capsys):
     assert main(["volume", "--b", "0.6", "--no-timestamp"]) == 2
     err = capsys.readouterr().err
     assert "outside" in err
+
+
+def test_volume_disagreement_above_tol_exits_4(capsys):
+    code, rec = run_json(capsys, ["volume", "--b", "0.45", "--tol", "1e-17", "--no-timestamp"])
+    assert code == 4
+    assert rec["failure"] == "quadrature/closed disagreement 1.1102230246251565e-16 above tol 1e-17"
 
 
 def test_timestamp_present_by_default(capsys):
@@ -255,6 +262,16 @@ def test_check_translation_report(capsys):
     # serialized exact rationals match the library values
     v = kl_ratio_derivative(*kl_polys("1/100"), 0)
     assert second["ratio_derivative"][0]["value"] == f"{v.numerator}/{v.denominator}"
+
+
+def test_check_translation_violated_pattern_exits_4(capsys, monkeypatch):
+    import finmin.translation as translation
+
+    # no separability or companion remainder: every b2 admits non-planar surfaces
+    monkeypatch.setattr(translation, "compatibility_check", lambda k, l: ([], []))
+    code, rec = run_json(capsys, ["check-translation", "--b2", "0,1/100", "--no-timestamp"])
+    assert code == 4
+    assert rec["message"] == "rigidity pattern violated"
 
 
 @pytest.mark.parametrize("flag", ["--b2", "--p"])
@@ -433,6 +450,21 @@ def test_solve_scherk_domain_validation(capsys):
     assert "pi/2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--b", "0.1,0.2"], "solve takes exactly one b value"),
+        (["--domain=0,1,0"], "--domain expects x0,x1,y0,y1"),
+    ],
+    ids=["two-b-values", "three-domain-bounds"],
+)
+def test_solve_malformed_sweep_or_domain_exits_2(capsys, flags, message):
+    assert main(["solve", "--nx", "15", "--ny", "15", *flags, "--no-timestamp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_solve_non_convergence_exit(capsys):
     code = main(
         [
@@ -552,6 +584,39 @@ def test_solve_unwritable_out_exits_2_before_solving(tmp_path, capsys, monkeypat
         assert captured.err.startswith(f"error: --out {str(out)!r} cannot be written: {reason}")
         assert captured.err.count("\n") == 1
     assert not (tmp_path / "missing_dir").exists()
+
+
+def test_solve_grid_write_failing_after_the_solve_exits_2(tmp_path, capsys, monkeypatch):
+    import finmin.cli
+
+    def full_device(*args):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(finmin.cli, "write_grid_csv", full_device)
+    out = tmp_path / "g.csv"
+    argv = ["solve", "--b", "0.3", "--nx", "15", "--ny", "15", "--out", str(out), "--no-timestamp"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --out {str(out)!r} cannot be written: No space left on device\n"
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("# minsurf-grid v0\nx,y,f\n0.0,0.0,0.0\n", "unrecognized grid file version line: '# minsurf-grid v0'"),
+        ("# minsurf-grid v1\n0.0,0.0,0.0\n", "missing x,y,f column header"),
+    ],
+    ids=["wrong-version", "missing-header"],
+)
+def test_read_grid_csv_rejects_a_foreign_file(tmp_path, text, message):
+    from finmin.errors import DomainError
+
+    path = tmp_path / "g.csv"
+    path.write_text(text)
+    with pytest.raises(DomainError) as excinfo:
+        read_grid_csv(path)
+    assert str(excinfo.value) == message
 
 
 def test_write_grid_csv_matches_the_per_node_writer(tmp_path):

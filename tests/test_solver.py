@@ -20,6 +20,7 @@ from finmin.graph_pde import _residual_partials, _residual_terms, graph_residual
 from finmin.metric import _divisor_excess
 import finmin.solver
 from finmin.solver import (
+    _OFFSETS,
     _SUPERLU,
     GridProblem,
     _dissection_order,
@@ -891,6 +892,38 @@ def test_residual_partials_match_dual_gradient(n, b, field):
     want = dual.gradient(lambda v: _residual_terms(*v, 0.0, 0.0, 1.0, b), stencil)
     assert got.shape == want.shape == (5, nx, ny)
     assert_channels_near(got, want)
+
+
+@pytest.mark.parametrize("q", range(5), ids=["f1", "f2", "h11", "h12", "h22"])
+def test_stencil_weights_read_the_textbook_stencils_off_the_residual(q, monkeypatch):
+    # With the partial of stencil value q set to 1 and the others to 0, the
+    # weights are q's coefficients as _stencil_weights reads them off
+    # _stencil_point; on hx != hy (neither a power of two) they must be the
+    # textbook central differences, at every node.
+    problem = GridProblem((-1.2, 1.2, -0.6, 0.6), 11, 9, 0.3, scherk)
+    hx, hy = problem.hx, problem.hy
+    assert hx != hy
+
+    def unit_partials(f1, f2, h11, h12, h22, b):
+        return tuple(np.full_like(f1, p == q) for p in range(5))
+
+    monkeypatch.setattr(finmin.solver, "_residual_partials", unit_partials)
+    weights = _stencil_weights(problem, full_field(problem, scherk))
+    # 3 x 3 stencils over the offsets (a, c), a along x and c along y
+    stencil = np.zeros((3, 3))
+    if q == 0:
+        stencil[[0, 2], 1] = -1 / (2 * hx), 1 / (2 * hx)
+    elif q == 1:
+        stencil[1, [0, 2]] = -1 / (2 * hy), 1 / (2 * hy)
+    elif q == 2:
+        stencil[:, 1] = 1 / hx**2, -2 / hx**2, 1 / hx**2
+    elif q == 3:
+        stencil[[0, 0, 2, 2], [0, 2, 0, 2]] = np.array([1, -1, -1, 1]) / (4 * hx * hy)
+    else:
+        stencil[1, :] = 1 / hy**2, -2 / hy**2, 1 / hy**2
+    assert [(a - 1, c - 1) for a in range(3) for c in range(3)] == _OFFSETS
+    want = np.broadcast_to(stencil.reshape(9, 1, 1), weights.shape)
+    np.testing.assert_allclose(weights, want, rtol=1e-15, atol=0)
 
 
 @pytest.mark.parametrize("b", [0.0, 0.3, 0.45])
