@@ -18,8 +18,9 @@ the `finmin` script, switches the cyclic collector off before main() and
 freezes the heap (gc.freeze) after it returns. So neither the collections
 during a command nor the full one at interpreter exit, over some 20k
 objects once numpy is loaded, traverse anything. Reference counting frees
-what a command allocates: the only cyclic garbage a run leaves is
-argparse's parser, a few hundred objects whatever the command's size.
+what a command allocates: the only cyclic garbage a run leaves is the
+closures json.dumps builds to indent the record, some 30 objects whatever
+the command's size.
 main() leaves the collector as it finds it, so in-process callers (tests,
 library users) keep normal collection.
 
@@ -28,7 +29,6 @@ then one row per node in row-major order (x-index outer, y-index inner),
 boundary included.
 """
 
-import argparse
 import errno
 import gc
 import importlib
@@ -36,6 +36,7 @@ import json
 import math
 import os
 import sys
+from types import SimpleNamespace
 
 # Each command's handler lives in the module it drives, and main imports
 # only that module (_HANDLERS), so a command compiles and loads only its own
@@ -152,7 +153,7 @@ def _parse_floats(text):
 
 
 def _parse_fractions(text):
-    # argparse turns a ValueError into a usage error (exit 2); Fraction
+    # _parse turns a ValueError into a usage error (exit 2); Fraction
     # raises ZeroDivisionError on a zero denominator such as "1/0".
     from fractions import Fraction
 
@@ -185,73 +186,126 @@ def _parse_point(text, keys):
     return out
 
 
-def _stdout():
-    """sys.stdout; OSError where Python set it to None, fd 1 being closed at
-    start-up, so that a record or help text sent there fails like a write."""
-    if sys.stdout is None:
-        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-    return sys.stdout
+# command -> (help, {option: (type, default, help)}). _parse runs each
+# value's text through its type, and so each default's; a tuple type lists
+# the choices, a default of ... marks a required option and None one that
+# stays None when not given. Every command also takes -h/--help and
+# --no-timestamp.
+_COMMANDS = {
+    "volume": ("volume factor by quadrature and closed form", {
+        "--b": (_parse_floats, "0", "comma-separated sweep"),
+        "--n": (int, "2", "dimension"),
+        "--family": (tuple(f.value for f in PhiFamily), "matsumoto", "slope function"),
+        "--tol": (float, "1e-10", "largest quadrature/closed-form difference"),
+    }),
+    **{
+        name: (f"pointwise {what} residual", {
+            "--b": (_parse_floats, "0", "comma-separated sweep"),
+            "--point": (str, ..., ",".join(f"{k}=.." for k in _POINT_FIELDS[name])),
+        })
+        for name, what in (("residual-graph", "minimal-graph"), ("residual-translation", "translation"))
+    },
+    "check-derivatives": ("closed forms vs dual/central oracles", {
+        "--b": (_parse_floats, "0,0.2,0.4", "comma-separated sweep"),
+        "--samples": (int, "200", "random jets per b"),
+        "--seed": (int, "0", "seed of the jets"),
+        "--rtol-dual": (float, "1e-9", "relative tolerance against the dual numbers"),
+        "--rtol-central": (float, "1e-6", "relative tolerance against central differences"),
+    }),
+    "check-translation": ("exact rigidity report", {
+        "--b2": (_parse_fractions, "0", 'rationals b^2, e.g. "0,1/100,9/100"'),
+        "--p": (_parse_fractions, "0,1,2,5", "rational nodes p = f'^2 + g'^2"),
+    }),
+    "ellipticity": ("coefficient lower bound and type constant", {
+        "--b": (_parse_floats, "0.3", "comma-separated sweep"),
+        "--samples": (int, "10000", "random frames per b"),
+        "--seed": (int, "0", "seed of the frames"),
+    }),
+    "solve": ("Dirichlet solve of the minimal-graph equation", {
+        "--b": (_parse_floats, "0", "one b value"),
+        "--domain": (_parse_floats, "-1,1,-1,1", "x0,x1,y0,y1"),
+        "--nx": (int, "63", "interior nodes along x"),
+        "--ny": (int, "63", "interior nodes along y"),
+        "--boundary": (str, "zero", "zero | affine:c0,cx,cy | scherk"),
+        "--tol": (float, "1e-10", "Newton stops at max|r / D| <= tol"),
+        "--max-iter": (int, "30", "largest number of Newton steps"),
+        "--out": (str, None, "write the converged grid as CSV"),
+    }),
+}
 
 
-class _Parser(argparse.ArgumentParser):
-    def print_help(self, file=None):
-        # argparse's own ignores a failed write; main turns it into exit 2
-        print(self.format_help(), end="", file=file or _stdout(), flush=True)
+def _parse(argv):
+    """The namespace of argv for the handlers, or the help text it asks for;
+    DomainError on a usage error. An option may be shortened to a unique
+    prefix. Its value is the text after "=" or else the next token, unless
+    that begins with "--"; the last value given counts."""
+    if not argv:
+        raise DomainError("the following arguments are required: command")
+    command, *rest = argv
+    if command not in _COMMANDS:
+        if command == "-h" or len(command) > 2 and "--help".startswith(command):
+            return _help()
+        raise DomainError(f"argument command: invalid choice: {command!r} (choose from {', '.join(_COMMANDS)})")
+    options = _COMMANDS[command][1]
+    names = ["--help", "--no-timestamp", *options]
+    given, extras = {}, []
+    tokens = iter(rest)
+    for token in tokens:
+        name, eq, text = ("--help", "", "") if token == "-h" else token.partition("=")
+        found = [name] if name in names else [n for n in names if len(name) > 2 and n.startswith(name)]
+        if len(found) != 1:
+            if found:
+                raise DomainError(f"ambiguous option: {name} could match {', '.join(found)}")
+            extras.append(token)
+            continue
+        option = found[0]
+        if option == "--help":
+            return _help(command)
+        if option == "--no-timestamp":
+            if eq:
+                raise DomainError(f"argument --no-timestamp: ignored explicit argument {text!r}")
+        elif not eq:
+            text = next(tokens, None)
+            if text is None or text.startswith("--"):
+                raise DomainError(f"argument {option}: expected one argument")
+        given[option] = text
+    if extras:
+        raise DomainError(f"unrecognized arguments: {' '.join(extras)}")
+    args = SimpleNamespace(command=command, no_timestamp="--no-timestamp" in given)
+    for option, (kind, default, _) in options.items():
+        text = given.get(option, default)
+        if text is ...:
+            raise DomainError(f"the following arguments are required: {option}")
+        if isinstance(kind, tuple) and text not in kind:
+            raise DomainError(f"argument {option}: invalid choice: {text!r} (choose from {', '.join(kind)})")
+        try:
+            value = text if text is None or isinstance(kind, tuple) else kind(text)
+        except ValueError:
+            raise DomainError(f"argument {option}: invalid value: {text!r}") from None
+        setattr(args, option[2:].replace("-", "_"), value)
+    return args
 
 
-def _build_parser():
-    parser = _Parser(
-        prog="finmin",
-        description="Minimal-surface toolkit for the slope-metric Minkowski 3-space.",
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--no-timestamp",
-        action="store_true",
-        help="omit the timestamp field so identical runs are byte-identical",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    sub_parser = lambda name, **kw: sub.add_parser(name, parents=[common], **kw)
-
-    p = sub_parser("volume", help="volume factor by quadrature and closed form")
-    p.add_argument("--b", type=_parse_floats, default=[0.0], help="comma-separated sweep")
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--family", choices=[f.value for f in PhiFamily], default="matsumoto")
-    p.add_argument("--tol", type=float, default=1e-10)
-
-    for name, what in (("residual-graph", "minimal-graph"), ("residual-translation", "translation")):
-        p = sub_parser(name, help=f"pointwise {what} residual")
-        p.add_argument("--b", type=_parse_floats, default=[0.0])
-        p.add_argument("--point", required=True, help=",".join(f"{k}=.." for k in _POINT_FIELDS[name]))
-
-    p = sub_parser("check-derivatives", help="closed forms vs dual/central oracles")
-    p.add_argument("--b", type=_parse_floats, default=[0.0, 0.2, 0.4])
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rtol-dual", type=float, default=1e-9)
-    p.add_argument("--rtol-central", type=float, default=1e-6)
-
-    p = sub_parser("check-translation", help="exact rigidity report")
-    # argparse runs a string default through `type`
-    p.add_argument("--b2", type=_parse_fractions, default="0", help='e.g. "0,1/100,9/100"')
-    p.add_argument("--p", type=_parse_fractions, default="0,1,2,5")
-
-    p = sub_parser("ellipticity", help="coefficient lower bound and type constant")
-    p.add_argument("--b", type=_parse_floats, default=[0.3])
-    p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = sub_parser("solve", help="Dirichlet solve of the minimal-graph equation")
-    p.add_argument("--b", type=_parse_floats, default=[0.0])
-    p.add_argument("--domain", type=_parse_floats, default=[-1.0, 1.0, -1.0, 1.0])
-    p.add_argument("--nx", type=int, default=63, help="interior nodes per axis")
-    p.add_argument("--ny", type=int, default=63)
-    p.add_argument("--boundary", default="zero", help="zero | affine:c0,cx,cy | scherk")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=30)
-    p.add_argument("--out", default=None, help="write the converged grid as CSV")
-
-    return parser
+def _help(command=None):
+    """The --help text of finmin, or of one command, from _COMMANDS."""
+    options = {"-h, --help": "show this help and exit"}
+    if command is None:
+        usage = f"[-h] {{{','.join(_COMMANDS)}}} ..."
+        about = "Minimal-surface toolkit for the slope-metric Minkowski 3-space."
+        sections = {"commands": {name: text for name, (text, _) in _COMMANDS.items()}, "options": options}
+    else:
+        about, table = _COMMANDS[command]
+        usage, sections = f"{command} [-h] [--no-timestamp]", {"options": options}
+        options["--no-timestamp"] = "omit the timestamp field so identical runs are byte-identical"
+        for option, (kind, default, text) in table.items():
+            label = f"{option} " + (f"{{{','.join(kind)}}}" if isinstance(kind, tuple) else option[2:].upper())
+            usage += f" {label}" if default is ... else f" [{label}]"
+            options[label] = text if default in (None, ...) else f"{text} (default: {default})"
+    lines = [f"usage: finmin {usage}", "", about]
+    for heading, rows in sections.items():
+        lines += ["", f"{heading}:"]
+        lines += [f"  {key:22}  {text}" if len(key) <= 22 else f"  {key}\n{'':26}{text}" for key, text in rows.items()]
+    return "\n".join(lines) + "\n"
 
 
 def _validate(args):
@@ -300,26 +354,27 @@ def _fail(message, code):
     return code
 
 
+def _write(what, text, code):
+    """Write text to stdout and return code; 2, with one error line, if it
+    cannot be written (where Python set sys.stdout to None, fd 1 being
+    closed at start-up, too)."""
+    try:
+        if sys.stdout is None:
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        _to_null_device(sys.stdout)
+        return _fail(f"the {what} cannot be written to stdout: {exc.strerror}", 2)
+    return code
+
+
 def main(argv=None) -> int:
     """Parse and run; returns the process exit status."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        if not exc.code:
-            return 0
-        # argparse ignores a failed write of the usage message, which a
-        # buffered stderr then still holds
-        try:
-            sys.stderr.flush()
-        except OSError:
-            _to_null_device(sys.stderr)
-        return int(exc.code)
-    except OSError as exc:
-        # only --help writes to stdout here
-        _to_null_device(sys.stdout)
-        return _fail(f"the help cannot be written to stdout: {exc.strerror}", 2)
-    try:
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        if isinstance(args, str):
+            return _write("help", args, 0)
         _validate(args)
         module = importlib.import_module(f"{__package__}.{_HANDLERS[args.command]}")
         record, code = getattr(module, "_cmd_" + args.command.replace("-", "_"))(args)
@@ -339,14 +394,7 @@ def main(argv=None) -> int:
         from datetime import datetime, timezone
 
         record["timestamp"] = datetime.now(timezone.utc).isoformat()
-    try:
-        out = _stdout()
-        out.write(json.dumps(record, indent=2, default=_json_default) + "\n")
-        out.flush()
-    except OSError as exc:
-        _to_null_device(sys.stdout)
-        return _fail(f"the record cannot be written to stdout: {exc.strerror}", 2)
-    return code
+    return _write("record", json.dumps(record, indent=2, default=_json_default) + "\n", code)
 
 
 def console_main():

@@ -316,10 +316,12 @@ class _JacobianPattern(NamedTuple):
             np.add(key[1 - a : 1 - a + nx, 1 - c : 1 - c + ny], k, out=table[:, :, k])
         table = table.reshape(n, 9)[order]
         table.sort(axis=1)
-        inside = table < 16 * n
+        # node (i, j) has (3 - [i = 0] - [i = nx-1]) (3 - [j = 0] - [j = ny-1])
+        # neighbours in the grid, itself included
+        along_x, along_y = (3 - (np.arange(m) == 0) - (np.arange(m) == m - 1) for m in (nx, ny))
         indptr = np.zeros(n + 1, dtype=np.intc)
-        np.cumsum(np.count_nonzero(inside, axis=1), out=indptr[1:])
-        keys = table[inside]
+        np.cumsum(np.outer(along_x, along_y).reshape(n)[order], out=indptr[1:])
+        keys = table[table < 16 * n]
         indices = keys >> 4
         gather = order.astype(np.intc)[indices]
         gather += (keys & 15) * n
@@ -640,7 +642,9 @@ def _boundary_callable(spec: str, domain):
 def _check_writable(path):
     """DomainError unless a file can be created or replaced at path."""
     folder = os.path.dirname(path) or os.curdir
-    if os.path.isdir(path):
+    if not path:
+        problem = "the path is empty"
+    elif os.path.isdir(path):
         problem = "it is a directory"
     elif not os.path.isdir(folder):
         problem = f"there is no directory {folder!r}"
@@ -656,7 +660,7 @@ def _cmd_solve(args):
     written by the CLI's grid-file writer."""
     if len(args.b) != 1:
         raise DomainError("solve takes exactly one b value")
-    if args.out:
+    if args.out is not None:
         # checked before the solve, which may take seconds
         _check_writable(args.out)
     b = args.b[0]
@@ -682,7 +686,7 @@ def _cmd_solve(args):
         "planarity_deviation": planarity_deviation(sol),
         "out": args.out,
     }
-    if args.out:
+    if args.out is not None:
         from .cli import write_grid_csv
 
         try:

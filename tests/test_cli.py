@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from finmin.cli import main, read_grid_csv
+from finmin.cli import _HANDLERS, _parse, main, read_grid_csv
 from finmin.translation import kl_polys, kl_ratio_derivative
 
 
@@ -586,6 +586,22 @@ def test_solve_unwritable_out_exits_2_before_solving(tmp_path, capsys, monkeypat
     assert not (tmp_path / "missing_dir").exists()
 
 
+@pytest.mark.parametrize("flags", [["--out", ""], ["--out="]], ids=["separate", "equals"])
+def test_solve_empty_out_exits_2_before_solving(tmp_path, capsys, monkeypatch, flags):
+    import finmin.solver
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved although --out is empty")
+
+    monkeypatch.setattr(finmin.solver, "solve_minimal_graph", no_solve)
+    monkeypatch.chdir(tmp_path)
+    assert main(["solve", "--b", "0.3", "--nx", "9", "--ny", "9", *flags, "--no-timestamp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --out '' cannot be written: the path is empty\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_solve_grid_write_failing_after_the_solve_exits_2(tmp_path, capsys, monkeypatch):
     import finmin.cli
 
@@ -755,7 +771,7 @@ import finmin, finmin.cli
 def loaded():
     return sorted(m for m in sys.modules if m.split(".")[0] in ("finmin", "scipy") or m in WATCHED)
 
-WATCHED = ("numpy", "dataclasses", "inspect", "fractions", "datetime", "__future__")
+WATCHED = ("numpy", "dataclasses", "inspect", "fractions", "datetime", "__future__", "argparse", "gettext", "locale")
 
 out = {"import": loaded()}
 for argv in json.loads(sys.argv[1]):
@@ -821,6 +837,9 @@ def test_commands_load_only_their_modules():
         assert code == 0 and modules == sorted(base + own), argv
     code, modules = second["volume"]
     assert code == 0 and modules == sorted(base + ["finmin.volume"])
+    # The option table needs no argparse, nor the gettext and locale it loads.
+    for _, modules in [first[argv[0]] for argv in first_commands] + [second["volume"], second["solve"]]:
+        assert not {"argparse", "gettext", "locale"} & set(modules), modules
     # solve reaches SuperLU through its compiled module alone: no other scipy module.
     code, modules = second["solve"]
     solve_adds = ["finmin.graph_pde", "finmin.solver", "scipy.sparse.linalg._dsolve._superlu"]
@@ -968,7 +987,8 @@ _SIZED_COMMANDS = {
 def test_cyclic_garbage_does_not_grow_with_the_command_size(command):
     # console_main runs commands with the collector off, so whatever cyclic
     # garbage a command leaves stays until exit; it must not scale with the
-    # work (today it is argparse's parser alone).
+    # work (today it is the closures json.dumps builds to indent a record,
+    # some 30 objects).
     def garbage(flags):
         gc.collect()
         with contextlib.redirect_stdout(io.StringIO()):
@@ -1069,3 +1089,248 @@ def test_help_written_to_a_full_device_exits_2(capsys, argv):
             )
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr == "error: the help cannot be written to stdout: No space left on device\n"
+
+
+# ---------------------------------------------------------------------------
+# the option table against argparse
+
+
+def argparse_reference():
+    """The argparse parser the option table replaced, kept as the reference
+    its parse must agree with; the CLI itself does not import argparse."""
+    import argparse
+
+    from finmin.cli import _POINT_FIELDS, _parse_floats, _parse_fractions
+    from finmin.metric import PhiFamily
+
+    parser = argparse.ArgumentParser(
+        prog="finmin",
+        description="Minimal-surface toolkit for the slope-metric Minkowski 3-space.",
+    )
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument(
+        "--no-timestamp",
+        action="store_true",
+        help="omit the timestamp field so identical runs are byte-identical",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    sub_parser = lambda name, **kw: sub.add_parser(name, parents=[common], **kw)
+
+    p = sub_parser("volume", help="volume factor by quadrature and closed form")
+    p.add_argument("--b", type=_parse_floats, default=[0.0], help="comma-separated sweep")
+    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--family", choices=[f.value for f in PhiFamily], default="matsumoto")
+    p.add_argument("--tol", type=float, default=1e-10)
+
+    for name, what in (("residual-graph", "minimal-graph"), ("residual-translation", "translation")):
+        p = sub_parser(name, help=f"pointwise {what} residual")
+        p.add_argument("--b", type=_parse_floats, default=[0.0])
+        p.add_argument("--point", required=True, help=",".join(f"{k}=.." for k in _POINT_FIELDS[name]))
+
+    p = sub_parser("check-derivatives", help="closed forms vs dual/central oracles")
+    p.add_argument("--b", type=_parse_floats, default=[0.0, 0.2, 0.4])
+    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--rtol-dual", type=float, default=1e-9)
+    p.add_argument("--rtol-central", type=float, default=1e-6)
+
+    p = sub_parser("check-translation", help="exact rigidity report")
+    # argparse runs a string default through `type`
+    p.add_argument("--b2", type=_parse_fractions, default="0", help='e.g. "0,1/100,9/100"')
+    p.add_argument("--p", type=_parse_fractions, default="0,1,2,5")
+
+    p = sub_parser("ellipticity", help="coefficient lower bound and type constant")
+    p.add_argument("--b", type=_parse_floats, default=[0.3])
+    p.add_argument("--samples", type=int, default=10000)
+    p.add_argument("--seed", type=int, default=0)
+
+    p = sub_parser("solve", help="Dirichlet solve of the minimal-graph equation")
+    p.add_argument("--b", type=_parse_floats, default=[0.0])
+    p.add_argument("--domain", type=_parse_floats, default=[-1.0, 1.0, -1.0, 1.0])
+    p.add_argument("--nx", type=int, default=63, help="interior nodes per axis")
+    p.add_argument("--ny", type=int, default=63)
+    p.add_argument("--boundary", default="zero", help="zero | affine:c0,cx,cy | scherk")
+    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--max-iter", type=int, default=30)
+    p.add_argument("--out", default=None, help="write the converged grid as CSV")
+
+    return parser
+
+
+def argparse_vars(argv):
+    """vars() of the reference parse of argv, or its exit status."""
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            return vars(argparse_reference().parse_args(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+_README_COMMANDS = [
+    "volume --b 0,0.15,0.3 --n 2 --family matsumoto",
+    "residual-graph --b 0 --point f1=0,f2=0,h11=0,h12=0,h22=0",
+    "residual-translation --b 0.3 --point fp=1,fpp=0.5,gp=2,gpp=-0.25",
+    "check-derivatives --b 0,0.2,0.4 --samples 200 --seed 1",
+    "check-translation --b2 0,1/100,9/100 --p 0,1/2,1,2,5",
+    "ellipticity --b 0.3 --samples 10000 --seed 1",
+    "solve --b 0.4 --boundary affine:0.1,0.3,0.2 --nx 63 --ny 63 --out plane.csv",
+    "solve --b 0 --boundary scherk --nx 31 --ny 31 --out scherk.csv",
+    "solve --b 0.3 --boundary scherk --nx 47 --ny 33 --domain=-1.2,1.2,-0.6,0.6 --out rect.csv",
+]
+
+# the commands of .github/workflows/tests.yml that the README does not list
+_CI_COMMANDS = [
+    "volume --b 0,0.15,0.3,0.45 --n 3 --family matsumoto",
+    "volume --b 0.2,0.5,0.8 --n 2 --family randers",
+    "volume --b 0.5 --n 2 --family euclidean",
+    "solve --b 0.3 --boundary scherk --nx 127 --ny 127",
+    "solve --b 0.45 --boundary scherk --nx 127 --ny 127",
+    "solve --b 0.3 --boundary scherk --nx 191 --ny 191",
+    "solve --b 0 --boundary scherk --nx 255 --ny 255 --out scherk255.csv",
+    "solve --b 0.45 --boundary scherk --nx 255 --ny 255",
+    "solve --b 0.3 --boundary scherk --nx 127 --ny 127 --tol 1e-13",
+]
+
+# perfbench/workloads.py's commands of seeds 1-3, each once, without the
+# --no-timestamp every one of them ends with
+_WORKLOAD_COMMANDS = [
+    ["residual-graph", "--b", "0,0.2,0.45", "--point", "f1=-0.43613329739765483,f2=-1.9366818714294065,h11=-0.6865871237783938,h12=-0.2044237538993301,h22=-0.2551529978331424"],
+    ["residual-graph", "--b", "0,0.2,0.45", "--point", "f1=-0.9170275120445965,f2=0.037543548198304855,h11=-0.9161555463293574,h12=0.22870983288217572,h22=0.31518838606836797"],
+    ["residual-graph", "--b", "0,0.2,0.45", "--point", "f1=-1.9163988999918935,f2=1.0852345319040215,h11=-0.33810575698091716,h12=0.919080424364779,h22=0.4607425071863982"],
+    ["residual-graph", "--b", "0,0.2,0.45", "--point", "f1=0.371846287099876,f2=-0.5615318375719807,h11=0.8719060971022312,h12=-0.5307619715631768,h22=-0.6600318936217013"],
+    ["residual-translation", "--b", "0,0.3", "--point", "fp=0.01139038590143615,fpp=-0.5152541057419415,gp=-1.8114654027675907,gpp=-1.3095011132447625"],
+    ["residual-translation", "--b", "0,0.3", "--point", "fp=1.1811322230885848,fpp=-0.2703625066565021,gp=2.0055228249385344,gpp=1.9259419846390888"],
+    ["residual-translation", "--b", "0,0.3", "--point", "fp=-2.109467897288634,fpp=1.8282495433203696,gp=-0.44034651678826187,gpp=-0.5762110826186206"],
+    ["residual-translation", "--b", "0,0.3", "--point", "fp=-0.6579977046382961,fpp=-0.9337209180472774,gp=-1.8856947344567088,gpp=-1.7769734572649463"],
+    ["volume", "--b", "0,0.15,0.3,0.45", "--n", "2", "--family", "matsumoto"],
+    ["volume", "--b", "0,0.15,0.3,0.45", "--n", "3", "--family", "matsumoto"],
+    ["volume", "--b", "0.2,0.5,0.8", "--n", "2", "--family", "randers"],
+    ["volume", "--b", "0.5", "--n", "2", "--family", "euclidean"],
+    ["check-translation", "--b2", "0,12/61,1/5", "--p", "0,1/2,1,2,5"],
+    ["check-translation", "--b2", "36/367,41/188,74/311", "--p", "0,1/2,1,2,5"],
+    ["residual-graph", "--b", "0,0.2,0.45", "--point", "f1=-0.5379466397630144,f2=1.9844522198989814,h11=-0.9536344353918544,h12=-0.21749840044649638,h22=-0.6874891772031635"],
+    ["residual-graph", "--b", "0,0.2,0.45", "--point", "f1=-0.9601814551734527,f2=0.12583259463929375,h11=0.33153226909166955,h12=0.9679192008640447,h22=0.2085116187221776"],
+    ["residual-graph", "--b", "0,0.2,0.45", "--point", "f1=-0.5890118426007365,f2=-0.9732011236079345,h11=-0.07738047257646086,h12=0.3051991389213009,h22=0.3369759104885277"],
+    ["residual-graph", "--b", "0,0.2,0.45", "--point", "f1=-0.09054544072479276,f2=-0.35698146230523786,h11=-0.8096322594513883,h12=-0.45753603644683505,h22=-0.18256785032099176"],
+    ["residual-translation", "--b", "0,0.3", "--point", "fp=-1.1210820830637072,fpp=-1.6848677547635327,gp=-1.2627850935313107,gpp=-1.1853337456043858"],
+    ["residual-translation", "--b", "0,0.3", "--point", "fp=-1.5349901763358373,fpp=0.8761438205581507,gp=0.2546071463118711,gpp=-0.8851378396912599"],
+    ["residual-translation", "--b", "0,0.3", "--point", "fp=2.8966719316942076,fpp=1.4082669852858372,gp=-2.941947033489752,gpp=0.9504313181429827"],
+    ["residual-translation", "--b", "0,0.3", "--point", "fp=-1.3427590293669132,fpp=0.6673253106245003,gp=0.20535600407629673,gpp=-0.8670763466559199"],
+    ["check-translation", "--b2", "0,27/188,51/260", "--p", "0,1/2,1,2,5"],
+    ["check-translation", "--b2", "6/47,27/133,25/108", "--p", "0,1/2,1,2,5"],
+    ["residual-graph", "--b", "0,0.2,0.45", "--point", "f1=-1.3561343211753347,f2=1.37570604426204,h11=-0.7048082018956718,h12=0.678278335372646,h22=0.4844885774294889"],
+    ["residual-graph", "--b", "0,0.2,0.45", "--point", "f1=-1.9666924458209665,f2=-1.486335183984064,h11=-0.630885285639877,h12=-0.42589849331647933,h22=0.3739439954411141"],
+    ["residual-graph", "--b", "0,0.2,0.45", "--point", "f1=0.08934148409552067,f2=0.5656644930696815,h11=0.10096527620732587,h12=-0.7472944597741655,h22=0.670800943481275"],
+    ["residual-graph", "--b", "0,0.2,0.45", "--point", "f1=-1.5457132166696232,f2=1.046529709657547,h11=0.7626459801685019,h12=-0.30985702290122785,h22=0.004530110638542029"],
+    ["residual-translation", "--b", "0,0.3", "--point", "fp=1.692592684795149,fpp=-0.024432055460222202,gp=-0.046013111325250655,gpp=-1.9221093194987509"],
+    ["residual-translation", "--b", "0,0.3", "--point", "fp=-0.0365587273312169,fpp=0.19076706148915745,gp=-0.31953759990358277,gpp=-0.21345068207942042"],
+    ["residual-translation", "--b", "0,0.3", "--point", "fp=-2.535063351231811,fpp=-0.33320212196338606,gp=-2.2587262885984662,gpp=-0.05164058628121593"],
+    ["residual-translation", "--b", "0,0.3", "--point", "fp=-1.6285156941418892,fpp=1.6487948750113102,gp=0.4768627785913422,gpp=0.8184584975909299"],
+    ["check-translation", "--b2", "0,1/19,1/7", "--p", "0,1/2,1,2,5"],
+    ["check-translation", "--b2", "2/53,67/354,25/108", "--p", "0,1/2,1,2,5"],
+    ["solve", "--b", "0.4", "--boundary", "affine:0.5246046849511641,-0.6549841999782575,-0.31245189703179044", "--nx", "63", "--ny", "63", "--out", ".perfbench_work/affine63.csv"],
+    ["solve", "--b", "0.3", "--boundary", "scherk", "--nx", "127", "--ny", "127"],
+    ["solve", "--b", "0.45", "--boundary", "scherk", "--nx", "127", "--ny", "127"],
+    ["solve", "--b", "0.3", "--boundary", "scherk", "--nx", "191", "--ny", "191", "--out", ".perfbench_work/scherk191.csv"],
+    ["solve", "--b", "0", "--boundary", "scherk", "--nx", "255", "--ny", "255", "--out", ".perfbench_work/scherk255.csv"],
+    ["solve", "--b", "0.4", "--boundary", "affine:0.07743254119377552,-0.3848310031988438,-0.9548739416759364", "--nx", "63", "--ny", "63", "--out", ".perfbench_work/affine63.csv"],
+    ["solve", "--b", "0.4", "--boundary", "affine:-0.27033697452364525,-0.8387739000178811,0.011732362247178996", "--nx", "63", "--ny", "63", "--out", ".perfbench_work/affine63.csv"],
+    ["check-derivatives", "--b", "0,0.2,0.4", "--samples", "200", "--seed", "955764859"],
+    ["ellipticity", "--b", "0.15", "--seed", "1117166391"],
+    ["ellipticity", "--b", "0.3,0.45", "--seed", "550379467"],
+    ["check-derivatives", "--b", "0,0.2,0.4", "--samples", "200", "--seed", "747425923"],
+    ["ellipticity", "--b", "0.15", "--seed", "1986685473"],
+    ["ellipticity", "--b", "0.3,0.45", "--seed", "1006469382"],
+    ["check-derivatives", "--b", "0,0.2,0.4", "--samples", "200", "--seed", "1455151644"],
+    ["ellipticity", "--b", "0.15", "--seed", "1684678246"],
+    ["ellipticity", "--b", "0.3,0.45", "--seed", "1647855022"],
+]
+
+# abbreviations, --opt=value and --opt value, a repeated option (the last
+# counts) and each command's defaults
+_OTHER_COMMANDS = [
+    ["volume", "--fam", "randers", "--b", "0.2"],
+    ["volume", "--fam=euclidean", "--no-time"],
+    ["volume", "--f", "randers", "--t=1e-8", "--no-t"],
+    ["check-derivatives", "--rtol-d", "1e-8", "--rtol-c=1e-5", "--sa", "20", "--se=4"],
+    ["check-translation", "--b", "0,1/7", "--p=1/3"],
+    ["residual-graph", "--p", "f1=0,f2=0,h11=0,h12=0,h22=0", "--b=0.1,0.2"],
+    ["solve", "--max", "4", "--bo=scherk", "--d=-1,1,-1,1", "--o", "g.csv"],
+    ["solve", "--nx=9", "--ny", "9", "--b", "0.3", "--b=0.1", "--out", "a.csv", "--out=b.csv"],
+    ["ellipticity", "--seed", "1", "--seed", "2", "--samples=5", "--samples", "6", "--no-timestamp", "--no-timestamp"],
+    ["solve", "--tol", "-1", "--max-iter", "-1", "--b", "-0.1"],
+    ["volume"],
+    ["residual-graph", "--point", "f1=0"],
+    ["residual-translation", "--point", "fp=0"],
+    ["check-derivatives"],
+    ["check-translation"],
+    ["ellipticity"],
+    ["solve"],
+]
+
+_PARITY_CORPUS = (
+    [line.split() for line in _README_COMMANDS + _CI_COMMANDS]
+    + [[*argv, "--no-timestamp"] for argv in _WORKLOAD_COMMANDS]
+    + _OTHER_COMMANDS
+)
+
+
+@pytest.mark.parametrize("argv", _PARITY_CORPUS)
+def test_option_table_parses_like_argparse(argv):
+    assert vars(_parse(argv)) == argparse_vars(argv)
+
+
+# (argv, the token its one error line names)
+_USAGE_ERRORS = [
+    (["frobnicate"], "frobnicate"),
+    (["volume", "--bogus", "1"], "--bogus"),
+    (["solve", "--nx"], "--nx"),
+    (["solve", "--out", "--no-timestamp"], "--out"),
+    (["volume", "--n", "1.5"], "1.5"),
+    (["volume", "--family", "bogus"], "bogus"),
+    (["check-translation", "--b2", "1/0"], "1/0"),
+    (["residual-graph", "--b", "0"], "--point"),
+    (["solve", "--n", "9"], "--n"),
+    (["volume", "--no-timestamp=1"], "--no-timestamp"),
+    ([], "command"),
+]
+
+
+@pytest.mark.parametrize("argv, token", _USAGE_ERRORS)
+def test_option_table_rejects_what_argparse_rejects(capsys, argv, token):
+    assert argparse_vars(argv) == 2
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert token in captured.err
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["--he"], *([command, "--help"] for command in _HANDLERS)])
+def test_help_lists_what_argparse_listed(capsys, argv):
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    assert text.startswith("usage: finmin")
+    with contextlib.redirect_stdout(io.StringIO()) as reference, pytest.raises(SystemExit):
+        argparse_reference().parse_args(argv)
+    # every command or option the argparse help named
+    for word in re.findall(r"\{([a-z,-]+)\}|(--[a-z0-9-]+)", reference.getvalue()):
+        for name in filter(None, ",".join(word).split(",")):
+            assert name in text, name
+
+
+@pytest.mark.parametrize(
+    "argv, option, value",
+    [
+        (["solve", "--domain", "-1,1,-1,1"], "domain", [-1.0, 1.0, -1.0, 1.0]),
+        (["solve", "--tol", "-1e-9"], "tol", -1e-9),
+        (["check-derivatives", "--seed", "x", "--seed", "3"], "seed", 3),
+        (["solve", "--out=--"], "out", "--"),
+    ],
+    ids=["single-dash-value", "single-dash-exponent", "earlier-value-unread", "double-dash-after-equals"],
+)
+def test_option_table_differs_from_argparse_where_intended(argv, option, value):
+    # A value may begin with one "-"; only the last of a repeated option's
+    # values is read; "--opt=--" is the text "--" (argparse read it as [])
+    assert argparse_vars(argv) != vars(_parse(argv))
+    assert getattr(_parse(argv), option) == value

@@ -2,12 +2,12 @@
 
 Every invocation, whatever its arguments, must exit 0, 2, 3 or 4; print
 nothing or one strict-JSON record to stdout; print nothing or one `error:`
-line to stderr (argparse's usage message, exit 2, ends in its `error:`
-line); and raise no warning. Each example runs `main()` in process on
-one command with some of its flags at valid values and at most one flag
-at an edge value: a finite extreme, a non-finite or malformed number, a
-bad rational, an unwritable path. Sizes stay small (solves at most
-15 x 15, at most 3 samples), so the examples are cheap.
+line to stderr, a usage error included; and raise no warning. Each
+example runs `main()` in process on one command with some of its flags at
+valid values and at most one flag at an edge value: a finite extreme, a
+non-finite or malformed number, a bad rational, an unwritable or empty
+path. Sizes stay small (solves at most 15 x 15, at most 3 samples), so
+the examples are cheap.
 """
 
 import contextlib
@@ -114,7 +114,7 @@ def grammar(folder):
             ),
             "--tol": tol,
             "--max-iter": (choice(0, 1, 30), choice(-1, "x")),
-            "--out": (choice(folder / "g.csv", ""), choice(folder / "missing" / "g.csv", folder)),
+            "--out": (choice(folder / "g.csv"), choice(folder / "missing" / "g.csv", folder, "")),
         },
     }
 

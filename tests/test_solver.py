@@ -842,6 +842,20 @@ def test_pattern_equals_the_argsort_build_bit_for_bit(shape):
     assert pattern.gather.dtype == pattern.indices.dtype == pattern.indptr.dtype == np.intc
 
 
+@pytest.mark.parametrize("shape", [(8, 8), (9, 12), (12, 9), (17, 8), (64, 63)])
+def test_pattern_indptr_counts_the_in_grid_neighbours(shape):
+    # The count the closed form replaced: per node, in dissection order, the
+    # offsets whose neighbour lies in the grid, by count_nonzero.
+    nx, ny = shape
+    pattern = _JacobianPattern.build(nx, ny)
+    padded = np.zeros((nx + 2, ny + 2), dtype=bool)
+    padded[1:-1, 1:-1] = True
+    inside = np.stack([padded[1 - a : 1 - a + nx, 1 - c : 1 - c + ny] for a, c in _OFFSETS], axis=-1)
+    counts = np.count_nonzero(inside.reshape(nx * ny, 9)[pattern.order], axis=1)
+    assert np.array_equal(pattern.indptr, np.concatenate([[0], np.cumsum(counts)]))
+    assert pattern.indptr[-1] == len(pattern.indices)
+
+
 def test_pattern_refuses_grids_its_int32_keys_cannot_index(monkeypatch, capsys):
     # keys 16 * row + k stay below 2**31 only for fewer than 2**27 unknowns;
     # GridProblem refuses larger grids, before a solve allocates any field
