@@ -39,30 +39,18 @@ import sys
 from types import SimpleNamespace
 
 # Each command's handler lives in the module it drives, and main imports
-# only that module (_HANDLERS), so a command compiles and loads only its own
-# code: numpy only where it computes on arrays (not volume, residual-graph,
-# residual-translation or check-translation), of scipy only the compiled
-# SuperLU module, only in `solve`, fractions only in check-translation
-# (its --b2 and --p values and the polynomial work), and datetime only when
-# a timestamp is written.
+# only that module (the first entry of the command's _COMMANDS row), so a
+# command compiles and loads only its own code: numpy only where it computes
+# on arrays (not volume, residual-graph, residual-translation or
+# check-translation), of scipy only the compiled SuperLU module, only in
+# `solve`, fractions only in check-translation (its --b2 and --p values and
+# the polynomial work), and datetime only when a timestamp is written.
 from .errors import DomainError, QuadratureConvergenceError, SolverError
 from .metric import PhiFamily, check_b
 
 __all__ = ["main", "console_main", "write_grid_csv", "read_grid_csv"]
 
 GRID_FORMAT_VERSION = "minsurf-grid v1"
-
-# command -> module holding its handler _cmd_<command, "-" as "_">(args),
-# which returns (record, exit code)
-_HANDLERS = {
-    "volume": "volume",
-    "residual-graph": "graph_pde",
-    "residual-translation": "translation",
-    "check-derivatives": "jet",
-    "check-translation": "translation",
-    "ellipticity": "graph_pde",
-    "solve": "solver",
-}
 
 # Largest --samples: check-derivatives peaks near 2.4 GB and 50 s there.
 _MAX_SAMPLES = 10**6
@@ -186,42 +174,45 @@ def _parse_point(text, keys):
     return out
 
 
-# command -> (help, {option: (type, default, help)}). _parse runs each
-# value's text through its type, and so each default's; a tuple type lists
-# the choices, a default of ... marks a required option and None one that
-# stays None when not given. Every command also takes -h/--help and
-# --no-timestamp.
+# command -> (module, help, {option: (type, default, help)}). The module
+# holds the command's handler _cmd_<command, "-" as "_">(args), which
+# returns (record, exit code). _parse runs each value's text through its
+# type, and so each default's; a tuple type lists the choices, a default
+# of ... marks a required option and None one that stays None when not
+# given. Every command also takes -h/--help and --no-timestamp.
 _COMMANDS = {
-    "volume": ("volume factor by quadrature and closed form", {
+    "volume": ("volume", "volume factor by quadrature and closed form", {
         "--b": (_parse_floats, "0", "comma-separated sweep"),
         "--n": (int, "2", "dimension"),
         "--family": (tuple(f.value for f in PhiFamily), "matsumoto", "slope function"),
         "--tol": (float, "1e-10", "largest quadrature/closed-form difference"),
     }),
     **{
-        name: (f"pointwise {what} residual", {
+        name: (module, f"pointwise {what} residual", {
             "--b": (_parse_floats, "0", "comma-separated sweep"),
             "--point": (str, ..., ",".join(f"{k}=.." for k in _POINT_FIELDS[name])),
         })
-        for name, what in (("residual-graph", "minimal-graph"), ("residual-translation", "translation"))
+        for name, module, what in (
+            ("residual-graph", "graph_pde", "minimal-graph"), ("residual-translation", "translation", "translation")
+        )
     },
-    "check-derivatives": ("closed forms vs dual/central oracles", {
+    "check-derivatives": ("jet", "closed forms vs dual/central oracles", {
         "--b": (_parse_floats, "0,0.2,0.4", "comma-separated sweep"),
         "--samples": (int, "200", "random jets per b"),
         "--seed": (int, "0", "seed of the jets"),
         "--rtol-dual": (float, "1e-9", "relative tolerance against the dual numbers"),
         "--rtol-central": (float, "1e-6", "relative tolerance against central differences"),
     }),
-    "check-translation": ("exact rigidity report", {
+    "check-translation": ("translation", "exact rigidity report", {
         "--b2": (_parse_fractions, "0", 'rationals b^2, e.g. "0,1/100,9/100"'),
         "--p": (_parse_fractions, "0,1,2,5", "rational nodes p = f'^2 + g'^2"),
     }),
-    "ellipticity": ("coefficient lower bound and type constant", {
+    "ellipticity": ("graph_pde", "coefficient lower bound and type constant", {
         "--b": (_parse_floats, "0.3", "comma-separated sweep"),
         "--samples": (int, "10000", "random frames per b"),
         "--seed": (int, "0", "seed of the frames"),
     }),
-    "solve": ("Dirichlet solve of the minimal-graph equation", {
+    "solve": ("solver", "Dirichlet solve of the minimal-graph equation", {
         "--b": (_parse_floats, "0", "one b value"),
         "--domain": (_parse_floats, "-1,1,-1,1", "x0,x1,y0,y1"),
         "--nx": (int, "63", "interior nodes along x"),
@@ -246,7 +237,7 @@ def _parse(argv):
         if command == "-h" or len(command) > 2 and "--help".startswith(command):
             return _help()
         raise DomainError(f"argument command: invalid choice: {command!r} (choose from {', '.join(_COMMANDS)})")
-    options = _COMMANDS[command][1]
+    options = _COMMANDS[command][2]
     names = ["--help", "--no-timestamp", *options]
     given, extras = {}, []
     tokens = iter(rest)
@@ -292,9 +283,9 @@ def _help(command=None):
     if command is None:
         usage = f"[-h] {{{','.join(_COMMANDS)}}} ..."
         about = "Minimal-surface toolkit for the slope-metric Minkowski 3-space."
-        sections = {"commands": {name: text for name, (text, _) in _COMMANDS.items()}, "options": options}
+        sections = {"commands": {name: text for name, (_, text, _) in _COMMANDS.items()}, "options": options}
     else:
-        about, table = _COMMANDS[command]
+        _, about, table = _COMMANDS[command]
         usage, sections = f"{command} [-h] [--no-timestamp]", {"options": options}
         options["--no-timestamp"] = "omit the timestamp field so identical runs are byte-identical"
         for option, (kind, default, text) in table.items():
@@ -376,7 +367,7 @@ def main(argv=None) -> int:
         if isinstance(args, str):
             return _write("help", args, 0)
         _validate(args)
-        module = importlib.import_module(f"{__package__}.{_HANDLERS[args.command]}")
+        module = importlib.import_module(f"{__package__}.{_COMMANDS[args.command][0]}")
         record, code = getattr(module, "_cmd_" + args.command.replace("-", "_"))(args)
     except DomainError as exc:
         return _fail(exc, 2)

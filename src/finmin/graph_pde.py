@@ -150,27 +150,20 @@ def mean_curvature_type_bound(f, k, b: float) -> float:
 
 
 def random_rotations(rng: "np.random.Generator", n: int) -> "np.ndarray":
-    """n uniformly random rotation matrices (det +1), shape (n, 3, 3).
+    """The last rows k of n uniformly random rotation matrices (det +1),
+    shape (n, 3): the frame rows the two ellipticity functions take, unit
+    normals of uniformly random tilted planes.
 
-    Quaternion construction: deterministic given the generator state,
-    which keeps seeded CLI output byte-stable.
+    Quaternion construction, of which only the last row is formed:
+    deterministic given the generator state, which keeps seeded CLI output
+    byte-stable.
     """
     import numpy as np
 
     q = rng.normal(size=(n, 4))
     q /= np.linalg.norm(q, axis=1, keepdims=True)
-    a, b, c, d = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-    m = np.empty((n, 3, 3))
-    m[:, 0, 0] = a * a + b * b - c * c - d * d
-    m[:, 0, 1] = 2 * (b * c - a * d)
-    m[:, 0, 2] = 2 * (b * d + a * c)
-    m[:, 1, 0] = 2 * (b * c + a * d)
-    m[:, 1, 1] = a * a - b * b + c * c - d * d
-    m[:, 1, 2] = 2 * (c * d - a * b)
-    m[:, 2, 0] = 2 * (b * d - a * c)
-    m[:, 2, 1] = 2 * (c * d + a * b)
-    m[:, 2, 2] = a * a - b * b - c * c + d * d
-    return m
+    a, b, c, d = q.T
+    return np.column_stack((2 * (b * d - a * c), 2 * (c * d + a * b), a * a - b * b - c * c + d * d))
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +195,7 @@ def _cmd_ellipticity(args):
     for b in args.b:
         n = args.samples
         f = rng.uniform(-3.0, 3.0, size=(n, 2))
-        k = random_rotations(rng, n)[:, 2, :]
+        k = random_rotations(rng, n)
         xi = rng.normal(size=(n, 2))
         ratio, divisor = ellipticity_quotients(f, k, xi, b)
         min_ratio = float(np.min(ratio))

@@ -200,7 +200,6 @@ def _cmd_residual_translation(args):
 def _cmd_check_translation(args):
     results = []
     pattern_ok = True
-    zero_message = ""
     for b2 in args.b2:
         k, l = kl_polys(b2)
         separability, companion = compatibility_check(k, l)
@@ -209,13 +208,10 @@ def _cmd_check_translation(args):
         for p in args.p:
             v = kl_ratio_derivative(k, l, p)
             nodes.append({"p": p, "value": v, "abs_is_one": abs(v) == 1})
-        all_one = all(n["value"] == 1 for n in nodes)
-        any_unit = any(n["abs_is_one"] for n in nodes)
         if b2 == 0:
-            pattern_ok &= all_one and admits_nonplanar
-            zero_message = "(K/L)_p = 1 at all nodes; " if all_one else ""
+            pattern_ok &= all(n["value"] == 1 for n in nodes) and admits_nonplanar
         else:
-            pattern_ok &= (not any_unit) and not admits_nonplanar
+            pattern_ok &= not any(n["abs_is_one"] for n in nodes) and not admits_nonplanar
         results.append(
             {
                 "b2": b2,
@@ -228,7 +224,8 @@ def _cmd_check_translation(args):
             }
         )
     if pattern_ok:
-        message = zero_message + "rigidity criterion satisfied only at b=0"
+        # a passing b^2 = 0 entry has (K/L)_p = 1 at every node
+        message = ("(K/L)_p = 1 at all nodes; " if 0 in args.b2 else "") + "rigidity criterion satisfied only at b=0"
     else:
         message = "rigidity pattern violated"
     return {"results": results, "message": message}, 0 if pattern_ok else 4

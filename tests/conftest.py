@@ -39,9 +39,10 @@ def cleared_euler_lagrange(f, hess, m, b):
 def rand_rotation(rng):
     """Uniform random rotation matrix (det +1) from a quaternion draw.
 
-    Not graph_pde.random_rotations(rng, 1)[0]: that sums the quaternion's
-    norm in a different order, so about one seed in eight (seed 32 of
-    test_bound_pinned_values among them) gives a matrix a last bit apart.
+    Not built on graph_pde.random_rotations, which forms only the last
+    row and sums the quaternion's norm in a different order, so about one
+    seed in eight (seed 32 of test_bound_pinned_values among them) gives a
+    row a last bit apart.
     """
     q = rng.normal(size=4)
     q /= np.linalg.norm(q)

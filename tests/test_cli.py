@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from finmin.cli import _HANDLERS, _parse, main, read_grid_csv
+from finmin.cli import _COMMANDS, _parse, main, read_grid_csv
 from finmin.translation import kl_polys, kl_ratio_derivative
 
 
@@ -722,6 +722,19 @@ def test_check_derivatives_pinned_values(capsys, samples):
         assert got == pinned[r["b"]]
 
 
+def test_ellipticity_pinned_values(capsys):
+    # The README's command: exact equality pins the sample stream (the
+    # gradients, the frame rows and the probe directions drawn per b) and
+    # the arithmetic on it.
+    code, rec = run_json(
+        capsys, ["ellipticity", "--b", "0.3", "--samples", "10000", "--seed", "1", "--no-timestamp"]
+    )
+    assert code == 0
+    (r,) = rec["results"]
+    got = (r["min_quadform_ratio"], r["min_divisor"], r["mean_curvature_type_bound"])
+    assert got == (1.0008014573702761, 3.905708134676891, 0.08612440186910046)
+
+
 def _reject_constant(name):
     raise AssertionError(f"non-JSON constant {name} in the record")
 
@@ -1306,7 +1319,7 @@ def test_option_table_rejects_what_argparse_rejects(capsys, argv, token):
     assert token in captured.err
 
 
-@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["--he"], *([command, "--help"] for command in _HANDLERS)])
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["--he"], *([command, "--help"] for command in _COMMANDS)])
 def test_help_lists_what_argparse_listed(capsys, argv):
     assert main(argv) == 0
     text = capsys.readouterr().out

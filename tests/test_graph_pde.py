@@ -205,7 +205,7 @@ def test_sampler_form_is_the_residual_kernel():
     rng = np.random.default_rng(37)
     n = 2000
     f = rng.uniform(-3.0, 3.0, (n, 2))
-    k = random_rotations(rng, n)[:, 2, :]
+    k = random_rotations(rng, n)
     xi = rng.normal(size=(n, 2))
     for b in (0.0, 0.2, 0.45):
         ratio, divisor = ellipticity_quotients(f, k, xi, b)
@@ -252,7 +252,7 @@ def _type_constant(b):
 def _samples(rng, n, span=3.0):
     """(f, k): n gradients and frame rows, drawn as the ellipticity command
     draws them."""
-    return rng.uniform(-span, span, size=(n, 2)), random_rotations(rng, n)[:, 2, :]
+    return rng.uniform(-span, span, size=(n, 2)), random_rotations(rng, n)
 
 
 def _excess_quotient(f, k, xi, b):
@@ -342,7 +342,7 @@ def test_bound_stability_under_horizon_growth():
     rng = np.random.default_rng(31)
     e = rng.normal(size=(2000, 2))
     e /= np.linalg.norm(e, axis=1, keepdims=True)
-    k = random_rotations(rng, 2000)[:, 2, :]
+    k = random_rotations(rng, 2000)
     c1 = mean_curvature_type_bound(1e3 * e, k, 0.3)
     for t in (1e4, 1e75):
         assert abs(mean_curvature_type_bound(t * e, k, 0.3) - c1) <= 1e-8 * c1

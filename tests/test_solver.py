@@ -844,8 +844,8 @@ def test_pattern_equals_the_argsort_build_bit_for_bit(shape):
 
 @pytest.mark.parametrize("shape", [(8, 8), (9, 12), (12, 9), (17, 8), (64, 63)])
 def test_pattern_indptr_counts_the_in_grid_neighbours(shape):
-    # The count the closed form replaced: per node, in dissection order, the
-    # offsets whose neighbour lies in the grid, by count_nonzero.
+    # Per node, in dissection order, the offsets whose neighbour lies in the
+    # grid, counted on a mask of the grid rather than on the pattern's keys.
     nx, ny = shape
     pattern = _JacobianPattern.build(nx, ny)
     padded = np.zeros((nx + 2, ny + 2), dtype=bool)
