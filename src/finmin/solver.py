@@ -48,20 +48,22 @@ dissection (George, SIAM J. Numer. Anal. 10, 1973): each block is split
 at the middle line of its longer side and the line is numbered last.
 SuperLU factors the Jacobian in that order without reordering columns,
 which at N = 255 holds the L + U fill to 5.2 M entries where COLAMD on
-the naturally numbered matrix reaches 9.1 M. The CSC index arrays are
-built once per solve, from an (n, 9) table of 32-bit keys 16 row + k,
-one table row per column, each sorted along its 9 entries (so n stays
-below 2**27 unknowns). Each Newton step computes the stencil weights
+the naturally numbered matrix reaches 9.1 M. The CSC pattern is built
+once per solve over blocks of columns, from a table of 32-bit keys
+16 row + k per block, one table row per column, each sorted along its 9
+entries (so n stays below 2**27 unknowns); it keeps each entry's row and,
+in one byte, its stencil k. Each Newton step computes the stencil weights
 over row blocks, from the closed-form partials of the pointwise residual
 (graph_pde._residual_partials) chained through the residual's own
 stencils, whose coefficients it reads off _stencil_point on unit fields;
 refinement applies the weights, and a failed full step reads its
 rounding floor from them.
-A factorization gathers them into the CSC data in its precision and drops
-them: while SuperLU factors, the solve holds the data, the pattern, the
-field and its residual, and builds the weights again afterwards (one more
-pass over the partials, about 7 ms at N = 255, next to a 136 ms float32
-factorization).
+A factorization gathers them into the CSC data in its precision, over
+blocks of entries whose positions it forms from each row's node and
+stencil, and drops them: while SuperLU factors, the solve holds the
+data, the pattern, the field and its residual, and builds the weights
+again afterwards (one more pass over the partials, about 7 ms at
+N = 255, next to a 136 ms float32 factorization).
 
 The factorization is SuperLU (Demmel, Eisenstat, Gilbert, Li & Liu, SIAM
 J. Matrix Anal. Appl. 20, 1999) through scipy's compiled extension
@@ -73,12 +75,14 @@ are the same, and a solve imports no other scipy module (importing
 layer the solver does not use). SuperLU factors a panel of adjacent
 columns at a time with scratch arrays of n x panel width entries, about 1
 MB per panel column at N = 255, which the factors never use. The peak
-memory of the N = 255 solve is 82 MB (its process's VmHWM, 51 MB above
+memory of the N = 255 solve is 78 MB (its process's VmHWM, 48 MB above
 the interpreter with numpy and SuperLU loaded), held there by one-column
 panels (scipy's default is 20; the fill is the same and the
 factorization no slower), float32 factors, no float64 weights while
-SuperLU factors, a C int gather index and the residual taken over row
-blocks.
+SuperLU factors, one byte of stencil index per entry in place of a
+gather index, the pattern and the CSC data built over blocks, the
+residual taken over row blocks, its buffer reused for the Newton
+right-hand side, and refinement run without the previous Newton step.
 
 _cmd_solve, at the end, is the CLI's `solve` command.
 """
@@ -189,6 +193,8 @@ def _stencil_point(problem: GridProblem, f: np.ndarray):
 # recycles from its heap and the cache holds, where grid-sized ones are
 # mapped and page-faulted afresh on every call (N = 255 on a 2-vCPU VM:
 # 12-18 ms a call to _stencil_weights in one pass, 5.5 ms in blocks).
+# The Jacobian's pattern and CSC data are built over blocks of this many
+# entries, for the same reason.
 _BLOCK_NODES = 8192
 
 
@@ -245,6 +251,27 @@ _OFFSETS = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 0), (0, 1), (1, -1), (1, 0)
 _LEAF_NODES = 16
 
 
+def _number_boxes(boxes: list, ny: int, r0: int, r1: int, c0: int, c1: int):
+    """Append to boxes the leaves and lines of block rows r0:r1, columns
+    c0:c1, in dissection order (_dissection_order). A module function, not
+    a closure: a closure that calls itself is a reference cycle, which
+    under console_main's disabled collector would hold the boxes to the
+    end of the process."""
+    rows, cols = r1 - r0, c1 - c0
+    if rows * cols <= _LEAF_NODES:
+        boxes.extend((r0 * ny + c0, rows, cols))
+    elif rows >= cols:
+        m = r0 + rows // 2
+        _number_boxes(boxes, ny, r0, m, c0, c1)
+        _number_boxes(boxes, ny, m + 1, r1, c0, c1)
+        boxes.extend((m * ny + c0, 1, cols))
+    else:
+        m = c0 + cols // 2
+        _number_boxes(boxes, ny, r0, r1, c0, m)
+        _number_boxes(boxes, ny, r0, r1, m + 1, c1)
+        boxes.extend((r0 * ny + m, rows, 1))
+
+
 def _dissection_order(nx: int, ny: int) -> np.ndarray:
     """Natural index i*ny + j of each interior node, in nested-dissection order.
 
@@ -257,23 +284,7 @@ def _dissection_order(nx: int, ny: int) -> np.ndarray:
     natural index, rows, columns); one array pass expands the boxes.
     """
     boxes = []
-
-    def number(r0, r1, c0, c1):
-        rows, cols = r1 - r0, c1 - c0
-        if rows * cols <= _LEAF_NODES:
-            boxes.extend((r0 * ny + c0, rows, cols))
-        elif rows >= cols:
-            m = r0 + rows // 2
-            number(r0, m, c0, c1)
-            number(m + 1, r1, c0, c1)
-            boxes.extend((m * ny + c0, 1, cols))
-        else:
-            m = c0 + cols // 2
-            number(r0, r1, c0, m)
-            number(r0, r1, m + 1, c1)
-            boxes.extend((r0 * ny + m, rows, 1))
-
-    number(0, nx, 0, ny)
+    _number_boxes(boxes, ny, 0, nx, 0, ny)
     first, rows, cols = np.array(boxes, dtype=np.int64).reshape(-1, 3).T
     sizes = rows * cols
     box = np.repeat(np.arange(sizes.size), sizes)
@@ -284,47 +295,57 @@ def _dissection_order(nx: int, ny: int) -> np.ndarray:
 class _JacobianPattern(NamedTuple):
     """CSC structure of the Jacobian in dissection numbering, built once per solve.
 
-    Unknown k of the linear system is interior node order[k] (natural
-    index); the CSC data are the stacked (9, nx*ny) stencil weights
-    gathered at `gather`. Row indices are sorted within each column and
-    unique. `indices`/`indptr` are C ints, as SuperLU takes them, and so
-    is `gather`, whose values lie below 9 nx*ny.
+    Unknown p of the linear system is interior node order[p] (natural
+    index). Entry e of the CSC data is weights[stencil[e]] at node
+    order[indices[e]], the row's node: its position in the stacked
+    (9, nx*ny) stencil weights is order[indices[e]] + stencil[e] * nx*ny,
+    which _csc_data forms block by block. Row indices are sorted within
+    each column and unique. `order`, `indices` and `indptr` are C ints, as
+    SuperLU takes the last two, and `stencil` holds one byte per entry.
     """
 
     order: np.ndarray
-    gather: np.ndarray
     indices: np.ndarray
     indptr: np.ndarray
+    stencil: np.ndarray
 
     @classmethod
     def build(cls, nx: int, ny: int) -> _JacobianPattern:
         """Column p holds, as rows, the dissection positions of the nodes
-        m - offset_k whose stencil k reaches node m = order[p]. An (n, 9)
-        table keys column p's entries as 16 * row + k, and as 16 n + k where
-        node m - offset_k lies outside the grid; sorting each table row
-        along its 9 keys puts the rows in order and the outside keys last.
-        The keys are C ints, which hold them while 16 n < 2**31, that is
-        for fewer than 2**27 unknowns, as GridProblem requires; so does
-        `gather`, below 9 n."""
+        m - offset_k whose stencil k reaches node m = order[p]. Over blocks
+        of _BLOCK_NODES // 9 columns, a (block, 9) table keys column p's
+        entries as 16 * row + k, and as 16 n + k where node m - offset_k
+        lies outside the grid; sorting each table row along its 9 keys puts
+        the rows in order and the outside keys last. The keys are C ints,
+        which hold them while 16 n < 2**31, that is for fewer than 2**27
+        unknowns, as GridProblem requires. Each axis has 3 n_axis - 2 pairs
+        of a node and an offset that stays in the grid, so the pattern has
+        (3 nx - 2)(3 ny - 2) entries."""
         n = nx * ny
-        order = _dissection_order(nx, ny)
+        order = _dissection_order(nx, ny).astype(np.intc)
         # 16 * dissection position of each node, 16 n on the boundary ring
         key = np.full((nx + 2, ny + 2), 16 * n, dtype=np.intc)
         key[1:-1, 1:-1].flat[order] = np.arange(0, 16 * n, 16, dtype=np.intc)
-        table = np.empty((nx, ny, 9), dtype=np.intc)
-        for k, (a, c) in enumerate(_OFFSETS):
-            np.add(key[1 - a : 1 - a + nx, 1 - c : 1 - c + ny], k, out=table[:, :, k])
-        table = table.reshape(n, 9)[order]
-        table.sort(axis=1)
-        inside = table < 16 * n
+        key = key.ravel()
+        # from a node's place in `key` to that of node - offset_k
+        shifts = np.array([-a * (ny + 2) - c for a, c in _OFFSETS])
+        indices = np.empty((3 * nx - 2) * (3 * ny - 2), dtype=np.intc)
+        stencil = np.empty(indices.size, dtype=np.uint8)
         indptr = np.zeros(n + 1, dtype=np.intc)
-        np.cumsum(np.count_nonzero(inside, axis=1), out=indptr[1:])
-        keys = table[inside]
-        del inside  # held through the gather, it lifts the solve's peak RSS (0.2 MB at N = 255)
-        indices = keys >> 4
-        gather = order.astype(np.intc)[indices]
-        gather += (keys & 15) * n
-        return cls(order, gather, indices, indptr)
+        end, block = 0, max(1, _BLOCK_NODES // 9)
+        for p in range(0, n, block):
+            i, j = np.divmod(order[p : p + block], ny)
+            table = key[((i + 1) * (ny + 2) + j + 1)[:, None] + shifts]
+            table += np.arange(9, dtype=np.intc)
+            table.sort(axis=1)
+            inside = table < 16 * n
+            indptr[p + 1 : p + 1 + len(table)] = np.count_nonzero(inside, axis=1)
+            keys = table[inside]
+            indices[end : end + keys.size] = keys >> 4
+            stencil[end : end + keys.size] = keys & 15
+            end += keys.size
+        np.cumsum(indptr, out=indptr)
+        return cls(order, indices, indptr, stencil)
 
 
 def _stencil_weights(problem: GridProblem, f: np.ndarray) -> np.ndarray:
@@ -409,12 +430,21 @@ def _csc_array(*args, **kwargs):
 
 
 def _csc_data(weights: np.ndarray, pattern: _JacobianPattern, dtype) -> np.ndarray:
-    """The Jacobian's CSC data in precision dtype: the stencil weights cast
-    to dtype, with the cast's overflow warning silenced (the module
-    docstring says what an inf leads to), gathered in the order of
-    pattern.indices."""
+    """The Jacobian's CSC data in precision dtype: the stacked stencil
+    weights at positions order[indices] + stencil * nx*ny (_JacobianPattern),
+    formed and cast over blocks of _BLOCK_NODES entries, with the cast's
+    overflow warning silenced (the module docstring says what an inf leads
+    to)."""
+    n = pattern.order.size
+    flat = weights.reshape(-1)
+    data = np.empty(pattern.indices.size, dtype=dtype)
     with np.errstate(over="ignore"):
-        return np.take(weights.astype(dtype, copy=False).ravel(), pattern.gather)
+        for s in range(0, data.size, _BLOCK_NODES):
+            block = slice(s, s + _BLOCK_NODES)
+            at = pattern.order[pattern.indices[block]]
+            at += np.multiply(pattern.stencil[block], n, dtype=np.intc)
+            data[block] = np.take(flat, at)
+    return data
 
 
 def _factor(data: np.ndarray, pattern: _JacobianPattern):
@@ -517,6 +547,8 @@ def solve_minimal_graph(problem: GridProblem, tol: float = 1e-10, max_iter: int 
         raise SolverError(f"initial residual max-norm is {raw}", history)
     if res > tol:
         pattern = _JacobianPattern.build(problem.nx, problem.ny)
+        # matvec's argument inside a zero boundary ring
+        ring = np.zeros((problem.nx + 2, problem.ny + 2))
     factorizations = 0
     lu, dtype = None, np.float32
     while res > tol:
@@ -525,13 +557,14 @@ def solve_minimal_graph(problem: GridProblem, tol: float = 1e-10, max_iter: int 
                 f"residual {res:.3e} above tol={tol} after {max_iter} Newton steps",
                 history,
             )
-        # the last step's weights go before this step's are built
-        weights = None
+        # the last step's weights and step go before this step's are built
+        weights = delta = None
         weights = _stencil_weights(problem, f)
-        rhs = -r.ravel()
+        rhs = np.negative(r, out=r).ravel()
 
         def matvec(v):
-            return _apply_stencil(weights, np.pad(v.reshape(r.shape), 1)).ravel()
+            ring[1:-1, 1:-1] = v.reshape(r.shape)
+            return _apply_stencil(weights, ring).ravel()
 
         def precondition(v):
             return _lu_solve(lu, pattern.order, v, dtype)

@@ -1,4 +1,5 @@
 import functools
+import gc
 import importlib.machinery
 import math
 import os
@@ -764,7 +765,8 @@ def jacobian_matrix(problem, f, pattern):
     import scipy.sparse as sp
 
     n = pattern.order.size
-    data = _stencil_weights(problem, f).ravel()[pattern.gather]
+    gather = pattern.order[pattern.indices] + pattern.stencil.astype(np.int64) * n
+    data = _stencil_weights(problem, f).ravel()[gather]
     return sp.csc_matrix((data, pattern.indices, pattern.indptr), shape=(n, n))
 
 
@@ -801,26 +803,35 @@ def reference_dissection_order(nx, ny):
 
 
 def reference_pattern(nx, ny):
-    """(order, gather, indices, indptr) by one argsort over the 9n int64 keys
-    column * n + row: the reference for the solver's sorted (n, 9) table."""
+    """((order, indices, indptr, stencil), gather) by one argsort over the 9n
+    int64 keys column * n + row: the reference for the solver's blocked
+    build; gather holds each entry's position in the stacked (9, nx*ny)
+    stencil weights."""
     n = nx * ny
     order = reference_dissection_order(nx, ny)
     position = np.empty(n, dtype=np.int64)
     position[order] = np.arange(n)
     natural = np.arange(n).reshape(nx, ny)
-    rows, cols, gather = [], [], []
+    rows, cols, stencil, gather = [], [], [], []
     for k, (a, c) in enumerate(finmin.solver._OFFSETS):
         r0, r1 = max(0, -a), nx - max(0, a)
         c0, c1 = max(0, -c), ny - max(0, c)
         node = natural[r0:r1, c0:c1].ravel()
         rows.append(position[node])
         cols.append(position[natural[r0 + a : r1 + a, c0 + c : c1 + c].ravel()])
+        stencil.append(np.full(node.size, k))
         gather.append(k * n + node)
-    rows, cols, gather = (np.concatenate(v) for v in (rows, cols, gather))
+    rows, cols, stencil, gather = (np.concatenate(v) for v in (rows, cols, stencil, gather))
     by_column = np.argsort(cols * n + rows)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
-    return order, gather[by_column].astype(np.intc), rows[by_column].astype(np.intc), indptr.astype(np.intc)
+    fields = (
+        order.astype(np.intc),
+        rows[by_column].astype(np.intc),
+        indptr.astype(np.intc),
+        stencil[by_column].astype(np.uint8),
+    )
+    return fields, gather[by_column]
 
 
 @pytest.mark.parametrize("shape", [(8, 8), (9, 12), (12, 9), (17, 8), (63, 63)])
@@ -830,16 +841,48 @@ def test_dissection_order_is_a_permutation(shape):
     assert np.array_equal(np.sort(order), np.arange(nx * ny))
 
 
+def test_dissection_order_leaves_no_cyclic_garbage():
+    # console_main runs every command with the cyclic collector off, so a
+    # reference cycle in the numbering would hold its boxes to the end of
+    # the process.
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        _dissection_order(63, 63)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
 @pytest.mark.parametrize(
-    "shape", [(8, 8), (9, 12), (12, 9), (16, 17), (17, 8), (33, 64), (100, 37), (127, 130), (255, 255)]
+    "shape",
+    [
+        (8, 8), (9, 12), (12, 9), (16, 17), (17, 8), (33, 64), (100, 37), (127, 130), (255, 255),
+        (91, 20), (22, 86), (200, 61),
+    ],
 )
-def test_pattern_equals_the_argsort_build_bit_for_bit(shape):
-    pattern = _JacobianPattern.build(*shape)
-    for got, want in zip(pattern, reference_pattern(*shape)):
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want)
-    assert pattern.order.dtype == np.int64
-    assert pattern.gather.dtype == pattern.indices.dtype == pattern.indptr.dtype == np.intc
+def test_pattern_equals_the_argsort_build_bit_for_bit(shape, monkeypatch):
+    fields, gather = reference_pattern(*shape)
+    weights = np.random.default_rng(shape[0]).normal(size=(9, *shape))
+    # Blocks of 119 and of the default 8192 entries, 13 and 910 columns in
+    # the build: (8, 8) fits in one; (91, 20) fills 140 and 2 build blocks
+    # exactly, (22, 86) 2 blocks of 8192 CSC entries; the other shapes end
+    # in a part block.
+    for block in (7 * 17, finmin.solver._BLOCK_NODES):
+        monkeypatch.setattr(finmin.solver, "_BLOCK_NODES", block)
+        pattern = _JacobianPattern.build(*shape)
+        for got, want in zip(pattern, fields, strict=True):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        assert pattern.order.dtype == pattern.indices.dtype == pattern.indptr.dtype == np.intc
+        assert pattern.stencil.dtype == np.uint8
+        # the CSC data are the weights at the reference's gather positions
+        for dtype in (np.float32, np.float64):
+            data = _csc_data(weights, pattern, dtype)
+            assert data.dtype == dtype
+            assert data.tobytes() == weights.astype(dtype).ravel()[gather].tobytes()
 
 
 @pytest.mark.parametrize("shape", [(8, 8), (9, 12), (12, 9), (17, 8), (64, 63)])
@@ -1040,8 +1083,10 @@ def test_factorization_transient_memory_at_n255():
     # factors the N = 255 Jacobian (the peak of the dirichlet workload)
     # sits at most 8 MB above what it holds afterwards, the factors
     # included; with scipy's default width of 20 it sat about 21 MB above.
-    # The factorization adds at most 45 MB to the resident set: about 34 MB
-    # with float32 factors, about 54 MB with float64 ones.
+    # The factorization adds at most 45 MB to the resident set: about 40 MB
+    # with float32 factors, about 54 MB with float64 ones. The pattern and
+    # the CSC data are built over blocks, so little freed heap is left for
+    # SuperLU to reuse; with a grid-sized key table it added about 38 MB.
     # VmHWM is the high-water mark of this process image: ru_maxrss would
     # carry over the larger one of the test process across fork and exec.
     src = os.path.dirname(os.path.dirname(finmin.solver.__file__))
@@ -1075,18 +1120,21 @@ print((kb("VmHWM") - before) / 1024, sol.iterations, sol.factorizations)
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
 def test_solve_peak_memory_at_n255():
     # While SuperLU factors, the solve holds the float32 CSC data, the
-    # pattern (with a C int gather index), the field and its residual, and
-    # no float64 stencil weights; the residual is taken over row blocks.
-    # The N = 255 Scherk solve at b = 0 (the peak of the dirichlet workload)
-    # then peaks about 51 MB above the interpreter with numpy and SuperLU
-    # loaded; holding the float64 weights and an int64 gather index through
-    # the factorization, it peaked about 59 MB above.
+    # pattern (C int rows and one byte of stencil index per entry), the
+    # field and its residual, and no float64 stencil weights; the pattern,
+    # the CSC data and the residual are built over blocks, and refinement
+    # runs without the previous Newton step. The N = 255 Scherk solve at
+    # b = 0 (the peak of the dirichlet workload) then peaks about 48.2 MB
+    # above the interpreter with numpy and SuperLU loaded. With a C int
+    # gather index and the pattern built from one grid-sized table it
+    # peaked about 51.3 MB above, and holding the float64 weights and an
+    # int64 gather index through the factorization about 59 MB.
     src = os.path.dirname(os.path.dirname(finmin.solver.__file__))
     proc = subprocess.run([sys.executable, "-c", _SOLVE_PROBE, src], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     peak, iterations, factorizations = proc.stdout.split()
     assert (iterations, factorizations) == ("2", "1")
-    assert float(peak) <= 55.0
+    assert float(peak) <= 50.5
 
 
 def test_missing_superlu_extension_names_the_scipy_version(monkeypatch):
