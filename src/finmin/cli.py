@@ -24,6 +24,11 @@ the command's size.
 main() leaves the collector as it finds it, so in-process callers (tests,
 library users) keep normal collection.
 
+Threads: console_main also sets OPENBLAS_NUM_THREADS to 1 unless the
+environment already sets it, so numpy and scipy start no OpenBLAS worker
+thread for the small BLAS calls of a command. main() leaves the
+environment alone.
+
 Grid files: first line "# minsurf-grid v1", then a "x,y,f" CSV header,
 then one row per node in row-major order (x-index outer, y-index inner),
 boundary included.
@@ -52,7 +57,9 @@ __all__ = ["main", "console_main", "write_grid_csv", "read_grid_csv"]
 
 GRID_FORMAT_VERSION = "minsurf-grid v1"
 
-# Largest --samples: check-derivatives peaks near 2.4 GB and 50 s there.
+# Largest --samples. There check-derivatives (three b) peaks at 126 MB and
+# takes 24 s, and ellipticity (one b) peaks at 88 MB, most of it the samples
+# themselves: both run over blocks of samples.
 _MAX_SAMPLES = 10**6
 
 # --point fields of the pointwise commands, parsed by _validate
@@ -389,6 +396,10 @@ def main(argv=None) -> int:
 
 
 def console_main():
+    # Before any handler loads numpy: OpenBLAS then starts no worker thread,
+    # which each small BLAS call of a command would wait on. A value the
+    # user set stays.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     gc.disable()
     code = main()
     gc.freeze()

@@ -149,21 +149,33 @@ def mean_curvature_type_bound(f, k, b: float) -> float:
     return float(np.max(excess / divisor * (w2 - w * w)))
 
 
+# Samples per block of random_rotations and of the ellipticity command's
+# sweep; bounds their temporaries at any --samples.
+_SAMPLE_BLOCK = 2048
+
+
 def random_rotations(rng: "np.random.Generator", n: int) -> "np.ndarray":
     """The last rows k of n uniformly random rotation matrices (det +1),
     shape (n, 3): the frame rows the two ellipticity functions take, unit
     normals of uniformly random tilted planes.
 
-    Quaternion construction, of which only the last row is formed:
-    deterministic given the generator state, which keeps seeded CLI output
-    byte-stable.
+    Quaternion construction, of which only the last row is formed, over
+    blocks of at most _SAMPLE_BLOCK quaternions drawn one after the other
+    from rng: the rows are those of one (n, 4) draw, deterministic given
+    the generator state, which keeps seeded CLI output byte-stable.
     """
     import numpy as np
 
-    q = rng.normal(size=(n, 4))
-    q /= np.linalg.norm(q, axis=1, keepdims=True)
-    a, b, c, d = q.T
-    return np.column_stack((2 * (b * d - a * c), 2 * (c * d + a * b), a * a - b * b - c * c + d * d))
+    k = np.empty((n, 3))
+    for start in range(0, n, _SAMPLE_BLOCK):
+        q = rng.normal(size=(min(n - start, _SAMPLE_BLOCK), 4))
+        q /= np.linalg.norm(q, axis=1, keepdims=True)
+        a, b, c, d = q.T
+        rows = k[start : start + len(q)].T
+        rows[0] = 2 * (b * d - a * c)
+        rows[1] = 2 * (c * d + a * b)
+        rows[2] = a * a - b * b - c * c + d * d
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +194,27 @@ def _cmd_residual_graph(args):
     return {"point": args.point, "results": results}, 0
 
 
+def _sweep(rng, n, b):
+    """(smallest quotient, smallest divisor, mean_curvature_type_bound) on
+    n samples drawn from rng for one b: gradients, frame rows and probe
+    directions, each drawn whole, in that order; then the two functions
+    per block of _SAMPLE_BLOCK samples, reduced by np.min / np.max, which
+    keep a nan. The draws are dropped on return, before the next b's."""
+    import numpy as np
+
+    f = rng.uniform(-3.0, 3.0, size=(n, 2))
+    k = random_rotations(rng, n)
+    xi = rng.normal(size=(n, 2))
+    ratios, divisors, bounds = [], [], []
+    for start in range(0, n, _SAMPLE_BLOCK):
+        block = slice(start, start + _SAMPLE_BLOCK)
+        ratio, divisor = ellipticity_quotients(f[block], k[block], xi[block], b)
+        ratios.append(np.min(ratio))
+        divisors.append(np.min(divisor))
+        bounds.append(mean_curvature_type_bound(f[block], k[block], b))
+    return float(np.min(ratios)), float(np.min(divisors)), float(np.max(bounds))
+
+
 def _cmd_ellipticity(args):
     """Per b, on the same samples: the lower bound of the normalized form,
     the divisor, and mean_curvature_type_bound beside the exact
@@ -193,14 +226,7 @@ def _cmd_ellipticity(args):
     results = []
     ok_all = True
     for b in args.b:
-        n = args.samples
-        f = rng.uniform(-3.0, 3.0, size=(n, 2))
-        k = random_rotations(rng, n)
-        xi = rng.normal(size=(n, 2))
-        ratio, divisor = ellipticity_quotients(f, k, xi, b)
-        min_ratio = float(np.min(ratio))
-        min_divisor = float(np.min(divisor))
-        c_est = mean_curvature_type_bound(f, k, b)
+        min_ratio, min_divisor, c_est = _sweep(rng, args.samples, b)
         c_exact = 2.0 * b * b / (2.0 + b * b)
         ok = min_ratio >= 1.0 - 1e-12 and min_divisor > 0.0 and c_est <= c_exact * (1.0 + 1e-12)
         ok_all &= ok
@@ -208,7 +234,7 @@ def _cmd_ellipticity(args):
             {
                 "b": b,
                 "euclidean_degeneration": b == 0.0,
-                "samples": n,
+                "samples": args.samples,
                 "min_quadform_ratio": min_ratio,
                 "min_divisor": min_divisor,
                 "mean_curvature_type_bound": c_est,

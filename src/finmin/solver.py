@@ -369,14 +369,16 @@ def _stencil_weights(problem: GridProblem, f: np.ndarray) -> np.ndarray:
     return weights
 
 
-def _apply_stencil(weights: np.ndarray, field: np.ndarray) -> np.ndarray:
-    """sum_k weights[k] * field shifted by _OFFSETS[k], at the interior nodes.
+def _apply_stencil(weights, field: np.ndarray) -> np.ndarray:
+    """sum_k weights[k] * field shifted by _OFFSETS[k], at the interior nodes,
+    added in the order of k.
 
-    field has the boundary ring, shape (nx + 2, ny + 2); with the weights
-    of _stencil_weights and a field zero on the ring this is the Jacobian
+    field has the boundary ring, shape (nx + 2, ny + 2); weights is the
+    (9, nx, ny) array of _stencil_weights or any iterable of its nine
+    (nx, ny) planes. With a field zero on the ring this is the Jacobian
     times the field's interior values.
     """
-    nx, ny = weights.shape[1:]
+    nx, ny = field.shape[0] - 2, field.shape[1] - 2
     out = np.zeros((nx, ny))
     for w, (a, c) in zip(weights, _OFFSETS):
         out += w * field[1 + a : 1 + a + nx, 1 + c : 1 + c + ny]
@@ -385,8 +387,10 @@ def _apply_stencil(weights: np.ndarray, field: np.ndarray) -> np.ndarray:
 
 def _rounding_floor(weights: np.ndarray, f: np.ndarray) -> float:
     """eps * max(|J| |f|): the rounding error of the raw residual at f, the
-    level below which no step can be shown to reduce max|r|."""
-    return float(np.finfo(float).eps * np.max(_apply_stencil(np.abs(weights), np.abs(f))))
+    level below which no step can be shown to reduce max|r|. |J| is taken
+    one stencil plane at a time, so no second (9, nx, ny) array is held."""
+    planes = (np.abs(w) for w in weights)
+    return float(np.finfo(float).eps * np.max(_apply_stencil(planes, np.abs(f))))
 
 
 _SUPERLU = "scipy.sparse.linalg._dsolve._superlu"

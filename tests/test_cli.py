@@ -774,6 +774,122 @@ def test_check_derivatives_nonfinite_error_fails(capsys, monkeypatch, target):
     assert isinstance(first["max_rel_errors"]["hess_central"], float)
 
 
+def _record_bytes(capsys, argv):
+    code = main([*argv, "--no-timestamp"])
+    return code, capsys.readouterr().out
+
+
+_SAMPLED = [
+    ["check-derivatives", "--b", "0,0.45", "--seed", "7"],
+    ["ellipticity", "--b", "0,0.3", "--seed", "7"],
+]
+
+
+@pytest.mark.parametrize("argv", _SAMPLED, ids=[a[0] for a in _SAMPLED])
+@pytest.mark.parametrize("samples", [1, 7, 8, 23])
+def test_sampled_records_do_not_depend_on_the_block_size(capsys, monkeypatch, argv, samples):
+    # The sampled checks run over blocks of samples, one batched pass per
+    # block; blocks of 7 (samples 1, one block, one more and three blocks
+    # and two) print the bytes of one block holding every sample.
+    import finmin.graph_pde as graph_pde
+    import finmin.jet as jet
+
+    argv = [*argv, "--samples", str(samples)]
+    whole = _record_bytes(capsys, argv)
+    monkeypatch.setattr(jet, "_JET_BLOCK", 7)
+    monkeypatch.setattr(graph_pde, "_SAMPLE_BLOCK", 7)
+    assert _record_bytes(capsys, argv) == whole
+    assert whole[0] == 0
+
+
+def test_check_derivatives_keeps_a_nan_from_the_second_block(capsys, monkeypatch):
+    import finmin.jet as jet
+
+    real = jet.area_integrand_hess_central
+    calls = []
+
+    def poisoned(z, b):
+        out = real(z, b)
+        calls.append(z.shape[-1])
+        if len(calls) == 2:  # the second block of the first b
+            out[0, 0, 3] = np.nan
+        return out
+
+    monkeypatch.setattr(jet, "_JET_BLOCK", 7)
+    monkeypatch.setattr(jet, "area_integrand_hess_central", poisoned)
+    code = main(["check-derivatives", "--b", "0.2,0.4", "--samples", "20", "--seed", "1", "--no-timestamp"])
+    rec = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert calls == [7, 7, 6] * 2
+    assert code == 4
+    first, second = rec["results"]
+    assert first["max_rel_errors"]["hess_central"] is None
+    assert first["pass"] is False and second["pass"] is True
+    assert rec["failure"] == "hess_central relative error is nan at b=0.2"
+
+
+def test_ellipticity_keeps_a_nan_from_the_second_block(capsys, monkeypatch):
+    import finmin.graph_pde as graph_pde
+
+    real = graph_pde.ellipticity_quotients
+    calls = []
+
+    def poisoned(f, k, xi, b):
+        ratio, divisor = real(f, k, xi, b)
+        calls.append(len(f))
+        if len(calls) == 2:
+            ratio[3] = np.nan
+        return ratio, divisor
+
+    monkeypatch.setattr(graph_pde, "_SAMPLE_BLOCK", 7)
+    monkeypatch.setattr(graph_pde, "ellipticity_quotients", poisoned)
+    code = main(["ellipticity", "--b", "0.3", "--samples", "20", "--seed", "1", "--no-timestamp"])
+    captured = capsys.readouterr()
+    assert calls == [7, 7, 6]
+    assert code == 3 and captured.out == ""
+    assert "min_quadform_ratio is nan at b=0.3" in captured.err
+
+
+_SAMPLED_PROBE = """
+import contextlib, io, sys
+
+import numpy.random
+import finmin.graph_pde, finmin.jet
+from finmin.cli import main
+
+
+def kb(key):
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith(key + ":"))
+
+
+before = kb("VmRSS")
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:] + ["--no-timestamp"])
+print((kb("VmHWM") - before) / 1024, code)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+@pytest.mark.parametrize(
+    "argv,bound",
+    [("check-derivatives --samples 20000", 7.5), ("ellipticity --samples 200000", 12.5)],
+    ids=["check-derivatives", "ellipticity"],
+)
+def test_sampled_checks_peak_memory(argv, bound):
+    # Above the interpreter with numpy.random and both handlers' modules
+    # loaded. check-derivatives holds its 20000 jets (0.96 MB) and one
+    # block's temporaries, about 5.3 MB in all at its three default b;
+    # holding every sample's temporaries at once it peaked about 54 MB
+    # above. ellipticity holds one b's gradients, frame rows and probe
+    # directions (11.2 MB) and one block's temporaries, about 11.3 MB; with
+    # whole-array passes it peaked about 28 MB above.
+    proc = subprocess.run([sys.executable, "-c", _SAMPLED_PROBE, *argv.split()], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    peak, code = proc.stdout.split()
+    assert code == "0"
+    assert float(peak) <= bound
+
+
 # ---------------------------------------------------------------------------
 # imports
 
@@ -984,6 +1100,42 @@ def test_main_leaves_the_collector_as_it_finds_it(capsys, enabled):
         assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
     finally:
         (gc.enable if was_enabled else gc.disable)()
+
+
+_THREADS_PROBE = """
+import atexit, os, runpy, sys
+atexit.register(
+    lambda: print(len(os.listdir("/proc/self/task")), os.environ.get("OPENBLAS_NUM_THREADS"), file=sys.stderr)
+)
+sys.argv = ["finmin", "solve", "--b", "0.3", "--boundary", "scherk", "--nx", "31", "--ny", "31", "--no-timestamp"]
+runpy.run_module("finmin", run_name="__main__")
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+@pytest.mark.parametrize("setting", [None, "2"])
+def test_console_main_runs_openblas_on_one_thread_unless_told_otherwise(setting):
+    # Left to itself OpenBLAS starts worker threads (numpy's and scipy's
+    # each one on two CPUs), and every small BLAS call waits on them; a
+    # console run sets OPENBLAS_NUM_THREADS=1 first, so a solve ends with
+    # its one thread. A value the user set is kept.
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if setting is not None:
+        env["OPENBLAS_NUM_THREADS"] = setting
+    proc = subprocess.run([sys.executable, "-c", _THREADS_PROBE], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["command"] == "solve"
+    tasks, value = proc.stderr.split()[-2:]
+    if setting is None:
+        assert (tasks, value) == ("1", "1")
+    else:
+        assert value == setting
+
+
+def test_main_leaves_the_environment_alone(capsys, monkeypatch):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    assert main(["ellipticity", "--samples", "10", "--no-timestamp"]) == 0
+    assert "OPENBLAS_NUM_THREADS" not in os.environ
 
 
 # (small, large) runs of each command whose size the benchmark varies

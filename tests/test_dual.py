@@ -2,6 +2,9 @@
 
 A batched call must give, sample by sample, exactly the bits of a call on
 that sample alone; check-derivatives relies on it for byte-identical output.
+Each oracle also takes one pass of fun over all its seeds or offsets (the
+central Hessian one per row), and must give the bits of one pass per
+seed or per offset.
 """
 
 import numpy as np
@@ -93,3 +96,88 @@ def test_row_batched_hessian_of_a_rational_function():
 
     x = np.random.default_rng(4).uniform(0.5, 2.0, size=(3, 6))
     assert np.array_equal(dual.hessian(fun, x), _hessian_per_pair(fun, x))
+
+
+def _gradient_per_coordinate(fun, x):
+    """Reference: one dual pass per coordinate i, seeded with Python floats."""
+    n = x.shape[0]
+    g = np.empty(x.shape)
+    for i in range(n):
+        g[i] = fun([dual.Dual(x[k], 1.0 if k == i else 0.0) for k in range(n)]).du
+    return g
+
+
+def _central_gradient_per_offset(fun, x, step):
+    """Reference: fun called once per offset point x + e_i and x - e_i."""
+    e = np.eye(x.shape[0]) * step
+    e = e.reshape(e.shape + (1,) * (x.ndim - 1))
+    g = np.empty(x.shape)
+    for i in range(x.shape[0]):
+        g[i] = (fun(x + e[i]) - fun(x - e[i])) / (2.0 * step)
+    return g
+
+
+def _central_hessian_per_offset(fun, x, step):
+    """Reference: fun called once per stencil point, each offset added one
+    step at a time."""
+    n = x.shape[0]
+    e = np.eye(n) * step
+    e = e.reshape(e.shape + (1,) * (x.ndim - 1))
+    h = np.empty((n,) + x.shape)
+    f0 = fun(x)
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                h[i, i] = (fun(x + e[i]) - 2.0 * f0 + fun(x - e[i])) / step**2
+                continue
+            h[i, j] = (
+                fun(x + e[i] + e[j]) - fun(x + e[i] - e[j]) - fun(x - e[i] + e[j]) + fun(x - e[i] - e[j])
+            ) / (4.0 * step**2)
+    return h
+
+
+def _rational(v):
+    return (2.0 - v[0] * v[1]) / (1.0 + v[2] * v[2]) + dual.sqrt(v[0] * v[0] + 3.0) / v[1] - v[2]
+
+
+def _rational_points():
+    # signed zeros in the third coordinate: each must keep its sign where an
+    # offset adds zero to it
+    x = np.random.default_rng(5).uniform(-2.0, 2.0, size=(3, 8))
+    x[1] = np.abs(x[1]) + 0.5
+    x[2, :4] = [0.0, -0.0, 0.0, -0.0]
+    return x
+
+
+REFERENCES = [
+    ("gradient", dual.gradient, _gradient_per_coordinate),
+    (
+        "central_gradient",
+        lambda fun, x: dual.central_gradient(fun, x, 1e-6),
+        lambda fun, x: _central_gradient_per_offset(fun, x, 1e-6),
+    ),
+    (
+        "central_hessian",
+        lambda fun, x: dual.central_hessian(fun, x, 2.5e-4),
+        lambda fun, x: _central_hessian_per_offset(fun, x, 2.5e-4),
+    ),
+]
+
+
+@pytest.mark.parametrize("name,oracle,reference", REFERENCES, ids=[r[0] for r in REFERENCES])
+@pytest.mark.parametrize("b", [0.0, 0.2, 0.45])
+@pytest.mark.parametrize("sample_shape", [(), (5,), (3, 4)], ids=["S=()", "S=(k,)", "S=(k,m)"])
+def test_one_pass_oracle_equals_one_pass_per_seed_or_offset(name, oracle, reference, b, sample_shape):
+    fun = _flat_area_fun(b)
+    x = _jet_vectors(31, sample_shape)
+    got, want = oracle(fun, x), reference(fun, x)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name,oracle,reference", REFERENCES, ids=[r[0] for r in REFERENCES])
+def test_one_pass_oracle_of_a_rational_function(name, oracle, reference):
+    x = _rational_points()
+    got, want = oracle(_rational, x), reference(_rational, x)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))

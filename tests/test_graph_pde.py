@@ -379,6 +379,27 @@ def test_bound_keeps_a_nan_from_a_middle_block(monkeypatch):
     assert math.isnan(mean_curvature_type_bound(*_samples(np.random.default_rng(37), 100), 0.3))
 
 
+def _rotations_in_one_draw(rng, n):
+    """Reference: the last rotation rows from one (n, 4) quaternion draw."""
+    q = rng.normal(size=(n, 4))
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    a, b, c, d = q.T
+    return np.column_stack((2 * (b * d - a * c), 2 * (c * d + a * b), a * a - b * b - c * c + d * d))
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 23])
+@pytest.mark.parametrize("block", [7, graph_pde._SAMPLE_BLOCK])
+def test_rotations_drawn_in_blocks_equal_one_draw(monkeypatch, n, block):
+    # Consecutive normal draws of one stream are the rows of one draw, and
+    # the generator is left in the same state.
+    monkeypatch.setattr(graph_pde, "_SAMPLE_BLOCK", block)
+    rng, ref = np.random.default_rng(n), np.random.default_rng(n)
+    k = random_rotations(rng, n)
+    assert k.shape == (n, 3)
+    assert np.array_equal(k, _rotations_in_one_draw(ref, n))
+    assert rng.normal() == ref.normal()
+
+
 _ORACLE_FRAMES = [
     IDENTITY,
     rand_rotation(np.random.default_rng(33)),

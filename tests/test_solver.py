@@ -33,6 +33,7 @@ from finmin.solver import (
     _lu_solve,
     _refine,
     _residual_and_norms,
+    _rounding_floor,
     _stencil_point,
     _stencil_weights,
     _superlu,
@@ -312,6 +313,18 @@ def test_stagnation_names_the_rounding_floor():
     raw, floor = (float(v) for v in match.groups())
     assert 0.0 < raw <= floor
     assert message.startswith(f"line search stalled at residual {err.value.residual_history[-1]:.3e}")
+
+
+@pytest.mark.parametrize("nx,ny,b", [(15, 15, 0.3), (20, 11, 0.45)])
+def test_rounding_floor_takes_the_weights_one_plane_at_a_time(nx, ny, b):
+    # The floor adds |w_k| |f shifted| plane by plane, in the order of k,
+    # without a (9, nx, ny) array of |w|: bit for bit the stencil of the
+    # whole |weights| array applied to |f|.
+    problem = GridProblem((-1.2, 1.2, -0.6, 0.6), nx, ny, b, scherk)
+    f = np.random.default_rng(nx).uniform(-1.0, 1.0, (nx + 2, ny + 2))
+    weights = _stencil_weights(problem, f)
+    want = np.finfo(float).eps * np.max(_apply_stencil(np.abs(weights), np.abs(f)))
+    assert _rounding_floor(weights, f) == want > 0.0
 
 
 def test_stagnation_stops_at_the_first_failed_full_step_near_the_floor(monkeypatch):
