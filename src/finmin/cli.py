@@ -57,9 +57,9 @@ __all__ = ["main", "console_main", "write_grid_csv", "read_grid_csv"]
 
 GRID_FORMAT_VERSION = "minsurf-grid v1"
 
-# Largest --samples. There check-derivatives (three b) peaks at 126 MB and
-# takes 24 s, and ellipticity (one b) peaks at 88 MB, most of it the samples
-# themselves: both run over blocks of samples.
+# Largest --samples. There check-derivatives (three b) peaks at 85 MB and
+# takes about 30 s, and ellipticity (one b) peaks at 88 MB, most of it the
+# samples themselves: both run over blocks of samples.
 _MAX_SAMPLES = 10**6
 
 # --point fields of the pointwise commands, parsed by _validate
@@ -114,7 +114,12 @@ def write_grid_csv(path, xs, ys, f):
 
 
 def read_grid_csv(path):
-    """Read a grid file back into (xs, ys, f); values compare bit-equal."""
+    """Read a grid file back into (xs, ys, f); values compare bit-equal.
+
+    The rows must be the nodes in row-major order (x outer, both ascending),
+    as write_grid_csv writes them: a node missing, repeated or out of that
+    order, or a row that is not three numbers, raises DomainError.
+    """
     import numpy as np
 
     with open(path) as fh:
@@ -123,20 +128,20 @@ def read_grid_csv(path):
             raise DomainError(f"unrecognized grid file version line: {header!r}")
         if fh.readline().strip() != "x,y,f":
             raise DomainError("missing x,y,f column header")
-        xs, ys, vals = [], [], []
+        rows = []
         for line in fh:
-            sx, sy, sf = line.strip().split(",")
-            xs.append(float(sx))
-            ys.append(float(sy))
-            vals.append(float(sf))
-    ux = sorted(set(xs))
-    uy = sorted(set(ys))
-    f = np.empty((len(ux), len(uy)))
-    xi = {x: i for i, x in enumerate(ux)}
-    yi = {y: i for i, y in enumerate(uy)}
-    for x, y, v in zip(xs, ys, vals):
-        f[xi[x], yi[y]] = v
-    return np.array(ux), np.array(uy), f
+            try:
+                x, y, v = map(float, line.split(","))
+            except ValueError:
+                raise DomainError(f"grid file row {line.strip()!r} is not three numbers x,y,f") from None
+            rows.append((x, y, v))
+    rows = np.array(rows).reshape(-1, 3)
+    xs, ys = np.unique(rows[:, 0]), np.unique(rows[:, 1])
+    if len(rows) != xs.size * ys.size:
+        raise DomainError(f"grid file has {len(rows)} rows for {xs.size} x {ys.size} nodes")
+    if not (np.array_equal(rows[:, 0], np.repeat(xs, ys.size)) and np.array_equal(rows[:, 1], np.tile(ys, xs.size))):
+        raise DomainError("grid file rows are not the nodes in row-major order")
+    return xs, ys, rows[:, 2].reshape(xs.size, ys.size)
 
 
 # ---------------------------------------------------------------------------

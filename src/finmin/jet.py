@@ -254,15 +254,17 @@ def _random_jets(rng, count):
     Draws blocks of at most _JET_BLOCK jets. rng.uniform(size=(k, 3, 2))
     yields the stream of k draws of shape (3, 2), and a block never holds
     more jets than are still missing, so the jets are those of drawing and
-    testing one at a time.
+    testing one at a time. Each block's kept jets go straight into the one
+    (3, 2, count) array, so the draw holds no second copy of the jets.
     """
-    kept = []
-    while count > 0:
-        z = np.moveaxis(rng.uniform(-1.5, 1.5, size=(min(count, _JET_BLOCK), 3, 2)), 0, -1)
+    jets = np.empty((3, 2, count))
+    filled = 0
+    while filled < count:
+        z = np.moveaxis(rng.uniform(-1.5, 1.5, size=(min(count - filled, _JET_BLOCK), 3, 2)), 0, -1)
         z = z[..., _minors(z, 0.0)[1] >= _JET_MIN_DET]
-        kept.append(z)
-        count -= z.shape[-1]
-    return np.concatenate(kept, axis=-1)
+        jets[..., filled : filled + z.shape[-1]] = z
+        filled += z.shape[-1]
+    return jets
 
 
 def _cmd_check_derivatives(args):

@@ -172,8 +172,8 @@ class GridSolution(NamedTuple):
     iterations: int
     problem: GridProblem
     residual_history: list
-    raw_residual_norm: float = math.nan
-    factorizations: int = 0
+    raw_residual_norm: float
+    factorizations: int
 
 
 def _stencil_point(problem: GridProblem, f: np.ndarray):

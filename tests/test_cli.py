@@ -5,10 +5,12 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -617,13 +619,34 @@ def test_solve_grid_write_failing_after_the_solve_exits_2(tmp_path, capsys, monk
     assert captured.err == f"error: --out {str(out)!r} cannot be written: No space left on device\n"
 
 
+_GRID_HEAD = "# minsurf-grid v1\nx,y,f\n"
+_GRID_ORDER = "grid file rows are not the nodes in row-major order"
+
+
 @pytest.mark.parametrize(
     "text,message",
     [
         ("# minsurf-grid v0\nx,y,f\n0.0,0.0,0.0\n", "unrecognized grid file version line: '# minsurf-grid v0'"),
         ("# minsurf-grid v1\n0.0,0.0,0.0\n", "missing x,y,f column header"),
+        (_GRID_HEAD + "0.0,0.0,1.0\n0.0,1.0,2.0\n1.0,0.0,3.0\n", "grid file has 3 rows for 2 x 2 nodes"),
+        (_GRID_HEAD + "0.0,0.0,1.0\n0.0,1.0,2.0\n1.0,0.0,3.0\n1.0,1.0,4.0\n1.0,1.0,5.0\n", "grid file has 5 rows for 2 x 2 nodes"),
+        (_GRID_HEAD + "0.0,0.0,1.0\n0.0,1.0,2.0\n1.0,0.0,3.0\n1.0,0.0,4.0\n", _GRID_ORDER),
+        (_GRID_HEAD + "0.0,1.0,2.0\n0.0,0.0,1.0\n1.0,0.0,3.0\n1.0,1.0,4.0\n", _GRID_ORDER),
+        (_GRID_HEAD + "0.0,0.0,1.0\n0.0,1.0\n", "grid file row '0.0,1.0' is not three numbers x,y,f"),
+        (_GRID_HEAD + "0.0,0.0,1.0,2.0\n", "grid file row '0.0,0.0,1.0,2.0' is not three numbers x,y,f"),
+        (_GRID_HEAD + "0.0,0.0,nope\n", "grid file row '0.0,0.0,nope' is not three numbers x,y,f"),
     ],
-    ids=["wrong-version", "missing-header"],
+    ids=[
+        "wrong-version",
+        "missing-header",
+        "missing-node",
+        "repeated-node",
+        "repeated-for-missing-node",
+        "out-of-order",
+        "two-fields",
+        "four-fields",
+        "not-a-number",
+    ],
 )
 def test_read_grid_csv_rejects_a_foreign_file(tmp_path, text, message):
     from finmin.errors import DomainError
@@ -872,17 +895,24 @@ print((kb("VmHWM") - before) / 1024, code)
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
 @pytest.mark.parametrize(
     "argv,bound",
-    [("check-derivatives --samples 20000", 7.5), ("ellipticity --samples 200000", 12.5)],
-    ids=["check-derivatives", "ellipticity"],
+    [
+        ("check-derivatives --samples 20000", 7.5),
+        ("check-derivatives --b 0 --samples 300000", 21.0),
+        ("ellipticity --samples 200000", 12.5),
+    ],
+    ids=["check-derivatives", "check-derivatives-draw", "ellipticity"],
 )
 def test_sampled_checks_peak_memory(argv, bound):
     # Above the interpreter with numpy.random and both handlers' modules
     # loaded. check-derivatives holds its 20000 jets (0.96 MB) and one
     # block's temporaries, about 5.3 MB in all at its three default b;
     # holding every sample's temporaries at once it peaked about 54 MB
-    # above. ellipticity holds one b's gradients, frame rows and probe
-    # directions (11.2 MB) and one block's temporaries, about 11.3 MB; with
-    # whole-array passes it peaked about 28 MB above.
+    # above. Its 300000 jets (14.4 MB) are drawn into one array, about
+    # 18.3 MB in all; drawn as blocks joined at the end, the jets were held
+    # twice and it peaked about 27.3 MB above. ellipticity holds one b's
+    # gradients, frame rows and probe directions (11.2 MB) and one block's
+    # temporaries, about 11.3 MB; with whole-array passes it peaked about
+    # 28 MB above.
     proc = subprocess.run([sys.executable, "-c", _SAMPLED_PROBE, *argv.split()], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     peak, code = proc.stdout.split()
@@ -1331,17 +1361,19 @@ def argparse_vars(argv):
         return exc.code
 
 
-_README_COMMANDS = [
-    "volume --b 0,0.15,0.3 --n 2 --family matsumoto",
-    "residual-graph --b 0 --point f1=0,f2=0,h11=0,h12=0,h22=0",
-    "residual-translation --b 0.3 --point fp=1,fpp=0.5,gp=2,gpp=-0.25",
-    "check-derivatives --b 0,0.2,0.4 --samples 200 --seed 1",
-    "check-translation --b2 0,1/100,9/100 --p 0,1/2,1,2,5",
-    "ellipticity --b 0.3 --samples 10000 --seed 1",
-    "solve --b 0.4 --boundary affine:0.1,0.3,0.2 --nx 63 --ny 63 --out plane.csv",
-    "solve --b 0 --boundary scherk --nx 31 --ny 31 --out scherk.csv",
-    "solve --b 0.3 --boundary scherk --nx 47 --ny 33 --domain=-1.2,1.2,-0.6,0.6 --out rect.csv",
-]
+def _readme_commands():
+    """The argv of each fenced `finmin ` line of the README, split as a shell
+    splits it."""
+    commands, fenced = [], False
+    for line in (Path(__file__).parents[1] / "README.md").read_text().splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+        elif fenced and line.startswith("finmin "):
+            commands.append(shlex.split(line)[1:])
+    return commands
+
+
+_README_COMMANDS = _readme_commands()
 
 # the commands of .github/workflows/tests.yml that the README does not list
 _CI_COMMANDS = [
@@ -1434,7 +1466,8 @@ _OTHER_COMMANDS = [
 ]
 
 _PARITY_CORPUS = (
-    [line.split() for line in _README_COMMANDS + _CI_COMMANDS]
+    _README_COMMANDS
+    + [line.split() for line in _CI_COMMANDS]
     + [[*argv, "--no-timestamp"] for argv in _WORKLOAD_COMMANDS]
     + _OTHER_COMMANDS
 )

@@ -1175,7 +1175,9 @@ def test_planarity_matches_independent_one_dimensional_fit():
     f = full_field(problem, lambda x, y: x * x)
     from finmin.solver import GridSolution
 
-    fake = GridSolution(f=f, residual_norm=0.0, iterations=0, problem=problem, residual_history=[])
+    fake = GridSolution(
+        f=f, residual_norm=0.0, iterations=0, problem=problem, residual_history=[], raw_residual_norm=0.0, factorizations=0
+    )
     dev = planarity_deviation(fake)
     n = xs.size
     mx, mx2, mx3 = xs.mean(), (xs**2).mean(), (xs**3).mean()
