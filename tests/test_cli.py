@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import runpy
 import shlex
 import subprocess
 import sys
@@ -1064,24 +1065,12 @@ for argv in json.loads(sys.argv[1]):
 print(json.dumps(outs))
 """
 
-_SCALAR_COMMANDS = [
-    ["residual-graph", "--b", "0,0.2,0.45", "--point", "f1=0.7,f2=-1.3,h11=0.5,h12=0.25,h22=-2"],
-    ["residual-translation", "--b", "0,0.3", "--point", "fp=1,fpp=0.5,gp=2,gpp=-0.25"],
-    ["check-translation", "--b2", "0,1/100,9/100", "--p", "0,1/2,1,2,5"],
-    # the four volume commands of the perfbench pointwise workload
-    ["volume", "--b", "0,0.15,0.3,0.45", "--n", "2", "--family", "matsumoto"],
-    ["volume", "--b", "0,0.15,0.3,0.45", "--n", "3", "--family", "matsumoto"],
-    ["volume", "--b", "0.2,0.5,0.8", "--n", "2", "--family", "randers"],
-    ["volume", "--b", "0.5", "--n", "2", "--family", "euclidean"],
-    # phi**n overflows on part of the nodes; those terms add 0
-    ["volume", "--b", "0.45", "--n", "2000"],
-]
-
-
 def test_scalar_commands_byte_identical_without_numpy(capsys):
-    # The last command's estimate is 0/0 at 64 nodes: exit 3 and one error line.
-    failing = ["volume", "--b", "0.3", "--n", "100000"]
-    commands = [[*argv, "--no-timestamp"] for argv in [*_SCALAR_COMMANDS, failing]]
+    # The pointwise workload's commands, then volume where phi**n overflows
+    # on part of the nodes (those terms add 0) and where the estimate is 0/0
+    # at 64 nodes: exit 3 and one error line.
+    edges = [["volume", "--b", "0.45", "--n", "2000"], ["volume", "--b", "0.3", "--n", "100000"]]
+    commands = _WORKLOAD_RUNS["pointwise"][0] + [[*argv, "--no-timestamp"] for argv in edges]
     proc = subprocess.run(
         [sys.executable, "-c", _NO_NUMPY_PROBE, json.dumps(commands)],
         capture_output=True,
@@ -1092,7 +1081,7 @@ def test_scalar_commands_byte_identical_without_numpy(capsys):
     for argv, (code, out, err) in zip(commands, results):
         assert main(argv) == code, argv
         assert capsys.readouterr() == (out, err), argv
-    assert [code for code, _, _ in results] == [0] * len(_SCALAR_COMMANDS) + [3]
+    assert [code for code, _, _ in results] == [0] * (len(commands) - 1) + [3]
     assert all(err == "" for _, _, err in results[:-1])
     _, out, err = results[-1]
     assert out == ""
@@ -1364,84 +1353,46 @@ def argparse_vars(argv):
 def _readme_commands():
     """The argv of each fenced `finmin ` line of the README, split as a shell
     splits it."""
-    commands, fenced = [], False
-    for line in (Path(__file__).parents[1] / "README.md").read_text().splitlines():
-        if line.startswith("```"):
-            fenced = not fenced
-        elif fenced and line.startswith("finmin "):
-            commands.append(shlex.split(line)[1:])
-    return commands
+    fenced = (Path(__file__).parents[1] / "README.md").read_text().split("```")[1::2]
+    return [shlex.split(line)[1:] for block in fenced for line in block.splitlines() if line.startswith("finmin ")]
 
 
 _README_COMMANDS = _readme_commands()
 
-# the commands of .github/workflows/tests.yml that the README does not list
-_CI_COMMANDS = [
-    "volume --b 0,0.15,0.3,0.45 --n 3 --family matsumoto",
-    "volume --b 0.2,0.5,0.8 --n 2 --family randers",
-    "volume --b 0.5 --n 2 --family euclidean",
-    "solve --b 0.3 --boundary scherk --nx 127 --ny 127",
-    "solve --b 0.45 --boundary scherk --nx 127 --ny 127",
-    "solve --b 0.3 --boundary scherk --nx 191 --ny 191",
-    "solve --b 0 --boundary scherk --nx 255 --ny 255 --out scherk255.csv",
-    "solve --b 0.45 --boundary scherk --nx 255 --ny 255",
-    "solve --b 0.3 --boundary scherk --nx 127 --ny 127 --tol 1e-13",
-]
 
-# perfbench/workloads.py's commands of seeds 1-3, each once, without the
-# --no-timestamp every one of them ends with
-_WORKLOAD_COMMANDS = [
-    ["residual-graph", "--b", "0,0.2,0.45", "--point", "f1=-0.43613329739765483,f2=-1.9366818714294065,h11=-0.6865871237783938,h12=-0.2044237538993301,h22=-0.2551529978331424"],
-    ["residual-graph", "--b", "0,0.2,0.45", "--point", "f1=-0.9170275120445965,f2=0.037543548198304855,h11=-0.9161555463293574,h12=0.22870983288217572,h22=0.31518838606836797"],
-    ["residual-graph", "--b", "0,0.2,0.45", "--point", "f1=-1.9163988999918935,f2=1.0852345319040215,h11=-0.33810575698091716,h12=0.919080424364779,h22=0.4607425071863982"],
-    ["residual-graph", "--b", "0,0.2,0.45", "--point", "f1=0.371846287099876,f2=-0.5615318375719807,h11=0.8719060971022312,h12=-0.5307619715631768,h22=-0.6600318936217013"],
-    ["residual-translation", "--b", "0,0.3", "--point", "fp=0.01139038590143615,fpp=-0.5152541057419415,gp=-1.8114654027675907,gpp=-1.3095011132447625"],
-    ["residual-translation", "--b", "0,0.3", "--point", "fp=1.1811322230885848,fpp=-0.2703625066565021,gp=2.0055228249385344,gpp=1.9259419846390888"],
-    ["residual-translation", "--b", "0,0.3", "--point", "fp=-2.109467897288634,fpp=1.8282495433203696,gp=-0.44034651678826187,gpp=-0.5762110826186206"],
-    ["residual-translation", "--b", "0,0.3", "--point", "fp=-0.6579977046382961,fpp=-0.9337209180472774,gp=-1.8856947344567088,gpp=-1.7769734572649463"],
-    ["volume", "--b", "0,0.15,0.3,0.45", "--n", "2", "--family", "matsumoto"],
-    ["volume", "--b", "0,0.15,0.3,0.45", "--n", "3", "--family", "matsumoto"],
-    ["volume", "--b", "0.2,0.5,0.8", "--n", "2", "--family", "randers"],
-    ["volume", "--b", "0.5", "--n", "2", "--family", "euclidean"],
-    ["check-translation", "--b2", "0,12/61,1/5", "--p", "0,1/2,1,2,5"],
-    ["check-translation", "--b2", "36/367,41/188,74/311", "--p", "0,1/2,1,2,5"],
-    ["residual-graph", "--b", "0,0.2,0.45", "--point", "f1=-0.5379466397630144,f2=1.9844522198989814,h11=-0.9536344353918544,h12=-0.21749840044649638,h22=-0.6874891772031635"],
-    ["residual-graph", "--b", "0,0.2,0.45", "--point", "f1=-0.9601814551734527,f2=0.12583259463929375,h11=0.33153226909166955,h12=0.9679192008640447,h22=0.2085116187221776"],
-    ["residual-graph", "--b", "0,0.2,0.45", "--point", "f1=-0.5890118426007365,f2=-0.9732011236079345,h11=-0.07738047257646086,h12=0.3051991389213009,h22=0.3369759104885277"],
-    ["residual-graph", "--b", "0,0.2,0.45", "--point", "f1=-0.09054544072479276,f2=-0.35698146230523786,h11=-0.8096322594513883,h12=-0.45753603644683505,h22=-0.18256785032099176"],
-    ["residual-translation", "--b", "0,0.3", "--point", "fp=-1.1210820830637072,fpp=-1.6848677547635327,gp=-1.2627850935313107,gpp=-1.1853337456043858"],
-    ["residual-translation", "--b", "0,0.3", "--point", "fp=-1.5349901763358373,fpp=0.8761438205581507,gp=0.2546071463118711,gpp=-0.8851378396912599"],
-    ["residual-translation", "--b", "0,0.3", "--point", "fp=2.8966719316942076,fpp=1.4082669852858372,gp=-2.941947033489752,gpp=0.9504313181429827"],
-    ["residual-translation", "--b", "0,0.3", "--point", "fp=-1.3427590293669132,fpp=0.6673253106245003,gp=0.20535600407629673,gpp=-0.8670763466559199"],
-    ["check-translation", "--b2", "0,27/188,51/260", "--p", "0,1/2,1,2,5"],
-    ["check-translation", "--b2", "6/47,27/133,25/108", "--p", "0,1/2,1,2,5"],
-    ["residual-graph", "--b", "0,0.2,0.45", "--point", "f1=-1.3561343211753347,f2=1.37570604426204,h11=-0.7048082018956718,h12=0.678278335372646,h22=0.4844885774294889"],
-    ["residual-graph", "--b", "0,0.2,0.45", "--point", "f1=-1.9666924458209665,f2=-1.486335183984064,h11=-0.630885285639877,h12=-0.42589849331647933,h22=0.3739439954411141"],
-    ["residual-graph", "--b", "0,0.2,0.45", "--point", "f1=0.08934148409552067,f2=0.5656644930696815,h11=0.10096527620732587,h12=-0.7472944597741655,h22=0.670800943481275"],
-    ["residual-graph", "--b", "0,0.2,0.45", "--point", "f1=-1.5457132166696232,f2=1.046529709657547,h11=0.7626459801685019,h12=-0.30985702290122785,h22=0.004530110638542029"],
-    ["residual-translation", "--b", "0,0.3", "--point", "fp=1.692592684795149,fpp=-0.024432055460222202,gp=-0.046013111325250655,gpp=-1.9221093194987509"],
-    ["residual-translation", "--b", "0,0.3", "--point", "fp=-0.0365587273312169,fpp=0.19076706148915745,gp=-0.31953759990358277,gpp=-0.21345068207942042"],
-    ["residual-translation", "--b", "0,0.3", "--point", "fp=-2.535063351231811,fpp=-0.33320212196338606,gp=-2.2587262885984662,gpp=-0.05164058628121593"],
-    ["residual-translation", "--b", "0,0.3", "--point", "fp=-1.6285156941418892,fpp=1.6487948750113102,gp=0.4768627785913422,gpp=0.8184584975909299"],
-    ["check-translation", "--b2", "0,1/19,1/7", "--p", "0,1/2,1,2,5"],
-    ["check-translation", "--b2", "2/53,67/354,25/108", "--p", "0,1/2,1,2,5"],
-    ["solve", "--b", "0.4", "--boundary", "affine:0.5246046849511641,-0.6549841999782575,-0.31245189703179044", "--nx", "63", "--ny", "63", "--out", ".perfbench_work/affine63.csv"],
-    ["solve", "--b", "0.3", "--boundary", "scherk", "--nx", "127", "--ny", "127"],
-    ["solve", "--b", "0.45", "--boundary", "scherk", "--nx", "127", "--ny", "127"],
-    ["solve", "--b", "0.3", "--boundary", "scherk", "--nx", "191", "--ny", "191", "--out", ".perfbench_work/scherk191.csv"],
-    ["solve", "--b", "0", "--boundary", "scherk", "--nx", "255", "--ny", "255", "--out", ".perfbench_work/scherk255.csv"],
-    ["solve", "--b", "0.4", "--boundary", "affine:0.07743254119377552,-0.3848310031988438,-0.9548739416759364", "--nx", "63", "--ny", "63", "--out", ".perfbench_work/affine63.csv"],
-    ["solve", "--b", "0.4", "--boundary", "affine:-0.27033697452364525,-0.8387739000178811,0.011732362247178996", "--nx", "63", "--ny", "63", "--out", ".perfbench_work/affine63.csv"],
-    ["check-derivatives", "--b", "0,0.2,0.4", "--samples", "200", "--seed", "955764859"],
-    ["ellipticity", "--b", "0.15", "--seed", "1117166391"],
-    ["ellipticity", "--b", "0.3,0.45", "--seed", "550379467"],
-    ["check-derivatives", "--b", "0,0.2,0.4", "--samples", "200", "--seed", "747425923"],
-    ["ellipticity", "--b", "0.15", "--seed", "1986685473"],
-    ["ellipticity", "--b", "0.3,0.45", "--seed", "1006469382"],
-    ["check-derivatives", "--b", "0,0.2,0.4", "--samples", "200", "--seed", "1455151644"],
-    ["ellipticity", "--b", "0.15", "--seed", "1684678246"],
-    ["ellipticity", "--b", "0.3,0.45", "--seed", "1647855022"],
-]
+
+def _workflow_commands():
+    """(exit status, message, argv) of each CI workflow line `ways ARGV`,
+    `python -m finmin ARGV [| steps ...]` (exit 0) or `fails CODE MESSAGE
+    ARGV`; a line that expands a shell variable runs commands read elsewhere."""
+    commands = []
+    for line in (Path(__file__).parents[1] / ".github/workflows/tests.yml").read_text().splitlines():
+        line = line.strip().partition(" | ")[0]
+        for prefix in ("ways ", "python -m finmin ", "fails "):
+            if line.startswith(prefix) and "$" not in line:
+                words = shlex.split(line.removeprefix(prefix))
+                commands.append((int(words[0]), words[1], words[2:]) if prefix == "fails " else (0, None, words))
+    return commands
+
+
+_WORKFLOW_COMMANDS = _workflow_commands()
+# perfbench/workloads.py run from its file, so that nothing under perfbench/
+# is imported as a package or cached; each workload's argv of seeds 1-3
+_workloads = runpy.run_path(str(Path(__file__).parents[1] / "perfbench/workloads.py"))
+_WORKLOAD_RUNS = {w: [_workloads["commands"](w, seed) for seed in (1, 2, 3)] for w in _workloads["WORKLOADS"]}
+
+
+def test_command_readers_return_every_command():
+    assert (len(_README_COMMANDS), len(_WORKFLOW_COMMANDS)) == (9, 10)
+    assert {
+        (0, "check-derivatives --b 0,0.45 --samples 2500 --seed 7"),
+        (0, "ellipticity --b 0,0.3 --samples 25000 --seed 7"),
+        (0, "solve --b 0.3 --boundary scherk --nx 200 --ny 61 --out rect.csv"),
+        (2, "volume --bogus"),
+    } <= {(code, shlex.join(argv)) for code, _, argv in _WORKFLOW_COMMANDS}
+    counts = {w: [len(run) for run in runs] for w, runs in _WORKLOAD_RUNS.items()}
+    assert counts == {"pointwise": [14] * 3, "dirichlet": [5] * 3, "sampled-checks": [3] * 3}
+
 
 # abbreviations, --opt=value and --opt value, a repeated option (the last
 # counts) and each command's defaults
@@ -1456,21 +1407,28 @@ _OTHER_COMMANDS = [
     ["solve", "--nx=9", "--ny", "9", "--b", "0.3", "--b=0.1", "--out", "a.csv", "--out=b.csv"],
     ["ellipticity", "--seed", "1", "--seed", "2", "--samples=5", "--samples", "6", "--no-timestamp", "--no-timestamp"],
     ["solve", "--tol", "-1", "--max-iter", "-1", "--b", "-0.1"],
-    ["volume"],
-    ["residual-graph", "--point", "f1=0"],
-    ["residual-translation", "--point", "fp=0"],
-    ["check-derivatives"],
-    ["check-translation"],
-    ["ellipticity"],
-    ["solve"],
+    # each command of the option table with only its required options
+    *([name, *(f"{o}=0" for o, (_, d, _) in options.items() if d is ...)] for name, (_, _, options) in _COMMANDS.items()),
 ]
 
 _PARITY_CORPUS = (
     _README_COMMANDS
-    + [line.split() for line in _CI_COMMANDS]
-    + [[*argv, "--no-timestamp"] for argv in _WORKLOAD_COMMANDS]
+    + [argv for code, _, argv in _WORKFLOW_COMMANDS if code != 2]
+    # each workload command once: seeds change only values, not options
+    + [list(argv) for argv in dict.fromkeys(tuple(a) for runs in _WORKLOAD_RUNS.values() for run in runs for a in run)]
     + _OTHER_COMMANDS
 )
+
+
+def test_parity_corpus_uses_every_option_of_every_command():
+    # a shortened option counts as the one option it is a prefix of
+    used = set()
+    for command, *tokens in _PARITY_CORPUS:
+        options = _COMMANDS[command][2]
+        for name in (token.partition("=")[0] for token in tokens):
+            found = [name] if name in options else [o for o in options if len(name) > 2 and o.startswith(name)]
+            used.update((command, option) for option in found if len(found) == 1)
+    assert used == {(command, option) for command, (_, _, options) in _COMMANDS.items() for option in options}
 
 
 @pytest.mark.parametrize("argv", _PARITY_CORPUS)
@@ -1491,6 +1449,8 @@ _USAGE_ERRORS = [
     (["solve", "--n", "9"], "--n"),
     (["volume", "--no-timestamp=1"], "--no-timestamp"),
     ([], "command"),
+    # the CI workflow's, with the text their one line begins with
+    *((argv, message) for code, message, argv in _WORKFLOW_COMMANDS if code == 2),
 ]
 
 
