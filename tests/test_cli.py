@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import errno
 import gc
@@ -16,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import finmin
 from finmin.cli import _COMMANDS, _parse, main, read_grid_csv
 from finmin.translation import kl_polys, kl_ratio_derivative
 
@@ -702,18 +704,6 @@ def test_unknown_command_exits_2():
     assert "frobnicate" in proc.stderr
 
 
-def test_byte_identical_determinism():
-    argv = ["check-derivatives", "--b", "0.2", "--samples", "8", "--seed", "7", "--no-timestamp"]
-    a = run_proc(argv)
-    b = run_proc(argv)
-    assert a.returncode == b.returncode == 0
-    assert a.stdout == b.stdout
-    argv2 = ["ellipticity", "--b", "0.25", "--samples", "200", "--seed", "11", "--no-timestamp"]
-    a2 = run_proc(argv2)
-    b2 = run_proc(argv2)
-    assert a2.stdout == b2.stdout
-
-
 # Values printed by the stacked closed forms against the batched oracles.
 # The oracles' bits are those of the per-sample implementation the batched
 # passes replaced; exact equality pins both passes to their bits.
@@ -1051,44 +1041,6 @@ def test_solve_and_scipy_share_one_superlu_module(order):
     assert np.allclose(out["x"], [1.0, 1.0], rtol=0, atol=1e-15)
 
 
-_NO_NUMPY_PROBE = """
-import contextlib, io, json, sys
-sys.modules["numpy"] = None  # any `import numpy` now raises ImportError
-from finmin.cli import main
-
-outs = []
-for argv in json.loads(sys.argv[1]):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    outs.append([code, out.getvalue(), err.getvalue()])
-print(json.dumps(outs))
-"""
-
-def test_scalar_commands_byte_identical_without_numpy(capsys):
-    # The pointwise workload's commands, then volume where phi**n overflows
-    # on part of the nodes (those terms add 0) and where the estimate is 0/0
-    # at 64 nodes: exit 3 and one error line.
-    edges = [["volume", "--b", "0.45", "--n", "2000"], ["volume", "--b", "0.3", "--n", "100000"]]
-    commands = _WORKLOAD_RUNS["pointwise"][0] + [[*argv, "--no-timestamp"] for argv in edges]
-    proc = subprocess.run(
-        [sys.executable, "-c", _NO_NUMPY_PROBE, json.dumps(commands)],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    results = json.loads(proc.stdout)
-    for argv, (code, out, err) in zip(commands, results):
-        assert main(argv) == code, argv
-        assert capsys.readouterr() == (out, err), argv
-    assert [code for code, _, _ in results] == [0] * (len(commands) - 1) + [3]
-    assert all(err == "" for _, _, err in results[:-1])
-    _, out, err = results[-1]
-    assert out == ""
-    assert err.startswith("error: quadrature ratio is nan at b=0.3, n=100000 with 64 nodes")
-    assert err.count("\n") == 1
-
-
 # ---------------------------------------------------------------------------
 # the console entry: collector off, heap frozen; records that cannot be written
 
@@ -1276,6 +1228,150 @@ def test_help_written_to_a_full_device_exits_2(capsys, argv):
 
 
 # ---------------------------------------------------------------------------
+# the command corpus, each command run four ways
+
+
+def _readme_commands():
+    """The argv of each fenced `finmin ` line of the README, split as a shell
+    splits it."""
+    fenced = (Path(__file__).parents[1] / "README.md").read_text().split("```")[1::2]
+    return [shlex.split(line)[1:] for block in fenced for line in block.splitlines() if line.startswith("finmin ")]
+
+
+_README_COMMANDS = _readme_commands()
+# perfbench/workloads.py run from its file, so that nothing under perfbench/
+# is imported as a package or cached; each workload's argv of seeds 1-3
+_workloads = runpy.run_path(str(Path(__file__).parents[1] / "perfbench/workloads.py"))
+_WORKLOAD_RUNS = {w: [_workloads["commands"](w, seed) for seed in (1, 2, 3)] for w in _workloads["WORKLOADS"]}
+
+# (argv, exit status, the text a failing run's one stderr line begins with):
+# the README's commands, the pointwise and sampled-checks commands of seed 1,
+# then the commands that no other source lists, and every help text.
+_CORPUS = [
+    *((argv, 0, None) for argv in _README_COMMANDS),
+    *((argv, 0, None) for workload in ("pointwise", "sampled-checks") for argv in _WORKLOAD_RUNS[workload][0]),
+    # Sampled checks over several blocks: check-derivatives runs its closed
+    # forms and its four oracles over blocks of 1024 jets (jet._JET_BLOCK),
+    # and ellipticity its two functions over blocks of 2048 samples
+    # (graph_pde._SAMPLE_BLOCK): 2500 jets are three blocks and 25000 samples
+    # thirteen, the last of each only in part.
+    (shlex.split("check-derivatives --b 0,0.45 --samples 2500 --seed 7"), 0, None),
+    (shlex.split("ellipticity --b 0,0.3 --samples 25000 --seed 7"), 0, None),
+    # Grids of converging solves: N = 255, the dirichlet workload's largest;
+    # and 200 x 61, whose pattern and CSC data span 14 assembly blocks (910
+    # columns or 8192 entries each), the last in part, and its residual two
+    # row blocks. The solver drops arrays as it goes, which must change no
+    # record or grid. test_solver pins their Newton steps and factorizations.
+    (shlex.split("solve --b 0 --boundary scherk --nx 255 --ny 255 --out scherk255.csv"), 0, None),
+    (shlex.split("solve --b 0.3 --boundary scherk --nx 200 --ny 61 --out rect.csv"), 0, None),
+    # --tol 1e-13 is below the N = 127 grid's rounding floor: the solve
+    # stalls at residual 1.01e-12
+    (shlex.split("solve --b 0.3 --boundary scherk --nx 127 --ny 127 --tol 1e-13"), 3, "error: line search stalled"),
+    # volume where phi**n overflows on part of the nodes (those terms add 0),
+    # and where the estimate is 0/0 at 64 nodes
+    (shlex.split("volume --b 0.45 --n 2000"), 0, None),
+    (shlex.split("volume --b 0.3 --n 100000"), 3, "error: quadrature ratio is nan at b=0.3, n=100000 with 64 nodes"),
+    (["volume", "--bogus"], 2, "error:"),
+    # cli._COMMANDS, the option table, generates finmin's help and each command's
+    *(([*command, "--help"], 0, None) for command in [[], *([name] for name in _COMMANDS)]),
+]
+
+
+def test_command_readers_return_every_command():
+    assert len(_README_COMMANDS) == 9
+    counts = {w: [len(run) for run in runs] for w, runs in _WORKLOAD_RUNS.items()}
+    assert counts == {"pointwise": [14] * 3, "dirichlet": [5] * 3, "sampled-checks": [3] * 3}
+    assert len(_CORPUS) == 42
+
+
+# The modules each command runs without: each is None in sys.modules, so
+# importing it raises ImportError. The scalar commands compute on floats and
+# Fractions (fractions only in check-translation), the translation ones take
+# the graph equation's divisor from finmin.metric, the sampled checks need
+# numpy alone, and solve loads SuperLU's compiled module by itself. finmin's
+# own help loads no command's modules.
+_SCALAR = ("numpy", "dataclasses", "inspect", "datetime")
+_BLOCKED = {
+    "--help": (*_SCALAR, "fractions", "scipy"),
+    "volume": (*_SCALAR, "fractions"),
+    "residual-graph": (*_SCALAR, "fractions"),
+    "residual-translation": (*_SCALAR, "fractions", "finmin.graph_pde"),
+    "check-translation": (*_SCALAR, "finmin.graph_pde"),
+    "check-derivatives": ("scipy",),
+    "ellipticity": ("scipy",),
+    "solve": ("scipy.sparse",),
+}
+_WITHOUT = """
+import sys
+sys.modules.update(dict.fromkeys(sys.argv[1].split(",")))
+from finmin.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+# The subprocesses run in directories of their own and import this finmin.
+_ENV = {**os.environ, "PYTHONPATH": str(Path(finmin.__file__).parents[1])}
+
+
+@pytest.mark.parametrize("argv, code, message", _CORPUS, ids=[shlex.join(argv) for argv, _, _ in _CORPUS])
+def test_corpus_command_runs_alike_four_ways(tmp_path, monkeypatch, capsys, argv, code, message):
+    # Each way in its own directory: `python -m finmin` (console_main, which
+    # switches the cyclic collector off); `python -O`, which strips every
+    # assert; main() in process with the collector on; and main() in a fresh
+    # process without the command's _BLOCKED modules. The exit status, stdout,
+    # stderr and --out grid must be equal byte for byte.
+    argv = [*argv, "--no-timestamp"]
+    grid = argv[argv.index("--out") + 1] if "--out" in argv else None
+    commands = {
+        "plain": [sys.executable, "-m", "finmin"],
+        "optimized": [sys.executable, "-O", "-m", "finmin"],
+        "without": [sys.executable, "-c", _WITHOUT, ",".join(_BLOCKED[argv[0]])],
+    }
+    for way in [*commands, "collected"]:
+        (tmp_path / way).mkdir()
+    # the three processes run while main() runs here
+    procs = {
+        way: subprocess.Popen(
+            [*command, *argv], cwd=tmp_path / way, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_ENV
+        )
+        for way, command in commands.items()
+    }
+    monkeypatch.chdir(tmp_path / "collected")
+    assert gc.isenabled()
+    outputs = {"collected": (main(argv), *(text.encode() for text in capsys.readouterr()))}
+    for way, proc in procs.items():
+        out, err = proc.communicate(timeout=300)
+        outputs[way] = proc.returncode, out, err
+    outputs = {way: (*result, grid and (tmp_path / way / grid).read_bytes()) for way, result in outputs.items()}
+    status, out, err, _ = plain = outputs.pop("plain")
+    assert status == code, err
+    assert outputs == dict.fromkeys(outputs, plain)
+    if "--help" in argv:
+        assert out.startswith(b"usage: finmin") and err == b""
+    elif code == 0:
+        record = json.loads(out, parse_constant=_reject_constant)
+        assert err == b""
+        # `pass` only bounds the type bound from above; ellipticity must also
+        # echo the exact constant C = 2b^2/(2 + b^2), not fall toward 0
+        for entry in record["results"] if argv[0] == "ellipticity" else []:
+            c = entry["mean_curvature_type_constant"]
+            assert c * (1 - 1e-6) <= entry["mean_curvature_type_bound"] <= c * (1 + 1e-12), entry
+    else:
+        assert out == b""
+        assert err.startswith(message.encode()) and err.count(b"\n") == 1, err
+
+
+def test_no_assert_statements_in_the_package():
+    # `python -O` strips assert statements, so no invariant of the package may
+    # rest on one; it raises its own errors instead.
+    found = [
+        f"{path}:{node.lineno}"
+        for path in sorted((Path(__file__).parents[1] / "src/finmin").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+# ---------------------------------------------------------------------------
 # the option table against argparse
 
 
@@ -1350,50 +1446,6 @@ def argparse_vars(argv):
         return exc.code
 
 
-def _readme_commands():
-    """The argv of each fenced `finmin ` line of the README, split as a shell
-    splits it."""
-    fenced = (Path(__file__).parents[1] / "README.md").read_text().split("```")[1::2]
-    return [shlex.split(line)[1:] for block in fenced for line in block.splitlines() if line.startswith("finmin ")]
-
-
-_README_COMMANDS = _readme_commands()
-
-
-
-def _workflow_commands():
-    """(exit status, message, argv) of each CI workflow line `ways ARGV`,
-    `python -m finmin ARGV [| steps ...]` (exit 0) or `fails CODE MESSAGE
-    ARGV`; a line that expands a shell variable runs commands read elsewhere."""
-    commands = []
-    for line in (Path(__file__).parents[1] / ".github/workflows/tests.yml").read_text().splitlines():
-        line = line.strip().partition(" | ")[0]
-        for prefix in ("ways ", "python -m finmin ", "fails "):
-            if line.startswith(prefix) and "$" not in line:
-                words = shlex.split(line.removeprefix(prefix))
-                commands.append((int(words[0]), words[1], words[2:]) if prefix == "fails " else (0, None, words))
-    return commands
-
-
-_WORKFLOW_COMMANDS = _workflow_commands()
-# perfbench/workloads.py run from its file, so that nothing under perfbench/
-# is imported as a package or cached; each workload's argv of seeds 1-3
-_workloads = runpy.run_path(str(Path(__file__).parents[1] / "perfbench/workloads.py"))
-_WORKLOAD_RUNS = {w: [_workloads["commands"](w, seed) for seed in (1, 2, 3)] for w in _workloads["WORKLOADS"]}
-
-
-def test_command_readers_return_every_command():
-    assert (len(_README_COMMANDS), len(_WORKFLOW_COMMANDS)) == (9, 10)
-    assert {
-        (0, "check-derivatives --b 0,0.45 --samples 2500 --seed 7"),
-        (0, "ellipticity --b 0,0.3 --samples 25000 --seed 7"),
-        (0, "solve --b 0.3 --boundary scherk --nx 200 --ny 61 --out rect.csv"),
-        (2, "volume --bogus"),
-    } <= {(code, shlex.join(argv)) for code, _, argv in _WORKFLOW_COMMANDS}
-    counts = {w: [len(run) for run in runs] for w, runs in _WORKLOAD_RUNS.items()}
-    assert counts == {"pointwise": [14] * 3, "dirichlet": [5] * 3, "sampled-checks": [3] * 3}
-
-
 # abbreviations, --opt=value and --opt value, a repeated option (the last
 # counts) and each command's defaults
 _OTHER_COMMANDS = [
@@ -1412,8 +1464,7 @@ _OTHER_COMMANDS = [
 ]
 
 _PARITY_CORPUS = (
-    _README_COMMANDS
-    + [argv for code, _, argv in _WORKFLOW_COMMANDS if code != 2]
+    [argv for argv, code, _ in _CORPUS if code != 2 and "--help" not in argv]
     # each workload command once: seeds change only values, not options
     + [list(argv) for argv in dict.fromkeys(tuple(a) for runs in _WORKLOAD_RUNS.values() for run in runs for a in run)]
     + _OTHER_COMMANDS
@@ -1449,8 +1500,8 @@ _USAGE_ERRORS = [
     (["solve", "--n", "9"], "--n"),
     (["volume", "--no-timestamp=1"], "--no-timestamp"),
     ([], "command"),
-    # the CI workflow's, with the text their one line begins with
-    *((argv, message) for code, message, argv in _WORKFLOW_COMMANDS if code == 2),
+    # the corpus's, with the text their one line begins with
+    *((argv, message) for argv, code, message in _CORPUS if code == 2),
 ]
 
 

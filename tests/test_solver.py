@@ -354,13 +354,24 @@ def test_stagnation_stops_at_the_first_failed_full_step_near_the_floor(monkeypat
 
 
 @functools.lru_cache(maxsize=None)
-def scherk_solution(n, b):
-    return solve_minimal_graph(GridProblem(UNIT_SQUARE, n, n, b, scherk), tol=1e-10)
+def scherk_solution(nx, ny, b):
+    return solve_minimal_graph(GridProblem(UNIT_SQUARE, nx, ny, b, scherk), tol=1e-10)
 
 
-@pytest.mark.parametrize("n, b, iterations", [(127, 0.0, 2), (127, 0.3, 3), (127, 0.45, 3), (255, 0.0, 2)])
-def test_scherk_data_at_large_grids(n, b, iterations):
-    sol = scherk_solution(n, b)
+# N = 255 at b = 0.45 is the dirichlet workload's largest b and grid; the
+# 200 x 61 pattern and CSC data span 14 assembly blocks (910 columns or 8192
+# entries each), the last in part, and its residual two row blocks. A square
+# grid's id names N once.
+_LARGE_GRIDS = [(127, 127, 0.0, 2), (127, 127, 0.3, 3), (127, 127, 0.45, 3), (255, 255, 0.0, 2),
+                (191, 191, 0.3, 3), (255, 255, 0.45, 3), (200, 61, 0.3, 3)]
+
+
+@pytest.mark.parametrize(
+    "nx, ny, b, iterations", _LARGE_GRIDS,
+    ids=[f"{nx if nx == ny else f'{nx}x{ny}'}-{b}-{iterations}" for nx, ny, b, iterations in _LARGE_GRIDS],
+)
+def test_scherk_data_at_large_grids(nx, ny, b, iterations):
+    sol = scherk_solution(nx, ny, b)
     assert sol.iterations == iterations
     assert sol.factorizations == 1
     assert sol.residual_norm <= 1e-10
@@ -369,7 +380,7 @@ def test_scherk_data_at_large_grids(n, b, iterations):
         # the O(h^2) discretization bound perfbench checks on its grid files
         exact = full_field(sol.problem, scherk)
         assert np.max(np.abs(sol.f - exact)) <= 0.025 * sol.problem.hx**2
-    if n == 255:
+    if nx == 255:
         # the raw max-norm sits at its rounding floor, above tol
         assert sol.raw_residual_norm > 1e-10
 
@@ -396,7 +407,7 @@ def test_self_convergence_order_for_positive_b(b):
     # No closed-form solution exists for b > 0; nested grids N -> 2N + 1 share
     # every other node, and the differences there shrink at order 2.
     sizes = (15, 31, 63, 127)
-    fields = [scherk_solution(n, b).f for n in sizes]
+    fields = [scherk_solution(n, n, b).f for n in sizes]
     diffs = [np.max(np.abs(coarse - fine[::2, ::2])) for coarse, fine in zip(fields, fields[1:])]
     orders = [math.log2(d0 / d1) for d0, d1 in zip(diffs, diffs[1:])]
     assert min(orders) >= 1.9, orders
