@@ -57,9 +57,9 @@ __all__ = ["main", "console_main", "write_grid_csv", "read_grid_csv"]
 
 GRID_FORMAT_VERSION = "minsurf-grid v1"
 
-# Largest --samples. There check-derivatives (three b) peaks at 85 MB and
-# takes about 30 s, and ellipticity (one b) peaks at 88 MB, most of it the
-# samples themselves: both run over blocks of samples.
+# Largest --samples. There check-derivatives (three b) peaks at 79 MB and
+# takes about 35 s, and ellipticity (one b) peaks at 82 MB, most of it the
+# samples themselves: both draw and run over blocks of samples.
 _MAX_SAMPLES = 10**6
 
 # --point fields of the pointwise commands, parsed by _validate

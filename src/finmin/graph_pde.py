@@ -46,7 +46,7 @@ functions at the end are the CLI's residual-graph and ellipticity
 commands.
 """
 
-from .metric import _divisor_excess, check_b
+from .metric import _divisor_excess, _random01, check_b
 
 __all__ = [
     "graph_residual",
@@ -149,32 +149,50 @@ def mean_curvature_type_bound(f, k, b: float) -> float:
     return float(np.max(excess / divisor * (w2 - w * w)))
 
 
-# Samples per block of random_rotations and of the ellipticity command's
-# sweep; bounds their temporaries at any --samples.
+# Samples per block of the ellipticity command's draws and sweep; bounds
+# their temporaries at any --samples.
 _SAMPLE_BLOCK = 2048
 
 
-def random_rotations(rng: "np.random.Generator", n: int) -> "np.ndarray":
+def _disk_blocks(rng, n):
+    """n points (u, v) uniform in the punctured unit disk, drawn from rng,
+    a random.Random, as blocks (start, u, v, s), s = u^2 + v^2.
+
+    Each candidate is -1 + 2 r for two successive r = rng.random(), kept
+    where 0 < s < 1. A block holds at most _SAMPLE_BLOCK candidates and
+    never more than points are still missing, so the points and the state
+    rng is left in are those of drawing and testing one pair at a time.
+    """
+    filled = 0
+    while filled < n:
+        u, v = (-1.0 + 2.0 * _random01(rng, 2 * min(n - filled, _SAMPLE_BLOCK))).reshape(-1, 2).T
+        s = u * u + v * v
+        keep = (0.0 < s) & (s < 1.0)
+        u, v, s = u[keep], v[keep], s[keep]
+        yield filled, u, v, s
+        filled += len(s)
+
+
+def random_rotations(rng: "random.Random", n: int) -> "np.ndarray":
     """The last rows k of n uniformly random rotation matrices (det +1),
     shape (n, 3): the frame rows the two ellipticity functions take, unit
     normals of uniformly random tilted planes.
 
-    Quaternion construction, of which only the last row is formed, over
-    blocks of at most _SAMPLE_BLOCK quaternions drawn one after the other
-    from rng: the rows are those of one (n, 4) draw, deterministic given
-    the generator state, which keeps seeded CLI output byte-stable.
+    The last row of a uniform rotation is uniform on the sphere. Marsaglia's
+    method (Ann. Math. Statist. 43, 1972) maps each point (u, v) of
+    _disk_blocks, s = u^2 + v^2, to (2u sqrt(1 - s), 2v sqrt(1 - s), 1 - 2s),
+    with no other function than sqrt, so the rows are the same bits on
+    every machine for the same rng state.
     """
     import numpy as np
 
     k = np.empty((n, 3))
-    for start in range(0, n, _SAMPLE_BLOCK):
-        q = rng.normal(size=(min(n - start, _SAMPLE_BLOCK), 4))
-        q /= np.linalg.norm(q, axis=1, keepdims=True)
-        a, b, c, d = q.T
-        rows = k[start : start + len(q)].T
-        rows[0] = 2 * (b * d - a * c)
-        rows[1] = 2 * (c * d + a * b)
-        rows[2] = a * a - b * b - c * c + d * d
+    for start, u, v, s in _disk_blocks(rng, n):
+        rows = k[start : start + len(s)].T
+        t = 2.0 * np.sqrt(1.0 - s)
+        rows[0] = u * t
+        rows[1] = v * t
+        rows[2] = 1.0 - 2.0 * s
     return k
 
 
@@ -196,15 +214,24 @@ def _cmd_residual_graph(args):
 
 def _sweep(rng, n, b):
     """(smallest quotient, smallest divisor, mean_curvature_type_bound) on
-    n samples drawn from rng for one b: gradients, frame rows and probe
-    directions, each drawn whole, in that order; then the two functions
-    per block of _SAMPLE_BLOCK samples, reduced by np.min / np.max, which
-    keep a nan. The draws are dropped on return, before the next b's."""
+    n samples drawn from rng for one b: gradients -3 + 6 rng.random() (two
+    per sample), frame rows (random_rotations) and probe directions
+    uniform in the punctured unit disk (_disk_blocks; the quotients are of
+    degree 0 in xi), each drawn whole, in that order; then the two
+    functions per block of _SAMPLE_BLOCK samples, reduced by np.min /
+    np.max, which keep a nan. The draws are dropped on return, before the
+    next b's."""
     import numpy as np
 
-    f = rng.uniform(-3.0, 3.0, size=(n, 2))
+    f = np.empty((n, 2))
+    for start in range(0, n, _SAMPLE_BLOCK):
+        m = min(n - start, _SAMPLE_BLOCK)
+        f[start : start + m] = (-3.0 + 6.0 * _random01(rng, 2 * m)).reshape(m, 2)
     k = random_rotations(rng, n)
-    xi = rng.normal(size=(n, 2))
+    xi = np.empty((n, 2))
+    for start, u, v, _ in _disk_blocks(rng, n):
+        xi[start : start + len(u), 0] = u
+        xi[start : start + len(u), 1] = v
     ratios, divisors, bounds = [], [], []
     for start in range(0, n, _SAMPLE_BLOCK):
         block = slice(start, start + _SAMPLE_BLOCK)
@@ -220,9 +247,9 @@ def _cmd_ellipticity(args):
     the divisor, and mean_curvature_type_bound beside the exact
     mean-curvature-type constant C = 2 b^2 / (2 + b^2) (the module
     docstring), which the bound must not exceed."""
-    import numpy as np
+    import random
 
-    rng = np.random.default_rng(args.seed)
+    rng = random.Random(args.seed)
     results = []
     ok_all = True
     for b in args.b:

@@ -41,11 +41,13 @@ is the CLI's check-derivatives command.
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 
 from . import dual
 from .errors import DegenerateJetError, DomainError
+from .metric import _random01
 
 __all__ = [
     "area_integrand_grad",
@@ -248,19 +250,21 @@ _JET_MIN_DET = 0.25
 
 
 def _random_jets(rng, count):
-    """count jets, (3, 2, count): entries uniform in [-1.5, 1.5), keeping
-    the jets whose Gram determinant is at least _JET_MIN_DET.
+    """count jets, (3, 2, count), drawn from rng, a random.Random: entries
+    -1.5 + 3 u, u = rng.random(), filling each jet row by row, keeping the
+    jets whose Gram determinant is at least _JET_MIN_DET.
 
-    Draws blocks of at most _JET_BLOCK jets. rng.uniform(size=(k, 3, 2))
-    yields the stream of k draws of shape (3, 2), and a block never holds
-    more jets than are still missing, so the jets are those of drawing and
-    testing one at a time. Each block's kept jets go straight into the one
-    (3, 2, count) array, so the draw holds no second copy of the jets.
+    Draws blocks of at most _JET_BLOCK jets, six values each, and a block
+    never holds more jets than are still missing, so the jets and the
+    state rng is left in are those of drawing and testing one jet at a
+    time. Each block's kept jets go straight into the one (3, 2, count)
+    array, so the draw holds no second copy of the jets.
     """
     jets = np.empty((3, 2, count))
     filled = 0
     while filled < count:
-        z = np.moveaxis(rng.uniform(-1.5, 1.5, size=(min(count - filled, _JET_BLOCK), 3, 2)), 0, -1)
+        k = min(count - filled, _JET_BLOCK)
+        z = np.moveaxis((-1.5 + 3.0 * _random01(rng, 6 * k)).reshape(k, 3, 2), 0, -1)
         z = z[..., _minors(z, 0.0)[1] >= _JET_MIN_DET]
         jets[..., filled : filled + z.shape[-1]] = z
         filled += z.shape[-1]
@@ -271,14 +275,14 @@ def _cmd_check_derivatives(args):
     """(record, exit code): the closed forms against both oracles on
     --samples seeded random jets, at each b.
 
-    The jets are drawn whole, as _random_jets draws them; then, per b, the
-    closed forms and the four oracles run over blocks of at most
-    _JET_BLOCK jets, one batched pass each per block, so the temporaries
-    do not grow with --samples. Each sample's values do not depend on its
-    block, and np.max of the blocks' maxima is the maximum over all
-    samples, a nan included.
+    The jets are drawn whole from random.Random(--seed), as _random_jets
+    draws them; then, per b, the closed forms and the four oracles run
+    over blocks of at most _JET_BLOCK jets, one batched pass each per
+    block, so the temporaries do not grow with --samples. Each sample's
+    values do not depend on its block, and np.max of the blocks' maxima is
+    the maximum over all samples, a nan included.
     """
-    z = _random_jets(np.random.default_rng(args.seed), args.samples)
+    z = _random_jets(random.Random(args.seed), args.samples)
     results = []
     failures = []
     for b in args.b:

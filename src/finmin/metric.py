@@ -12,7 +12,8 @@ phi(s) > 0 and phi(s) - s phi'(s) + (b**2 - s**2) phi''(s) > 0 for
 slope profile the condition reads (1 - b)(1 - 2b) > 0, hence b < 1/2;
 tests/test_symbolic_chain.py checks every family from ``_phi`` itself.
 _divisor_excess writes the slope metric's graph-equation divisor once, for
-the graph_pde, solver and translation modules.
+the graph_pde, solver and translation modules, and _random01 the uniform
+draw that the jet and graph_pde modules' sampled checks build on.
 """
 
 import math
@@ -65,3 +66,17 @@ def _divisor_excess(w2, w, b2):
     Arithmetic only; the integer literals keep Fractions exact."""
     s = (2 + b2) * w2 - b2 * w * w
     return s * (s - 2 * b2 * w * w), 2 * b2 * (s + 4 * b2 * w * w)
+
+
+def _random01(rng, n):
+    """The next n values of rng.random(), rng a random.Random, as one
+    float64 array; rng is left as n random() calls leave it.
+
+    random() takes two 32-bit words w0, w1 of the generator and returns
+    ((w0 >> 5) * 2**26 + (w1 >> 6)) * 2**-53, a stream Python keeps the
+    same in every version. getrandbits(64 n) takes the same 2n words,
+    the first in the lowest bits, so one call yields all n values."""
+    import numpy as np
+
+    words = np.frombuffer(rng.getrandbits(64 * n).to_bytes(8 * n, "little"), dtype="<u4")
+    return ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) * (1.0 / 9007199254740992.0)

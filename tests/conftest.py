@@ -1,16 +1,35 @@
 """Shared sampling helpers for the test suite."""
 
 import math
+import random
 
 import numpy as np
 
 from finmin.jet import _matrix_rel_err as max_rel_err  # noqa: F401  (re-exported)
-from finmin.jet import _random_jets, area_integrand_hess
+from finmin.jet import area_integrand_hess
+
+
+def _random_jets_one_at_a_time(rng, count):
+    """count jets (3, 2, count) with entries uniform in [-1.5, 1.5), drawn
+    and tested one at a time, kept where the Gram determinant is at least
+    0.25. From a random.Random, the draw check-derivatives makes (-1.5 + 3
+    rng.random(), row by row); from a numpy Generator, the one it made
+    before, which the property tests keep as their data."""
+    jets = []
+    while len(jets) < count:
+        if isinstance(rng, random.Random):
+            z = np.array([-1.5 + 3.0 * rng.random() for _ in range(6)]).reshape(3, 2)
+        else:
+            z = rng.uniform(-1.5, 1.5, size=(3, 2))
+        a = z.T @ z
+        if a[0, 0] * a[1, 1] - a[0, 1] ** 2 >= 0.25:
+            jets.append(z)
+    return np.stack(jets, axis=-1)
 
 
 def rand_jet(rng):
-    """One random (3, 2) jet, drawn as check-derivatives draws its jets."""
-    return _random_jets(rng, 1)[..., 0]
+    """One random (3, 2) jet from a numpy Generator."""
+    return _random_jets_one_at_a_time(rng, 1)[..., 0]
 
 
 def graph_euler_lagrange(f, hess, m, b):
@@ -39,10 +58,10 @@ def cleared_euler_lagrange(f, hess, m, b):
 def rand_rotation(rng):
     """Uniform random rotation matrix (det +1) from a quaternion draw.
 
-    Not built on graph_pde.random_rotations, which forms only the last
-    row and sums the quaternion's norm in a different order, so about one
-    seed in eight (seed 32 of test_bound_pinned_values among them) gives a
-    row a last bit apart.
+    Not built on test_graph_pde's _rotations_in_one_draw, which forms
+    only the last row and sums the quaternion's norm in a different order,
+    so about one seed in eight (seed 32 of test_bound_pinned_values among
+    them) gives a row a last bit apart.
     """
     q = rng.normal(size=4)
     q /= np.linalg.norm(q)

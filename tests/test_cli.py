@@ -13,12 +13,15 @@ import sys
 import warnings
 from fractions import Fraction
 from pathlib import Path
+from random import Random
 
 import numpy as np
 import pytest
+from conftest import _random_jets_one_at_a_time
 
 import finmin
 from finmin.cli import _COMMANDS, _parse, main, read_grid_csv
+from finmin.jet import _JET_BLOCK
 from finmin.translation import kl_polys, kl_ratio_derivative
 
 
@@ -192,26 +195,16 @@ def test_check_derivatives_passes_at_default_tolerances_on_many_samples(capsys):
     assert all(r["pass"] for r in json.loads(capsys.readouterr().out)["results"])
 
 
-def _random_jets_one_at_a_time(rng, count):
-    """The sequential draw the block draw must reproduce."""
-    jets = []
-    while len(jets) < count:
-        z = rng.uniform(-1.5, 1.5, size=(3, 2))
-        a = z.T @ z
-        if a[0, 0] * a[1, 1] - a[0, 1] ** 2 >= 0.25:
-            jets.append(z)
-    return np.stack(jets, axis=-1)
-
-
 @pytest.mark.parametrize("seed,count", [(0, 1), (1, 5), (123, 200), (7, 1024), (8, 2500)])
-def test_jets_drawn_in_blocks_equal_jets_drawn_one_at_a_time(seed, count):
-    from finmin.jet import _random_jets
+def test_jets_drawn_in_blocks_equal_jets_drawn_one_at_a_time(monkeypatch, seed, count):
+    import finmin.jet as jet
 
-    rng = np.random.default_rng(seed)
-    ref = np.random.default_rng(seed)
-    assert np.array_equal(_random_jets(rng, count), _random_jets_one_at_a_time(ref, count))
-    # and the generators are left in the same state
-    assert rng.uniform() == ref.uniform()
+    for block in (7, _JET_BLOCK):
+        monkeypatch.setattr(jet, "_JET_BLOCK", block)
+        rng, ref = Random(seed), Random(seed)
+        assert np.array_equal(jet._random_jets(rng, count), _random_jets_one_at_a_time(ref, count))
+        # and the generators are left in the same state
+        assert rng.getstate() == ref.getstate()
 
 
 def test_check_derivatives_forced_failure(capsys):
@@ -267,6 +260,17 @@ def test_check_translation_report(capsys):
     # serialized exact rationals match the library values
     v = kl_ratio_derivative(*kl_polys("1/100"), 0)
     assert second["ratio_derivative"][0]["value"] == f"{v.numerator}/{v.denominator}"
+
+
+def test_record_hook_encodes_fractions_and_refuses_the_rest():
+    # json.dumps's hook writes an exact rational as "num/den"; any other
+    # value it cannot encode is a TypeError, as without the hook.
+    from finmin.cli import _json_default
+
+    assert json.dumps({"b2": Fraction(-3, 4)}, default=_json_default) == '{"b2": "-3/4"}'
+    for value in (np.float32(1.0), {1}, 1j):
+        with pytest.raises(TypeError, match=f"^{type(value).__name__} is not JSON serializable$"):
+            json.dumps({"x": value}, default=_json_default)
 
 
 def test_check_translation_violated_pattern_exits_4(capsys, monkeypatch):
@@ -591,6 +595,23 @@ def test_solve_unwritable_out_exits_2_before_solving(tmp_path, capsys, monkeypat
     assert not (tmp_path / "missing_dir").exists()
 
 
+def test_solve_out_in_a_read_only_directory_exits_2_before_solving(tmp_path, capsys, monkeypatch):
+    # Root may write anywhere, so the directory is made read-only by os.access.
+    import finmin.solver
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved although --out cannot be written")
+
+    monkeypatch.setattr(finmin.solver, "solve_minimal_graph", no_solve)
+    monkeypatch.setattr(os, "access", lambda path, mode: mode != os.W_OK)
+    out = tmp_path / "g.csv"
+    assert main(["solve", "--b", "0.3", "--nx", "9", "--ny", "9", "--out", str(out), "--no-timestamp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --out {str(out)!r} cannot be written: directory {str(tmp_path)!r} is not writable\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("flags", [["--out", ""], ["--out="]], ids=["separate", "equals"])
 def test_solve_empty_out_exits_2_before_solving(tmp_path, capsys, monkeypatch, flags):
     import finmin.solver
@@ -704,19 +725,19 @@ def test_unknown_command_exits_2():
     assert "frobnicate" in proc.stderr
 
 
-# Values printed by the stacked closed forms against the batched oracles.
-# The oracles' bits are those of the per-sample implementation the batched
-# passes replaced; exact equality pins both passes to their bits.
+# Values printed by the stacked closed forms against the batched oracles on
+# the jets of random.Random(123): exact equality pins the jet stream and the
+# bits of both passes.
 _PINNED_CHECK_DERIVATIVES = {
     200: {
-        0.0: (3.2555341962713475e-15, 7.803692714225287e-10, 4.67186562770877e-15, 1.2477704224678125e-07),
-        0.2: (3.1274468637407285e-15, 8.283209098975535e-10, 5.1355378225325924e-15, 1.2633366627544215e-07),
-        0.4: (3.732422734239402e-15, 9.1501318173418e-10, 7.509984351253283e-15, 1.4078175496085809e-07),
+        0.0: (2.997100595693508e-15, 8.40375320791753e-10, 5.355455062226305e-15, 2.0861148914817522e-07),
+        0.2: (2.688418329621254e-15, 8.902436604048078e-10, 6.22491473175572e-15, 2.1241844143936354e-07),
+        0.4: (3.1082793845094916e-15, 9.987685997910341e-10, 5.964582806507242e-15, 2.2335825356744627e-07),
     },
     1: {
-        0.0: (2.9208379865118863e-16, 1.8693826795261068e-10, 1.581943620792306e-15, 2.8939688461226962e-08),
-        0.2: (4.4054633538564964e-16, 1.221154792369714e-10, 1.2087766916146447e-15, 6.6619449624836e-08),
-        0.4: (3.733118988945874e-16, 3.034413879393191e-10, 2.0540283251942896e-15, 4.510572886794731e-08),
+        0.0: (5.666142890305513e-16, 1.563528218129045e-10, 9.481854219863918e-16, 6.410087202891871e-08),
+        0.2: (1.4475902015604641e-16, 2.414505362852606e-10, 1.0483929754782464e-15, 5.3061427029822814e-08),
+        0.4: (1.0707138556550568e-15, 3.222584850758047e-10, 1.549737504884789e-15, 1.2444994091579744e-07),
     },
 }
 
@@ -746,7 +767,7 @@ def test_ellipticity_pinned_values(capsys):
     assert code == 0
     (r,) = rec["results"]
     got = (r["min_quadform_ratio"], r["min_divisor"], r["mean_curvature_type_bound"])
-    assert got == (1.0008014573702761, 3.905708134676891, 0.08612440186910046)
+    assert got == (1.0003642382443276, 3.752890534880828, 0.08612440186325225)
 
 
 def _reject_constant(name):
@@ -866,7 +887,6 @@ def test_ellipticity_keeps_a_nan_from_the_second_block(capsys, monkeypatch):
 _SAMPLED_PROBE = """
 import contextlib, io, sys
 
-import numpy.random
 import finmin.graph_pde, finmin.jet
 from finmin.cli import main
 
@@ -894,16 +914,17 @@ print((kb("VmHWM") - before) / 1024, code)
     ids=["check-derivatives", "check-derivatives-draw", "ellipticity"],
 )
 def test_sampled_checks_peak_memory(argv, bound):
-    # Above the interpreter with numpy.random and both handlers' modules
-    # loaded. check-derivatives holds its 20000 jets (0.96 MB) and one
-    # block's temporaries, about 5.3 MB in all at its three default b;
-    # holding every sample's temporaries at once it peaked about 54 MB
-    # above. Its 300000 jets (14.4 MB) are drawn into one array, about
-    # 18.3 MB in all; drawn as blocks joined at the end, the jets were held
-    # twice and it peaked about 27.3 MB above. ellipticity holds one b's
-    # gradients, frame rows and probe directions (11.2 MB) and one block's
-    # temporaries, about 11.3 MB; with whole-array passes it peaked about
-    # 28 MB above.
+    # Above the interpreter with both handlers' modules loaded, numpy among
+    # them; the commands load nothing more (they draw from Python's random,
+    # not numpy.random, which took about 6 MB). check-derivatives holds its
+    # 20000 jets (0.96 MB) and one block's temporaries, about 5.4 MB in all
+    # at its three default b; holding every sample's temporaries at once it
+    # peaked about 54 MB above. Its 300000 jets (14.4 MB) are drawn into one
+    # array, about 18.0 MB in all; drawn as blocks joined at the end, the
+    # jets were held twice and it peaked about 27.3 MB above. ellipticity
+    # holds one b's gradients, frame rows and probe directions (11.2 MB) and
+    # one block's temporaries, about 11.3 MB; with whole-array passes it
+    # peaked about 28 MB above.
     proc = subprocess.run([sys.executable, "-c", _SAMPLED_PROBE, *argv.split()], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     peak, code = proc.stdout.split()
@@ -1288,8 +1309,9 @@ def test_command_readers_return_every_command():
 # importing it raises ImportError. The scalar commands compute on floats and
 # Fractions (fractions only in check-translation), the translation ones take
 # the graph equation's divisor from finmin.metric, the sampled checks need
-# numpy alone, and solve loads SuperLU's compiled module by itself. finmin's
-# own help loads no command's modules.
+# numpy alone (they draw from Python's random, not numpy.random), and solve
+# loads SuperLU's compiled module by itself. finmin's own help loads no
+# command's modules.
 _SCALAR = ("numpy", "dataclasses", "inspect", "datetime")
 _BLOCKED = {
     "--help": (*_SCALAR, "fractions", "scipy"),
@@ -1297,8 +1319,8 @@ _BLOCKED = {
     "residual-graph": (*_SCALAR, "fractions"),
     "residual-translation": (*_SCALAR, "fractions", "finmin.graph_pde"),
     "check-translation": (*_SCALAR, "finmin.graph_pde"),
-    "check-derivatives": ("scipy",),
-    "ellipticity": ("scipy",),
+    "check-derivatives": ("scipy", "numpy.random"),
+    "ellipticity": ("scipy", "numpy.random"),
     "solve": ("scipy.sparse",),
 }
 _WITHOUT = """

@@ -1,4 +1,5 @@
 import math
+from random import Random
 
 import numpy as np
 import pytest
@@ -26,6 +27,17 @@ def rand_gp(rng, span=2.0):
     f1, f2 = rng.uniform(-span, span, 2)
     h11, h12, h22 = rng.uniform(-span, span, 3)
     return float(f1), float(f2), float(h11), float(h12), float(h22)
+
+
+def _rotations_in_one_draw(rng, n):
+    """n uniformly random frame rows (n, 3) from a numpy Generator: the last
+    rotation rows of one (n, 4) quaternion draw, as random_rotations drew
+    them before it took a random.Random. The property tests keep these
+    rows as their data."""
+    q = rng.normal(size=(n, 4))
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    a, b, c, d = q.T
+    return np.column_stack((2 * (b * d - a * c), 2 * (c * d + a * b), a * a - b * b - c * c + d * d))
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +217,7 @@ def test_sampler_form_is_the_residual_kernel():
     rng = np.random.default_rng(37)
     n = 2000
     f = rng.uniform(-3.0, 3.0, (n, 2))
-    k = random_rotations(rng, n)
+    k = _rotations_in_one_draw(rng, n)
     xi = rng.normal(size=(n, 2))
     for b in (0.0, 0.2, 0.45):
         ratio, divisor = ellipticity_quotients(f, k, xi, b)
@@ -250,9 +262,9 @@ def _type_constant(b):
 
 
 def _samples(rng, n, span=3.0):
-    """(f, k): n gradients and frame rows, drawn as the ellipticity command
-    draws them."""
-    return rng.uniform(-span, span, size=(n, 2)), random_rotations(rng, n)
+    """(f, k): n gradients and frame rows from a numpy Generator, drawn as
+    the ellipticity command drew them before it took a random.Random."""
+    return rng.uniform(-span, span, size=(n, 2)), _rotations_in_one_draw(rng, n)
 
 
 def _excess_quotient(f, k, xi, b):
@@ -342,7 +354,7 @@ def test_bound_stability_under_horizon_growth():
     rng = np.random.default_rng(31)
     e = rng.normal(size=(2000, 2))
     e /= np.linalg.norm(e, axis=1, keepdims=True)
-    k = random_rotations(rng, 2000)
+    k = _rotations_in_one_draw(rng, 2000)
     c1 = mean_curvature_type_bound(1e3 * e, k, 0.3)
     for t in (1e4, 1e75):
         assert abs(mean_curvature_type_bound(t * e, k, 0.3) - c1) <= 1e-8 * c1
@@ -379,25 +391,73 @@ def test_bound_keeps_a_nan_from_a_middle_block(monkeypatch):
     assert math.isnan(mean_curvature_type_bound(*_samples(np.random.default_rng(37), 100), 0.3))
 
 
-def _rotations_in_one_draw(rng, n):
-    """Reference: the last rotation rows from one (n, 4) quaternion draw."""
-    q = rng.normal(size=(n, 4))
-    q /= np.linalg.norm(q, axis=1, keepdims=True)
-    a, b, c, d = q.T
-    return np.column_stack((2 * (b * d - a * c), 2 * (c * d + a * b), a * a - b * b - c * c + d * d))
+def _disk_one_at_a_time(rng, n):
+    """Reference: n points (u, v, s), s = u^2 + v^2, uniform in the
+    punctured unit disk, one pair of rng.random() calls per candidate."""
+    points = []
+    while len(points) < n:
+        u, v = -1.0 + 2.0 * rng.random(), -1.0 + 2.0 * rng.random()
+        s = u * u + v * v
+        if 0.0 < s < 1.0:
+            points.append((u, v, s))
+    return points
 
 
-@pytest.mark.parametrize("n", [1, 7, 8, 23])
+def _rotations_one_at_a_time(rng, n):
+    """Reference: Marsaglia's map of each disk point, one row at a time."""
+    rows = []
+    for u, v, s in _disk_one_at_a_time(rng, n):
+        t = 2.0 * math.sqrt(1.0 - s)
+        rows.append((u * t, v * t, 1.0 - 2.0 * s))
+    return np.array(rows).reshape(n, 3)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 23, 5000])
 @pytest.mark.parametrize("block", [7, graph_pde._SAMPLE_BLOCK])
 def test_rotations_drawn_in_blocks_equal_one_draw(monkeypatch, n, block):
-    # Consecutive normal draws of one stream are the rows of one draw, and
-    # the generator is left in the same state.
+    # A block never draws more candidates than rows are still missing, so
+    # the rows do not depend on the block size, and the generator is left
+    # in the same state.
     monkeypatch.setattr(graph_pde, "_SAMPLE_BLOCK", block)
-    rng, ref = np.random.default_rng(n), np.random.default_rng(n)
+    rng, ref = Random(n), Random(n)
     k = random_rotations(rng, n)
     assert k.shape == (n, 3)
-    assert np.array_equal(k, _rotations_in_one_draw(ref, n))
-    assert rng.normal() == ref.normal()
+    assert np.array_equal(k, _rotations_one_at_a_time(ref, n))
+    assert rng.getstate() == ref.getstate()
+
+
+def test_rotation_rows_have_unit_norm():
+    # |k|^2 = 4 s (1 - s) + (1 - 2 s)^2 = 1, to within 4 ulps after rounding.
+    k = random_rotations(Random(41), 100_000)
+    assert np.max(np.abs(np.linalg.norm(k, axis=1) - 1.0)) <= 4 * np.finfo(float).eps
+
+
+def test_rotation_rows_are_uniform_on_the_sphere():
+    # Each coordinate of a uniform point on S^2 is uniform on [-1, 1]:
+    # mean 0 and variance 1/3, within 5 standard errors on 10^5 rows.
+    k = random_rotations(Random(42), 100_000)
+    assert np.all(np.abs(k.mean(axis=0)) <= 5 * math.sqrt(1 / 3 / 100_000))
+    assert np.all(np.abs(k.var(axis=0) - 1 / 3) <= 5 * math.sqrt(4 / 45 / 100_000))
+
+
+@pytest.mark.parametrize("block", [7, graph_pde._SAMPLE_BLOCK])
+def test_sweep_draws_equal_draws_one_at_a_time(monkeypatch, block):
+    # The ellipticity sweep's gradients -3 + 6 random(), frame rows and
+    # probe directions, each drawn whole, in that order, whatever the block.
+    n = 23
+    seen = []
+    real = graph_pde.ellipticity_quotients
+    monkeypatch.setattr(graph_pde, "_SAMPLE_BLOCK", block)
+    monkeypatch.setattr(
+        graph_pde, "ellipticity_quotients", lambda f, k, xi, b: seen.append((f, k, xi)) or real(f, k, xi, b)
+    )
+    rng, ref = Random(n), Random(n)
+    graph_pde._sweep(rng, n, 0.3)
+    f, k, xi = (np.concatenate(parts) for parts in zip(*seen))
+    assert np.array_equal(f, np.array([-3.0 + 6.0 * ref.random() for _ in range(2 * n)]).reshape(n, 2))
+    assert np.array_equal(k, _rotations_one_at_a_time(ref, n))
+    assert np.array_equal(xi, np.array([(u, v) for u, v, _ in _disk_one_at_a_time(ref, n)]))
+    assert rng.getstate() == ref.getstate()
 
 
 _ORACLE_FRAMES = [

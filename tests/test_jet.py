@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from conftest import (
+    _random_jets_one_at_a_time,
     graph_euler_lagrange,
     max_rel_err,
     rand_jet,
@@ -16,7 +17,6 @@ from finmin.graph_pde import _residual_terms, graph_residual
 from finmin.jet import (
     _flat_area_fun,
     _minors,
-    _random_jets,
     area_integrand_grad,
     area_integrand_grad_central,
     area_integrand_grad_dual,
@@ -221,7 +221,7 @@ def test_grad_flat_jet_rows():
 
 
 def test_grad_vs_oracles():
-    z = _random_jets(np.random.default_rng(8), 100)
+    z = _random_jets_one_at_a_time(np.random.default_rng(8), 100)
     for b in (0.0, 0.2, 0.4):
         # the closed form and each oracle in one pass over the 100 jets
         g = area_integrand_grad(z, b)
@@ -235,14 +235,14 @@ def test_hess_symmetric_exactly():
         j = rand_jet(rng)
         h = area_integrand_hess(j, 0.3)
         np.testing.assert_array_equal(h, h.T)
-    z = _random_jets(rng, 60).reshape(3, 2, 4, 15)
+    z = _random_jets_one_at_a_time(rng, 60).reshape(3, 2, 4, 15)
     for b in (0.0, 0.3, 0.45):
         h = area_integrand_hess(z, b)
         assert np.array_equal(h, h.swapaxes(0, 1))
 
 
 def test_hess_vs_oracles():
-    z = _random_jets(np.random.default_rng(10), 60)
+    z = _random_jets_one_at_a_time(np.random.default_rng(10), 60)
     for b in (0.0, 0.2, 0.4):
         # the closed form and each oracle in one pass over the 60 jets
         h = area_integrand_hess(z, b)
@@ -275,7 +275,7 @@ def mp_reference(z, b):
 
 
 def test_closed_forms_match_a_40_digit_reference():
-    z = _random_jets(np.random.default_rng(0), 4)
+    z = _random_jets_one_at_a_time(np.random.default_rng(0), 4)
     for b in (0.0, 0.2, 0.4):
         for k in range(z.shape[-1]):
             grad, hess = mp_reference(z[..., k], b)
@@ -288,7 +288,7 @@ def test_closed_forms_match_a_40_digit_reference():
 def test_stacked_closed_form_equals_per_jet_call(closed_form, sample_shape):
     # Elementwise arithmetic in a fixed order: a stack gives each jet's bits.
     count = int(np.prod(sample_shape))
-    z = _random_jets(np.random.default_rng(21), count).reshape((3, 2) + sample_shape)
+    z = _random_jets_one_at_a_time(np.random.default_rng(21), count).reshape((3, 2) + sample_shape)
     for b in (0.0, 0.2, 0.45):
         out = closed_form(z, b)
         for idx in np.ndindex(*sample_shape):

@@ -6,10 +6,12 @@ positive definiteness is the convexity condition that
 tests/test_symbolic_chain.py ties to PhiFamily.b_interval.
 """
 
+from random import Random
+
 import pytest
 
 from finmin.errors import DomainError
-from finmin.metric import PhiFamily, _phi, check_b
+from finmin.metric import PhiFamily, _phi, _random01, check_b
 
 
 @pytest.fixture(scope="module")
@@ -168,3 +170,15 @@ def test_fundamental_tensor_positive_definite_on_sphere(sp, tensor, b):
     for sin_t, cos_t, r in [(0, 1, 1), (1, 0, 1), (3, 4, 5), (4, 3, 5), (5, 12, 13), (12, 5, 13), (8, 15, 17), (24, 7, 25)]:
         for y in [(sin_t, 0, cos_t), (sin_t, 0, -cos_t), (-sin_t, 0, -cos_t)]:
             assert is_positive_definite(tensor(b, [sp.Rational(v, r) for v in y]))
+
+
+@pytest.mark.parametrize("n", [0, 1, 4097])
+@pytest.mark.parametrize("seed", [0, 5, 2**40 + 3])
+def test_random01_equals_successive_random_calls(seed, n):
+    # The sampled checks' one uniform draw: Python's random() stream, which
+    # its documentation keeps the same in every version, as one array.
+    rng, ref = Random(seed), Random(seed)
+    u = _random01(rng, n)
+    assert u.dtype == "float64" and u.shape == (n,)
+    assert u.tolist() == [ref.random() for _ in range(n)]
+    assert rng.getstate() == ref.getstate()

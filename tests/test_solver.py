@@ -1,6 +1,7 @@
 import functools
 import gc
 import importlib.machinery
+import importlib.util
 import math
 import os
 import re
@@ -1159,6 +1160,13 @@ def test_solve_peak_memory_at_n255():
     peak, iterations, factorizations = proc.stdout.split()
     assert (iterations, factorizations) == ("2", "1")
     assert float(peak) <= 50.5
+
+
+def test_missing_scipy_says_solve_needs_it(monkeypatch):
+    monkeypatch.delitem(sys.modules, _SUPERLU, raising=False)
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+    with pytest.raises(ImportError, match="^solve needs scipy, which cannot be imported$"):
+        _superlu()
 
 
 def test_missing_superlu_extension_names_the_scipy_version(monkeypatch):
