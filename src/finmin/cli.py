@@ -197,7 +197,7 @@ _COMMANDS = {
         "--b": (_parse_floats, "0", "comma-separated sweep"),
         "--n": (int, "2", "dimension"),
         "--family": (tuple(f.value for f in PhiFamily), "matsumoto", "slope function"),
-        "--tol": (float, "1e-10", "largest quadrature/closed-form difference, checked only at --family matsumoto --n 2"),
+        "--tol": (float, "1e-10", "largest absolute quadrature/closed-form difference"),
     }),
     **{
         name: (module, f"pointwise {what} residual", {

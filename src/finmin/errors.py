@@ -14,7 +14,8 @@ class QuadratureConvergenceError(RuntimeError):
 
     def __init__(self, message, estimates):
         super().__init__(message)
-        # (previous, last) ratio estimates at the final two node counts
+        # (previous, last) ratio estimates at the final two node counts;
+        # empty when the Gauss-Legendre rule itself could not be built
         self.estimates = tuple(estimates)
 
 

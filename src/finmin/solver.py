@@ -20,7 +20,8 @@ max|r| as its merit function: the Newton direction is a descent direction
 for it, and not always for the quotient, whose weights move with f. When
 a full step fails, the line search reads that floor: with max|r| within
 _FLOOR_MULTIPLE of it no step can be shown to help, and the solve stops
-as stagnated instead of halving the step twenty times.
+as stagnated instead of halving the step twenty times. The error names
+the floor twice: raw, and as eps*max(|J||f| / D), in the units of tol.
 
 Linear systems. SuperLU factors the Jacobian in single precision, and
 every Newton system is solved in double by iterative refinement against
@@ -223,6 +224,12 @@ def assemble_residual(problem: GridProblem, f: np.ndarray) -> np.ndarray:
     return _residual_and_norms(problem, f)[0]
 
 
+def _stop_divisor(problem: GridProblem, f1, f2):
+    """D = S(S - 2 b^2 w^2) at w = 1 for the gradient (f1, f2): the divisor
+    of the stop test's max|r / D| (_residual_and_norms)."""
+    return _divisor_excess(1.0 + f1 * f1 + f2 * f2, 1.0, problem.b**2)[0]
+
+
 def _residual_and_norms(problem: GridProblem, f: np.ndarray):
     """The residual r, the stop-test norm max|r / D| and the raw max|r|.
 
@@ -240,7 +247,7 @@ def _residual_and_norms(problem: GridProblem, f: np.ndarray):
         for rows, (f1, f2, h11, h12, h22) in _stencil_blocks(problem, f):
             part = r[rows]
             part[...] = _residual_terms(f1, f2, h11, h12, h22, 0.0, 0.0, 1.0, problem.b)
-            divisor = _divisor_excess(1.0 + f1 * f1 + f2 * f2, 1.0, problem.b**2)[0]
+            divisor = _stop_divisor(problem, f1, f2)
             quotients.append(np.max(np.abs(part / divisor)))
             raws.append(np.max(np.abs(part)))
     # np.max, unlike Python's max, keeps a nan from any block
@@ -385,12 +392,14 @@ def _apply_stencil(weights, field: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rounding_floor(weights: np.ndarray, f: np.ndarray) -> float:
-    """eps * max(|J| |f|): the rounding error of the raw residual at f, the
-    level below which no step can be shown to reduce max|r|. |J| is taken
-    one stencil plane at a time, so no second (9, nx, ny) array is held."""
+def _rounding_floor(weights: np.ndarray, f: np.ndarray, divisor=1.0) -> float:
+    """eps * max(|J| |f| / divisor): with divisor 1, the rounding error of
+    the raw residual at f, the level below which no step can be shown to
+    reduce max|r|; with the stop test's divisors D (_stop_divisor, one per
+    interior node), that floor in the units of tol. |J| is taken one
+    stencil plane at a time, so no second (9, nx, ny) array is held."""
     planes = (np.abs(w) for w in weights)
-    return float(np.finfo(float).eps * np.max(_apply_stencil(planes, np.abs(f))))
+    return float(np.finfo(float).eps * np.max(_apply_stencil(planes, np.abs(f)) / divisor))
 
 
 _SUPERLU = "scipy.sparse.linalg._dsolve._superlu"
@@ -617,9 +626,12 @@ def solve_minimal_graph(problem: GridProblem, tol: float = 1e-10, max_iter: int 
                 floor = _rounding_floor(weights, f)
             lam *= 0.5
             if raw <= _FLOOR_MULTIPLE * floor or lam < _MIN_STEP:
+                f1, f2 = _stencil_point(problem, f)[:2]
+                floor_tol = _rounding_floor(weights, f, _stop_divisor(problem, f1, f2))
                 raise StagnationError(
                     f"line search stalled at residual {res:.3e} (raw max-norm {raw:.3e}, "
-                    f"rounding floor eps*max(|J||f|) = {floor:.3e})",
+                    f"rounding floor eps*max(|J||f|) = {floor:.3e}, "
+                    f"eps*max(|J||f| / D) = {floor_tol:.3e})",
                     history,
                 )
         f, r, res, raw = f_try, r_try, res_try, raw_try

@@ -8,10 +8,10 @@ module computes f(b) two ways: by Gauss-Legendre quadrature of the ratio
            / integral(sin(t)**(n-2) / phi(b*cos(t))**n, 0, pi)
 
 with node doubling from 64 up to 16384 nodes until two estimates agree to
-1e-12 relative (module constants), and by the exact closed form
-2/(2 + b**2) available for the slope family in dimension n = 2. Both
-take b as a plain float and check it with metric.check_b. The volume form
-is Busemann-Hausdorff; no other branch is implemented.
+1e-12 relative (module constants), and by the closed form of that ratio
+for every family and dimension (bh_factor_closed). Both take b as a plain
+float and check it with metric.check_b. The volume form is
+Busemann-Hausdorff; no other branch is implemented.
 
 Everything runs on Python floats; the module imports no numpy. The
 Gauss-Legendre rule comes from Newton's method on P_n, evaluated by its
@@ -29,7 +29,7 @@ from functools import lru_cache
 from .errors import DomainError, QuadratureConvergenceError
 from .metric import PhiFamily, _phi, check_b
 
-__all__ = ["bh_factor_quadrature", "bh_factor_closed_matsumoto"]
+__all__ = ["bh_factor_quadrature", "bh_factor_closed"]
 
 # Node doubling runs from _INITIAL_NODES up to _MAX_NODES (powers of two) and
 # stops once two estimates agree to _RTOL relative to the last.
@@ -69,8 +69,9 @@ def _gauss_legendre(n_nodes: int):
     as two tuples of floats.
 
     The roots of P_n come in pairs +-x: Newton runs on each of the n/2
-    positive roots and the rule is mirrored. Raises ArithmeticError when a
-    root's Newton iteration does not settle.
+    positive roots and the rule is mirrored. Raises
+    QuadratureConvergenceError, with no estimates, when a root's Newton
+    iteration does not settle.
     """
     n = n_nodes
     e = [1.0 / (4 * k * k - 1) for k in range(n)]
@@ -91,7 +92,7 @@ def _gauss_legendre(n_nodes: int):
                 break
             x -= dx
         else:
-            raise ArithmeticError(f"Legendre root Newton iteration stalled at {n_nodes} nodes")
+            raise QuadratureConvergenceError(f"Legendre root Newton iteration stalled at {n_nodes} nodes", ())
         # Carry P_n' and 1 - x**2 to x - dx: (1 - x**2) P'' = 2x P' - n(n + 1) P.
         dp -= dx * (2.0 * x * dp - n * (n + 1) * p) / s
         s += dx * (2.0 * x - dx)
@@ -117,6 +118,17 @@ def _quotient(num: float, den: float) -> float:
     if den == 0.0:
         return math.nan if num == 0.0 else math.inf
     return num / den
+
+
+def _check_n(n):
+    """DomainError unless the dimension n is an integer >= 2 that converts
+    to a float: the integrands take powers with exponents n - 2 and n."""
+    if not isinstance(n, int) or n < 2:
+        raise DomainError(f"dimension n={n} must be an integer >= 2")
+    try:
+        float(n)
+    except OverflowError:
+        raise DomainError(f"dimension n of {len(str(n))} digits is beyond the float range") from None
 
 
 def _ratio_estimate(b: float, family: PhiFamily, n: int, n_nodes: int) -> float:
@@ -145,17 +157,13 @@ def bh_factor_quadrature(b: float, family: PhiFamily = PhiFamily.MATSUMOTO, n: i
     error in both integrals) and relative to its size, so factors far below
     1 get as many digits as factors near 1. Raises
     QuadratureConvergenceError, carrying the last two estimates, at the
-    first non-finite estimate or when doubling is exhausted; the message
-    names the node counts. DomainError unless b is admissible for the family
-    and n is an integer >= 2 that converts to a float.
+    first non-finite estimate or when doubling is exhausted, and carrying
+    none when a rule's Newton iteration stalls; the message names the node
+    counts. DomainError unless b is admissible for the family and n is an
+    integer >= 2 that converts to a float.
     """
     b = check_b(b, family)
-    if not isinstance(n, int) or n < 2:
-        raise DomainError(f"dimension n={n} must be an integer >= 2")
-    try:
-        float(n)  # the integrands take powers with exponents n - 2 and n
-    except OverflowError:
-        raise DomainError(f"dimension n of {len(str(n))} digits is beyond the float range") from None
+    _check_n(n)
     n_nodes = _INITIAL_NODES
     prev = est = _ratio_estimate(b, family, n, n_nodes)
     while math.isfinite(est) and n_nodes < _MAX_NODES:
@@ -177,35 +185,59 @@ def bh_factor_quadrature(b: float, family: PhiFamily = PhiFamily.MATSUMOTO, n: i
     )
 
 
-def bh_factor_closed_matsumoto(b: float) -> float:
-    """Exact factor 2/(2 + b**2) for the slope family in dimension 2."""
-    b = check_b(b)
-    return 2.0 / (2.0 + b * b)
+def bh_factor_closed(b: float, family: PhiFamily = PhiFamily.MATSUMOTO, n: int = 2) -> float:
+    """The volume factor in dimension n in closed form: the defining ratio
+    of the module docstring, integrated exactly.
+
+    Euclidean: 1. Randers, phi = 1 + s: (1 - b**2)**((n + 1)/2), with
+    1 - b**2 formed as (1 - b)(1 + b) so that it does not cancel near b = 1.
+    Slope, phi = 1/(1 - s): 1/phi**n = (1 - b cos t)**n is a polynomial in
+    cos t whose odd powers integrate to 0, and Wallis's ratios
+    integral(sin**(n-2) cos**(2j)) / integral(sin**(n-2)) = prod_{i<j} (2i+1)/(n+2i)
+    make the factor 1 / sum_j t_j, with t_0 = 1 and
+    t_j = t_{j-1} (n-2j+2)(n-2j+1) b**2 / (2j (n+2j-2)) for j <= n/2: sums
+    of positive terms, added with math.fsum, and 2/(2 + b**2) at n = 2
+    (1/(1 + b**2) at n = 3) bit for bit. The sum stops at a term that
+    underflows to 0 or overflows; beyond the float range the factor is 0.0.
+    DomainError as for bh_factor_quadrature.
+    """
+    b = check_b(b, family)
+    _check_n(n)
+    if family is PhiFamily.EUCLIDEAN:
+        return 1.0
+    if family is PhiFamily.RANDERS:
+        return ((1.0 - b) * (1.0 + b)) ** ((n + 1) / 2)
+    b2 = b * b
+    terms = [1.0]
+    for j in range(1, n // 2 + 1):
+        # one rounding: Python divides integers to the nearest float
+        terms.append(terms[-1] * b2 * ((n - 2 * j + 2) * (n - 2 * j + 1) / (2 * j * (n + 2 * j - 2))))
+        if terms[-1] in (0.0, math.inf):
+            break
+    try:
+        return 1.0 / math.fsum(terms)
+    except OverflowError:  # finite terms whose sum exceeds the float range
+        return 0.0
 
 
 def _cmd_volume(args):
     """The `volume` command: (record, exit code) for the parsed CLI arguments."""
     family = PhiFamily(args.family)
-    closed_form = family is PhiFamily.MATSUMOTO and args.n == 2
     results = []
-    worst = 0.0
     for b in args.b:
         value, nodes = bh_factor_quadrature(b, family, args.n)
-        entry = {
+        closed = bh_factor_closed(b, family, args.n)
+        results.append({
             "b": b,
             "euclidean_degeneration": b == 0.0,
             "quadrature": value,
             "nodes": nodes,
-        }
-        if closed_form:
-            closed = bh_factor_closed_matsumoto(b)
-            entry["closed"] = closed
-            entry["abs_diff"] = abs(value - closed)
-            worst = max(worst, entry["abs_diff"])
-        results.append(entry)
+            "closed": closed,
+            "abs_diff": abs(value - closed),
+        })
     record = {"family": family.value, "n": args.n, "results": results}
-    code = 0
-    if closed_form and worst > args.tol:
+    worst = max(entry["abs_diff"] for entry in results)
+    if worst > args.tol:
         record["failure"] = f"quadrature/closed disagreement {worst} above tol {args.tol}"
-        code = 4
-    return record, code
+        return record, 4
+    return record, 0

@@ -99,6 +99,19 @@ def test_volume_disagreement_above_tol_exits_4(capsys):
     assert rec["failure"] == "quadrature/closed disagreement 1.1102230246251565e-16 above tol 1e-17"
 
 
+def test_volume_tol_checks_every_family_and_dimension(capsys):
+    # --tol bounds the largest abs_diff of the sweep whatever the family and n.
+    argv = ["volume", "--b", "0.2,0.5,0.8", "--family", "randers", "--no-timestamp"]
+    code, rec = run_json(capsys, argv)
+    worst = max(entry["abs_diff"] for entry in rec["results"])
+    assert code == 0 and 0.0 < worst <= 1e-15
+    code, rec = run_json(capsys, [*argv, "--tol", "1e-17"])
+    assert code == 4
+    assert rec["failure"] == f"quadrature/closed disagreement {worst} above tol 1e-17"
+    code, rec = run_json(capsys, ["volume", "--b", "0.3", "--n", "3", "--tol", "1e-16", "--no-timestamp"])
+    assert code == 4 and rec["results"][0]["abs_diff"] > 1e-16
+
+
 def test_timestamp_present_by_default(capsys):
     # datetime is imported only to write this field
     from datetime import datetime, timedelta
@@ -1303,6 +1316,24 @@ def test_command_readers_return_every_command():
     counts = {w: [len(run) for run in runs] for w, runs in _WORKLOAD_RUNS.items()}
     assert counts == {"pointwise": [14] * 3, "dirichlet": [5] * 3, "sampled-checks": [3] * 3}
     assert len(_CORPUS) == 42
+
+
+def test_every_volume_record_carries_its_closed_form(capsys):
+    # Every family and dimension prints the closed form and its distance
+    # from the quadrature: within rounding of the factor on the workload's
+    # commands, and at n = 2000 (a factor of 5e-71) within the quadrature's
+    # accumulated rounding.
+    runs = [argv for runs in _WORKLOAD_RUNS.values() for run in runs for argv in run]
+    argvs = {tuple(argv) for argv, code, _ in _CORPUS if argv[0] == "volume" and code == 0 and "--help" not in argv}
+    argvs |= {tuple(argv) for argv in runs if argv[0] == "volume"}
+    assert len(argvs) == 6
+    for argv in sorted(argvs):
+        code, rec = run_json(capsys, [*argv, "--no-timestamp"])
+        assert code == 0 and "failure" not in rec
+        rtol = 1e-13 if rec["n"] == 2000 else 1e-15
+        for entry in rec["results"]:
+            assert list(entry) == ["b", "euclidean_degeneration", "quadrature", "nodes", "closed", "abs_diff"]
+            assert entry["abs_diff"] == abs(entry["quadrature"] - entry["closed"]) <= rtol * entry["closed"]
 
 
 # The modules each command runs without: each is None in sys.modules, so

@@ -304,16 +304,26 @@ def test_stop_test_is_the_residual_over_the_divisor():
 
 
 def test_stagnation_names_the_rounding_floor():
-    # tol = 1e-17 lies below the rounding level of the raw residual.
-    problem = GridProblem(UNIT_SQUARE, 15, 15, 0.3, scherk)
-    with pytest.raises(StagnationError) as err:
-        solve_minimal_graph(problem, tol=1e-17)
-    message = str(err.value)
-    match = re.search(r"raw max-norm (\S+), rounding floor eps\*max\(\|J\|\|f\|\) = (\S+)\)$", message)
-    assert match, message
-    raw, floor = (float(v) for v in match.groups())
-    assert 0.0 < raw <= floor
-    assert message.startswith(f"line search stalled at residual {err.value.residual_history[-1]:.3e}")
+    # Each tol lies below the rounding level of the residual: at N = 15 that
+    # of the raw residual, at N = 127 and 255 (CLI-reachable, exit 3) only
+    # that of r / D. The floor in the units of tol, eps*max(|J||f| / D),
+    # exceeds tol, which is what the message shows.
+    for n, tol in ((15, 1e-17), (127, 1e-12), (255, 2e-12)):
+        problem = GridProblem(UNIT_SQUARE, n, n, 0.3, scherk)
+        with pytest.raises(StagnationError) as err:
+            solve_minimal_graph(problem, tol=tol)
+        message = str(err.value)
+        match = re.search(
+            r"raw max-norm (\S+), rounding floor eps\*max\(\|J\|\|f\|\) = (\S+), "
+            r"eps\*max\(\|J\|\|f\| / D\) = (\S+)\)$",
+            message,
+        )
+        assert match, message
+        raw, floor, floor_tol = (float(v) for v in match.groups())
+        res = err.value.residual_history[-1]
+        assert 0.0 < raw <= floor
+        assert tol < res < floor_tol
+        assert message.startswith(f"line search stalled at residual {res:.3e}")
 
 
 @pytest.mark.parametrize("nx,ny,b", [(15, 15, 0.3), (20, 11, 0.45)])
@@ -346,7 +356,8 @@ def test_stagnation_stops_at_the_first_failed_full_step_near_the_floor(monkeypat
     # the initial residual, one trial per accepted step, one failed trial
     assert len(trials) == len(history) + 1
     assert len(set(history)) == len(history)
-    raw, floor = (float(v) for v in re.search(r"raw max-norm (\S+), .* = (\S+)\)$", str(err.value)).groups())
+    match = re.search(r"raw max-norm (\S+), rounding floor eps\*max\(\|J\|\|f\|\) = (\S+),", str(err.value))
+    raw, floor = (float(v) for v in match.groups())
     assert 0.0 < raw <= finmin.solver._FLOOR_MULTIPLE * floor
 
 

@@ -7,7 +7,9 @@ Each link is derived in sympy and compared with the code that ships:
    pi (2 + b^2 |a|^2) / 2; the Busemann-Hausdorff density is pi over that
    area, 2 / (2 + b^2 |a|^2). Times the Euclidean area element C this is
    the jet module's F = 2C^3/(2C^2 + E), and at |a| = 1 it is the closed
-   volume factor 2/(2 + b^2). The admissible b of check_b are those
+   volume factor 2/(2 + b^2). The closed volume factors of every family
+   and dimension are the volume module's defining ratio of integrals,
+   integrated exactly at rational b. The admissible b of check_b are those
    where alpha phi(beta/alpha) is a Minkowski norm.
 2. Area integrand -> graph equation. The Euler-Lagrange operator
    M = sum_ij d^2L/df_i df_j h_ij of L = 2W^3/D, D = 2W^2 + E, satisfies
@@ -33,6 +35,7 @@ anything is compared, and rational values are substituted afterwards, so
 nothing is rounded.
 """
 
+import functools
 import itertools
 import math
 import random
@@ -47,7 +50,7 @@ from finmin.graph_pde import _residual_partials, _residual_terms  # noqa: E402
 from finmin.jet import _flat_area_fun, _minors  # noqa: E402
 from finmin.metric import PhiFamily, _divisor_excess, _phi  # noqa: E402
 from finmin.translation import _lambda_mu_b2, compatibility_check, kl_polys  # noqa: E402
-from finmin.volume import bh_factor_closed_matsumoto  # noqa: E402
+from finmin.volume import bh_factor_closed  # noqa: E402
 
 b, s, theta, a1, a2, a_sq = sp.symbols("b s theta a1 a2 a_sq", real=True)
 f1, f2, h11, h12, h22, W = sp.symbols("f1 f2 h11 h12 h22 W", real=True)
@@ -152,7 +155,40 @@ def test_density_on_vertical_planes_is_the_closed_volume_factor(density):
     assert sp.simplify(closed - 2 / (2 + b**2)) == 0
     for bb in ("0", "1/8", "1/5", "3/10", "9/20", "49/100"):
         exact_value = float(closed.subs(b, sp.Rational(bb)))
-        assert bh_factor_closed_matsumoto(float(sp.Rational(bb))) == pytest.approx(exact_value, rel=1e-15)
+        assert bh_factor_closed(float(sp.Rational(bb))) == pytest.approx(exact_value, rel=1e-15)
+
+
+@functools.lru_cache(maxsize=None)
+def sin_cos_integral(m, k):
+    """integral(sin(theta)**m * cos(theta)**k, 0, pi), exactly."""
+    return sp.integrate(sp.sin(theta) ** m * sp.cos(theta) ** k, (theta, 0, sp.pi))
+
+
+# Randers n = 4 and 6 take sympy 10-80 s; the float tests cover them.
+@pytest.mark.parametrize(
+    "family,n",
+    [(PhiFamily.MATSUMOTO, n) for n in range(2, 8)]
+    + [(PhiFamily.RANDERS, n) for n in (2, 3, 5)]
+    + [(PhiFamily.EUCLIDEAN, n) for n in (2, 3)],
+    ids=lambda v: getattr(v, "value", v),
+)
+def test_closed_volume_factor_is_the_defining_ratio(family, n):
+    # f(b) = integral(sin**(n-2)) / integral(sin**(n-2) / phi(b cos)**n) over
+    # (0, pi). For the slope profile 1/phi**n is a polynomial in cos(theta),
+    # integrated term by term; the other profiles are integrated as they are.
+    cos_t = sp.Symbol("cos_t")
+    bs = ("1/2",) if family is PhiFamily.RANDERS else ("1/8", "3/8", "49/100")
+    for bb in map(sp.Rational, bs):
+        if family is PhiFamily.MATSUMOTO:
+            poly = sp.Poly(sp.cancel(1 / _phi(family, bb * cos_t) ** n), cos_t)
+            den = sum(coeff * sin_cos_integral(n - 2, k) for (k,), coeff in poly.terms())
+        else:
+            integrand = sp.sin(theta) ** (n - 2) / _phi(family, bb * sp.cos(theta)) ** n
+            den = sp.integrate(integrand, (theta, 0, sp.pi))
+        ratio = sp.simplify(sin_cos_integral(n - 2, 0) / den)
+        if family is PhiFamily.RANDERS:
+            assert sp.simplify(ratio - (1 - bb**2) ** sp.Rational(n + 1, 2)) == 0
+        assert bh_factor_closed(float(bb), family, n) == pytest.approx(float(ratio), rel=1e-15)
 
 
 @pytest.mark.parametrize("family", list(PhiFamily), ids=lambda f: f.value)

@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ from finmin.volume import (
     _gauss_legendre,
     _nodes_weights,
     _ratio_estimate,
-    bh_factor_closed_matsumoto,
+    bh_factor_closed,
     bh_factor_quadrature,
 )
 
@@ -25,25 +24,52 @@ from finmin.volume import (
     ],
 )
 def test_closed_form(b, expected):
-    v = bh_factor_closed_matsumoto(b)
+    # Written-out values of the slope form at n = 2, which stand without
+    # sympy; there it is 2/(2 + b**2) in floats bit for bit, so Matsumoto
+    # n = 2 records keep their closed and abs_diff values.
+    v = bh_factor_closed(b)
     assert v == pytest.approx(expected, rel=1e-15)
-    assert v == pytest.approx(2.0 / (2.0 + b * b), rel=1e-15)
+    assert v == 2.0 / (2.0 + b * b)
 
 
 @pytest.mark.parametrize("b", [-0.01, 0.5, 0.7])
 def test_closed_form_domain(b):
     with pytest.raises(DomainError):
-        bh_factor_closed_matsumoto(b)
+        bh_factor_closed(b)
 
 
 def test_quadrature_euclidean_limit():
     assert bh_factor_quadrature(0.0)[0] == pytest.approx(1.0, abs=1e-13)
 
 
+# b per family: the admissible interval from 0 up to near its end, and
+# values outside it; tests/test_symbolic_chain.py derives the closed forms
+# exactly from the defining ratio.
+_GRID_B = {
+    PhiFamily.MATSUMOTO: ([0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.49], [-0.01, 0.5, 0.7]),
+    PhiFamily.RANDERS: ([0.0, 0.2, 0.5, 0.8, 0.95], [-0.1, 1.0, 1.5]),
+    PhiFamily.EUCLIDEAN: ([0.0, 0.5, 3.0], [-0.5, math.inf, math.nan]),
+}
+# written-out values: (family, n, b) -> float of the exact factor
+_GOLDEN = {
+    (PhiFamily.MATSUMOTO, 3, 0.3): 0.9174311926605505,  # 1/1.09
+    (PhiFamily.RANDERS, 2, 0.5): 0.649519052838329,  # (3/4)**1.5
+}
+
+
 def test_quadrature_matches_closed_form_on_grid():
-    for b in np.arange(0.0, 0.46, 0.05):
-        q = bh_factor_quadrature(float(b))[0]
-        assert abs(q - bh_factor_closed_matsumoto(float(b))) <= 1e-10
+    for family, (bs, outside) in _GRID_B.items():
+        for n in (2, 3, 4, 5, 7, 10, 25):
+            for b in bs:
+                closed = bh_factor_closed(b, family, n)
+                assert 0.0 < closed <= 1.0
+                assert bh_factor_quadrature(b, family, n)[0] == pytest.approx(closed, rel=1e-14, abs=0)
+            for b in outside:
+                with pytest.raises(DomainError, match="outside"):
+                    bh_factor_closed(b, family, n)
+    for (family, n, b), value in _GOLDEN.items():
+        assert bh_factor_closed(b, family, n) == pytest.approx(value, rel=1e-15)
+        assert bh_factor_quadrature(b, family, n)[0] == pytest.approx(value, rel=1e-15)
 
 
 def test_quadrature_randers():
@@ -61,27 +87,55 @@ def test_randers_example_value():
 
 def test_closed_form_strictly_decreasing():
     bs = np.linspace(0.0, 0.499, 200)
-    vals = [bh_factor_closed_matsumoto(float(b)) for b in bs]
+    vals = [bh_factor_closed(float(b)) for b in bs]
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
 def test_n3_converges_in_unit_interval():
-    # No closed form asserted; golden recorded from the quadrature oracle.
-    v = bh_factor_quadrature(0.3, n=3)[0]
-    assert 0.0 < v <= 1.0
-    assert v == pytest.approx(0.9174311926605506, abs=1e-12)
-    for b in (0.0, 0.2, 0.45):
+    for b in (0.0, 0.2, 0.3, 0.45):
         v = bh_factor_quadrature(b, n=3)[0]
         assert 0.0 < v <= 1.0
 
 
 def test_request_validation():
-    for n in (1, 0, 2.0):
-        with pytest.raises(DomainError, match=f"dimension n={n} must be an integer >= 2"):
-            bh_factor_quadrature(0.2, n=n)
-    for b, family in ((0.5, PhiFamily.MATSUMOTO), (-0.1, PhiFamily.RANDERS), (math.nan, PhiFamily.EUCLIDEAN)):
-        with pytest.raises(DomainError, match="outside"):
-            bh_factor_quadrature(b, family)
+    for f in (bh_factor_quadrature, bh_factor_closed):
+        for n in (1, 0, 2.0):
+            with pytest.raises(DomainError, match=f"dimension n={n} must be an integer >= 2"):
+                f(0.2, n=n)
+        # the integrands take float powers with exponents n - 2 and n
+        with pytest.raises(DomainError, match="^dimension n of 401 digits is beyond the float range$"):
+            f(0.3, n=10**400)
+        for b, family in ((0.5, PhiFamily.MATSUMOTO), (-0.1, PhiFamily.RANDERS), (math.nan, PhiFamily.EUCLIDEAN)):
+            with pytest.raises(DomainError, match="outside"):
+                f(b, family)
+
+
+def test_closed_form_beyond_the_float_range_is_zero():
+    # The sum of the slope form overflows (or a term does) where the factor
+    # lies below the float range; the Randers power underflows to 0.
+    assert bh_factor_closed(0.3, n=10**5) == 0.0
+    assert bh_factor_closed(0.3, n=10**300) == 0.0
+    assert bh_factor_closed(0.9, PhiFamily.RANDERS, 10**5) == 0.0
+    # at b = 0 the terms after the first vanish
+    assert bh_factor_closed(0.0, n=10**300) == 1.0
+
+
+def test_stalled_legendre_root_is_a_convergence_error(monkeypatch, capsys):
+    from finmin.cli import main
+
+    monkeypatch.setattr(volume, "_NEWTON_MAX_STEPS", 0)
+    _nodes_weights.cache_clear()
+    try:
+        message = "^Legendre root Newton iteration stalled at 64 nodes$"
+        with pytest.raises(QuadratureConvergenceError, match=message) as e:
+            bh_factor_quadrature(0.3)
+        assert e.value.estimates == ()
+        assert main(["volume", "--b", "0.3", "--no-timestamp"]) == 3
+    finally:
+        _nodes_weights.cache_clear()
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: Legendre root Newton iteration stalled at 64 nodes\n"
 
 
 def test_non_convergence_carries_estimates(monkeypatch):
@@ -95,7 +149,7 @@ def test_non_convergence_carries_estimates(monkeypatch):
     assert (prev, last) == (estimate(64), estimate(128))
     assert abs(last - prev) > volume._RTOL
     assert prev == pytest.approx(last, rel=1e-7)  # both already close
-    assert last == pytest.approx(_randers_exact(0.999), abs=1e-10)
+    assert last == pytest.approx(bh_factor_closed(0.999, PhiFamily.RANDERS), abs=1e-10)
     assert "at 64 nodes" in str(err.value) and "at 128 nodes" in str(err.value)
     assert bh_factor_quadrature(0.999, family=PhiFamily.RANDERS)[1] == 256
 
@@ -126,12 +180,6 @@ def test_large_n_overflow_still_returns_finite_value():
 
 # ---------------------------------------------------------------------------
 # the Gauss-Legendre rule against independent oracles
-
-
-def _randers_exact(b):
-    # (1 - b^2)^(3/2) with 1 - b^2 formed exactly: a few ulp, no cancellation.
-    s = float(1 - Fraction(b) ** 2)
-    return s * math.sqrt(s)
 
 
 @pytest.mark.parametrize("n_nodes", [64, 128, 256, 512, 1024])
@@ -181,16 +229,14 @@ def test_rule_symmetry_and_weight_sum(n_nodes):
 
 @pytest.mark.parametrize("b", [0.0, 0.15, 0.3, 0.45, 0.49])
 def test_matsumoto_quadrature_to_rounding(b):
-    exact2 = float(Fraction(2) / (2 + Fraction(b) ** 2))
-    exact3 = float(1 / (1 + Fraction(b) ** 2))
-    assert bh_factor_quadrature(b)[0] == pytest.approx(exact2, rel=1e-14, abs=0)
-    assert bh_factor_quadrature(b, n=3)[0] == pytest.approx(exact3, rel=1e-14, abs=0)
+    for n in (2, 3):
+        assert bh_factor_quadrature(b, n=n)[0] == pytest.approx(bh_factor_closed(b, n=n), rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("b", [0.2, 0.5, 0.8, 0.95, 0.999])
 def test_randers_quadrature_to_rounding(b):
     q = bh_factor_quadrature(b, family=PhiFamily.RANDERS)[0]
-    assert q == pytest.approx(_randers_exact(b), rel=1e-14, abs=0)
+    assert q == pytest.approx(bh_factor_closed(b, PhiFamily.RANDERS), rel=1e-14, abs=0)
 
 
 def test_tiny_factor_converges_relative_to_its_size():
