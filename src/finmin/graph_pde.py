@@ -32,10 +32,11 @@ is a positive multiple of x = w^2 / W^2 for b^2 < 1/3, so C is approached
 where w = 0 (tests/test_symbolic_chain.py proves each step).
 mean_curvature_type_bound evaluates that supremum on samples, a numeric
 echo of C. The divisor and the numerator of R are written once
-(metric._divisor_excess); the residual, ellipticity_quotients (the CLI's
-vectorized check of the lower bound), mean_curvature_type_bound, the
-closed-form partials of the horizontal residual (_residual_partials, the
-solver's Jacobian) and the translation module's (lambda, mu) all use them.
+(metric._divisor_excess) for the residual kernel _residual_terms, which
+returns D beside r, mean_curvature_type_bound, _residual_partials (the
+solver's Jacobian) and the translation module's (lambda, mu). The solver's
+stop test max|r / D| and ellipticity_quotients (the CLI's vectorized check
+of the lower bound, on a(xi) = r / D at H = xi xi^T) read D there.
 
 The functions take plain numbers and arrays: graph_residual the gradient
 and Hessian entries of one point, the two ellipticity functions arrays of
@@ -46,7 +47,7 @@ functions at the end are the CLI's residual-graph and ellipticity
 commands.
 """
 
-from .metric import _divisor_excess, _random01, check_b
+from .metric import _divisor_excess, _uniform_rows, check_b
 
 __all__ = [
     "graph_residual",
@@ -57,9 +58,9 @@ __all__ = [
 
 
 def _residual_terms(f1, f2, h11, h12, h22, k1, k2, k3, b):
-    # The graph equation over the plane with frame row k (the module
-    # docstring); the solver and graph_residual take k = (0, 0, 1).
-    # Arithmetic only: numpy arrays, Duals and sympy symbols pass through.
+    # (r, D): the graph equation over the plane with frame row k (the module
+    # docstring) and its divisor; the solver and graph_residual take
+    # k = (0, 0, 1). Arithmetic only: arrays, Duals and sympy pass through.
     w2 = 1.0 + f1 * f1 + f2 * f2
     w = k3 - k1 * f1 - k2 * f2
     divisor, excess = _divisor_excess(w2, w, b * b)
@@ -67,7 +68,7 @@ def _residual_terms(f1, f2, h11, h12, h22, k1, k2, k3, b):
     u1 = k1 + w * f1 / w2
     u2 = k2 + w * f2 / w2
     uform = u1 * u1 * h11 + 2.0 * u1 * u2 * h12 + u2 * u2 * h22
-    return divisor * hform + excess * w2 * uform
+    return divisor * hform + excess * w2 * uform, divisor
 
 
 def _residual_partials(f1, f2, h11, h12, h22, b):
@@ -105,34 +106,22 @@ def graph_residual(f1, f2, h11, h12, h22, b) -> float:
     At b = 0 this is exactly 4*W^2 times the classical minimal-surface
     operator (1+f2^2)h11 - 2 f1 f2 h12 + (1+f1^2)h22.
     """
-    return float(_residual_terms(f1, f2, h11, h12, h22, 0.0, 0.0, 1.0, b))
-
-
-def _sampled_frame(f, k, b):
-    """(W^2, w, D, X) at sampled gradients f and frame rows k; (D, X) = _divisor_excess."""
-    b = check_b(b)
-    w2 = 1.0 + f[:, 0] ** 2 + f[:, 1] ** 2
-    w = k[:, 2] - k[:, 0] * f[:, 0] - k[:, 1] * f[:, 1]
-    return (w2, w, *_divisor_excess(w2, w, b * b))
+    return float(_residual_terms(f1, f2, h11, h12, h22, 0.0, 0.0, 1.0, b)[0])
 
 
 def ellipticity_quotients(f, k, xi, b: float):
-    """(W^2 a(xi) / |xi|^2, S*(S - 2 b^2 w^2)) for n samples.
+    """(W^2 a(xi) / |xi|^2, D) for n samples: a(xi) = r / D with (r, D)
+    the kernel _residual_terms at H = xi xi^T.
 
     f: gradients (n, 2); k: last frame rows (n, 3); xi: probe directions
     (n, 2). The first quotient is >= 1 (the lower bound |xi|^2 / W^2 of
     the normalized form a) and the divisor is > 0; both hold for every
     b in [0, 1) because w^2 <= W^2.
     """
-    import numpy as np
-
-    w2, w, divisor, excess = _sampled_frame(f, k, b)
-    rb = excess / divisor
-    u = k[:, :2] + (w / w2)[:, None] * f
-    xi2 = np.einsum("ij,ij->i", xi, xi)
-    hform = xi2 - np.einsum("ij,ij->i", f, xi) ** 2 / w2
-    aform = hform + rb * w2 * np.einsum("ij,ij->i", u, xi) ** 2
-    return aform * w2 / xi2, divisor
+    b = check_b(b)
+    f1, f2, x1, x2 = f[:, 0], f[:, 1], xi[:, 0], xi[:, 1]
+    r, divisor = _residual_terms(f1, f2, x1 * x1, x1 * x2, x2 * x2, k[:, 0], k[:, 1], k[:, 2], b)
+    return r / divisor * (1.0 + f1 * f1 + f2 * f2) / (x1 * x1 + x2 * x2), divisor
 
 
 def mean_curvature_type_bound(f, k, b: float) -> float:
@@ -145,7 +134,10 @@ def mean_curvature_type_bound(f, k, b: float) -> float:
     """
     import numpy as np
 
-    w2, w, divisor, excess = _sampled_frame(f, k, b)
+    b = check_b(b)
+    w2 = 1.0 + f[:, 0] ** 2 + f[:, 1] ** 2
+    w = k[:, 2] - k[:, 0] * f[:, 0] - k[:, 1] * f[:, 1]
+    divisor, excess = _divisor_excess(w2, w, b * b)
     return float(np.max(excess / divisor * (w2 - w * w)))
 
 
@@ -154,23 +146,10 @@ def mean_curvature_type_bound(f, k, b: float) -> float:
 _SAMPLE_BLOCK = 2048
 
 
-def _disk_blocks(rng, n):
-    """n points (u, v) uniform in the punctured unit disk, drawn from rng,
-    a random.Random, as blocks (start, u, v, s), s = u^2 + v^2.
-
-    Each candidate is -1 + 2 r for two successive r = rng.random(), kept
-    where 0 < s < 1. A block holds at most _SAMPLE_BLOCK candidates and
-    never more than points are still missing, so the points and the state
-    rng is left in are those of drawing and testing one pair at a time.
-    """
-    filled = 0
-    while filled < n:
-        u, v = (-1.0 + 2.0 * _random01(rng, 2 * min(n - filled, _SAMPLE_BLOCK))).reshape(-1, 2).T
-        s = u * u + v * v
-        keep = (0.0 < s) & (s < 1.0)
-        u, v, s = u[keep], v[keep], s[keep]
-        yield filled, u, v, s
-        filled += len(s)
+def _in_punctured_disk(uv):
+    # keep-mask of the rows (u, v) with 0 < u^2 + v^2 < 1
+    s = uv[:, 0] * uv[:, 0] + uv[:, 1] * uv[:, 1]
+    return (0.0 < s) & (s < 1.0)
 
 
 def random_rotations(rng: "random.Random", n: int) -> "np.ndarray":
@@ -179,15 +158,17 @@ def random_rotations(rng: "random.Random", n: int) -> "np.ndarray":
     normals of uniformly random tilted planes.
 
     The last row of a uniform rotation is uniform on the sphere. Marsaglia's
-    method (Ann. Math. Statist. 43, 1972) maps each point (u, v) of
-    _disk_blocks, s = u^2 + v^2, to (2u sqrt(1 - s), 2v sqrt(1 - s), 1 - 2s),
-    with no other function than sqrt, so the rows are the same bits on
-    every machine for the same rng state.
+    method (Ann. Math. Statist. 43, 1972) maps each point (u, v) of the
+    punctured unit disk, s = u^2 + v^2, to (2u sqrt(1 - s), 2v sqrt(1 - s),
+    1 - 2s), with no other function than sqrt, so the rows are the same
+    bits on every machine for the same rng state.
     """
     import numpy as np
 
     k = np.empty((n, 3))
-    for start, u, v, s in _disk_blocks(rng, n):
+    for start, uv in _uniform_rows(rng, n, 2, 1.0, _SAMPLE_BLOCK, _in_punctured_disk):
+        u, v = uv.T
+        s = u * u + v * v
         rows = k[start : start + len(s)].T
         t = 2.0 * np.sqrt(1.0 - s)
         rows[0] = u * t
@@ -216,22 +197,19 @@ def _sweep(rng, n, b):
     """(smallest quotient, smallest divisor, mean_curvature_type_bound) on
     n samples drawn from rng for one b: gradients -3 + 6 rng.random() (two
     per sample), frame rows (random_rotations) and probe directions
-    uniform in the punctured unit disk (_disk_blocks; the quotients are of
-    degree 0 in xi), each drawn whole, in that order; then the two
-    functions per block of _SAMPLE_BLOCK samples, reduced by np.min /
-    np.max, which keep a nan. The draws are dropped on return, before the
-    next b's."""
+    uniform in the punctured unit disk (the quotients are of degree 0 in
+    xi), each drawn whole by metric._uniform_rows, in that order; then the
+    two functions per block of _SAMPLE_BLOCK samples, reduced by np.min /
+    np.max, which keep a nan. The draws are dropped on return."""
     import numpy as np
 
     f = np.empty((n, 2))
-    for start in range(0, n, _SAMPLE_BLOCK):
-        m = min(n - start, _SAMPLE_BLOCK)
-        f[start : start + m] = (-3.0 + 6.0 * _random01(rng, 2 * m)).reshape(m, 2)
+    for start, rows in _uniform_rows(rng, n, 2, 3.0, _SAMPLE_BLOCK):
+        f[start : start + len(rows)] = rows
     k = random_rotations(rng, n)
     xi = np.empty((n, 2))
-    for start, u, v, _ in _disk_blocks(rng, n):
-        xi[start : start + len(u), 0] = u
-        xi[start : start + len(u), 1] = v
+    for start, rows in _uniform_rows(rng, n, 2, 1.0, _SAMPLE_BLOCK, _in_punctured_disk):
+        xi[start : start + len(rows)] = rows
     ratios, divisors, bounds = [], [], []
     for start in range(0, n, _SAMPLE_BLOCK):
         block = slice(start, start + _SAMPLE_BLOCK)

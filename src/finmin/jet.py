@@ -47,7 +47,7 @@ import numpy as np
 
 from . import dual
 from .errors import DegenerateJetError, DomainError
-from .metric import _random01
+from .metric import _uniform_rows
 
 __all__ = [
     "area_integrand_grad",
@@ -254,20 +254,19 @@ def _random_jets(rng, count):
     -1.5 + 3 u, u = rng.random(), filling each jet row by row, keeping the
     jets whose Gram determinant is at least _JET_MIN_DET.
 
-    Draws blocks of at most _JET_BLOCK jets, six values each, and a block
-    never holds more jets than are still missing, so the jets and the
-    state rng is left in are those of drawing and testing one jet at a
-    time. Each block's kept jets go straight into the one (3, 2, count)
-    array, so the draw holds no second copy of the jets.
+    metric._uniform_rows draws them in blocks of at most _JET_BLOCK jets,
+    six values each, so the jets and the state rng is left in are those
+    of drawing and testing one jet at a time. Each block's kept jets go
+    straight into the one (3, 2, count) array, so the draw holds no
+    second copy of the jets.
     """
+
+    def keep(rows):  # rows.T.reshape(3, 2, -1): the (3, 2, m) stack of the rows' jets
+        return _minors(rows.T.reshape(3, 2, -1), 0.0)[1] >= _JET_MIN_DET
+
     jets = np.empty((3, 2, count))
-    filled = 0
-    while filled < count:
-        k = min(count - filled, _JET_BLOCK)
-        z = np.moveaxis((-1.5 + 3.0 * _random01(rng, 6 * k)).reshape(k, 3, 2), 0, -1)
-        z = z[..., _minors(z, 0.0)[1] >= _JET_MIN_DET]
-        jets[..., filled : filled + z.shape[-1]] = z
-        filled += z.shape[-1]
+    for start, rows in _uniform_rows(rng, count, 6, 1.5, _JET_BLOCK, keep):
+        jets[..., start : start + len(rows)] = rows.T.reshape(3, 2, -1)
     return jets
 
 

@@ -12,8 +12,10 @@ phi(s) > 0 and phi(s) - s phi'(s) + (b**2 - s**2) phi''(s) > 0 for
 slope profile the condition reads (1 - b)(1 - 2b) > 0, hence b < 1/2;
 tests/test_symbolic_chain.py checks every family from ``_phi`` itself.
 _divisor_excess writes the slope metric's graph-equation divisor once, for
-the graph_pde, solver and translation modules, and _random01 the uniform
-draw that the jet and graph_pde modules' sampled checks build on.
+the graph_pde, solver and translation modules. _uniform_rows, on
+_random01, is the one draw of the jet and graph_pde modules' sampled
+checks: blocks of rows -h + 2h u, never more rows than are still
+missing, each block filtered by an optional keep-mask.
 """
 
 import math
@@ -80,3 +82,18 @@ def _random01(rng, n):
 
     words = np.frombuffer(rng.getrandbits(64 * n).to_bytes(8 * n, "little"), dtype="<u4")
     return ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) * (1.0 / 9007199254740992.0)
+
+
+def _uniform_rows(rng, n, width, h, block, keep=None):
+    """Blocks (start, rows) of n rows of width values -h + 2h u, u =
+    rng.random() in row order, rng a random.Random. A block draws at most
+    block rows, never more than are still missing, and keeps the rows where
+    keep(rows), if given, is True: the rows and rng's state are those of
+    drawing and testing one row at a time, whatever the block."""
+    filled = 0
+    while filled < n:
+        rows = (-h + 2.0 * h * _random01(rng, width * min(n - filled, block))).reshape(-1, width)
+        if keep is not None:
+            rows = rows[keep(rows)]
+        yield filled, rows
+        filled += len(rows)

@@ -12,16 +12,17 @@ desk scale.
 
 The iteration stops when max|r / D| <= tol, where r is the residual and
 D = S(S - 2 b^2 w^2) the positive divisor graph_pde factors out of the
-equation (metric._divisor_excess). r / D is the normalized elliptic
-form a : H, so tol means the same at every gradient size, while the raw
-max|r| carries D's W^4 and a rounding floor eps*max(|J||f|) that exceeds
-1e-10 on fine grids (5.2e-10 at N = 255). The line search keeps the raw
-max|r| as its merit function: the Newton direction is a descent direction
-for it, and not always for the quotient, whose weights move with f. When
-a full step fails, the line search reads that floor: with max|r| within
-_FLOOR_MULTIPLE of it no step can be shown to help, and the solve stops
-as stagnated instead of halving the step twenty times. The error names
-the floor twice: raw, and as eps*max(|J||f| / D), in the units of tol.
+equation, both from graph_pde._residual_terms. r / D is the normalized
+elliptic form a : H, so tol means the same at every gradient size, while
+the raw max|r| carries D's W^4 and a rounding floor eps*max(|J||f|) that
+exceeds 1e-10 on fine grids (5.2e-10 at N = 255). The line search keeps
+the raw max|r| as its merit function: the Newton direction is a descent
+direction for it, and not always for the quotient, whose weights move
+with f. When a full step fails, the line search reads that floor: with
+max|r| within _FLOOR_MULTIPLE of it no step can be shown to help, and the
+solve stops as stagnated instead of halving the step twenty times. The
+error names the floor twice: raw, and as eps*max(|J||f| / D), in the
+units of tol.
 
 Linear systems. SuperLU factors the Jacobian in single precision, and
 every Newton system is solved in double by iterative refinement against
@@ -101,7 +102,7 @@ import numpy as np
 
 from .errors import DomainError, NonConvergenceError, SolverError, StagnationError
 from .graph_pde import _residual_partials, _residual_terms
-from .metric import _divisor_excess, check_b
+from .metric import check_b
 
 __all__ = [
     "GridProblem",
@@ -224,18 +225,12 @@ def assemble_residual(problem: GridProblem, f: np.ndarray) -> np.ndarray:
     return _residual_and_norms(problem, f)[0]
 
 
-def _stop_divisor(problem: GridProblem, f1, f2):
-    """D = S(S - 2 b^2 w^2) at w = 1 for the gradient (f1, f2): the divisor
-    of the stop test's max|r / D| (_residual_and_norms)."""
-    return _divisor_excess(1.0 + f1 * f1 + f2 * f2, 1.0, problem.b**2)[0]
-
-
 def _residual_and_norms(problem: GridProblem, f: np.ndarray):
     """The residual r, the stop-test norm max|r / D| and the raw max|r|.
 
     D = S(S - 2 b^2 w^2) >= 4 - 4 b^2 is the positive divisor graph_pde
-    factors out of the equation, here at w = 1; r / D is the normalized
-    elliptic form a : H (at b = 0 the minimal-surface operator over W^2),
+    factors out of the equation, here at w = 1, which _residual_terms
+    returns beside r; r / D is the normalized elliptic form a : H (at b = 0 the minimal-surface operator over W^2),
     free of D's W^4 growth; assemble_residual returns r. It is taken over
     row blocks (_stencil_blocks). Overflowing data or a spacing whose
     square underflows make the norms nan or infinite, which the Newton
@@ -246,8 +241,7 @@ def _residual_and_norms(problem: GridProblem, f: np.ndarray):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for rows, (f1, f2, h11, h12, h22) in _stencil_blocks(problem, f):
             part = r[rows]
-            part[...] = _residual_terms(f1, f2, h11, h12, h22, 0.0, 0.0, 1.0, problem.b)
-            divisor = _stop_divisor(problem, f1, f2)
+            part[...], divisor = _residual_terms(f1, f2, h11, h12, h22, 0.0, 0.0, 1.0, problem.b)
             quotients.append(np.max(np.abs(part / divisor)))
             raws.append(np.max(np.abs(part)))
     # np.max, unlike Python's max, keeps a nan from any block
@@ -395,9 +389,9 @@ def _apply_stencil(weights, field: np.ndarray) -> np.ndarray:
 def _rounding_floor(weights: np.ndarray, f: np.ndarray, divisor=1.0) -> float:
     """eps * max(|J| |f| / divisor): with divisor 1, the rounding error of
     the raw residual at f, the level below which no step can be shown to
-    reduce max|r|; with the stop test's divisors D (_stop_divisor, one per
-    interior node), that floor in the units of tol. |J| is taken one
-    stencil plane at a time, so no second (9, nx, ny) array is held."""
+    reduce max|r|; with the stop test's divisors D (one per interior
+    node), that floor in the units of tol. |J| is taken one stencil plane
+    at a time, so no second (9, nx, ny) array is held."""
     planes = (np.abs(w) for w in weights)
     return float(np.finfo(float).eps * np.max(_apply_stencil(planes, np.abs(f)) / divisor))
 
@@ -626,8 +620,8 @@ def solve_minimal_graph(problem: GridProblem, tol: float = 1e-10, max_iter: int 
                 floor = _rounding_floor(weights, f)
             lam *= 0.5
             if raw <= _FLOOR_MULTIPLE * floor or lam < _MIN_STEP:
-                f1, f2 = _stencil_point(problem, f)[:2]
-                floor_tol = _rounding_floor(weights, f, _stop_divisor(problem, f1, f2))
+                divisor = _residual_terms(*_stencil_point(problem, f), 0.0, 0.0, 1.0, problem.b)[1]
+                floor_tol = _rounding_floor(weights, f, divisor)
                 raise StagnationError(
                     f"line search stalled at residual {res:.3e} (raw max-norm {raw:.3e}, "
                     f"rounding floor eps*max(|J||f|) = {floor:.3e}, "

@@ -26,9 +26,9 @@ L is (mu - lambda)/2 at r = (p + 1)/2, s = (p - 1)/2. kl_ratio_derivative
 and compatibility_check take that pair, so a caller builds it once per
 b^2. All polynomial work is over fractions.Fraction, so every reported
 value is exact; the functions that build Fractions import the module
-themselves, so translation_residual, which computes on floats for the
-CLI's residual-translation, loads no fractions. The two _cmd_* functions
-at the end are the CLI's residual-translation and check-translation
+themselves, so lambda_mu, which computes on floats for the CLI's
+residual-translation, loads no fractions. The two _cmd_* functions at
+the end are the CLI's residual-translation and check-translation
 commands.
 """
 
@@ -191,7 +191,7 @@ def _cmd_residual_translation(args):
                 "euclidean_degeneration": b == 0.0,
                 "lambda": lam,
                 "mu": mu,
-                "residual": translation_residual(**point, b=b),
+                "residual": lam * point["fpp"] + mu * point["gpp"],
             }
         )
     return {"point": point, "results": results}, 0

@@ -24,6 +24,7 @@ with math.fsum. _cmd_volume is the CLI's `volume` command.
 """
 
 import math
+import sys
 from functools import lru_cache
 
 from .errors import DomainError, QuadratureConvergenceError
@@ -135,17 +136,26 @@ def _ratio_estimate(b: float, family: PhiFamily, n: int, n_nodes: int) -> float:
     t, w = _nodes_weights(n_nodes)
     num, den = [], []
     for ti, wi in zip(t, w):
-        sin_pow = math.sin(ti) ** (n - 2)
+        sin_t = math.sin(ti)
+        sin_pow = sin_t ** (n - 2)
         phi = _phi(family, b * math.cos(ti))
-        # At large n, phi**n overflows (the term adds 0) or underflows to 0
-        # (an infinite term, or 0/0 where sin_pow has underflowed too); the
-        # caller rejects a non-finite ratio.
+        # At large n, phi**n overflows (the term adds 0). Where phi**n or
+        # sin_pow is 0 or subnormal, the term is formed whole, which may
+        # overflow (an infinite term) or give 0/0 where every term is 0;
+        # the caller rejects a non-finite ratio.
         try:
             phi_n = phi**n
         except OverflowError:
             phi_n = math.inf
+        if min(phi_n, sin_pow) < sys.float_info.min:
+            try:
+                term = (sin_t ** ((n - 2) / n) / phi) ** n
+            except OverflowError:
+                term = math.inf
+        else:
+            term = sin_pow / phi_n
         num.append(wi * sin_pow)
-        den.append(wi * _quotient(sin_pow, phi_n))
+        den.append(wi * term)
     return _quotient(math.fsum(num), math.fsum(den))
 
 

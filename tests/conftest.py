@@ -9,6 +9,31 @@ from finmin.jet import _matrix_rel_err as max_rel_err  # noqa: F401  (re-exporte
 from finmin.jet import area_integrand_hess
 
 
+def _library_versions():
+    import platform
+
+    import hypothesis
+    import scipy
+    import sympy
+
+    versions = [("python", platform.python_version()), ("numpy", np.__version__)]
+    versions += [(m.__name__, m.__version__) for m in (scipy, sympy, hypothesis)]
+    return "finmin libraries: " + ", ".join(f"{name} {version}" for name, version in versions)
+
+
+def pytest_report_header(config):
+    """The library versions of the run: the exact pins (the ellipticity and
+    check-derivatives values, the bit-equality tests) were measured on
+    numpy 2.4.6 and scipy 1.17.1, so a failing pin reads against these."""
+    return _library_versions()
+
+
+def pytest_terminal_summary(terminalreporter, exitstatus, config):
+    # -q hides the header; a failing quiet run names the versions here.
+    if exitstatus and config.get_verbosity() < 0:
+        terminalreporter.write_line(_library_versions())
+
+
 def _random_jets_one_at_a_time(rng, count):
     """count jets (3, 2, count) with entries uniform in [-1.5, 1.5), drawn
     and tested one at a time, kept where the Gram determinant is at least

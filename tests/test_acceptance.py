@@ -101,7 +101,7 @@ def test_criterion_3_pde_residual_equivalence():
         m = np.eye(3) if i % 5 == 0 else rand_rotation(rng)
         b = rng.uniform(0.0, 0.5)
         cleared = cleared_euler_lagrange([f1, f2], [[h11, h12], [h12, h22]], m, b)
-        res = _residual_terms(f1, f2, h11, h12, h22, *m[2], b)
+        res = _residual_terms(f1, f2, h11, h12, h22, *m[2], b)[0]
         if i % 5 == 0:
             assert res == graph_residual(f1, f2, h11, h12, h22, b)
         worst = max(worst, abs(cleared - res) / max(abs(cleared), 1e-12))
@@ -130,19 +130,23 @@ def test_criterion_4_ellipticity():
     xi = rng.normal(size=(n, 2))
 
     def reference(b):
-        # The quotients written out independently of the library kernel;
-        # b may be one value or one per sample.
-        w2 = 1.0 + f[:, 0] ** 2 + f[:, 1] ** 2
-        w = k[:, 2] - k[:, 0] * f[:, 0] - k[:, 1] * f[:, 1]
+        # The quotients W^2 a(xi) / |xi|^2, a(xi) = r / D at H = xi xi^T,
+        # written out independently of the library kernel in its operation
+        # order; b may be one value or one per sample.
+        f1, f2, x1, x2 = f[:, 0], f[:, 1], xi[:, 0], xi[:, 1]
+        k1, k2, k3 = k.T
+        h11, h12, h22 = x1 * x1, x1 * x2, x2 * x2
+        w2 = 1.0 + f1 * f1 + f2 * f2
+        w = k3 - k1 * f1 - k2 * f2
         b2 = b * b
         s = (2.0 + b2) * w2 - b2 * w * w
         divisor = s * (s - 2.0 * b2 * w * w)
-        rb = 2.0 * b2 * (s + 4.0 * b2 * w * w) / divisor
-        u = k[:, :2] + (w / w2)[:, None] * f
-        xi2 = np.einsum("ij,ij->i", xi, xi)
-        hform = xi2 - np.einsum("ij,ij->i", f, xi) ** 2 / w2
-        aform = hform + rb * w2 * np.einsum("ij,ij->i", u, xi) ** 2
-        return aform * w2 / xi2, divisor
+        hform = (h11 + h22) - (f1 * f1 * h11 + 2.0 * f1 * f2 * h12 + f2 * f2 * h22) / w2
+        u1 = k1 + w * f1 / w2
+        u2 = k2 + w * f2 / w2
+        uform = u1 * u1 * h11 + 2.0 * u1 * u2 * h12 + u2 * u2 * h22
+        r = divisor * hform + 2.0 * b2 * (s + 4.0 * b2 * w * w) * w2 * uform
+        return r / divisor * w2 / (x1 * x1 + x2 * x2), divisor
 
     ratio, divisor = reference(b)
     strict = np.all(ratio > 1.0 - 1e-12) and np.all(divisor > 0.0)

@@ -64,12 +64,24 @@ def test_volume_pinned_nodes_and_value(capsys):
 
 
 def test_volume_nonfinite_estimate_exits_3_at_once():
-    proc = run_proc(["volume", "--b", "0.3", "--n", "100000", "--no-timestamp"])
+    # phi = 1 and sin(t)**(n-2) underflows to 0 at every node: 0/0.
+    proc = run_proc(["volume", "--b", "0", "--n", "10000000", "--no-timestamp"])
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert "RuntimeWarning" not in proc.stderr
-    assert proc.stderr.startswith("error: quadrature ratio is nan at b=0.3, n=100000 with 64 nodes")
+    assert proc.stderr.startswith("error: quadrature ratio is nan at b=0.0, n=10000000 with 64 nodes")
     assert proc.stderr.count("\n") == 1
+
+
+def test_volume_randers_terms_outside_the_float_range_converge(capsys):
+    # At b = 0.95, n = 300, phi**n and sin(t)**(n-2) reach 0 or subnormal
+    # values on part of the nodes; each such term is formed whole, and the
+    # quadrature converges to the closed form.
+    code, rec = run_json(capsys, ["volume", "--family", "randers", "--b", "0.95", "--n", "300", "--no-timestamp"])
+    assert code == 0 and "failure" not in rec
+    entry = rec["results"][0]
+    assert entry["nodes"] == 512
+    assert entry["abs_diff"] <= 1e-13 * entry["closed"]
 
 
 def test_volume_n_beyond_float_range_exits_2():
@@ -1223,7 +1235,7 @@ def test_closed_stdout_exits_2(argv, what):
 _ERROR_PATHS = {
     "domain": (["volume", "--b", "0.9"], 2),
     "usage": (["volume", "--bogus"], 2),
-    "quadrature": (["volume", "--b", "0.3", "--n", "100000"], 3),
+    "quadrature": (["volume", "--b", "0", "--n", "10000000"], 3),
     "overflow": (["residual-graph", "--b", "0.3", "--point", "f1=1e308,f2=0.2,h11=1,h12=0,h22=1"], 3),
     "solver": (["solve", "--b", "0.3", "--boundary", "scherk", "--nx", "9", "--ny", "9", "--max-iter", "0"], 3),
 }
@@ -1304,7 +1316,7 @@ _CORPUS = [
     # volume where phi**n overflows on part of the nodes (those terms add 0),
     # and where the estimate is 0/0 at 64 nodes
     (shlex.split("volume --b 0.45 --n 2000"), 0, None),
-    (shlex.split("volume --b 0.3 --n 100000"), 3, "error: quadrature ratio is nan at b=0.3, n=100000 with 64 nodes"),
+    (shlex.split("volume --b 0 --n 10000000"), 3, "error: quadrature ratio is nan at b=0.0, n=10000000 with 64 nodes"),
     (["volume", "--bogus"], 2, "error:"),
     # cli._COMMANDS, the option table, generates finmin's help and each command's
     *(([*command, "--help"], 0, None) for command in [[], *([name] for name in _COMMANDS)]),

@@ -81,8 +81,8 @@ def test_identity_frame_reduces_exactly():
     for _ in range(200):
         gp = rand_gp(rng)
         b = rng.uniform(0.0, 0.5)
-        assert _residual_terms(*gp, *IDENTITY[2], b) == graph_residual(*gp, b)
-        assert _residual_terms(*gp, *flipped[2], b) == graph_residual(*gp, b)
+        assert _residual_terms(*gp, *IDENTITY[2], b)[0] == graph_residual(*gp, b)
+        assert _residual_terms(*gp, *flipped[2], b)[0] == graph_residual(*gp, b)
 
 
 def test_frame_unit_k():
@@ -106,7 +106,7 @@ def test_residual_matches_jet_bracket():
         gp = rand_gp(rng)
         frame = IDENTITY if i % 5 == 0 else rand_rotation(rng)
         b = rng.uniform(0.0, 0.5)
-        res = _residual_terms(*gp, *frame[2], b)
+        res = _residual_terms(*gp, *frame[2], b)[0]
         assert _cleared(gp, frame, b) == pytest.approx(res, rel=1e-9, abs=1e-9)
 
 
@@ -116,14 +116,15 @@ def test_vertical_plane_frame_is_finite():
     assert frame[2, 2] == 0.0
     gp = (0.7, -0.3, 1.0, 0.2, -0.5)
     for b in (0.0, 0.3, 0.49):
-        r = _residual_terms(*gp, *frame[2], b)
+        r = _residual_terms(*gp, *frame[2], b)[0]
         assert math.isfinite(r)
         assert _cleared(gp, frame, b) == pytest.approx(r, rel=1e-9)
 
 
 def _reference_residual(f1, f2, h11, h12, h22, k1, k2, k3, b):
-    # The coefficient form written out in the operation order the residual
-    # kernel has always used; floats, arrays and Duals all pass through.
+    # (r, D): the coefficient form and its divisor written out in the
+    # operation order the residual kernel has always used; floats, arrays
+    # and Duals all pass through.
     w2 = 1.0 + f1 * f1 + f2 * f2
     w = k3 - k1 * f1 - k2 * f2
     b2 = b * b
@@ -132,7 +133,8 @@ def _reference_residual(f1, f2, h11, h12, h22, k1, k2, k3, b):
     u1 = k1 + w * f1 / w2
     u2 = k2 + w * f2 / w2
     uform = u1 * u1 * h11 + 2.0 * u1 * u2 * h12 + u2 * u2 * h22
-    return s * (s - 2.0 * b2 * w * w) * hform + 2.0 * b2 * (s + 4.0 * b2 * w * w) * w2 * uform
+    divisor = s * (s - 2.0 * b2 * w * w)
+    return divisor * hform + 2.0 * b2 * (s + 4.0 * b2 * w * w) * w2 * uform, divisor
 
 
 def test_pointwise_residuals_bitwise_equal_reference():
@@ -141,8 +143,8 @@ def test_pointwise_residuals_bitwise_equal_reference():
         gp = rand_gp(rng, span=3.0)
         frame = IDENTITY if i % 5 == 0 else rand_rotation(rng)
         b = rng.uniform(0.0, 0.5)
-        assert _residual_terms(*gp, *frame[2], b) == _reference_residual(*gp, *frame[2], b)
-        assert graph_residual(*gp, b) == _reference_residual(*gp, 0.0, 0.0, 1.0, b)
+        assert _residual_terms(*gp, *frame[2], b) == _reference_residual(*gp, *frame[2], b)  # (r, D)
+        assert graph_residual(*gp, b) == _reference_residual(*gp, 0.0, 0.0, 1.0, b)[0]
 
 
 @pytest.mark.parametrize("b", [0.0, 0.3, 0.45])
@@ -150,11 +152,11 @@ def test_grid_residual_bitwise_and_partials_near_reference(b):
     problem = GridProblem((-1.0, 1.0, -0.5, 0.5), 11, 9, b, lambda x, y: 0.0)
     f = np.random.default_rng(36).uniform(-1.0, 1.0, (13, 11))
     vals = _stencil_point(problem, f)
-    assert np.array_equal(assemble_residual(problem, f), _reference_residual(*vals, 0.0, 0.0, 1.0, b))
+    assert np.array_equal(assemble_residual(problem, f), _reference_residual(*vals, 0.0, 0.0, 1.0, b)[0])
     want = []
     for i in range(5):
         args = [Dual(v, np.ones_like(v)) if k == i else v for k, v in enumerate(vals)]
-        want.append(_reference_residual(*args, 0.0, 0.0, 1.0, b).du)
+        want.append(_reference_residual(*args, 0.0, 0.0, 1.0, b)[0].du)
     assert_channels_near(_residual_partials(*vals, b), want)
 
 
@@ -212,19 +214,24 @@ def test_quadratic_form_lower_bound():
 
 
 def test_sampler_form_is_the_residual_kernel():
-    # The quotient ellipticity_quotients and mean_curvature_type_bound work
-    # with is the kernel itself at H = xi xi^T: ratio * divisor * |xi|^2 / W^2.
+    # The form ellipticity_quotients reads is a(xi) = r / D with r the
+    # kernel at H = xi xi^T. Here r is the Euler-Lagrange operator built from
+    # the jet module's closed-form Hessian, cleared by S^3 / (2 W)
+    # (conftest.cleared_euler_lagrange), which shares no code with the
+    # kernel, on full random frames: ratio = r / D * W^2 / |xi|^2.
     rng = np.random.default_rng(37)
-    n = 2000
-    f = rng.uniform(-3.0, 3.0, (n, 2))
-    k = _rotations_in_one_draw(rng, n)
-    xi = rng.normal(size=(n, 2))
-    for b in (0.0, 0.2, 0.45):
-        ratio, divisor = ellipticity_quotients(f, k, xi, b)
-        w2 = 1.0 + f[:, 0] ** 2 + f[:, 1] ** 2
-        x1, x2 = xi[:, 0], xi[:, 1]
-        kernel = _residual_terms(f[:, 0], f[:, 1], x1 * x1, x1 * x2, x2 * x2, k[:, 0], k[:, 1], k[:, 2], b)
-        np.testing.assert_allclose(ratio * divisor * (x1 * x1 + x2 * x2) / w2, kernel, rtol=1e-12)
+    for i in range(300):
+        frame = rand_rotation(rng)
+        f = rng.uniform(-3.0, 3.0, 2)
+        xi = rng.normal(size=2)
+        b = 0.0 if i % 5 == 0 else rng.uniform(0.0, 0.5)
+        ratio, divisor = ellipticity_quotients(f[None, :], frame[2:], xi[None, :], b)
+        w2 = 1.0 + f @ f
+        w = frame[2, 2] - frame[2, :2] @ f
+        s = (2.0 + b * b) * w2 - b * b * w * w
+        assert divisor[0] == pytest.approx(s * (s - 2.0 * b * b * w * w), rel=1e-12)
+        r = cleared_euler_lagrange(f, np.outer(xi, xi), frame, b)
+        assert ratio[0] == pytest.approx(r / divisor[0] * w2 / (xi @ xi), rel=1e-9)
 
 
 def test_divisor_positivity():

@@ -321,7 +321,7 @@ def test_residual_affine_immersion_is_zero():
         f = rng.uniform(-2.0, 2.0, 2)
         b = rng.uniform(0.0, 0.5)
         assert graph_euler_lagrange(f, np.zeros((2, 2)), m, b) == 0.0
-        assert _residual_terms(*f, 0.0, 0.0, 0.0, *m[2], b) == 0.0
+        assert _residual_terms(*f, 0.0, 0.0, 0.0, *m[2], b)[0] == 0.0
 
 
 def test_residual_scherk_b0():
@@ -350,9 +350,9 @@ def test_residual_linear_in_curvature_and_transversal():
         f = rng.uniform(-1.5, 1.5, 2)
         ha, hb = rng.uniform(-1.5, 1.5, (2, 3))
         b = rng.uniform(0.0, 0.5)
-        ra = _residual_terms(*f, *ha, *m[2], b)
-        rb = _residual_terms(*f, *hb, *m[2], b)
-        rab = _residual_terms(*f, *(2.0 * ha - 3.0 * hb), *m[2], b)
+        ra = _residual_terms(*f, *ha, *m[2], b)[0]
+        rb = _residual_terms(*f, *hb, *m[2], b)[0]
+        rab = _residual_terms(*f, *(2.0 * ha - 3.0 * hb), *m[2], b)[0]
         assert rab == pytest.approx(2.0 * ra - 3.0 * rb, rel=1e-12, abs=1e-12)
 
 

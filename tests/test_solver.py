@@ -19,7 +19,6 @@ from finmin import dual
 from finmin.cli import main
 from finmin.errors import DomainError, NonConvergenceError, SolverError, StagnationError
 from finmin.graph_pde import _residual_partials, _residual_terms, graph_residual
-from finmin.metric import _divisor_excess
 import finmin.solver
 from finmin.solver import (
     _OFFSETS,
@@ -146,9 +145,7 @@ def test_problem_rejects_nonfinite_domain_and_overflowing_spacing(domain):
 def one_array_residual(problem, f):
     """(r, max|r / D|, max|r|) over the whole grid in one array pass: the
     reference for the solver's row blocks."""
-    f1, f2, h11, h12, h22 = _stencil_point(problem, f)
-    r = _residual_terms(f1, f2, h11, h12, h22, 0.0, 0.0, 1.0, problem.b)
-    divisor = _divisor_excess(1.0 + f1 * f1 + f2 * f2, 1.0, problem.b**2)[0]
+    r, divisor = _residual_terms(*_stencil_point(problem, f), 0.0, 0.0, 1.0, problem.b)
     return r, float(np.max(np.abs(r / divisor))), float(np.max(np.abs(r)))
 
 
@@ -168,22 +165,22 @@ def test_residual_blocks_equal_the_one_array_evaluation(b, monkeypatch):
 
 def test_residual_keeps_a_nan_from_a_middle_block(monkeypatch):
     # Python's max would drop a nan that is not first; np.max keeps it. The
-    # third of five blocks of 7 rows gets a nan divisor: the stop-test norm
-    # is nan, and the raw max|r| is that of the whole grid.
+    # kernel hands the third of five blocks of 7 rows a nan divisor: the
+    # stop-test norm is nan, and the raw max|r| is that of the whole grid.
     problem = GridProblem(UNIT_SQUARE, 31, 17, 0.3, scherk)
     f = full_field(problem, lambda x, y: scherk(x, y) + 0.1 * x * y)
     raw = _residual_and_norms(problem, f)[2]
-    real, calls = finmin.solver._divisor_excess, []
+    real, calls = finmin.solver._residual_terms, []
 
-    def nan_in_the_third_block(w2, w, b2):
-        divisor, excess = real(w2, w, b2)
+    def nan_in_the_third_block(*args):
+        r, divisor = real(*args)
         calls.append(None)
         if len(calls) == 3:
             divisor[3, 5] = np.nan
-        return divisor, excess
+        return r, divisor
 
     monkeypatch.setattr(finmin.solver, "_BLOCK_NODES", 7 * 17)
-    monkeypatch.setattr(finmin.solver, "_divisor_excess", nan_in_the_third_block)
+    monkeypatch.setattr(finmin.solver, "_residual_terms", nan_in_the_third_block)
     _, res, got_raw = _residual_and_norms(problem, f)
     assert len(calls) == 5
     assert math.isnan(res)
@@ -982,7 +979,7 @@ def test_residual_partials_match_dual_gradient(n, b, field):
         f = np.where(rng.uniform(size=f.shape) < share, f, rng.uniform(-2.0, 2.0, f.shape))
     stencil = np.stack(_stencil_point(problem, f))
     got = np.stack(_residual_partials(*stencil, b))
-    want = dual.gradient(lambda v: _residual_terms(*v, 0.0, 0.0, 1.0, b), stencil)
+    want = dual.gradient(lambda v: _residual_terms(*v, 0.0, 0.0, 1.0, b)[0], stencil)
     assert got.shape == want.shape == (5, nx, ny)
     assert_channels_near(got, want)
 

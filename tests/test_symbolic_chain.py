@@ -67,7 +67,7 @@ def exact(expr):
 
 
 def kernel(*args):
-    return exact(_residual_terms(*args))
+    return exact(_residual_terms(*args)[0])
 
 
 def w_sq():

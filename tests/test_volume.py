@@ -155,11 +155,30 @@ def test_non_convergence_carries_estimates(monkeypatch):
 
 
 def test_nonfinite_estimate_fails_at_first_node_count():
-    # sin(t)**(n-2) and, where phi < 1, phi**n underflow to 0: 0/0 at 64 nodes.
+    # Randers at b = 0: phi = 1 and sin(t)**(n-2) underflows to 0 at every
+    # node, so each term formed whole underflows too: 0/0 at 64 nodes.
     with pytest.raises(QuadratureConvergenceError) as err:
-        bh_factor_quadrature(0.3, n=100_000)
-    assert "b=0.3, n=100000 with 64 nodes" in str(err.value)
+        bh_factor_quadrature(0.0, PhiFamily.RANDERS, n=10**7)
+    assert "b=0.0, n=10000000 with 64 nodes" in str(err.value)
     assert math.isnan(err.value.estimates[1])
+
+
+@pytest.mark.parametrize("b, n", [(0.95, 300), (0.9, 400), (0.99, 200), (0.8, 500), (0.9999, 100)])
+def test_terms_outside_the_float_range_are_formed_whole(b, n):
+    # Where phi**n or sin(t)**(n-2) is 0 or subnormal, their quotient keeps
+    # few bits or none (0/0); formed whole, as (sin(t)**((n-2)/n) / phi)**n,
+    # the term keeps its digits and the quadrature meets the closed form.
+    value, nodes = bh_factor_quadrature(b, PhiFamily.RANDERS, n)
+    assert 512 <= nodes <= 8192
+    assert value == pytest.approx(bh_factor_closed(b, PhiFamily.RANDERS, n), rel=1e-13)
+
+
+def test_phi_power_overflow_gives_the_closed_form_zero():
+    # At b = 0.3, n = 100000, (sin(t) / phi)**n overflows near t = pi/2 + b
+    # (an infinite term) and the ratio is 0.0, the closed form's value
+    # beyond the float range.
+    assert bh_factor_quadrature(0.3, n=100_000) == (0.0, 128)
+    assert bh_factor_closed(0.3, n=100_000) == 0.0
 
 
 def test_all_terms_underflowing_gives_nan_at_first_node_count():
